@@ -18,10 +18,13 @@ this implementation pins every source of nondeterminism:
 Greedy local moving is order-sensitive and can stall in poor local optima
 on small graphs, so each multilevel descent alternates with a refinement
 stage: a greedy fixpoint over single-node moves plus an escape search that
-chains forced relocations and keeps the best-scoring prefix. The descent
-runs once per traversal order and the higher-quality result wins, with ties
-going to the lexicographic sweep. Every stage uses fixed orders and
-tie-breaks, so repeated runs on the same graph yield identical partitions.
+chains forced relocations and keeps the best-scoring prefix. After each
+forced move the escape search re-scores only the gains toward the two
+communities that move touched, which is exact on integer edge weights. The
+descent runs once per traversal order and the higher-quality result wins,
+with ties going to the lexicographic sweep. Every stage uses fixed orders
+and tie-breaks, so repeated runs on the same graph yield identical
+partitions.
 """
 
 from __future__ import annotations
@@ -68,12 +71,14 @@ class ClusterLabel:
     top_tags: tuple[str, ...]
 
 
-def modularity(graph: CoGraph, partition: Partition | dict[str, int]) -> float:
+def modularity(graph: CoGraph, partition: Partition | dict[str, int], resolution: float = 1.0) -> float:
     """Weighted Newman modularity of a partition.
 
-    Q = sum over clusters of [ w_in/(2m) - (w_tot/(2m))^2 ], where w_in
-    counts each intra-cluster edge's weight twice and w_tot sums the
-    weighted degrees of the cluster's nodes.
+    Q = sum over clusters of [ w_in/(2m) - resolution * (w_tot/(2m))^2 ],
+    where w_in counts each intra-cluster edge's weight twice and w_tot sums
+    the weighted degrees of the cluster's nodes. Resolution 1 gives the
+    standard measure; other values give the quality Louvain optimizes at
+    that resolution.
     """
     assignment = partition.assignment if isinstance(partition, Partition) else partition
     names = set(graph.node_names())
@@ -95,7 +100,7 @@ def modularity(graph: CoGraph, partition: Partition | dict[str, int]) -> float:
             w_in[cu] = w_in.get(cu, 0.0) + 2.0 * edge.weight
         w_tot[cu] += edge.weight
         w_tot[cv] += edge.weight
-    terms = [w_in.get(c, 0.0) / two_m - (w_tot[c] / two_m) ** 2 for c in w_tot]
+    terms = [w_in.get(c, 0.0) / two_m - resolution * (w_tot[c] / two_m) ** 2 for c in w_tot]
     return math.fsum(terms)
 
 
@@ -120,6 +125,16 @@ def _lex_order(level: _Level) -> list[int]:
 
 def _degree_order(level: _Level) -> list[int]:
     return sorted(range(level.size), key=lambda i: (-level.degree[i], level.sort_keys[i]))
+
+
+def _gain(link: float, tot_c: float, k_i: float, m: float, resolution: float) -> float:
+    """Gain of inserting a detached node of degree k_i into community c.
+
+    link is the node's edge weight into c and tot_c the total degree of c
+    without the node. Terms constant in the target (self-loop, -k_i^2) are
+    dropped; only differences between targets matter.
+    """
+    return link / m - resolution * tot_c * k_i / (2.0 * m * m)
 
 
 def _local_phase(
@@ -150,17 +165,15 @@ def _local_phase(
                 links[com[j]] = links.get(com[j], 0.0) + w
             # Detach i, then compare reinsertion gains.
             tot[home] -= k_i
-            # Constant-in-target terms (self-loop, -k_i^2) are dropped from the
-            # gain; only differences between targets matter. Ascending-id scan
-            # with strict > picks the smallest community id among ties, and a
-            # tie with the home community means no strictly positive gain, so
-            # the node stays.
+            # Ascending-id scan with strict > picks the smallest community id
+            # among ties, and a tie with the home community means no strictly
+            # positive gain, so the node stays.
             best_c = home
-            best_gain = links[home] / m - resolution * tot[home] * k_i / (2.0 * m * m)
+            best_gain = _gain(links[home], tot[home], k_i, m, resolution)
             for c in sorted(links):
                 if c == home:
                     continue
-                gain = links[c] / m - resolution * tot[c] * k_i / (2.0 * m * m)
+                gain = _gain(links[c], tot[c], k_i, m, resolution)
                 if gain > best_gain:
                     best_c, best_gain = c, gain
             if best_c != home:
@@ -177,39 +190,22 @@ def _local_phase(
 _ESCAPE_MAX_NODES = 512
 
 
-def _best_move(
-    level: _Level, resolution: float, com: list[int], tot: dict[int, float], i: int, fresh: int
-) -> tuple[int, float] | None:
-    """Best relocation for node i (possibly at a loss) and its quality delta.
+def _best_target(
+    links: dict[int, float], home: int, tot: dict[int, float], k_i: float, m: float, resolution: float
+) -> tuple[int | None, float]:
+    """Best community in links other than home: largest gain, smallest label on ties.
 
-    Candidates are the neighboring communities plus, when every alternative
-    loses, a fresh singleton. Returns None when the node has no move that
-    changes anything. Ascending-label scan with strict > keeps ties
-    deterministic.
+    Returns (None, 0.0) when every neighbour of the node shares its home.
     """
-    m = level.m
-    k_i = level.degree[i]
-    home = com[i]
-    links: dict[int, float] = {}
-    for j, w in level.adj[i].items():
-        links[com[j]] = links.get(com[j], 0.0) + w
-    tot_home = tot[home] - k_i
-    home_gain = links.get(home, 0.0) / m - resolution * tot_home * k_i / (2.0 * m * m)
     best_c = None
     best_gain = 0.0
-    for c in sorted(links):
+    for c, w in links.items():
         if c == home:
             continue
-        gain = links[c] / m - resolution * tot[c] * k_i / (2.0 * m * m)
-        if best_c is None or gain > best_gain:
+        gain = _gain(w, tot[c], k_i, m, resolution)
+        if best_c is None or gain > best_gain or (gain == best_gain and c < best_c):
             best_c, best_gain = c, gain
-    already_singleton = links.get(home, 0.0) == 0.0 and tot_home == 0.0
-    if not already_singleton and (best_c is None or best_gain < 0.0):
-        # Detaching into a fresh singleton beats every lossy alternative.
-        best_c, best_gain = fresh, 0.0
-    if best_c is None:
-        return None
-    return best_c, best_gain - home_gain
+    return best_c, best_gain
 
 
 def _escape_round(
@@ -218,44 +214,104 @@ def _escape_round(
     """One escape round: chained forced moves with best-prefix acceptance.
 
     Repeatedly applies the single best relocation over all not-yet-moved
-    nodes, even when it loses quality, locking each moved node. The longest
+    nodes, even when it loses quality, locking each moved node. A node's
+    relocation goes to its best neighbouring community, or to a fresh
+    singleton when every alternative loses; the move picked is the first
+    node in traversal order with the largest quality delta. The longest
     prefix of the move chain with the largest cumulative gain is kept if
     that gain is strictly positive. This recovers optima that need short
     coordinated move sequences, which the one-node-at-a-time greedy phase
-    cannot reach. Quadratic in node count, so it is skipped on levels too
-    large for that to be cheap. Fully deterministic: traversal-order
-    tie-breaks between nodes, ascending-label tie-breaks between targets.
+    cannot reach.
+
+    Moving a node from community A to B changes only tot[A], tot[B] and the
+    neighbours' link weights toward A and B, so every other candidate gain
+    stays valid. Each node therefore keeps a link table (community -> link
+    weight, updated for the mover's neighbours only) and a cached best
+    target. After a move, a node whose cached target is A, B or None
+    rescans its link table; any other node only weighs A and B against its
+    cached target. A step costs O(n) plus the rescans, instead of
+    re-scoring every link of every unlocked node. The updates are exact:
+    this stage runs on level 0, where every edge weight is an integer, so
+    every link weight and total is an integer held exactly in a double and
+    an emptied link reaches exactly 0.0. The round thus builds the same
+    chain as re-scoring from scratch. Levels above _ESCAPE_MAX_NODES nodes
+    are skipped, since the round stays quadratic in node count.
     """
-    if level.size > _ESCAPE_MAX_NODES:
+    n = level.size
+    if n > _ESCAPE_MAX_NODES:
         return com, False
+    m = level.m
+    degree = level.degree
     work = list(com)
     tot: dict[int, float] = {}
-    for i in range(level.size):
-        tot[work[i]] = tot.get(work[i], 0.0) + level.degree[i]
+    for i in range(n):
+        tot[work[i]] = tot.get(work[i], 0.0) + degree[i]
+    links: list[dict[int, float]] = []
+    for i in range(n):
+        table: dict[int, float] = {}
+        for j, w in level.adj[i].items():
+            table[work[j]] = table.get(work[j], 0.0) + w
+        links.append(table)
+    target: list[int | None] = [None] * n
+    target_gain = [0.0] * n
     next_fresh = max(work) + 1
     unlocked = list(order)
+    moved: tuple[int, ...] = ()
     cum = 0.0
     best_cum = 0.0
     best_len = 0
     trail: list[tuple[int, int]] = []
     while unlocked:
         pick = None
-        pick_move = None
+        pick_target = 0
+        pick_delta = 0.0
         for i in unlocked:
-            move = _best_move(level, resolution, work, tot, i, next_fresh)
-            if move is not None and (pick_move is None or move[1] > pick_move[1]):
-                pick, pick_move = i, move
+            k_i = degree[i]
+            home = work[i]
+            table = links[i]
+            c = target[i]
+            if c is None or c in moved:
+                c, gain = _best_target(table, home, tot, k_i, m, resolution)
+            else:
+                gain = target_gain[i]
+                for t in moved:
+                    if t != home and t in table:
+                        t_gain = _gain(table[t], tot[t], k_i, m, resolution)
+                        if t_gain > gain or (t_gain == gain and t < c):
+                            c, gain = t, t_gain
+            target[i] = c
+            target_gain[i] = gain
+            link_home = table.get(home, 0.0)
+            tot_home = tot[home] - k_i
+            if (c is None or gain < 0.0) and (link_home != 0.0 or tot_home != 0.0):
+                # Detaching into a fresh singleton beats every lossy alternative.
+                c, gain = next_fresh, 0.0
+            if c is None:
+                continue
+            delta = gain - _gain(link_home, tot_home, k_i, m, resolution)
+            if pick is None or delta > pick_delta:
+                pick, pick_target, pick_delta = i, c, delta
         if pick is None:
             break
-        target, delta = pick_move
-        if target == next_fresh:
+        source = work[pick]
+        if pick_target == next_fresh:
             next_fresh += 1
-        tot[work[pick]] -= level.degree[pick]
-        work[pick] = target
-        tot[target] = tot.get(target, 0.0) + level.degree[pick]
+        tot[source] -= degree[pick]
+        work[pick] = pick_target
+        tot[pick_target] = tot.get(pick_target, 0.0) + degree[pick]
+        for j, w in level.adj[pick].items():
+            table = links[j]
+            left = table[source] - w
+            # Exact on integer weights: a link with no neighbour left is exactly 0.0.
+            if left == 0.0:
+                del table[source]
+            else:
+                table[source] = left
+            table[pick_target] = table.get(pick_target, 0.0) + w
+        moved = (source, pick_target)
         unlocked.remove(pick)
-        cum += delta
-        trail.append((pick, target))
+        cum += pick_delta
+        trail.append((pick, pick_target))
         if cum > best_cum + 1e-12:
             best_cum = cum
             best_len = len(trail)
@@ -352,28 +408,6 @@ def _dense_assignment(names: list[str], node_com: list[int]) -> dict[str, int]:
     return {name: final_id[node_com[i]] for i, name in enumerate(names)}
 
 
-def _gamma_quality(graph: CoGraph, assignment: dict[str, int], resolution: float) -> float:
-    """Resolution-weighted quality of a node assignment, used to compare sweeps."""
-    m = float(graph.total_weight())
-    degree: dict[str, float] = {}
-    w_in: dict[int, float] = {}
-    for edge in graph.edges:
-        w = float(edge.weight)
-        degree[edge.u] = degree.get(edge.u, 0.0) + w
-        degree[edge.v] = degree.get(edge.v, 0.0) + w
-        if assignment[edge.u] == assignment[edge.v]:
-            c = assignment[edge.u]
-            w_in[c] = w_in.get(c, 0.0) + w
-    tot: dict[int, float] = {}
-    for name in graph.node_names():
-        c = assignment[name]
-        tot[c] = tot.get(c, 0.0) + degree.get(name, 0.0)
-    return sum(
-        w_in.get(c, 0.0) / m - resolution * (t / (2.0 * m)) ** 2
-        for c, t in sorted(tot.items())
-    )
-
-
 def louvain(graph: CoGraph, resolution: float = 1.0) -> Partition:
     """Multilevel modularity maximization with refinement, fully deterministic.
 
@@ -400,14 +434,15 @@ def louvain(graph: CoGraph, resolution: float = 1.0) -> Partition:
     best: tuple[float, dict[str, int]] | None = None
     for order_fn in (_lex_order, _degree_order):
         assignment = _dense_assignment(names, _descend(level, resolution, order_fn))
-        quality = _gamma_quality(graph, assignment, resolution)
+        quality = modularity(graph, assignment, resolution)
         if best is None or quality > best[0]:
             best = (quality, assignment)
     assignment = best[1]
-    cluster_count = max(assignment.values()) + 1
-    part = Partition(assignment=assignment, modularity=0.0, cluster_count=cluster_count)
-    q = modularity(graph, part)
-    return Partition(assignment=assignment, modularity=q, cluster_count=cluster_count)
+    return Partition(
+        assignment=assignment,
+        modularity=modularity(graph, assignment),
+        cluster_count=max(assignment.values()) + 1,
+    )
 
 
 def suggest_labels(graph: CoGraph, partition: Partition) -> list[ClusterLabel]:

@@ -13,6 +13,7 @@ import random
 import numpy as np
 
 from techflux.cograph import CoGraph, GraphEdge, GraphNode
+from techflux.community import _Level
 
 
 def make_graph(edge_list, extra_nodes=(), kind="tag"):
@@ -91,6 +92,87 @@ def random_connected_graph(rng: random.Random, max_nodes: int = 8) -> CoGraph:
         u, v = (a, b) if a < b else (b, a)
         edges[(u, v)] = rng.randint(1, 5)
     return make_graph([(u, v, w) for (u, v), w in edges.items()])
+
+
+def _best_move_reference(level: _Level, resolution: float, com, tot, i: int, fresh: int):
+    """Best relocation for node i (possibly at a loss) and its quality delta.
+
+    Candidates are the neighboring communities plus, when every alternative
+    loses, a fresh singleton. Returns None when the node has no move that
+    changes anything. Ascending-label scan with strict > keeps ties
+    deterministic.
+    """
+    m = level.m
+    k_i = level.degree[i]
+    home = com[i]
+    links = {}
+    for j, w in level.adj[i].items():
+        links[com[j]] = links.get(com[j], 0.0) + w
+    tot_home = tot[home] - k_i
+    home_gain = links.get(home, 0.0) / m - resolution * tot_home * k_i / (2.0 * m * m)
+    best_c = None
+    best_gain = 0.0
+    for c in sorted(links):
+        if c == home:
+            continue
+        gain = links[c] / m - resolution * tot[c] * k_i / (2.0 * m * m)
+        if best_c is None or gain > best_gain:
+            best_c, best_gain = c, gain
+    already_singleton = links.get(home, 0.0) == 0.0 and tot_home == 0.0
+    if not already_singleton and (best_c is None or best_gain < 0.0):
+        best_c, best_gain = fresh, 0.0
+    if best_c is None:
+        return None
+    return best_c, best_gain - home_gain
+
+
+def escape_round_reference(level: _Level, resolution: float, order, com):
+    """The escape round re-scored from scratch: every unlocked node, every step.
+
+    Repeatedly applies the single best relocation over all not-yet-moved
+    nodes, even when it loses quality, locking each moved node, and keeps
+    the longest prefix of the chain with the largest cumulative gain if
+    that gain is strictly positive. Cubic-time reference for the
+    incremental ``techflux.community._escape_round``; the size cap of the
+    package version is left out.
+    """
+    work = list(com)
+    tot = {}
+    for i in range(level.size):
+        tot[work[i]] = tot.get(work[i], 0.0) + level.degree[i]
+    next_fresh = max(work) + 1
+    unlocked = list(order)
+    cum = 0.0
+    best_cum = 0.0
+    best_len = 0
+    trail = []
+    while unlocked:
+        pick = None
+        pick_move = None
+        for i in unlocked:
+            move = _best_move_reference(level, resolution, work, tot, i, next_fresh)
+            if move is not None and (pick_move is None or move[1] > pick_move[1]):
+                pick, pick_move = i, move
+        if pick is None:
+            break
+        target, delta = pick_move
+        if target == next_fresh:
+            next_fresh += 1
+        tot[work[pick]] -= level.degree[pick]
+        work[pick] = target
+        tot[target] = tot.get(target, 0.0) + level.degree[pick]
+        unlocked.remove(pick)
+        cum += delta
+        trail.append((pick, target))
+        if cum > best_cum + 1e-12:
+            best_cum = cum
+            best_len = len(trail)
+    if best_len == 0:
+        return com, False
+    result = list(com)
+    for i, c in trail[:best_len]:
+        result[i] = c
+    return result, True
 
 
 def ols_ssr_reference(x, y) -> float:

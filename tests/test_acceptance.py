@@ -14,12 +14,16 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import techflux
 from techflux.breakcheck import (
     chow_test,
     index_series,
@@ -447,10 +451,23 @@ def test_criterion_6_byte_identical_compare(tmp_path):
              "report.json", "alluvial.csv")
     for run in ("one", "two"):
         assert main(argv + ["--out", str(tmp_path / run)]) == 0
+    # Fresh interpreters under fixed, different string-hash seeds: output must
+    # not depend on set or dict iteration order of hashed keys.
+    src = Path(techflux.__file__).resolve().parent.parent
+    hash_seeds = ("0", "12345")
+    for hash_seed in hash_seeds:
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-m", "techflux", *argv, "--out", str(tmp_path / f"hash{hash_seed}")],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
     for name in names:
-        assert (tmp_path / "one" / name).read_bytes() == \
-            (tmp_path / "two" / name).read_bytes(), name
-    return "compare reruns byte-identical across all 9 files incl. GraphML"
+        reference = (tmp_path / "one" / name).read_bytes()
+        for run in ("two", *(f"hash{seed}" for seed in hash_seeds)):
+            assert (tmp_path / run / name).read_bytes() == reference, f"{run}/{name}"
+    return ("compare reruns byte-identical across all 9 files incl. GraphML, "
+            "in-process and in subprocesses with PYTHONHASHSEED 0 and 12345")
 
 
 # ------------------------------------------------------------ criterion 7

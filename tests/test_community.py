@@ -2,10 +2,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from techflux.community import (
     EDGELESS_MSG,
     Partition,
+    _Level,
+    _degree_order,
+    _escape_round,
+    _lex_order,
+    _local_phase,
     export_partition_json,
     louvain,
     modularity,
@@ -17,6 +24,7 @@ from techflux.errors import CommunityError
 
 from oracles import (
     best_partition_bruteforce,
+    escape_round_reference,
     make_graph,
     modularity_pairsum,
     random_connected_graph,
@@ -197,3 +205,34 @@ def test_partition_json_roundtrip(tmp_path):
     assert payload["cluster_count"] == 2
     assert abs(payload["modularity"] - 0.5) < 1e-15
     assert partition_to_json(part) == path.read_text()
+
+
+@st.composite
+def escape_round_cases(draw):
+    """A level-0 graph with integer weights, a starting assignment, an order and a resolution."""
+    n = draw(st.integers(2, 40))
+    density = draw(st.floats(0.05, 0.6))
+    max_weight = draw(st.integers(1, 3))  # small weights make tied gains common
+    rnd = draw(st.randoms(use_true_random=False))
+    adj = [{} for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            # Nodes 0 and 1 are always linked, so the graph has an edge.
+            if (u, v) == (0, 1) or rnd.random() < density:
+                adj[u][v] = adj[v][u] = float(rnd.randint(1, max_weight))
+    level = _Level([f"n{i:02d}" for i in range(n)], adj, [0.0] * n)
+    order = draw(st.sampled_from([_lex_order, _degree_order]))(level)
+    resolution = draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        com = [rnd.randrange(n) for _ in range(n)]
+    else:
+        com = _local_phase(level, resolution, order)[0]
+    return level, resolution, order, com
+
+
+@settings(max_examples=200, deadline=None)
+@given(escape_round_cases())
+def test_escape_round_matches_rescoring_oracle(case):
+    level, resolution, order, com = case
+    assert _escape_round(level, resolution, order, list(com)) == \
+        escape_round_reference(level, resolution, order, list(com))
