@@ -260,13 +260,17 @@ def _mean_index(per_cluster: dict[int, float], sizes: tuple[int, ...], weighted:
     return math.fsum(v * sizes[i] for i, v in enumerate(values)) / total
 
 
-def cluster_window(corpus: Corpus, lexicon: TermLexicon, window: TimeWindow, config: PipelineConfig):
-    """Build, filter, and cluster one window; raises if the window has no edges."""
-    sub = window_filter(corpus, window)
+def cluster_window(corpus: Corpus, lexicon: TermLexicon, window: TimeWindow | None, config: PipelineConfig):
+    """Build, filter, and cluster one window, or the whole corpus when window is None.
+
+    Raises if the graph has no edges.
+    """
+    sub = corpus if window is None else window_filter(corpus, window)
     graph = build_cooccurrence(sub, lexicon, field=config.field, pairs=config.pairs)
     graph = top_n_filter(graph, config.top_n)
     if not graph.edges:
-        raise StatsError(f"window {window.describe()} produced an edgeless graph")
+        scope = "the corpus" if window is None else f"window {window.describe()}"
+        raise StatsError(f"{scope} produced an edgeless graph")
     return graph, louvain(graph, config.resolution)
 
 

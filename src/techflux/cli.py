@@ -4,7 +4,9 @@ Every subcommand is a thin orchestration over library calls, so anything
 the CLI does can be reproduced programmatically. Outputs land in the
 directory given by --out (default: current directory) under fixed file
 names; all writes go through a temp-file rename so partial files never
-appear. Exit codes: 0 success, 1 internal error, 2 usage or input error.
+appear. The output directory is created before any input is read, so an
+unusable --out fails at once. Exit codes: 0 success, 1 internal error, 2
+usage, input or I/O error.
 """
 
 from __future__ import annotations
@@ -18,49 +20,14 @@ import sys
 from pathlib import Path
 
 from . import breakcheck, synth
-from .cograph import (
-    FIELD_CHOICES,
-    PAIR_CHOICES,
-    build_cooccurrence,
-    export_graph_json,
-    export_graphml,
-    top_n_filter,
-)
-from .community import export_partition_json, louvain, suggest_labels
+from .cograph import FIELD_CHOICES, PAIR_CHOICES, export_graph_json, export_graphml
+from .community import export_partition_json, suggest_labels
 from .config import PipelineConfig, build_config, read_config_file
-from .corpus import TimeWindow, load_corpus, load_windows, save_corpus, window_filter
-from .errors import (
-    CommunityError,
-    ConfigError,
-    CorpusError,
-    GraphError,
-    LexiconError,
-    StatsError,
-    SynthError,
-    TechfluxError,
-    TransitionError,
-)
+from .corpus import TimeWindow, load_corpus, load_windows, save_corpus
+from .errors import ConfigError, StatsError, TechfluxError
 from .fileio import atomic_write_text
 from .lexicon import compile_lexicon, lexicon_from_records
 from .transition import MEASURES, alluvial_export, export_report_json, export_similarity_csv, transition_report
-
-_ERROR_MODULES = (
-    (CorpusError, "corpus"),
-    (LexiconError, "lexicon"),
-    (GraphError, "cograph"),
-    (CommunityError, "community"),
-    (TransitionError, "transition"),
-    (StatsError, "breakcheck"),
-    (SynthError, "synth"),
-    (ConfigError, "config"),
-)
-
-
-def _error_prefix(exc: TechfluxError) -> str:
-    for cls, name in _ERROR_MODULES:
-        if isinstance(exc, cls):
-            return name
-    return "techflux"
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -97,8 +64,8 @@ def _require_lexicon(config: PipelineConfig):
     return compile_lexicon(config.lexicon_path)
 
 
-def _out_dir(config: PipelineConfig) -> Path:
-    out = Path(config.out_dir)
+def _out_dir(path: str | None) -> Path:
+    out = Path(path or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -113,6 +80,7 @@ def _cluster_header(labels) -> list[str]:
 
 def run_compare(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    out = _out_dir(config.out_dir)
     lexicon = _require_lexicon(config)
     corpus = load_corpus(args.corpus)
     window_t = TimeWindow.parse(args.window_t, label="t")
@@ -122,7 +90,6 @@ def run_compare(args: argparse.Namespace) -> int:
     report = transition_report((graph_t, part_t), (graph_t1, part_t1), tau=config.tau, measure=config.measure)
     labels_t = _cluster_header(suggest_labels(graph_t, part_t))
     labels_t1 = _cluster_header(suggest_labels(graph_t1, part_t1))
-    out = _out_dir(config)
     export_graphml(graph_t, out / "graph_t.graphml", part_t.assignment)
     export_graphml(graph_t1, out / "graph_t1.graphml", part_t1.assignment)
     export_graph_json(graph_t, out / "graph_t.json")
@@ -150,12 +117,12 @@ def run_compare(args: argparse.Namespace) -> int:
 
 def run_series(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    out = _out_dir(config.out_dir)
     lexicon = _require_lexicon(config)
     corpus = load_corpus(args.corpus)
     windows = load_windows(args.windows)
     series = breakcheck.index_series(corpus, lexicon, windows, config, description=str(args.corpus))
     breakpoint_index = args.breakpoint
-    out = _out_dir(config)
     breakcheck.export_series_csv(series, out / "series.csv")
     x = [float(i) for i in range(len(series.points))]
     for name, values in (("ci", series.ci_values()), ("ni", series.ni_values())):
@@ -197,6 +164,7 @@ def _term_slug(term: str) -> str:
 
 def run_trend(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    out = _out_dir(config.out_dir)
     lexicon = _require_lexicon(config)
     if len(args.corpus) < 2:
         raise ConfigError(f"trend needs at least 2 corpus sources, got {len(args.corpus)}")
@@ -207,7 +175,6 @@ def run_trend(args: argparse.Namespace) -> int:
             raise ConfigError(f"duplicate corpus label {label!r}")
         seen_labels.add(label)
     terms = _load_terms_file(args.terms)
-    out = _out_dir(config)
     correlation_rows: list[tuple[str, str, str, str]] = []
     for term in terms:
         counts = breakcheck.term_trend(sources, lexicon, term, args.period)
@@ -233,12 +200,11 @@ def run_trend(args: argparse.Namespace) -> int:
 
 
 def run_synth(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     spec = synth.load_plant_spec(args.plant_spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     corpus, truth = synth.generate_corpus(spec, with_text=args.with_text)
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     save_corpus(corpus, out / "corpus.jsonl")
     synth.export_ground_truth(truth, out / "ground_truth.json")
     records = synth.lexicon_records(truth)
@@ -254,15 +220,11 @@ def run_synth(args: argparse.Namespace) -> int:
 
 def run_cluster(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    out = _out_dir(config.out_dir)
     lexicon = _require_lexicon(config)
     corpus = load_corpus(args.corpus)
-    if args.window:
-        window = TimeWindow.parse(args.window)
-        corpus = window_filter(corpus, window)
-    graph = build_cooccurrence(corpus, lexicon, field=config.field, pairs=config.pairs)
-    graph = top_n_filter(graph, config.top_n)
-    partition = louvain(graph, config.resolution)
-    out = _out_dir(config)
+    window = TimeWindow.parse(args.window) if args.window else None
+    graph, partition = breakcheck.cluster_window(corpus, lexicon, window, config)
     export_graphml(graph, out / "graph.graphml", partition.assignment)
     export_graph_json(graph, out / "graph.json")
     export_partition_json(partition, out / "partition.json")
@@ -329,7 +291,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except TechfluxError as exc:
-        print(f"techflux {_error_prefix(exc)}: {exc}", file=sys.stderr)
+        print(f"techflux {exc.prefix}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"techflux io: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"techflux internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,41 +1,44 @@
 """Error types raised by the pipeline.
 
 All of these are ValueError subclasses so callers can catch input problems
-with a single except clause; the CLI maps them to exit code 2.
+with a single except clause; the CLI maps them to exit code 2 and prints
+each with its class's ``prefix``, the module that owns the error.
 """
 
 
 class TechfluxError(ValueError):
     """Base class for input/usage errors raised by techflux modules."""
 
+    prefix = "techflux"
+
 
 class CorpusError(TechfluxError):
-    pass
+    prefix = "corpus"
 
 
 class LexiconError(TechfluxError):
-    pass
+    prefix = "lexicon"
 
 
 class GraphError(TechfluxError):
-    pass
+    prefix = "cograph"
 
 
 class CommunityError(TechfluxError):
-    pass
+    prefix = "community"
 
 
 class TransitionError(TechfluxError):
-    pass
+    prefix = "transition"
 
 
 class StatsError(TechfluxError):
-    pass
+    prefix = "breakcheck"
 
 
 class SynthError(TechfluxError):
-    pass
+    prefix = "synth"
 
 
 class ConfigError(TechfluxError):
-    pass
+    prefix = "config"

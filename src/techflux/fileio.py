@@ -1,24 +1,44 @@
 """Atomic file writing helpers.
 
 Every artifact the pipeline emits goes through write-temp-then-rename so a
-crash never leaves a half-written file behind.
+crash never leaves a half-written file behind. The temp file gets a unique
+name in the target directory, so concurrent writers never share one; it is
+fsynced before the rename and removed if anything fails.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 
 
-def atomic_write_text(path: str | Path, data: str) -> None:
+def _new_file_mode() -> int:
+    # the mode open() would give a new file; mkstemp itself creates it 0o600.
+    # umask can only be read by setting it, so this is for single-threaded use
+    umask = os.umask(0o022)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+def _atomic_write(path: str | Path, data: bytes) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with open(fd, "wb") as fh:
+            os.chmod(tmp, _new_file_mode())
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def atomic_write_text(path: str | Path, data: str) -> None:
+    _atomic_write(path, data.encode("utf-8"))
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    _atomic_write(path, data)

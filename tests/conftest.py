@@ -1,7 +1,15 @@
+import os
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+# HYPOTHESIS_PROFILE=ci runs each property test that does not fix its own
+# example count on 1,000 examples instead of the default 100
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _ACCEPTANCE_LINES: list[str] = []
 

@@ -14,6 +14,8 @@ import numpy as np
 
 from techflux.cograph import CoGraph, GraphEdge, GraphNode
 from techflux.community import _Level
+from techflux.corpus import Document
+from techflux.lexicon import TermLexicon
 
 
 def make_graph(edge_list, extra_nodes=(), kind="tag"):
@@ -199,3 +201,17 @@ def chow_reference(x, y, breakpoint_index: int):
         return float("inf"), 0.0
     f_stat = ((ssr_pooled - segmented) / k) / (segmented / df2)
     return f_stat, float(stats.f.sf(f_stat, k, df2))
+
+
+def extract_terms_reference(doc: Document, lexicon: TermLexicon) -> set[str]:
+    """Term extraction by searching every pattern of every entry in the text."""
+    text = doc.text.casefold()
+    if not text:
+        return set()
+    found = set()
+    for entry in lexicon.entries:
+        for rx in entry.compiled:
+            if rx.search(text):
+                found.add(entry.canonical)
+                break
+    return found

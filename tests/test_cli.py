@@ -191,6 +191,51 @@ def test_empty_window_exits_2(tmp_path, capsys):
     assert "produced an edgeless graph" in captured.err
 
 
+def test_cluster_empty_window_exits_2(tmp_path, capsys):
+    data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
+    code = main([
+        "cluster",
+        "--corpus", str(data / "corpus.jsonl"),
+        "--lexicon", str(data / "lexicon.json"),
+        "--window", "1999-01-01:1999-02-01",
+        "--out", str(tmp_path / "x"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "techflux breakcheck:" in captured.err
+    assert "produced an edgeless graph" in captured.err
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("input loaded or work done before the output directory was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--corpus", "c.jsonl", "--lexicon", "l.json",
+     "--window-t", "2021-01-01:2021-02-01", "--window-t1", "2021-02-01:2021-03-01"],
+    ["series", "--corpus", "c.jsonl", "--lexicon", "l.json", "--windows", "w.json", "--breakpoint", "3"],
+    ["trend", "--corpus", "a=a.jsonl", "--corpus", "b=b.jsonl", "--lexicon", "l.json", "--terms", "t.txt"],
+    ["synth", "--plant-spec", "plant.json"],
+    ["cluster", "--corpus", "c.jsonl", "--lexicon", "l.json"],
+], ids=lambda argv: argv[0])
+def test_unusable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    for target in (
+        "techflux.cli.compile_lexicon",
+        "techflux.cli.load_corpus",
+        "techflux.breakcheck.build_cooccurrence",
+        "techflux.synth.load_plant_spec",
+        "techflux.synth.generate_corpus",
+    ):
+        monkeypatch.setattr(target, _forbidden)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    code = main(argv + ["--out", str(blocker / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("techflux io: ")
+    assert str(blocker / "x") in captured.err
+
+
 def test_argparse_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["bogus-command"])

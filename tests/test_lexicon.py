@@ -1,11 +1,24 @@
 import datetime as dt
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import extract_terms_reference
 
+from techflux import synth
 from techflux.corpus import Document
 from techflux.errors import LexiconError
-from techflux.lexicon import TermLexicon, compile_lexicon, extract_terms, lexicon_from_records
+from techflux.lexicon import (
+    TermLexicon,
+    TermPattern,
+    _literal_prefix,
+    compile_lexicon,
+    compile_pattern,
+    extract_terms,
+    lexicon_from_records,
+)
 
 DATE = dt.date(2020, 1, 1)
 
@@ -133,3 +146,109 @@ def test_unicode_casefold_matching():
     lexicon = lex({"canonical": "straße", "patterns": ["strasse"]})
     assert lexicon.canonical_terms == {"strasse"}
     assert extract_terms(doc("die STRASSE dort"), lexicon) == {"strasse"}
+
+
+@pytest.mark.parametrize("pattern, literal", [
+    ("machine[- ]?learning", "machine"),
+    ("internets? of things?", "internet"),
+    ("3[- ]?d print(ing|er)s?", "3"),
+    (r"c00\-000", "c00-000"),
+    (r"c\+\+", "c++"),
+    (r"node\.js", "node.js"),
+    ("Ab+c", "ab"),
+    ("ab{1,2}", "a"),
+    ("ab*c", "a"),
+    ("a(b|c)d", "a"),
+    ("_x", "_x"),
+    (r"\bai\b", ""),
+    ("(?:x|y)", ""),
+    ("ab|cd", ""),
+    ("a[|]b|c", ""),
+    (r"\-a", ""),
+    ("a?b", ""),
+    ("été", ""),
+])
+def test_literal_prefix(pattern, literal):
+    assert _literal_prefix(compile_pattern(pattern)) == literal
+
+
+def test_non_ascii_letter_stands_for_ascii_one():
+    lexicon = lex({"canonical": "iot", "patterns": ["iot"]})
+    text = doc("ıot")  # dotless i matches i case-insensitively
+    assert extract_terms(text, lexicon) == extract_terms_reference(text, lexicon) == {"iot"}
+
+
+def test_synth_lexicon_is_fully_indexed():
+    spec = synth.plant_spec_from_records({
+        "seed": 1,
+        "docs_per_window": 10,
+        "windows": [
+            {"start": "2021-01-01", "end": "2021-02-01"},
+            {"start": "2021-02-01", "end": "2021-03-01"},
+        ],
+        "communities": [{"name": "red", "size": 4, "rate": 1.0}, {"name": "blue", "size": 3, "rate": 1.0}],
+        "events": [{"kind": "birth", "pair": 0, "targets": ["mint"], "size": 3}],
+    })
+    _, truth = synth.generate_corpus(spec)
+    lexicon = lexicon_from_records(synth.lexicon_records(truth))
+    assert lexicon._always == ()
+    indexed = {i for hits in lexicon._index.values() for _, i in hits}
+    assert indexed == set(range(len(lexicon)))
+
+
+_TEXT_CHARS = list("aiskAISK01_ -.—’ıſKİßé")
+_SEPARATORS = ["", " ", "-", ".", "—", "’"]
+
+
+@st.composite
+def lexicons_with_texts(draw):
+    # texts are made of pattern matches, vocabulary words and odd characters,
+    # so that hits and near misses are common; the lexicon is built from
+    # TermPattern directly, because random patterns need not match a canonical form
+    vocab = draw(st.lists(st.text("aisk01_", min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+    word = st.sampled_from(vocab)
+    piece = st.one_of(
+        word,
+        st.just(r"\-"),
+        st.just(" "),
+        st.just("s?"),
+        st.just("[- ]?"),
+        word.map(lambda w: w + "+"),
+        st.tuples(word, st.sampled_from(["{1,2}", "{0,2}"])).map("".join),
+        st.tuples(st.sampled_from(["(?:", "("]), word, word).map(lambda g: f"{g[0]}{g[1]}|{g[2]})"),
+    )
+    # most patterns start with a word, so that most entries are indexed
+    lead = st.one_of(word, word.map(lambda w: w + "+"), word, piece)
+    branch = st.builds(lambda first, rest: first + "".join(rest), lead, st.lists(piece, max_size=3))
+    # a leading \b or a top-level | in about one pattern in eight each
+    pattern = st.builds(
+        lambda k, first, second: (r"\b" if k == 7 else "") + first + (f"|{second}" if k == 6 else ""),
+        st.integers(0, 7), branch, branch,
+    )
+    entries = []
+    for i in range(draw(st.integers(1, 6))):
+        patterns = tuple(draw(st.lists(pattern, min_size=1, max_size=2)))
+        compiled = tuple(compile_pattern(p) for p in patterns)
+        entries.append(TermPattern(canonical=f"t{i}", patterns=patterns, compiled=compiled))
+    matches = st.sampled_from([p for entry in entries for p in entry.patterns]).flatmap(
+        lambda p: st.from_regex(re.compile(p, re.IGNORECASE), fullmatch=True)
+    )
+    fragment = st.one_of(
+        matches,
+        matches.map(lambda m: m.replace("i", "ı")),  # dotless i still matches i
+        word,
+        st.sampled_from(["ı", "ſ", "K", "İ", "ß", "é"]),
+        st.text(_TEXT_CHARS, max_size=3),
+    )
+    text = st.lists(st.tuples(fragment, st.sampled_from(_SEPARATORS)), max_size=8).map(
+        lambda parts: "".join(f + sep for f, sep in parts)
+    )
+    return TermLexicon(entries=tuple(entries)), draw(st.lists(text, min_size=2, max_size=6))
+
+
+@settings(deadline=None)
+@given(lexicons_with_texts())
+def test_extract_terms_matches_per_pattern_oracle(case):
+    lexicon, texts = case
+    for text in texts:
+        assert extract_terms(doc(text), lexicon) == extract_terms_reference(doc(text), lexicon)
