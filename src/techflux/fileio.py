@@ -1,32 +1,25 @@
 """Atomic file writing helpers.
 
 Every artifact the pipeline emits goes through write-temp-then-rename so a
-crash never leaves a half-written file behind. The temp file gets a unique
-name in the target directory, so concurrent writers never share one; it is
-fsynced before the rename and removed if anything fails.
+crash never leaves a half-written file behind. The temp file gets a random
+name in the target directory and is created exclusively, so concurrent
+writers never share one; it is fsynced before the rename and removed if
+anything fails.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
-
-
-def _new_file_mode() -> int:
-    # the mode open() would give a new file; mkstemp itself creates it 0o600.
-    # umask can only be read by setting it, so this is for single-threaded use
-    umask = os.umask(0o022)
-    os.umask(umask)
-    return 0o666 & ~umask
 
 
 def _atomic_write(path: str | Path, data: bytes) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    # mode 0o666 under the caller's umask, as open() gives a new file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:
-            os.chmod(tmp, _new_file_mode())
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())

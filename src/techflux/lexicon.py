@@ -22,16 +22,16 @@ gives. ``L`` is read off the pattern string: plain characters and escaped
 punctuation, up to the first metacharacter, class, group or ``\`` + alphanumeric,
 without a character that a ``?``, ``*`` or ``{`` makes optional. An entry
 with any pattern that has no such ``L`` (``\bai\b``, ``(?:x|y)``) is a
-candidate in every document. So is every entry in a document with a
-non-ASCII word token, because case-insensitive matching lets a non-ASCII
-letter stand for an ASCII one (``ı`` matches ``i``).
+candidate in every document. Case-insensitive matching lets four non-ASCII
+letters stand for ASCII ones (``ı`` and ``İ`` match ``i``, ``ſ`` matches
+``s``, the Kelvin sign matches ``k``); after case folding only ``ı`` is
+left, so the index reads the text with ``ı`` as ``i``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -146,14 +146,14 @@ class TermLexicon:
         object.__setattr__(self, "_key_lengths", tuple(sorted({len(key) for key in index})))
         object.__setattr__(self, "_always", tuple(always))
 
-    def _candidates(self, text: str) -> Sequence[TermPattern]:
+    def _candidates(self, text: str) -> list[TermPattern]:
         """Entries that may match the case-folded text, in lexicon order."""
+        # same length and token starts; ı is the one case-folded letter that
+        # IGNORECASE matches to an ASCII one
+        text = text.replace("\u0131", "i")
         hits = set(self._always)
         for m in _TOKEN.finditer(text):
-            token = m.group()
-            if not token.isascii():
-                return self.entries
-            start = m.start()
+            token, start = m.group(), m.start()
             for length in self._key_lengths:
                 if length > len(token):
                     break

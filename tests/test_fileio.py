@@ -17,6 +17,20 @@ def test_write_replaces_content_with_default_mode(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_mode_follows_a_strict_umask_without_touching_it(tmp_path, monkeypatch):
+    old = os.umask(0o077)
+    try:
+        def no_umask(mask):
+            raise AssertionError("umask changed during a write")
+
+        monkeypatch.setattr(fileio.os, "umask", no_umask)
+        atomic_write_text(tmp_path / "private.txt", "x\n")
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert (tmp_path / "private.txt").stat().st_mode & 0o777 == 0o600
+
+
 def test_failed_write_leaves_no_temp_file(tmp_path):
     target = tmp_path / "taken"
     target.mkdir()  # os.replace cannot put a file over a directory

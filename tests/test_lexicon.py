@@ -178,6 +178,13 @@ def test_non_ascii_letter_stands_for_ascii_one():
     assert extract_terms(text, lexicon) == extract_terms_reference(text, lexicon) == {"iot"}
 
 
+def test_only_dotless_i_folds_onto_ascii():
+    # every character a case-folded text can hold, against every ASCII one
+    folded = "".join(map(chr, [*range(0xD800), *range(0xE000, 0x110000)])).casefold()
+    twins = {c for c in re.findall(r"[\x00-\x7f]", folded, re.IGNORECASE) if not c.isascii()}
+    assert twins == {"\u0131"}
+
+
 def test_synth_lexicon_is_fully_indexed():
     spec = synth.plant_spec_from_records({
         "seed": 1,
