@@ -29,13 +29,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cograph import build_cooccurrence, top_n_filter
+from .cograph import FIELD_CHOICES, build_cooccurrence, document_items, top_n_filter
 from .community import louvain
 from .config import PipelineConfig
 from .corpus import Corpus, TimeWindow, window_filter
 from .errors import StatsError
 from .fileio import atomic_write_text
-from .lexicon import TermLexicon, extract_terms
+from .lexicon import TermLexicon
 from .transition import MEASURE_OVERLAP_TARGET, transition_report
 
 _CF_MAX_ITER = 300
@@ -235,7 +235,6 @@ class SeriesPoint:
 @dataclass(frozen=True)
 class IndexSeries:
     points: tuple[SeriesPoint, ...]
-    description: str = ""
 
     def __post_init__(self) -> None:
         for prev, cur in zip(self.points, self.points[1:]):
@@ -274,13 +273,7 @@ def cluster_window(corpus: Corpus, lexicon: TermLexicon, window: TimeWindow | No
     return graph, louvain(graph, config.resolution)
 
 
-def index_series(
-    corpus: Corpus,
-    lexicon: TermLexicon,
-    windows: list[TimeWindow],
-    config: PipelineConfig,
-    description: str = "",
-) -> IndexSeries:
+def index_series(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig) -> IndexSeries:
     """Mean convergence/novelty per consecutive window pair.
 
     Each point is labeled with the later window of its pair, so a list of W
@@ -308,7 +301,7 @@ def index_series(
             mean_ci=_mean_index(report.convergence, sizes, config.weighted_mean),
             mean_ni=_mean_index(report.novelty, sizes, config.weighted_mean),
         ))
-    return IndexSeries(points=tuple(points), description=description)
+    return IndexSeries(points=tuple(points))
 
 
 def export_series_csv(series: IndexSeries, path: str | Path) -> None:
@@ -334,26 +327,33 @@ def _period_key(date, period: str) -> str:
 def term_trend(
     corpora: list[tuple[str, Corpus]],
     lexicon: TermLexicon,
-    term: str,
+    terms: list[str],
     period: str,
-) -> dict[str, dict[str, int]]:
-    """Documents matching a term, per period, per labeled source.
+    field: str = "both",
+) -> dict[str, dict[str, dict[str, int]]]:
+    """Documents holding each term as {term: {label: {period: count}}}.
 
-    A document matches when the term fires in its text or appears among its
-    tags, the same item semantics the network builder uses.
+    A document holds a term when the term is among its ``document_items``
+    under ``field``, the items the network builder uses. Every document is
+    read once, whatever the number of terms; a repeated term is counted once.
     """
     if period not in TREND_PERIODS:
         raise StatsError(f"period must be one of {TREND_PERIODS}, got {period!r}")
-    if term not in lexicon.canonical_terms:
-        raise StatsError(f"unknown term {term!r}: not in the lexicon")
-    counts: dict[str, dict[str, int]] = {}
+    if field not in FIELD_CHOICES:
+        raise StatsError(f"field must be one of {FIELD_CHOICES}, got {field!r}")
+    for term in terms:
+        if term not in lexicon.canonical_terms:
+            raise StatsError(f"unknown term {term!r}: not in the lexicon")
+    wanted = set(terms)
+    counts: dict[str, dict[str, dict[str, int]]] = {term: {} for term in wanted}
     for label, corpus in corpora:
-        per_period: dict[str, int] = {}
+        per_term: dict[str, dict[str, int]] = {term: {} for term in wanted}
         for doc in corpus.documents:
-            if term in doc.tags or term in extract_terms(doc, lexicon):
+            for term in wanted.intersection(document_items(doc, lexicon, field)):
                 key = _period_key(doc.date, period)
-                per_period[key] = per_period.get(key, 0) + 1
-        counts[label] = dict(sorted(per_period.items()))
+                per_term[term][key] = per_term[term].get(key, 0) + 1
+        for term, per_period in per_term.items():
+            counts[term][label] = dict(sorted(per_period.items()))
     return counts
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -30,38 +31,38 @@ from .lexicon import compile_lexicon, lexicon_from_records
 from .transition import MEASURES, alluvial_export, export_report_json, export_similarity_csv, transition_report
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+# Each pipeline setting's CLI flag; dest, config-file key and PipelineConfig
+# field all share the setting's name.
+_SETTING_FLAGS: dict[str, dict] = {
+    "lexicon": dict(help="term lexicon JSON file"),
+    "field": dict(choices=FIELD_CHOICES, help="where terms come from (default both)"),
+    "pairs": dict(choices=PAIR_CHOICES, help="which co-occurring pairs become edges (default all)"),
+    "top_n": dict(type=int, help="keep the N most frequent nodes (default 100)"),
+    "measure": dict(choices=MEASURES, help="cluster similarity measure (default overlap_target)"),
+    "tau": dict(type=float, help="event threshold in (0,1) (default 0.1)"),
+    "resolution": dict(type=float, help="clustering resolution (default 1.0)"),
+    "weighted_mean": dict(action="store_true", default=None, help="weight cluster indices by cluster size"),
+    "out": dict(help="output directory (default .)"),
+}
+
+
+def _add_setting_flags(sub: argparse.ArgumentParser, *settings: str) -> None:
+    """Register --config plus the flags of the settings this subcommand reads."""
     sub.add_argument("--config", help="flat JSON config file; flags override it")
-    sub.add_argument("--lexicon", help="term lexicon JSON file")
-    sub.add_argument("--field", choices=FIELD_CHOICES, help="where terms come from (default both)")
-    sub.add_argument("--pairs", choices=PAIR_CHOICES, help="which co-occurring pairs become edges (default all)")
-    sub.add_argument("--top-n", type=int, dest="top_n", help="keep the N most frequent nodes (default 100)")
-    sub.add_argument("--measure", choices=MEASURES, help="cluster similarity measure (default overlap_target)")
-    sub.add_argument("--tau", type=float, help="event threshold in (0,1) (default 0.1)")
-    sub.add_argument("--resolution", type=float, help="clustering resolution (default 1.0)")
-    sub.add_argument("--out", help="output directory (default .)")
+    for name in settings:
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, **_SETTING_FLAGS[name])
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     file_values = read_config_file(args.config) if args.config else None
-    flag_values = {
-        "lexicon_path": getattr(args, "lexicon", None),
-        "field": getattr(args, "field", None),
-        "pairs": getattr(args, "pairs", None),
-        "top_n": getattr(args, "top_n", None),
-        "measure": getattr(args, "measure", None),
-        "tau": getattr(args, "tau", None),
-        "resolution": getattr(args, "resolution", None),
-        "weighted_mean": getattr(args, "weighted_mean", None) or None,
-        "out_dir": getattr(args, "out", None),
-    }
+    flag_values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(PipelineConfig)}
     return build_config(file_values, flag_values)
 
 
 def _require_lexicon(config: PipelineConfig):
-    if not config.lexicon_path:
+    if not config.lexicon:
         raise ConfigError("a lexicon is required: pass --lexicon or set 'lexicon' in the config file")
-    return compile_lexicon(config.lexicon_path)
+    return compile_lexicon(config.lexicon)
 
 
 def _out_dir(path: str | None) -> Path:
@@ -80,7 +81,7 @@ def _cluster_header(labels) -> list[str]:
 
 def run_compare(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = _out_dir(config.out_dir)
+    out = _out_dir(config.out)
     lexicon = _require_lexicon(config)
     corpus = load_corpus(args.corpus)
     window_t = TimeWindow.parse(args.window_t, label="t")
@@ -117,11 +118,11 @@ def run_compare(args: argparse.Namespace) -> int:
 
 def run_series(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = _out_dir(config.out_dir)
+    out = _out_dir(config.out)
     lexicon = _require_lexicon(config)
     corpus = load_corpus(args.corpus)
     windows = load_windows(args.windows)
-    series = breakcheck.index_series(corpus, lexicon, windows, config, description=str(args.corpus))
+    series = breakcheck.index_series(corpus, lexicon, windows, config)
     breakpoint_index = args.breakpoint
     breakcheck.export_series_csv(series, out / "series.csv")
     x = [float(i) for i in range(len(series.points))]
@@ -137,13 +138,11 @@ def run_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_labeled_corpus(raw: str):
-    if "=" not in raw:
+def _parse_source(raw: str) -> tuple[str, str]:
+    label, sep, path = raw.partition("=")
+    if not (label and sep and path):
         raise ConfigError(f"corpus source must be LABEL=PATH, got {raw!r}")
-    label, path = raw.split("=", 1)
-    if not label or not path:
-        raise ConfigError(f"corpus source must be LABEL=PATH, got {raw!r}")
-    return label, load_corpus(path, source_label=label)
+    return label, path
 
 
 def _load_terms_file(path: str) -> list[str]:
@@ -164,34 +163,33 @@ def _term_slug(term: str) -> str:
 
 def run_trend(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = _out_dir(config.out_dir)
+    out = _out_dir(config.out)
     lexicon = _require_lexicon(config)
     if len(args.corpus) < 2:
         raise ConfigError(f"trend needs at least 2 corpus sources, got {len(args.corpus)}")
-    sources = [_parse_labeled_corpus(raw) for raw in args.corpus]
+    sources = [_parse_source(raw) for raw in args.corpus]
     seen_labels = set()
     for label, _ in sources:
         if label in seen_labels:
             raise ConfigError(f"duplicate corpus label {label!r}")
         seen_labels.add(label)
     terms = _load_terms_file(args.terms)
+    corpora = [(label, load_corpus(path, source_label=label)) for label, path in sources]
+    trends = breakcheck.term_trend(corpora, lexicon, terms, args.period, config.field)
     correlation_rows: list[tuple[str, str, str, str]] = []
     for term in terms:
-        counts = breakcheck.term_trend(sources, lexicon, term, args.period)
+        counts = trends[term]
         breakcheck.export_trend_csv(counts, out / f"trend_{_term_slug(term)}.csv")
         periods = sorted({p for per in counts.values() for p in per})
-        labels = sorted(counts)
-        for a_idx in range(len(labels)):
-            for b_idx in range(a_idx + 1, len(labels)):
-                a, b = labels[a_idx], labels[b_idx]
-                series_a = [float(counts[a].get(p, 0)) for p in periods]
-                series_b = [float(counts[b].get(p, 0)) for p in periods]
-                try:
-                    r = breakcheck.pearson(series_a, series_b)
-                except StatsError as exc:
-                    print(f"trend: {term!r} between {a} and {b}: {exc}", file=sys.stderr)
-                    continue
-                correlation_rows.append((term, a, b, f"{r:.6f}"))
+        for a, b in itertools.combinations(sorted(counts), 2):
+            series_a = [float(counts[a].get(p, 0)) for p in periods]
+            series_b = [float(counts[b].get(p, 0)) for p in periods]
+            try:
+                r = breakcheck.pearson(series_a, series_b)
+            except StatsError as exc:
+                print(f"trend: {term!r} between {a} and {b}: {exc}", file=sys.stderr)
+                continue
+            correlation_rows.append((term, a, b, f"{r:.6f}"))
     lines = ["term,source_a,source_b,pearson_r"]
     lines += [",".join(row) for row in correlation_rows]
     atomic_write_text(out / "correlations.csv", "\n".join(lines) + "\n")
@@ -220,7 +218,7 @@ def run_synth(args: argparse.Namespace) -> int:
 
 def run_cluster(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = _out_dir(config.out_dir)
+    out = _out_dir(config.out)
     lexicon = _require_lexicon(config)
     corpus = load_corpus(args.corpus)
     window = TimeWindow.parse(args.window) if args.window else None
@@ -248,16 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--corpus", required=True, help="corpus file (JSONL or CSV)")
     compare.add_argument("--window-t", required=True, dest="window_t", metavar="START:END")
     compare.add_argument("--window-t1", required=True, dest="window_t1", metavar="START:END")
-    _add_common_flags(compare)
+    _add_setting_flags(compare, "lexicon", "field", "pairs", "top_n", "measure", "tau", "resolution", "out")
     compare.set_defaults(func=run_compare)
 
     series = sub.add_parser("series", help="index time series over windows plus break test")
     series.add_argument("--corpus", required=True, help="corpus file (JSONL or CSV)")
     series.add_argument("--windows", required=True, help="JSON file listing the windows")
     series.add_argument("--breakpoint", required=True, type=int, help="series index starting the second segment")
-    series.add_argument("--weighted-mean", action="store_true", dest="weighted_mean",
-                        help="weight cluster indices by cluster size")
-    _add_common_flags(series)
+    _add_setting_flags(series, "lexicon", "field", "pairs", "top_n", "resolution", "weighted_mean", "out")
     series.set_defaults(func=run_series)
 
     trend = sub.add_parser("trend", help="per-term document counts across labeled corpora")
@@ -265,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="labeled corpus source; repeat for each source")
     trend.add_argument("--terms", required=True, help="text file, one term per line")
     trend.add_argument("--period", choices=breakcheck.TREND_PERIODS, default="year")
-    _add_common_flags(trend)
+    _add_setting_flags(trend, "lexicon", "field", "out")
     trend.set_defaults(func=run_trend)
 
     synth_cmd = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
@@ -279,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = sub.add_parser("cluster", help="build and cluster a single window")
     cluster.add_argument("--corpus", required=True, help="corpus file (JSONL or CSV)")
     cluster.add_argument("--window", metavar="START:END", help="optional date filter")
-    _add_common_flags(cluster)
+    _add_setting_flags(cluster, "lexicon", "field", "pairs", "top_n", "resolution", "out")
     cluster.set_defaults(func=run_cluster)
 
     return parser

@@ -83,7 +83,8 @@ class CoGraph:
         return adj
 
 
-def _document_items(doc, lexicon: TermLexicon, field: str) -> set[str]:
+def document_items(doc, lexicon: TermLexicon, field: str) -> set[str]:
+    """A document's items: its extracted terms, its tags, or both, per ``field``."""
     items: set[str] = set()
     if field in ("text", "both"):
         items |= extract_terms(doc, lexicon)
@@ -108,7 +109,7 @@ def build_cooccurrence(corpus: Corpus, lexicon: TermLexicon, field: str = "both"
     doc_frequency: dict[str, int] = {}
     weights: dict[tuple[str, str], int] = {}
     for doc in corpus.documents:
-        items = _document_items(doc, lexicon, field)
+        items = document_items(doc, lexicon, field)
         for item in items:
             doc_frequency[item] = doc_frequency.get(item, 0) + 1
         for u, v in itertools.combinations(sorted(items), 2):

@@ -18,7 +18,7 @@ from .transition import MEASURES
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    lexicon_path: str | None = None
+    lexicon: str | None = None
     field: str = "both"
     pairs: str = "all"
     top_n: int = 100
@@ -26,7 +26,7 @@ class PipelineConfig:
     tau: float = 0.1
     resolution: float = 1.0
     weighted_mean: bool = False
-    out_dir: str = "."
+    out: str = "."
 
     def __post_init__(self) -> None:
         if self.field not in FIELD_CHOICES:
@@ -45,22 +45,22 @@ class PipelineConfig:
             raise ConfigError(f"weighted_mean must be a boolean, got {self.weighted_mean!r}")
 
 
-# config-file key -> (dataclass field, expected JSON type)
-_CONFIG_KEYS: dict[str, tuple[str, type]] = {
-    "lexicon": ("lexicon_path", str),
-    "field": ("field", str),
-    "pairs": ("pairs", str),
-    "top_n": ("top_n", int),
-    "measure": ("measure", str),
-    "tau": ("tau", float),
-    "resolution": ("resolution", float),
-    "weighted_mean": ("weighted_mean", bool),
-    "out": ("out_dir", str),
+# config-file key (= dataclass field) -> expected JSON type
+_CONFIG_KEYS: dict[str, type] = {
+    "lexicon": str,
+    "field": str,
+    "pairs": str,
+    "top_n": int,
+    "measure": str,
+    "tau": float,
+    "resolution": float,
+    "weighted_mean": bool,
+    "out": str,
 }
 
 
 def read_config_file(path: str | Path) -> dict[str, object]:
-    """Load a flat JSON object of config keys, mapped to dataclass fields."""
+    """Load a flat JSON object of config keys, which are the dataclass field names."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -74,7 +74,7 @@ def read_config_file(path: str | Path) -> dict[str, object]:
     for key, value in raw.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
-        field_name, expected = _CONFIG_KEYS[key]
+        expected = _CONFIG_KEYS[key]
         if expected is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{path}: key {key!r} must be a number, got {value!r}")
@@ -84,7 +84,7 @@ def read_config_file(path: str | Path) -> dict[str, object]:
                 raise ConfigError(f"{path}: key {key!r} must be an integer, got {value!r}")
         elif not isinstance(value, expected):
             raise ConfigError(f"{path}: key {key!r} must be {expected.__name__}, got {value!r}")
-        values[field_name] = value
+        values[key] = value
     return values
 
 

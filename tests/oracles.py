@@ -14,7 +14,7 @@ import numpy as np
 
 from techflux.cograph import CoGraph, GraphEdge, GraphNode
 from techflux.community import _Level
-from techflux.corpus import Document
+from techflux.corpus import Corpus, Document
 from techflux.lexicon import TermLexicon
 
 
@@ -215,3 +215,19 @@ def extract_terms_reference(doc: Document, lexicon: TermLexicon) -> set[str]:
                 found.add(entry.canonical)
                 break
     return found
+
+
+def term_trend_reference(corpora: list[tuple[str, Corpus]], lexicon: TermLexicon, term: str, period: str):
+    """Per-period counts of one term, one pass per term, over tags and per-pattern extraction."""
+    counts = {}
+    for label, corpus in corpora:
+        per_period = {}
+        for doc in corpus.documents:
+            if term in doc.tags or term in extract_terms_reference(doc, lexicon):
+                if period == "year":
+                    key = str(doc.date.year)
+                else:
+                    key = f"{doc.date.year}Q{(doc.date.month - 1) // 3 + 1}"
+                per_period[key] = per_period.get(key, 0) + 1
+        counts[label] = dict(sorted(per_period.items()))
+    return counts

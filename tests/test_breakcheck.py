@@ -7,8 +7,11 @@ import random
 import mpmath
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from techflux.breakcheck import (
+    TREND_PERIODS,
     BreakTestResult,
     IndexSeries,
     SeriesPoint,
@@ -29,7 +32,7 @@ from techflux.corpus import Corpus, Document, TimeWindow
 from techflux.errors import StatsError
 from techflux.lexicon import lexicon_from_records
 
-from oracles import chow_reference, ols_ssr_reference
+from oracles import chow_reference, ols_ssr_reference, term_trend_reference
 
 EMPTY_LEX = lexicon_from_records([])
 
@@ -326,19 +329,80 @@ def test_term_trend_counts_by_period():
         Document(id="b2", date=dt.date(2020, 2, 2), text="quantum computing at scale"),
     )
     corpora = [("news", Corpus(docs_a)), ("patents", Corpus(docs_b))]
-    by_year = term_trend(corpora, TREND_LEX, "quantum computing", "year")
-    assert by_year == {"news": {"2019": 2, "2020": 1}, "patents": {"2020": 1}}
-    by_quarter = term_trend(corpora, TREND_LEX, "quantum computing", "quarter")
-    assert by_quarter["news"] == {"2019Q1": 1, "2019Q3": 1, "2020Q1": 1}
-    assert by_quarter["patents"] == {"2020Q1": 1}
+    term = "quantum computing"
+    by_year = term_trend(corpora, TREND_LEX, [term], "year")
+    assert by_year == {term: {"news": {"2019": 2, "2020": 1}, "patents": {"2020": 1}}}
+    by_quarter = term_trend(corpora, TREND_LEX, [term, term], "quarter")
+    assert by_quarter[term]["news"] == {"2019Q1": 1, "2019Q3": 1, "2020Q1": 1}
+    assert by_quarter[term]["patents"] == {"2020Q1": 1}
+    assert term_trend(corpora, TREND_LEX, [term], "year", field="tags") == {
+        term: {"news": {"2019": 1, "2020": 1}, "patents": {}}
+    }
+    assert term_trend(corpora, TREND_LEX, [term], "year", field="text") == {
+        term: {"news": {"2019": 1}, "patents": {"2020": 1}}
+    }
+
+
+class _UnreadableCorpus:
+    @property
+    def documents(self):
+        raise AssertionError("a document was read before the arguments were checked")
 
 
 def test_term_trend_errors():
-    corpora = [("x", Corpus((Document(id="d", date=dt.date(2020, 1, 1)),)))]
+    corpora = [("x", _UnreadableCorpus())]
     with pytest.raises(StatsError, match="unknown term 'laser'"):
-        term_trend(corpora, TREND_LEX, "laser", "year")
+        term_trend(corpora, TREND_LEX, ["quantum computing", "laser"], "year")
     with pytest.raises(StatsError, match="period must be one of"):
-        term_trend(corpora, TREND_LEX, "quantum computing", "decade")
+        term_trend(corpora, TREND_LEX, ["quantum computing"], "decade")
+    with pytest.raises(StatsError, match="field must be one of"):
+        term_trend(corpora, TREND_LEX, ["quantum computing"], "year", field="title")
+
+
+TREND_ENTRIES = {
+    "ai": ["ai", "a\\.?i"],
+    "cloud computing": ["cloud[- ]?computing"],
+    "edge": ["edge(?: computing)?"],
+    "quantum dot": ["quantum dots?"],
+    "laser": ["lasers?"],
+}
+TREND_WORDS = (
+    "ai", "AI", "A.I.", "a.i", "cloud computing", "Cloud-Computing", "cloudcomputing",
+    "edge", "edges", "quantum dots", "quantum dotty", "lasers", "laserz", "paint", "-", ".",
+)
+TREND_TAGS = ("ai", "edge", "laser", "quantum dot", "cloud computing", "misc", "quantum")
+
+
+_TREND_DOC = st.tuples(
+    st.lists(st.sampled_from(TREND_WORDS), max_size=6).map(" ".join),
+    st.lists(st.sampled_from(TREND_TAGS), max_size=3, unique=True).map(tuple),
+    st.dates(dt.date(2018, 1, 1), dt.date(2021, 12, 31)),
+)
+
+
+@st.composite
+def trend_cases(draw):
+    canonicals = draw(st.lists(st.sampled_from(sorted(TREND_ENTRIES)), min_size=1, unique=True))
+    lexicon = lexicon_from_records([{"canonical": c, "patterns": TREND_ENTRIES[c]} for c in canonicals])
+    labels = draw(st.lists(st.sampled_from(["news", "blogs", "patents"]), min_size=1, unique=True))
+    corpora = []
+    for label in labels:
+        docs = draw(st.lists(_TREND_DOC, max_size=5))
+        corpora.append((label, Corpus(tuple(
+            Document(id=f"{label}{i}", date=date, text=text, tags=tags) for i, (text, tags, date) in enumerate(docs)
+        ))))
+    terms = draw(st.lists(st.sampled_from(canonicals), min_size=1, max_size=5))
+    return corpora, lexicon, terms, draw(st.sampled_from(TREND_PERIODS))
+
+
+@settings(deadline=None)
+@given(trend_cases())
+def test_term_trend_matches_per_term_oracle(case):
+    corpora, lexicon, terms, period = case
+    trends = term_trend(corpora, lexicon, terms, period, field="both")
+    assert set(trends) == set(terms)
+    for term in terms:
+        assert trends[term] == term_trend_reference(corpora, lexicon, term, period)
 
 
 def test_export_trend_csv_fills_missing_periods(tmp_path):

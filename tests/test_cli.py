@@ -304,6 +304,45 @@ def test_trend_source_errors(tmp_path, capsys):
     assert "LABEL=PATH" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["duplicate_label", "unknown_term"])
+def test_trend_rejects_bad_input_before_writing(tmp_path, capsys, case):
+    lexicon, terms = trend_fixture(tmp_path)
+    news = f"news={tmp_path / 'news.jsonl'}"
+    if case == "duplicate_label":
+        sources = ["--corpus", news, "--corpus", f"news={tmp_path / 'missing.jsonl'}"]
+        message = "duplicate corpus label 'news'"
+    else:
+        sources = ["--corpus", news, "--corpus", f"patents={tmp_path / 'patents.jsonl'}"]
+        terms = tmp_path / "terms_unknown.txt"
+        terms.write_text("ai\nlaser\n")
+        message = "unknown term 'laser'"
+    out = tmp_path / "o"
+    code = main(["trend", *sources, "--terms", str(terms), "--lexicon", lexicon, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("trend_*.csv"))
+    assert not (out / "correlations.csv").exists()
+
+
+def test_trend_counts_under_field(tmp_path, capsys):
+    lexicon, terms = trend_fixture(tmp_path)
+    out = tmp_path / "trend_text"
+    code = main([
+        "trend",
+        "--corpus", f"news={tmp_path / 'news.jsonl'}",
+        "--corpus", f"patents={tmp_path / 'patents.jsonl'}",
+        "--terms", terms,
+        "--lexicon", lexicon,
+        "--field", "text",
+        "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    # the fixture's documents carry "ai" only as a tag
+    assert (out / "trend_ai.csv").read_text().splitlines() == ["period,source,count"]
+    assert (out / "correlations.csv").read_text().splitlines() == ["term,source_a,source_b,pearson_r"]
+
+
 def test_cluster_subcommand(tmp_path, capsys):
     data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
     out = tmp_path / "cluster_out"
@@ -342,6 +381,54 @@ def test_config_file_with_flag_override(tmp_path):
     assert code == 0
     report = json.loads((cfg_out / "report.json").read_text())
     assert report["tau"] == 0.2
+
+
+def test_config_file_weighted_mean_without_flag(tmp_path):
+    # from the second window on: {a,b} plus the new triangle {x,y,z}, so the
+    # first point's mean CI is 0.5 plain and 0.4 size-weighted
+    later = [["a", "b"], ["x", "y"], ["y", "z"], ["x", "z"]]
+    docs = [json.dumps({"id": "m1", "date": MONTHS[0], "tags": ["a", "b"]})] + [
+        json.dumps({"id": f"m{month}-{i}", "date": MONTHS[month], "tags": tags})
+        for month in range(1, 7)
+        for i, tags in enumerate(later)
+    ]
+    (tmp_path / "corpus.jsonl").write_text("\n".join(docs) + "\n")
+    windows = write_json(tmp_path / "windows.json", [{"start": MONTHS[i], "end": MONTHS[i + 1]} for i in range(7)])
+    lexicon = write_json(tmp_path / "lex.json", [])
+    base = ["series", "--corpus", str(tmp_path / "corpus.jsonl"), "--windows", windows,
+            "--breakpoint", "3", "--lexicon", lexicon]
+
+    def first_mean_ci(extra, name):
+        assert main(base + extra + ["--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "series.csv").read_text().splitlines()[1].split(",")[2]
+
+    config = write_json(tmp_path / "config.json", {"weighted_mean": True})
+    assert first_mean_ci([], "plain") == "0.500000"
+    assert first_mean_ci(["--weighted-mean"], "flag") == "0.400000"
+    assert first_mean_ci(["--config", config], "config") == "0.400000"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("series", ["--measure", "jaccard"]),
+    ("series", ["--tau", "0.5"]),
+    ("cluster", ["--measure", "jaccard"]),
+    ("cluster", ["--tau", "0.5"]),
+    ("trend", ["--pairs", "tech-tag"]),
+    ("trend", ["--top-n", "7"]),
+    ("trend", ["--measure", "jaccard"]),
+    ("trend", ["--tau", "0.5"]),
+    ("trend", ["--resolution", "3"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_unread_setting_flag_is_a_usage_error(capsys, command, flag):
+    valid = {
+        "series": ["--corpus", "c.jsonl", "--lexicon", "l.json", "--windows", "w.json", "--breakpoint", "3"],
+        "cluster": ["--corpus", "c.jsonl", "--lexicon", "l.json"],
+        "trend": ["--corpus", "a=a.jsonl", "--corpus", "b=b.jsonl", "--lexicon", "l.json", "--terms", "t.txt"],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *valid, *flag])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

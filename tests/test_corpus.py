@@ -1,7 +1,12 @@
 import datetime as dt
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from techflux.corpus import (
     Corpus,
@@ -108,6 +113,42 @@ def test_csv_rejects_semicolon_in_tag(tmp_path):
     doc = Document(id="d", date=dt.date(2020, 1, 1), tags=("a;b",))
     with pytest.raises(CorpusError, match="';'"):
         save_corpus(Corpus(documents=(doc,)), tmp_path / "bad.csv")
+
+
+# any text with a run of the characters the two formats must quote, escape
+# or keep apart, and of non-ASCII ones, in the middle
+_ANY = st.characters(blacklist_categories=("Cs",))
+_AWKWARD = ",;\"'\n\r\t éßİı中\u2028\x00"
+_TEXT = st.tuples(st.text(_ANY, max_size=8), st.text(_AWKWARD, max_size=6), st.text(_ANY, max_size=6)).map("".join)
+
+
+@st.composite
+def saved_corpora(draw):
+    ids = draw(st.lists(_TEXT.filter(bool), max_size=4, unique=True))
+    return Corpus(tuple(
+        Document(
+            id=doc_id,
+            date=draw(st.dates()),
+            text=draw(_TEXT),
+            tags=normalize_tags(draw(st.lists(_TEXT, max_size=3))),
+        )
+        for doc_id in ids
+    ))
+
+
+@settings(deadline=None)
+@given(saved_corpora(), st.sampled_from(["jsonl", "csv"]))
+def test_save_load_roundtrip_property(corpus, fmt):
+    semicolon_docs = [doc.id for doc in corpus.documents if any(";" in tag for tag in doc.tags)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"corpus.{fmt}"
+        if fmt == "csv" and semicolon_docs:
+            with pytest.raises(CorpusError, match=f"document {re.escape(repr(semicolon_docs[0]))}: tag .* ';'"):
+                save_corpus(corpus, path)
+            assert not path.exists()
+            return
+        save_corpus(corpus, path)
+        assert load_corpus(path).documents == corpus.documents
 
 
 def test_load_normalizes_tags(tmp_path):
