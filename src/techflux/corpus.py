@@ -155,20 +155,33 @@ def _load_jsonl(path: Path) -> list[Document]:
 
 _CSV_COLUMNS = ("id", "date", "text", "tags")
 
+# save_corpus writes texts longer than the csv module's default field limit
+# (131,072 characters); this is the largest limit a C long holds everywhere
+_CSV_FIELD_LIMIT = 2**31 - 1
+
 
 def _load_csv(path: Path) -> list[Document]:
     docs = []
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in _CSV_COLUMNS if c not in header]
-        if missing:
-            raise CorpusError(f"{path.name}: header missing column(s) {', '.join(missing)}")
-        for record in reader:
-            where = f"{path.name} line {reader.line_num}"
-            raw_tags = record.get("tags") or ""
-            tags = [t for t in raw_tags.split(";") if t.strip()]
-            docs.append(_make_document({**record, "tags": tags}, where))
+    # the limit is process-wide, so it is raised for this read only
+    old_limit = csv.field_size_limit(_CSV_FIELD_LIMIT)
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            missing = [c for c in _CSV_COLUMNS if c not in header]
+            if missing:
+                raise CorpusError(f"{path.name}: header missing column(s) {', '.join(missing)}")
+            for record in reader:
+                where = f"{path.name} line {reader.line_num}"
+                raw_tags = record.get("tags") or ""
+                tags = [t for t in raw_tags.split(";") if t.strip()]
+                docs.append(_make_document({**record, "tags": tags}, where))
+    except csv.Error as exc:
+        # only reading raises it, so reader exists; DictReader.line_num lags
+        # on a failed row, its inner reader's does not
+        raise CorpusError(f"{path.name} line {reader.reader.line_num}: malformed CSV ({exc})") from None
+    finally:
+        csv.field_size_limit(old_limit)
     return docs
 
 

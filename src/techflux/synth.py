@@ -14,7 +14,10 @@ constant 0x9E3779B97F4A7C15 each step, then two xor-shift multiplications)
 so the same seed yields the same bytes on every platform and Python
 version. Documents sample their tags from one community at that
 community's intra-document rate, plus uniform noise over the rest of the
-window vocabulary.
+window vocabulary. Each output of splitmix64 is a pure function of its
+step count, so a document's per-term draws come from one vectorised numpy
+call that returns exactly the values, and leaves exactly the state, of the
+same number of scalar draws: the stream is the same splitmix64 sequence.
 """
 
 from __future__ import annotations
@@ -24,12 +27,19 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .corpus import Corpus, Document, TimeWindow, normalize_tag
 from .errors import SynthError
 from .fileio import atomic_write_text
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 FRESH_PREFIX = "fresh-"
 
@@ -45,15 +55,38 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
         # 53 random bits scaled into [0, 1)
         return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next count values of uniform() as one float64 array.
+
+        The k-th output mixes only state + k * gamma, so all of them are
+        computed at once. uint64 arrays wrap like ``& _MASK64``; the state
+        itself stays a Python int, because numpy scalars warn on overflow
+        and numpy 1.x and 2.x promote Python ints mixed with uint64
+        differently.
+        """
+        import numpy as np
+
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        # below 2**53, so the conversion and the scaling are exact
+        return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n)."""
@@ -415,24 +448,35 @@ def generate_corpus(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, G
 
     By default documents carry tags only. With with_text the sampled terms
     are embedded in a sentence instead, to exercise text extraction.
+
+    Each document draws its community, then one uniform per member in
+    member order (kept below the community's rate), then, when noise is
+    on, one per non-member in vocabulary order (kept below noise_rate),
+    then its day. The per-term draws are one uniforms() call.
     """
+    import numpy as np
+
     states = _evolve_communities(spec)
     truth = _ground_truth(spec, states)
     rng = SplitMix64(spec.seed)
+    noise = spec.noise_rate
     documents: list[Document] = []
     for w_index, (window, state) in enumerate(zip(spec.windows, states)):
         vocabulary = sorted({term for c in state for term in c.members})
+        members, others = [], []
+        for community in state:
+            in_community = set(community.members)
+            members.append(np.array(community.members, dtype=object))
+            others.append(np.array([t for t in vocabulary if t not in in_community], dtype=object))
         span_days = (window.end - window.start).days
         for d_index in range(spec.docs_per_window):
-            community = state[rng.below(len(state))]
-            member_set = set(community.members)
-            picked = [t for t in community.members if rng.chance(community.rate)]
-            if spec.noise_rate > 0.0:
-                picked.extend(
-                    t for t in vocabulary
-                    if t not in member_set and rng.chance(spec.noise_rate)
-                )
-            tags = tuple(sorted(set(picked)))
+            ci = rng.below(len(state))
+            m = len(members[ci])
+            u = rng.uniforms(len(vocabulary) if noise > 0.0 else m)
+            picked = members[ci][u[:m] < state[ci].rate].tolist()
+            if noise > 0.0:
+                picked += others[ci][u[m:] < noise].tolist()
+            tags = tuple(sorted(picked))
             # the window is half-open, so the end day itself is excluded
             date = window.start + dt.timedelta(days=rng.below(span_days))
             doc_id = f"w{w_index}-d{d_index:05d}"

@@ -21,13 +21,15 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cograph import CoGraph
 from .community import Partition
 from .errors import TransitionError
 from .fileio import atomic_write_text
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MEASURE_OVERLAP_TARGET = "overlap_target"
 MEASURE_JACCARD = "jaccard"
@@ -88,6 +90,8 @@ def similarity_matrix(
     measure: str = MEASURE_OVERLAP_TARGET,
 ) -> SimilarityMatrix:
     """Node-name overlap between every cluster at t and every cluster at t+1."""
+    import numpy as np
+
     if measure not in MEASURES:
         raise TransitionError(f"unknown similarity measure {measure!r} (expected one of {MEASURES})")
     _, part_t = pair_t
@@ -119,6 +123,8 @@ def similarity_matrix(
 
 def biadjacency(matrix: SimilarityMatrix) -> np.ndarray:
     """Square block matrix [[0, S], [S^T, 0]] over the M+K clusters."""
+    import numpy as np
+
     m, k = matrix.values.shape
     out = np.zeros((m + k, m + k), dtype=np.float64)
     out[:m, m:] = matrix.values

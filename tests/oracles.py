@@ -8,6 +8,7 @@ package itself does not use for these quantities.
 
 from __future__ import annotations
 
+import datetime as dt
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from techflux.cograph import CoGraph, GraphEdge, GraphNode
 from techflux.community import _Level
 from techflux.corpus import Corpus, Document
 from techflux.lexicon import TermLexicon
+from techflux.synth import GroundTruth, PlantSpec, SplitMix64, _evolve_communities, _ground_truth
 
 
 def make_graph(edge_list, extra_nodes=(), kind="tag"):
@@ -231,3 +233,32 @@ def term_trend_reference(corpora: list[tuple[str, Corpus]], lexicon: TermLexicon
                 per_period[key] = per_period.get(key, 0) + 1
         counts[label] = dict(sorted(per_period.items()))
     return counts
+
+
+def generate_corpus_reference(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, GroundTruth]:
+    """generate_corpus with one scalar SplitMix64.chance call per term."""
+    states = _evolve_communities(spec)
+    truth = _ground_truth(spec, states)
+    rng = SplitMix64(spec.seed)
+    documents: list[Document] = []
+    for w_index, (window, state) in enumerate(zip(spec.windows, states)):
+        vocabulary = sorted({term for c in state for term in c.members})
+        span_days = (window.end - window.start).days
+        for d_index in range(spec.docs_per_window):
+            community = state[rng.below(len(state))]
+            member_set = set(community.members)
+            picked = [t for t in community.members if rng.chance(community.rate)]
+            if spec.noise_rate > 0.0:
+                picked.extend(
+                    t for t in vocabulary
+                    if t not in member_set and rng.chance(spec.noise_rate)
+                )
+            tags = tuple(sorted(set(picked)))
+            date = window.start + dt.timedelta(days=rng.below(span_days))
+            doc_id = f"w{w_index}-d{d_index:05d}"
+            if with_text:
+                text = "This note covers " + ", ".join(tags) + "." if tags else "This note covers nothing."
+                documents.append(Document(id=doc_id, date=date, text=text, tags=()))
+            else:
+                documents.append(Document(id=doc_id, date=date, text="", tags=tags))
+    return Corpus(documents=tuple(documents), source_label="synthetic"), truth

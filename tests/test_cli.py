@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import techflux
 from techflux.cli import main
 
 COMPARE_FILES = (
@@ -234,6 +239,60 @@ def test_unusable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv)
     assert code == 2
     assert captured.err.startswith("techflux io: ")
     assert str(blocker / "x") in captured.err
+
+
+def test_malformed_csv_exits_2(tmp_path, capsys, monkeypatch):
+    # no CSV text breaks the raised field limit, so a small one stands in
+    monkeypatch.setattr("techflux.corpus._CSV_FIELD_LIMIT", 100)
+    corpus = tmp_path / "wide.csv"
+    corpus.write_text("id,date,text,tags\nd1,2021-01-05,short,ai\nd2,2021-01-06," + "x" * 101 + ",ai\n")
+    lexicon = write_json(tmp_path / "lex.json", [{"canonical": "ai", "patterns": ["ai"]}])
+    code = main(["cluster", "--corpus", str(corpus), "--lexicon", lexicon, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("techflux corpus: wide.csv line 3: malformed CSV")
+    assert "internal error" not in err
+
+
+# imports every package module, runs the CLI with the given arguments, then
+# prints whether numpy got loaded
+_NUMPY_PROBE = (
+    "import sys, techflux\n"
+    "from techflux.cli import main\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print('numpy loaded:', 'numpy' in sys.modules)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("command", ["import", "trend", "cluster"])
+def test_numpy_stays_off_the_start_up_path(tmp_path, command):
+    if command == "trend":
+        lexicon, terms = trend_fixture(tmp_path)
+        argv = [
+            "trend",
+            "--corpus", f"news={tmp_path / 'news.jsonl'}",
+            "--corpus", f"patents={tmp_path / 'patents.jsonl'}",
+            "--terms", terms, "--lexicon", lexicon, "--out", str(tmp_path / "out"),
+        ]
+    elif command == "cluster":
+        data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
+        argv = [
+            "cluster",
+            "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
+            "--window", "2021-01-01:2021-02-01", "--out", str(tmp_path / "out"),
+        ]
+    else:
+        argv = []
+    src = Path(techflux.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "numpy loaded: False"
 
 
 def test_argparse_usage_error_exits_2(capsys):

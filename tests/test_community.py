@@ -236,3 +236,40 @@ def test_escape_round_matches_rescoring_oracle(case):
     level, resolution, order, com = case
     assert _escape_round(level, resolution, order, list(com)) == \
         escape_round_reference(level, resolution, order, list(com))
+
+
+# short names over a small alphabet, so shared prefixes are common
+_NAMES = st.text("ab-é中", min_size=1, max_size=3)
+
+
+@st.composite
+def louvain_cases(draw):
+    """A graph with isolated nodes allowed, an order-preserving rename of its nodes and a resolution."""
+    n = draw(st.integers(2, 20))
+    names = sorted(draw(st.lists(_NAMES, min_size=n, max_size=n, unique=True)))
+    renamed = sorted(draw(st.lists(_NAMES, min_size=n, max_size=n, unique=True)))
+    density = draw(st.floats(0.05, 0.7))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [(names[0], names[1], rnd.randint(1, 3))]
+    edges += [
+        (names[u], names[v], rnd.randint(1, 3))
+        for u in range(n) for v in range(u + 1, n)
+        if (u, v) != (0, 1) and rnd.random() < density
+    ]
+    rename = dict(zip(names, renamed))
+    graph = make_graph(edges, extra_nodes=names)
+    renamed_graph = make_graph([(rename[u], rename[v], w) for u, v, w in edges], extra_nodes=renamed)
+    return graph, renamed_graph, rename, draw(st.floats(0.5, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(louvain_cases())
+def test_louvain_partition_properties(case):
+    graph, renamed_graph, rename, resolution = case
+    part = louvain(graph, resolution=resolution)
+    assert sorted(set(part.assignment.values())) == list(range(part.cluster_count))
+    assert part.modularity == modularity(graph, part.assignment)
+    renamed_part = louvain(renamed_graph, resolution=resolution)
+    assert renamed_part.assignment == {rename[name]: cid for name, cid in part.assignment.items()}
+    assert renamed_part.modularity == part.modularity
+

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import json
 import re
@@ -149,6 +150,28 @@ def test_save_load_roundtrip_property(corpus, fmt):
             return
         save_corpus(corpus, path)
         assert load_corpus(path).documents == corpus.documents
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_text_longer_than_the_csv_default_field_limit_roundtrips(tmp_path, fmt):
+    long_text = "quantum, sensing; " * 8_333 + "edge AI"
+    assert len(long_text) > 150_000
+    corpus = Corpus(documents=(Document(id="long", date=dt.date(2020, 1, 1), text=long_text, tags=("ai",)),) + _sample_docs())
+    path = tmp_path / f"long.{fmt}"
+    default_limit = csv.field_size_limit()
+    save_corpus(corpus, path)
+    assert load_corpus(path).documents == corpus.documents
+    assert csv.field_size_limit() == default_limit
+
+
+def test_csv_error_names_file_and_line_and_restores_the_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr("techflux.corpus._CSV_FIELD_LIMIT", 100)
+    path = tmp_path / "wide.csv"
+    path.write_text("id,date,text,tags\nd1,2020-01-01,short,ai\nd2,2020-01-02," + "x" * 101 + ",ai\n")
+    default_limit = csv.field_size_limit()
+    with pytest.raises(CorpusError, match=r"^wide\.csv line 3: malformed CSV \(field larger than field limit \(100\)\)$"):
+        load_corpus(path)
+    assert csv.field_size_limit() == default_limit
 
 
 def test_load_normalizes_tags(tmp_path):

@@ -1,6 +1,11 @@
+import datetime as dt
 import json
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from techflux.cograph import build_cooccurrence
 from techflux.community import louvain
@@ -8,6 +13,8 @@ from techflux.corpus import Document, window_filter
 from techflux.errors import SynthError
 from techflux.lexicon import extract_terms, lexicon_from_records
 from techflux.synth import (
+    _GAMMA,
+    _MASK64,
     FRESH_PREFIX,
     PlantedEvent,
     SplitMix64,
@@ -19,6 +26,8 @@ from techflux.synth import (
     plant_spec_from_records,
 )
 from techflux.transition import transition_report
+
+from oracles import generate_corpus_reference
 
 EMPTY_LEX = lexicon_from_records([])
 
@@ -61,6 +70,33 @@ def test_splitmix_chance_extremes():
     gen = SplitMix64(3)
     assert not any(gen.chance(0.0) for _ in range(50))
     assert all(gen.chance(1.0) for _ in range(50))
+
+
+@st.composite
+def splitmix_states(draw):
+    """Any 64-bit state, or one that lands near 0 after at most 2**10 steps."""
+    if draw(st.booleans()):
+        return draw(st.integers(0, _MASK64))
+    steps = draw(st.integers(0, 2**10))
+    offset = draw(st.integers(-(2**10), 2**10))
+    return (offset - steps * _GAMMA) & _MASK64
+
+
+_COUNTS = st.one_of(st.sampled_from([0, 1]), st.integers(0, 2000))
+
+
+@settings(deadline=None)
+@given(splitmix_states(), _COUNTS, _COUNTS)
+def test_uniforms_equal_scalar_draws(state, first, second):
+    block, scalar = SplitMix64(state), SplitMix64(state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        head = block.uniforms(first)
+        tail = block.uniforms(second)
+    assert head.dtype == np.float64 and head.shape == (first,)
+    expected = [scalar.uniform() for _ in range(first + second)]
+    assert head.tolist() + tail.tolist() == expected
+    assert block._state == scalar._state
 
 
 # ---------------------------------------------------------------- spec parsing
@@ -287,6 +323,56 @@ def test_ground_truth_export(tmp_path):
     assert payload["pairs"][0]["convergence"]["delta"] == 0.4
     kinds = {e["kind"] for e in payload["pairs"][0]["events"]}
     assert kinds == {"merge", "split", "death", "birth", "persist"}
+
+
+_RATES = st.one_of(st.just(1.0), st.floats(0.01, 1.0))
+
+
+@st.composite
+def small_plant_specs(draw):
+    """1-4 windows, 1-5 communities, renewed vocabularies and births, noise on or off."""
+    n_windows = draw(st.integers(1, 4))
+    n_communities = draw(st.integers(1, 5))
+    communities = [
+        {"name": f"c{i}", "size": draw(st.integers(1, 6)), "rate": draw(_RATES)}
+        for i in range(n_communities)
+    ]
+    events = []
+    for pair in range(n_windows - 1):
+        events.append({
+            "kind": "persist", "pair": pair,
+            "sources": [f"c{draw(st.integers(0, n_communities - 1))}"],
+            "mixing": draw(st.floats(0.0, 1.0)),
+        })
+        if draw(st.booleans()):
+            events.append({
+                "kind": "birth", "pair": pair, "targets": [f"born{pair}"],
+                "size": draw(st.integers(1, 4)), "rate": draw(_RATES),
+            })
+    start = dt.date(2020, 1, 1)
+    windows = []
+    for _ in range(n_windows):
+        end = start + dt.timedelta(days=draw(st.integers(1, 60)))
+        windows.append({"start": start.isoformat(), "end": end.isoformat()})
+        start = end
+    return plant_spec_from_records({
+        "seed": draw(st.integers(-(2**63), 2**64)),
+        "docs_per_window": draw(st.integers(1, 20)),
+        "noise_rate": draw(st.one_of(st.just(0.0), st.floats(0.001, 0.99))),
+        "windows": windows,
+        "communities": communities,
+        "events": events,
+    })
+
+
+@settings(deadline=None)
+@given(small_plant_specs(), st.booleans())
+def test_generate_corpus_matches_scalar_oracle(spec, with_text):
+    corpus, truth = generate_corpus(spec, with_text=with_text)
+    expected_corpus, expected_truth = generate_corpus_reference(spec, with_text=with_text)
+    assert corpus == expected_corpus
+    assert truth.assignments == expected_truth.assignments
+    assert ground_truth_to_json(truth) == ground_truth_to_json(expected_truth)
 
 
 # ---------------------------------------------------------------- recovery
