@@ -288,13 +288,10 @@ def index_series(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow]
                 f"windows must be strictly increasing by start date: "
                 f"{prev.describe()} then {cur.describe()}"
             )
-    clustered = [(w,) + cluster_window(corpus, lexicon, w, config) for w in windows]
+    partitions = [cluster_window(corpus, lexicon, w, config)[1] for w in windows]
     points = []
-    for (_, graph_t, part_t), (w_t1, graph_t1, part_t1) in zip(clustered, clustered[1:]):
-        report = transition_report(
-            (graph_t, part_t), (graph_t1, part_t1),
-            tau=config.tau, measure=MEASURE_OVERLAP_TARGET,
-        )
+    for part_t, part_t1, w_t1 in zip(partitions, partitions[1:], windows[1:]):
+        report = transition_report(part_t, part_t1, tau=config.tau, measure=MEASURE_OVERLAP_TARGET)
         sizes = report.similarity.col_sizes
         points.append(SeriesPoint(
             window=w_t1,

@@ -88,7 +88,7 @@ def run_compare(args: argparse.Namespace) -> int:
     window_t1 = TimeWindow.parse(args.window_t1, label="t+1")
     graph_t, part_t = breakcheck.cluster_window(corpus, lexicon, window_t, config)
     graph_t1, part_t1 = breakcheck.cluster_window(corpus, lexicon, window_t1, config)
-    report = transition_report((graph_t, part_t), (graph_t1, part_t1), tau=config.tau, measure=config.measure)
+    report = transition_report(part_t, part_t1, tau=config.tau, measure=config.measure)
     labels_t = _cluster_header(suggest_labels(graph_t, part_t))
     labels_t1 = _cluster_header(suggest_labels(graph_t1, part_t1))
     export_graphml(graph_t, out / "graph_t.graphml", part_t.assignment)
@@ -174,7 +174,7 @@ def run_trend(args: argparse.Namespace) -> int:
             raise ConfigError(f"duplicate corpus label {label!r}")
         seen_labels.add(label)
     terms = _load_terms_file(args.terms)
-    corpora = [(label, load_corpus(path, source_label=label)) for label, path in sources]
+    corpora = [(label, load_corpus(path)) for label, path in sources]
     trends = breakcheck.term_trend(corpora, lexicon, terms, args.period, config.field)
     correlation_rows: list[tuple[str, str, str, str]] = []
     for term in terms:

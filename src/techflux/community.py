@@ -137,11 +137,31 @@ def _gain(link: float, tot_c: float, k_i: float, m: float, resolution: float) ->
     return link / m - resolution * tot_c * k_i / (2.0 * m * m)
 
 
+def _best_target(
+    links: dict[int, float], home: int, tot: dict[int, float], k_i: float, m: float, resolution: float
+) -> tuple[int | None, float]:
+    """Best community in links other than home: largest gain, smallest label on ties.
+
+    Returns (None, 0.0) when every neighbour of the node shares its home.
+    """
+    best_c = None
+    best_gain = 0.0
+    for c, w in links.items():
+        if c == home:
+            continue
+        gain = _gain(w, tot[c], k_i, m, resolution)
+        if best_c is None or gain > best_gain or (gain == best_gain and c < best_c):
+            best_c, best_gain = c, gain
+    return best_c, best_gain
+
+
 def _local_phase(
     level: _Level, resolution: float, order: list[int], com: list[int] | None = None
 ) -> tuple[list[int], int]:
     """Greedy node moves until no strictly positive gain remains.
 
+    A node moves to its _best_target community only when that gains strictly
+    more than rejoining its home community, so ties keep it home.
     Returns (community label per node, number of moves made). Starts from
     singletons unless an assignment is given; singleton labels are the
     initial node indices, so "smallest community id" is well defined and
@@ -165,18 +185,8 @@ def _local_phase(
                 links[com[j]] = links.get(com[j], 0.0) + w
             # Detach i, then compare reinsertion gains.
             tot[home] -= k_i
-            # Ascending-id scan with strict > picks the smallest community id
-            # among ties, and a tie with the home community means no strictly
-            # positive gain, so the node stays.
-            best_c = home
-            best_gain = _gain(links[home], tot[home], k_i, m, resolution)
-            for c in sorted(links):
-                if c == home:
-                    continue
-                gain = _gain(links[c], tot[c], k_i, m, resolution)
-                if gain > best_gain:
-                    best_c, best_gain = c, gain
-            if best_c != home:
+            best_c, best_gain = _best_target(links, home, tot, k_i, m, resolution)
+            if best_c is not None and best_gain > _gain(links[home], tot[home], k_i, m, resolution):
                 com[i] = best_c
                 tot[best_c] += k_i
                 moves += 1
@@ -188,24 +198,6 @@ def _local_phase(
 
 
 _ESCAPE_MAX_NODES = 512
-
-
-def _best_target(
-    links: dict[int, float], home: int, tot: dict[int, float], k_i: float, m: float, resolution: float
-) -> tuple[int | None, float]:
-    """Best community in links other than home: largest gain, smallest label on ties.
-
-    Returns (None, 0.0) when every neighbour of the node shares its home.
-    """
-    best_c = None
-    best_gain = 0.0
-    for c, w in links.items():
-        if c == home:
-            continue
-        gain = _gain(w, tot[c], k_i, m, resolution)
-        if best_c is None or gain > best_gain or (gain == best_gain and c < best_c):
-            best_c, best_gain = c, gain
-    return best_c, best_gain
 
 
 def _escape_round(

@@ -102,7 +102,6 @@ class Corpus:
     """Immutable ordered document collection."""
 
     documents: tuple[Document, ...] = ()
-    source_label: str = ""
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -185,7 +184,7 @@ def _load_csv(path: Path) -> list[Document]:
     return docs
 
 
-def load_corpus(path: str | Path, format: str | None = None, source_label: str | None = None) -> Corpus:
+def load_corpus(path: str | Path, format: str | None = None) -> Corpus:
     """Load a corpus from a JSONL or CSV file.
 
     ``format`` is inferred from the file suffix when omitted. Record order is
@@ -202,8 +201,7 @@ def load_corpus(path: str | Path, format: str | None = None, source_label: str |
         docs = _load_csv(path)
     else:
         raise CorpusError(f"unknown corpus format: {format!r} (expected jsonl or csv)")
-    label = source_label if source_label is not None else path.stem
-    return Corpus(documents=tuple(docs), source_label=label)
+    return Corpus(documents=tuple(docs))
 
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str | None = None) -> None:
@@ -236,7 +234,7 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str | None = None) -> 
 def window_filter(corpus: Corpus, window: TimeWindow) -> Corpus:
     """Documents with start <= date < end, in original order."""
     kept = tuple(doc for doc in corpus.documents if window.contains(doc.date))
-    return Corpus(documents=kept, source_label=corpus.source_label)
+    return Corpus(documents=kept)
 
 
 def load_windows(path: str | Path) -> list[TimeWindow]:

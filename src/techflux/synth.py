@@ -485,7 +485,7 @@ def generate_corpus(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, G
                 documents.append(Document(id=doc_id, date=date, text=text, tags=()))
             else:
                 documents.append(Document(id=doc_id, date=date, text="", tags=tags))
-    corpus = Corpus(documents=tuple(documents), source_label="synthetic")
+    corpus = Corpus(documents=tuple(documents))
     return corpus, truth
 
 

@@ -1,11 +1,14 @@
 """Cluster evolution between two windows.
 
-Given the clustered networks of two adjacent time windows, this module
-builds the cluster-overlap similarity matrix, the bipartite bi-adjacency
-matrix, per-cluster convergence/novelty indices, and a classified list of
+Given the partitions of two adjacent time windows, this module builds the
+cluster-overlap similarity matrix, the bipartite bi-adjacency matrix,
+per-cluster convergence/novelty indices, and a classified list of
 evolution events (birth, death, merge, split, persist). Raw intersection
 counts and cluster sizes are kept alongside the normalized similarity
-values so flows can be exported exactly.
+values so flows can be exported exactly. Partitions carry dense cluster
+ids, so row i of every matrix is cluster i of the earlier window and
+column j is cluster j of the later one. The matrices are tuples of tuples:
+they hold a few dozen clusters a side, so plain Python is enough.
 
 The default similarity measure divides each intersection by the size of the
 later (t+1) cluster; a column sum then equals the fraction of that
@@ -21,15 +24,10 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .cograph import CoGraph
 from .community import Partition
 from .errors import TransitionError
 from .fileio import atomic_write_text
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MEASURE_OVERLAP_TARGET = "overlap_target"
 MEASURE_JACCARD = "jaccard"
@@ -44,14 +42,12 @@ EVENT_PERSIST = "persist"
 _CLAMP_GUARD = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SimilarityMatrix:
-    """M x K cluster-overlap matrix between windows t (rows) and t+1 (columns)."""
+    """M x K cluster-overlap matrix: row i is cluster i at t, column j is cluster j at t+1."""
 
-    row_clusters: tuple[int, ...]
-    col_clusters: tuple[int, ...]
-    values: np.ndarray
-    intersections: np.ndarray
+    values: tuple[tuple[float, ...], ...]
+    intersections: tuple[tuple[int, ...], ...]
     row_sizes: tuple[int, ...]
     col_sizes: tuple[int, ...]
     measure: str
@@ -65,7 +61,7 @@ class TransitionEvent:
     supports: tuple[float, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TransitionReport:
     similarity: SimilarityMatrix
     convergence: dict[int, float]
@@ -85,34 +81,26 @@ def _cluster_members(partition: Partition, side: str) -> list[set[str]]:
 
 
 def similarity_matrix(
-    pair_t: tuple[CoGraph, Partition],
-    pair_t1: tuple[CoGraph, Partition],
+    part_t: Partition,
+    part_t1: Partition,
     measure: str = MEASURE_OVERLAP_TARGET,
 ) -> SimilarityMatrix:
     """Node-name overlap between every cluster at t and every cluster at t+1."""
-    import numpy as np
-
     if measure not in MEASURES:
         raise TransitionError(f"unknown similarity measure {measure!r} (expected one of {MEASURES})")
-    _, part_t = pair_t
-    _, part_t1 = pair_t1
     members_t = _cluster_members(part_t, "window-t")
     members_t1 = _cluster_members(part_t1, "window-t1")
-    m, k = len(members_t), len(members_t1)
-    inter = np.zeros((m, k), dtype=np.int64)
-    for i, vi in enumerate(members_t):
-        for j, vj in enumerate(members_t1):
-            inter[i, j] = len(vi & vj)
+    inter = tuple(tuple(len(vi & vj) for vj in members_t1) for vi in members_t)
     row_sizes = tuple(len(v) for v in members_t)
     col_sizes = tuple(len(v) for v in members_t1)
     if measure == MEASURE_OVERLAP_TARGET:
-        values = inter / np.asarray(col_sizes, dtype=np.float64)[np.newaxis, :]
+        values = tuple(tuple(n / c for n, c in zip(row, col_sizes)) for row in inter)
     else:
-        union = np.asarray(row_sizes, dtype=np.float64)[:, np.newaxis] + np.asarray(col_sizes, dtype=np.float64)[np.newaxis, :] - inter
-        values = inter / union
+        values = tuple(
+            tuple(n / (r + c - n) for n, c in zip(row, col_sizes))
+            for row, r in zip(inter, row_sizes)
+        )
     return SimilarityMatrix(
-        row_clusters=tuple(range(m)),
-        col_clusters=tuple(range(k)),
         values=values,
         intersections=inter,
         row_sizes=row_sizes,
@@ -121,15 +109,12 @@ def similarity_matrix(
     )
 
 
-def biadjacency(matrix: SimilarityMatrix) -> np.ndarray:
+def biadjacency(matrix: SimilarityMatrix) -> tuple[tuple[float, ...], ...]:
     """Square block matrix [[0, S], [S^T, 0]] over the M+K clusters."""
-    import numpy as np
-
-    m, k = matrix.values.shape
-    out = np.zeros((m + k, m + k), dtype=np.float64)
-    out[:m, m:] = matrix.values
-    out[m:, :m] = matrix.values.T
-    return out
+    m, k = len(matrix.row_sizes), len(matrix.col_sizes)
+    top = tuple((0.0,) * m + row for row in matrix.values)
+    bottom = tuple(column + (0.0,) * k for column in zip(*matrix.values))
+    return top + bottom
 
 
 def inheritance_indices(matrix: SimilarityMatrix) -> tuple[dict[int, float], dict[int, float]]:
@@ -137,25 +122,30 @@ def inheritance_indices(matrix: SimilarityMatrix) -> tuple[dict[int, float], dic
 
     Convergence = the column sum = fraction of the cluster's nodes present
     anywhere in the earlier window; novelty is its complement. Both are
-    clamped to [0, 1] after a 1e-12 rounding guard.
+    clamped to [0, 1] after a 1e-12 rounding guard. Each column is summed
+    with += in row order, because the built-in sum() compensates from
+    Python 3.12 on and would make the written indices depend on the Python
+    version.
     """
     if matrix.measure != MEASURE_OVERLAP_TARGET:
         raise TransitionError("indices defined only for overlap_target")
+    col_sums = [0.0] * len(matrix.col_sizes)
+    for row in matrix.values:
+        for j, v in enumerate(row):
+            col_sums[j] += v
     convergence: dict[int, float] = {}
     novelty: dict[int, float] = {}
-    col_sums = matrix.values.sum(axis=0)
-    for j, cid in enumerate(matrix.col_clusters):
-        ci = float(col_sums[j])
+    for j, ci in enumerate(col_sums):
         if ci < 0.0:
             if ci < -_CLAMP_GUARD:
-                raise TransitionError(f"column sum {ci} below 0 for cluster {cid}")
+                raise TransitionError(f"column sum {ci} below 0 for cluster {j}")
             ci = 0.0
         if ci > 1.0:
             if ci > 1.0 + _CLAMP_GUARD:
-                raise TransitionError(f"column sum {ci} above 1 for cluster {cid}")
+                raise TransitionError(f"column sum {ci} above 1 for cluster {j}")
             ci = 1.0
-        convergence[cid] = ci
-        novelty[cid] = 1.0 - ci
+        convergence[j] = ci
+        novelty[j] = 1.0 - ci
     return convergence, novelty
 
 
@@ -171,56 +161,41 @@ def classify_events(matrix: SimilarityMatrix, tau: float) -> list[TransitionEven
     if not 0.0 < tau < 1.0:
         raise TransitionError(f"tau must lie in (0, 1), got {tau}")
     values = matrix.values
-    m, k = values.shape
+    m, k = len(matrix.row_sizes), len(matrix.col_sizes)
     events: list[TransitionEvent] = []
     merged_cols: set[int] = set()
     split_rows: set[int] = set()
     for i in range(m):
-        if not values[i, :].any():
-            events.append(TransitionEvent(EVENT_DEATH, (matrix.row_clusters[i],), (), ()))
+        if not any(values[i]):
+            events.append(TransitionEvent(EVENT_DEATH, (i,), (), ()))
     for j in range(k):
-        if not values[:, j].any():
-            events.append(TransitionEvent(EVENT_BIRTH, (), (matrix.col_clusters[j],), ()))
+        if not any(row[j] for row in values):
+            events.append(TransitionEvent(EVENT_BIRTH, (), (j,), ()))
     for j in range(k):
-        rows = [i for i in range(m) if values[i, j] >= tau]
+        rows = [i for i in range(m) if values[i][j] >= tau]
         if len(rows) >= 2:
             merged_cols.add(j)
-            events.append(TransitionEvent(
-                EVENT_MERGE,
-                tuple(matrix.row_clusters[i] for i in rows),
-                (matrix.col_clusters[j],),
-                tuple(float(values[i, j]) for i in rows),
-            ))
+            events.append(TransitionEvent(EVENT_MERGE, tuple(rows), (j,), tuple(values[i][j] for i in rows)))
     for i in range(m):
-        cols = [j for j in range(k) if values[i, j] >= tau]
+        cols = [j for j in range(k) if values[i][j] >= tau]
         if len(cols) >= 2:
             split_rows.add(i)
-            events.append(TransitionEvent(
-                EVENT_SPLIT,
-                (matrix.row_clusters[i],),
-                tuple(matrix.col_clusters[j] for j in cols),
-                tuple(float(values[i, j]) for j in cols),
-            ))
+            events.append(TransitionEvent(EVENT_SPLIT, (i,), tuple(cols), tuple(values[i][j] for j in cols)))
     for i in range(m):
         for j in range(k):
-            if values[i, j] >= tau and j not in merged_cols and i not in split_rows:
-                events.append(TransitionEvent(
-                    EVENT_PERSIST,
-                    (matrix.row_clusters[i],),
-                    (matrix.col_clusters[j],),
-                    (float(values[i, j]),),
-                ))
+            if values[i][j] >= tau and j not in merged_cols and i not in split_rows:
+                events.append(TransitionEvent(EVENT_PERSIST, (i,), (j,), (values[i][j],)))
     return events
 
 
 def transition_report(
-    pair_t: tuple[CoGraph, Partition],
-    pair_t1: tuple[CoGraph, Partition],
+    part_t: Partition,
+    part_t1: Partition,
     tau: float = 0.1,
     measure: str = MEASURE_OVERLAP_TARGET,
 ) -> TransitionReport:
     """Full comparison of two clustered windows."""
-    matrix = similarity_matrix(pair_t, pair_t1, measure)
+    matrix = similarity_matrix(part_t, part_t1, measure)
     if measure == MEASURE_OVERLAP_TARGET:
         convergence, novelty = inheritance_indices(matrix)
     else:
@@ -242,29 +217,31 @@ def export_similarity_csv(
     col_labels: list[str] | None = None,
 ) -> None:
     """CSV: header = t+1 cluster labels, first column = t cluster labels, 6 decimals."""
-    row_labels = row_labels or [str(c) for c in matrix.row_clusters]
-    col_labels = col_labels or [str(c) for c in matrix.col_clusters]
+    row_labels = row_labels or [str(i) for i in range(len(matrix.row_sizes))]
+    col_labels = col_labels or [str(j) for j in range(len(matrix.col_sizes))]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([""] + list(col_labels))
     for i, label in enumerate(row_labels):
-        writer.writerow([label] + [f"{matrix.values[i, j]:.6f}" for j in range(matrix.values.shape[1])])
+        writer.writerow([label] + [f"{v:.6f}" for v in matrix.values[i]])
     atomic_write_text(path, buf.getvalue())
 
 
 def report_to_json(report: TransitionReport, row_labels: list[str] | None = None, col_labels: list[str] | None = None) -> str:
     matrix = report.similarity
+    clusters_t = list(range(len(matrix.row_sizes)))
+    clusters_t1 = list(range(len(matrix.col_sizes)))
     payload = {
         "measure": matrix.measure,
         "tau": report.tau,
-        "clusters_t": list(matrix.row_clusters),
-        "clusters_t1": list(matrix.col_clusters),
-        "cluster_labels_t": row_labels or [str(c) for c in matrix.row_clusters],
-        "cluster_labels_t1": col_labels or [str(c) for c in matrix.col_clusters],
+        "clusters_t": clusters_t,
+        "clusters_t1": clusters_t1,
+        "cluster_labels_t": row_labels or [str(c) for c in clusters_t],
+        "cluster_labels_t1": col_labels or [str(c) for c in clusters_t1],
         "cluster_sizes_t": list(matrix.row_sizes),
         "cluster_sizes_t1": list(matrix.col_sizes),
-        "similarity": [[float(v) for v in row] for row in matrix.values],
-        "intersections": [[int(v) for v in row] for row in matrix.intersections],
+        "similarity": [list(row) for row in matrix.values],
+        "intersections": [list(row) for row in matrix.intersections],
         "convergence_index": {str(cid): val for cid, val in sorted(report.convergence.items())},
         "novelty_index": {str(cid): val for cid, val in sorted(report.novelty.items())},
         "events": [
@@ -291,15 +268,13 @@ def alluvial_export(
     sorted by source cluster size descending, then flow descending.
     """
     matrix = report.similarity
-    m, k = matrix.intersections.shape
-    if len(labels_t) != m or len(labels_t1) != k:
+    if len(labels_t) != len(matrix.row_sizes) or len(labels_t1) != len(matrix.col_sizes):
         raise TransitionError("label lists must match the cluster counts")
     rows = []
-    for i in range(m):
-        for j in range(k):
-            flow = int(matrix.intersections[i, j])
+    for i, row in enumerate(matrix.intersections):
+        for j, flow in enumerate(row):
             if flow > 0:
-                rows.append((matrix.row_clusters[i], matrix.col_clusters[j], flow, labels_t[i], labels_t1[j], matrix.row_sizes[i]))
+                rows.append((i, j, flow, labels_t[i], labels_t1[j], matrix.row_sizes[i]))
     rows.sort(key=lambda r: (-r[5], -r[2], r[0], r[1]))
     buf = io.StringIO()
     writer = csv.writer(buf)

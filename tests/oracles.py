@@ -18,6 +18,7 @@ from techflux.community import _Level
 from techflux.corpus import Corpus, Document
 from techflux.lexicon import TermLexicon
 from techflux.synth import GroundTruth, PlantSpec, SplitMix64, _evolve_communities, _ground_truth
+from techflux.transition import TransitionEvent
 
 
 def make_graph(edge_list, extra_nodes=(), kind="tag"):
@@ -179,6 +180,100 @@ def escape_round_reference(level: _Level, resolution: float, order, com):
     return result, True
 
 
+def local_phase_reference(level: _Level, resolution: float, order, com=None):
+    """The greedy phase with an ascending-label scan of each node's neighbouring communities.
+
+    Scanning from the home community's gain with strict > picks the smallest
+    label among tied best targets, and a tie with home keeps the node home.
+    Reference for ``techflux.community._local_phase``.
+    """
+    n = level.size
+    com = list(range(n)) if com is None else list(com)
+    tot = {}
+    for i in range(n):
+        tot[com[i]] = tot.get(com[i], 0.0) + level.degree[i]
+    m = level.m
+    total_moves = 0
+    while True:
+        moves = 0
+        for i in order:
+            k_i = level.degree[i]
+            home = com[i]
+            links = {home: 0.0}
+            for j, w in level.adj[i].items():
+                links[com[j]] = links.get(com[j], 0.0) + w
+            tot[home] -= k_i
+            best_c = home
+            best_gain = links[home] / m - resolution * tot[home] * k_i / (2.0 * m * m)
+            for c in sorted(links):
+                if c == home:
+                    continue
+                gain = links[c] / m - resolution * tot[c] * k_i / (2.0 * m * m)
+                if gain > best_gain:
+                    best_c, best_gain = c, gain
+            if best_c != home:
+                com[i] = best_c
+                tot[best_c] += k_i
+                moves += 1
+            else:
+                tot[home] += k_i
+        total_moves += moves
+        if moves == 0:
+            return com, total_moves
+
+
+def similarity_matrix_reference(part_t, part_t1, measure: str):
+    """(intersections, values, row sizes, column sizes) as numpy arrays, by array broadcasting."""
+    def members(partition):
+        blocks = [set() for _ in range(partition.cluster_count)]
+        for name, cid in partition.assignment.items():
+            blocks[cid].add(name)
+        return blocks
+
+    members_t, members_t1 = members(part_t), members(part_t1)
+    inter = np.zeros((len(members_t), len(members_t1)), dtype=np.int64)
+    for i, vi in enumerate(members_t):
+        for j, vj in enumerate(members_t1):
+            inter[i, j] = len(vi & vj)
+    row_sizes = np.array([len(v) for v in members_t], dtype=np.float64)
+    col_sizes = np.array([len(v) for v in members_t1], dtype=np.float64)
+    if measure == "overlap_target":
+        values = inter / col_sizes[np.newaxis, :]
+    else:
+        values = inter / (row_sizes[:, np.newaxis] + col_sizes[np.newaxis, :] - inter)
+    return inter, values, row_sizes.astype(np.int64), col_sizes.astype(np.int64)
+
+
+def inheritance_indices_reference(values):
+    """(convergence, novelty) per column from numpy's column sums, clamped to [0, 1]."""
+    col_sums = values.sum(axis=0)
+    convergence = {j: min(1.0, max(0.0, float(s))) for j, s in enumerate(col_sums)}
+    return convergence, {j: 1.0 - ci for j, ci in convergence.items()}
+
+
+def classify_events_reference(values, tau: float):
+    """The event list read off boolean masks of the similarity array, in the package's order."""
+    hits = values >= tau
+    merged = hits.sum(axis=0) >= 2
+    split = hits.sum(axis=1) >= 2
+    events = [TransitionEvent("death", (int(i),), (), ()) for i in np.flatnonzero(~values.any(axis=1))]
+    events += [TransitionEvent("birth", (), (int(j),), ()) for j in np.flatnonzero(~values.any(axis=0))]
+    for j in np.flatnonzero(merged):
+        rows = np.flatnonzero(hits[:, j])
+        events.append(TransitionEvent(
+            "merge", tuple(int(i) for i in rows), (int(j),), tuple(float(values[i, j]) for i in rows)
+        ))
+    for i in np.flatnonzero(split):
+        cols = np.flatnonzero(hits[i, :])
+        events.append(TransitionEvent(
+            "split", (int(i),), tuple(int(j) for j in cols), tuple(float(values[i, j]) for j in cols)
+        ))
+    persist = hits & ~merged[np.newaxis, :] & ~split[:, np.newaxis]
+    for i, j in zip(*np.nonzero(persist)):
+        events.append(TransitionEvent("persist", (int(i),), (int(j),), (float(values[i, j]),)))
+    return events
+
+
 def ols_ssr_reference(x, y) -> float:
     design = np.column_stack([np.ones(len(x)), np.asarray(x, dtype=float)])
     target = np.asarray(y, dtype=float)
@@ -261,4 +356,4 @@ def generate_corpus_reference(spec: PlantSpec, with_text: bool = False) -> tuple
                 documents.append(Document(id=doc_id, date=date, text=text, tags=()))
             else:
                 documents.append(Document(id=doc_id, date=date, text="", tags=tags))
-    return Corpus(documents=tuple(documents), source_label="synthetic"), truth
+    return Corpus(documents=tuple(documents)), truth

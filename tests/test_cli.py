@@ -265,7 +265,7 @@ _NUMPY_PROBE = (
 )
 
 
-@pytest.mark.parametrize("command", ["import", "trend", "cluster"])
+@pytest.mark.parametrize("command", ["import", "trend", "cluster", "compare", "series"])
 def test_numpy_stays_off_the_start_up_path(tmp_path, command):
     if command == "trend":
         lexicon, terms = trend_fixture(tmp_path)
@@ -281,6 +281,22 @@ def test_numpy_stays_off_the_start_up_path(tmp_path, command):
             "cluster",
             "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
             "--window", "2021-01-01:2021-02-01", "--out", str(tmp_path / "out"),
+        ]
+    elif command == "compare":
+        data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
+        argv = [
+            "compare",
+            "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
+            "--window-t", "2021-01-01:2021-02-01", "--window-t1", "2021-02-01:2021-03-01",
+            "--out", str(tmp_path / "out"),
+        ]
+    elif command == "series":
+        data = synth_into(tmp_path, eight_window_spec(tmp_path), "data8")
+        windows = write_json(tmp_path / "windows.json", [{"start": MONTHS[i], "end": MONTHS[i + 1]} for i in range(8)])
+        argv = [
+            "series",
+            "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
+            "--windows", windows, "--breakpoint", "3", "--out", str(tmp_path / "out"),
         ]
     else:
         argv = []

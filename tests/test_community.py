@@ -25,6 +25,7 @@ from techflux.errors import CommunityError
 from oracles import (
     best_partition_bruteforce,
     escape_round_reference,
+    local_phase_reference,
     make_graph,
     modularity_pairsum,
     random_connected_graph,
@@ -236,6 +237,22 @@ def test_escape_round_matches_rescoring_oracle(case):
     level, resolution, order, com = case
     assert _escape_round(level, resolution, order, list(com)) == \
         escape_round_reference(level, resolution, order, list(com))
+
+
+@st.composite
+def local_phase_cases(draw):
+    """An escape-round case whose nodes may carry self-loops, as on aggregated levels."""
+    level, resolution, order, com = draw(escape_round_cases())
+    self_w = draw(st.lists(st.integers(0, 3).map(float), min_size=level.size, max_size=level.size))
+    return _Level(level.sort_keys, level.adj, self_w), resolution, order, com
+
+
+@settings(max_examples=200, deadline=None)
+@given(local_phase_cases())
+def test_local_phase_matches_ascending_scan_oracle(case):
+    level, resolution, order, com = case
+    assert _local_phase(level, resolution, order) == local_phase_reference(level, resolution, order)
+    assert _local_phase(level, resolution, order, com) == local_phase_reference(level, resolution, order, com)
 
 
 # short names over a small alphabet, so shared prefixes are common

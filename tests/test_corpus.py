@@ -94,16 +94,15 @@ def _sample_docs():
 
 
 def test_jsonl_roundtrip(tmp_path):
-    corpus = Corpus(documents=_sample_docs(), source_label="sample")
+    corpus = Corpus(documents=_sample_docs())
     path = tmp_path / "sample.jsonl"
     save_corpus(corpus, path)
     loaded = load_corpus(path)
     assert loaded.documents == corpus.documents
-    assert loaded.source_label == "sample"
 
 
 def test_csv_roundtrip(tmp_path):
-    corpus = Corpus(documents=_sample_docs(), source_label="x")
+    corpus = Corpus(documents=_sample_docs())
     path = tmp_path / "sample.csv"
     save_corpus(corpus, path)
     loaded = load_corpus(path)

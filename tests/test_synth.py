@@ -401,7 +401,7 @@ def test_noiseless_corpus_recovers_planted_structure():
     spec = plant_spec_from_records(records)
     corpus, truth = generate_corpus(spec)
 
-    pairs = []
+    partitions = []
     for w_index, window in enumerate(spec.windows):
         graph = build_cooccurrence(window_filter(corpus, window), EMPTY_LEX, field="tags")
         partition = louvain(graph)
@@ -410,10 +410,10 @@ def test_noiseless_corpus_recovers_planted_structure():
             planted.setdefault(community, set()).add(term)
         found = {frozenset(block) for block in partition.clusters()}
         assert found == {frozenset(members) for members in planted.values()}
-        pairs.append((graph, partition))
+        partitions.append(partition)
 
-    report = transition_report(pairs[0], pairs[1], tau=0.1)
-    members_t1 = {cid: set(pairs[1][1].members(cid)) for cid in range(pairs[1][1].cluster_count)}
+    report = transition_report(partitions[0], partitions[1], tau=0.1)
+    members_t1 = {cid: set(partitions[1].members(cid)) for cid in range(partitions[1].cluster_count)}
     planted_t1 = {}
     for term, community in truth.assignments[1].items():
         planted_t1.setdefault(community, set()).add(term)
