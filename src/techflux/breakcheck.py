@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cograph import FIELD_CHOICES, build_cooccurrence, document_items, top_n_filter
+from .cograph import FIELD_CHOICES, build_cooccurrence, document_items
 from .community import louvain
 from .config import PipelineConfig
 from .corpus import Corpus, TimeWindow, window_filter
@@ -265,8 +265,7 @@ def cluster_window(corpus: Corpus, lexicon: TermLexicon, window: TimeWindow | No
     Raises if the graph has no edges.
     """
     sub = corpus if window is None else window_filter(corpus, window)
-    graph = build_cooccurrence(sub, lexicon, field=config.field, pairs=config.pairs)
-    graph = top_n_filter(graph, config.top_n)
+    graph = build_cooccurrence(sub, lexicon, field=config.field, pairs=config.pairs, top_n=config.top_n)
     if not graph.edges:
         scope = "the corpus" if window is None else f"window {window.describe()}"
         raise StatsError(f"{scope} produced an edgeless graph")

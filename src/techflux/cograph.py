@@ -5,6 +5,11 @@ between two items iff they appear together in at least one document, with
 weight = the number of such documents. Node and edge listings are kept in
 canonical sorted order so that every downstream computation and every export
 is deterministic.
+
+A node's document frequency is known before any pair is counted, so the
+build can keep only the top-n nodes (highest frequency, ties to the lower
+name) and count pairs among those alone; the graph equals the full build
+passed through ``top_n_filter``.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,29 +99,44 @@ def document_items(doc, lexicon: TermLexicon, field: str) -> set[str]:
     return items
 
 
-def build_cooccurrence(corpus: Corpus, lexicon: TermLexicon, field: str = "both", pairs: str = "all") -> CoGraph:
+def build_cooccurrence(
+    corpus: Corpus,
+    lexicon: TermLexicon,
+    field: str = "both",
+    pairs: str = "all",
+    top_n: int | None = None,
+) -> CoGraph:
     """Accumulate the co-occurrence network over a corpus.
 
     Per document the item set is (extracted terms) | (tags) depending on
     ``field``; every unordered pair in that set adds 1 to its edge weight.
     A name that is both a tag and a lexicon canonical term is one node with
     kind=technology. ``pairs="tech-tag"`` keeps only technology-tag edges.
+
+    With ``top_n`` set, only the top_n nodes by document frequency are kept
+    (the rule of ``top_n_filter``) and pairs are counted among them alone;
+    the result equals ``top_n_filter(build_cooccurrence(...), top_n)``.
+    Each document's items are extracted once either way.
     """
     if field not in FIELD_CHOICES:
         raise GraphError(f"field must be one of {FIELD_CHOICES}, got {field!r}")
     if pairs not in PAIR_CHOICES:
         raise GraphError(f"pairs must be one of {PAIR_CHOICES}, got {pairs!r}")
+    if top_n is not None:
+        _check_top_n(top_n)
     canonical = lexicon.canonical_terms
-    doc_frequency: dict[str, int] = {}
-    weights: dict[tuple[str, str], int] = {}
-    for doc in corpus.documents:
-        items = document_items(doc, lexicon, field)
-        for item in items:
-            doc_frequency[item] = doc_frequency.get(item, 0) + 1
-        for u, v in itertools.combinations(sorted(items), 2):
-            if pairs == "tech-tag" and (u in canonical) == (v in canonical):
-                continue
-            weights[(u, v)] = weights.get((u, v), 0) + 1
+    item_sets = [document_items(doc, lexicon, field) for doc in corpus.documents]
+    doc_frequency = Counter(itertools.chain.from_iterable(item_sets))
+    if top_n is not None and len(doc_frequency) > top_n:
+        keep = _top_names(doc_frequency, top_n)
+        item_sets = [items & keep for items in item_sets]
+        doc_frequency = {name: doc_frequency[name] for name in keep}
+    weights: Counter[tuple[str, str]] = Counter()
+    for items in item_sets:
+        combos = itertools.combinations(sorted(items), 2)
+        if pairs == "tech-tag":
+            combos = ((u, v) for u, v in combos if (u in canonical) != (v in canonical))
+        weights.update(combos)
     nodes = tuple(
         GraphNode(name=name, kind=KIND_TECHNOLOGY if name in canonical else KIND_TAG, doc_frequency=doc_frequency[name])
         for name in sorted(doc_frequency)
@@ -124,14 +145,23 @@ def build_cooccurrence(corpus: Corpus, lexicon: TermLexicon, field: str = "both"
     return CoGraph(nodes=nodes, edges=edges)
 
 
-def top_n_filter(graph: CoGraph, n: int) -> CoGraph:
-    """Keep the n nodes with highest doc_frequency (ties: lexicographic, lower kept)."""
+def _check_top_n(n: int) -> None:
     if n < 1:
         raise GraphError(f"top_n must be >= 1, got {n}")
+
+
+def _top_names(doc_frequency: dict[str, int], n: int) -> set[str]:
+    """The n names with highest doc_frequency (ties: lexicographic, lower kept)."""
+    ranked = sorted(doc_frequency, key=lambda name: (-doc_frequency[name], name))
+    return set(ranked[:n])
+
+
+def top_n_filter(graph: CoGraph, n: int) -> CoGraph:
+    """Keep the n nodes with highest doc_frequency (ties: lexicographic, lower kept)."""
+    _check_top_n(n)
     if len(graph.nodes) <= n:
         return graph
-    ranked = sorted(graph.nodes, key=lambda node: (-node.doc_frequency, node.name))
-    keep = {node.name for node in ranked[:n]}
+    keep = _top_names({node.name: node.doc_frequency for node in graph.nodes}, n)
     nodes = tuple(node for node in graph.nodes if node.name in keep)
     edges = tuple(edge for edge in graph.edges if edge.u in keep and edge.v in keep)
     return CoGraph(nodes=nodes, edges=edges)

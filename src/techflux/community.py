@@ -56,6 +56,10 @@ class Partition:
         for node, cid in self.assignment.items():
             if not isinstance(cid, int) or cid < 0 or cid >= self.cluster_count:
                 raise CommunityError(f"node {node!r}: cluster id {cid!r} outside 0..{self.cluster_count - 1}")
+        used = set(self.assignment.values())
+        if len(used) < self.cluster_count:
+            unused = min(set(range(self.cluster_count)) - used)
+            raise CommunityError(f"cluster {unused} has no nodes (ids must be dense 0..{self.cluster_count - 1})")
 
     def members(self, cluster_id: int) -> tuple[str, ...]:
         return tuple(sorted(name for name, cid in self.assignment.items() if cid == cluster_id))

@@ -225,7 +225,12 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str | None = None) -> 
             bad = [t for t in doc.tags if ";" in t]
             if bad:
                 raise CorpusError(f"document {doc.id!r}: tag {bad[0]!r} contains ';', not representable in CSV")
-            writer.writerow([doc.id, doc.date.isoformat(), doc.text, ";".join(doc.tags)])
+            row = [doc.id, doc.date.isoformat(), doc.text, ";".join(doc.tags)]
+            # the csv reader of Python 3.10 rejects NUL, so no version may write it
+            nul = [column for column, value in zip(_CSV_COLUMNS, row) if "\x00" in value]
+            if nul:
+                raise CorpusError(f"document {doc.id!r}: {nul[0]} contains a NUL character, not representable in CSV")
+            writer.writerow(row)
         atomic_write_text(path, buf.getvalue())
     else:
         raise CorpusError(f"unknown corpus format: {format!r} (expected jsonl or csv)")

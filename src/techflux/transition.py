@@ -70,13 +70,10 @@ class TransitionReport:
     tau: float
 
 
-def _cluster_members(partition: Partition, side: str) -> list[set[str]]:
+def _cluster_members(partition: Partition) -> list[set[str]]:
     members: list[set[str]] = [set() for _ in range(partition.cluster_count)]
     for name, cid in partition.assignment.items():
         members[cid].add(name)
-    for cid, nodes in enumerate(members):
-        if not nodes:
-            raise TransitionError(f"empty cluster {cid} in {side} partition")
     return members
 
 
@@ -88,8 +85,8 @@ def similarity_matrix(
     """Node-name overlap between every cluster at t and every cluster at t+1."""
     if measure not in MEASURES:
         raise TransitionError(f"unknown similarity measure {measure!r} (expected one of {MEASURES})")
-    members_t = _cluster_members(part_t, "window-t")
-    members_t1 = _cluster_members(part_t1, "window-t1")
+    members_t = _cluster_members(part_t)
+    members_t1 = _cluster_members(part_t1)
     inter = tuple(tuple(len(vi & vj) for vj in members_t1) for vi in members_t)
     row_sizes = tuple(len(v) for v in members_t)
     col_sizes = tuple(len(v) for v in members_t1)

@@ -16,6 +16,7 @@ import numpy as np
 from techflux.cograph import CoGraph, GraphEdge, GraphNode
 from techflux.community import _Level
 from techflux.corpus import Corpus, Document
+from techflux.errors import GraphError
 from techflux.lexicon import TermLexicon
 from techflux.synth import GroundTruth, PlantSpec, SplitMix64, _evolve_communities, _ground_truth
 from techflux.transition import TransitionEvent
@@ -31,6 +32,19 @@ def make_graph(edge_list, extra_nodes=(), kind="tag"):
         names.update((a, b))
     nodes = tuple(GraphNode(name=n, kind=kind, doc_frequency=1) for n in sorted(names))
     edges = tuple(GraphEdge(u=a, v=b, weight=w) for (a, b), w in sorted(weights.items()))
+    return CoGraph(nodes=nodes, edges=edges)
+
+
+def top_n_filter_reference(graph: CoGraph, n: int) -> CoGraph:
+    """The n nodes of a full graph with highest doc_frequency (ties: lower name) and their edges."""
+    if n < 1:
+        raise GraphError(f"top_n must be >= 1, got {n}")
+    if len(graph.nodes) <= n:
+        return graph
+    ranked = sorted(graph.nodes, key=lambda node: (-node.doc_frequency, node.name))
+    keep = {node.name for node in ranked[:n]}
+    nodes = tuple(node for node in graph.nodes if node.name in keep)
+    edges = tuple(edge for edge in graph.edges if edge.u in keep and edge.v in keep)
     return CoGraph(nodes=nodes, edges=edges)
 
 

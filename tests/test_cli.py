@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import techflux
+import techflux.cograph
 from techflux.cli import main
+from techflux.corpus import load_corpus, load_windows, window_filter
 
 COMPARE_FILES = (
     "graph_t.graphml", "graph_t1.graphml", "graph_t.json", "graph_t1.json",
@@ -164,6 +167,50 @@ def test_series_invalid_breakpoint_exits_2(tmp_path, capsys):
     assert code == 2
     assert "techflux breakcheck:" in captured.err
     assert "segments of 1 and 6" in captured.err
+
+
+def _no_full_build(*args, **kwargs):
+    raise AssertionError("a full graph was built and then cut to the top n")
+
+
+@pytest.mark.parametrize("command", ["compare", "series"])
+def test_windows_build_only_the_kept_nodes_and_extract_once_per_doc(tmp_path, monkeypatch, command):
+    if command == "compare":
+        spec, months = two_window_spec(tmp_path), ["2021-01-01", "2021-02-01", "2021-03-01"]
+    else:
+        spec, months = eight_window_spec(tmp_path), MONTHS
+    data = tmp_path / "data"
+    assert main(["synth", "--plant-spec", spec, "--with-text", "--out", str(data)]) == 0
+    windows_path = write_json(
+        tmp_path / "windows.json",
+        [{"start": start, "end": end} for start, end in zip(months, months[1:])],
+    )
+    if command == "compare":
+        window_args = ["--window-t", f"{months[0]}:{months[1]}", "--window-t1", f"{months[1]}:{months[2]}"]
+    else:
+        window_args = ["--windows", windows_path, "--breakpoint", "3"]
+    for module in [m for name, m in sorted(sys.modules.items()) if name.startswith("techflux")]:
+        if hasattr(module, "top_n_filter"):
+            monkeypatch.setattr(module, "top_n_filter", _no_full_build)
+    extracted = collections.Counter()
+    original = techflux.cograph.extract_terms
+
+    def counting_extract(doc, lexicon):
+        extracted[doc.id] += 1
+        return original(doc, lexicon)
+
+    monkeypatch.setattr(techflux.cograph, "extract_terms", counting_extract)
+    code = main([
+        command, "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
+        "--field", "text", "--top-n", "6", *window_args, "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    corpus = load_corpus(data / "corpus.jsonl")
+    expected = collections.Counter(
+        doc.id for window in load_windows(windows_path) for doc in window_filter(corpus, window).documents
+    )
+    assert extracted == expected
+    assert set(expected.values()) == {1}
 
 
 def test_missing_lexicon_exits_2(tmp_path, capsys):

@@ -3,8 +3,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from techflux.cograph import (
+    FIELD_CHOICES,
+    PAIR_CHOICES,
     CoGraph,
     GraphEdge,
     GraphNode,
@@ -19,7 +23,7 @@ from techflux.corpus import Corpus, Document
 from techflux.errors import GraphError
 from techflux.lexicon import lexicon_from_records
 
-from oracles import make_graph
+from oracles import make_graph, top_n_filter_reference
 
 DATE = dt.date(2020, 1, 1)
 
@@ -177,10 +181,49 @@ def test_top_n_idempotent_and_monotone():
             assert set(top_n_filter(graph, small).node_names()) <= set(top_n_filter(graph, big).node_names())
 
 
+class _UnreadableCorpus:
+    @property
+    def documents(self):
+        raise AssertionError("a document was read")
+
+
 def test_top_n_requires_positive_n():
     graph = build_cooccurrence(corpus_of(tag_doc("d1", "a", "b")), EMPTY_LEX, field="tags")
     with pytest.raises(GraphError):
         top_n_filter(graph, 0)
+    with pytest.raises(GraphError, match=r"^top_n must be >= 1, got 0$"):
+        build_cooccurrence(_UnreadableCorpus(), EMPTY_LEX, top_n=0)
+
+
+# the terms "ai", "iot" and "vr" are also drawn as tags; a few words and tags
+# over a few documents give many ties in document frequency
+_TERM_LEX = lexicon_from_records([
+    {"canonical": "ai", "patterns": ["ai", "ai|machine learning"]},
+    {"canonical": "iot", "patterns": ["iot"]},
+    {"canonical": "vr", "patterns": ["vr"]},
+])
+_WORDS = ("ai", "machine learning", "iot", "vr", "other")
+_TAGS = ("ai", "iot", "vr", "cloud", "news")
+
+
+@st.composite
+def term_corpora(draw):
+    docs = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(_WORDS), max_size=4), st.lists(st.sampled_from(_TAGS), max_size=4)),
+        max_size=8,
+    ))
+    return corpus_of(*(
+        Document(id=f"d{i}", date=DATE, text=" ".join(words), tags=tuple(tags))
+        for i, (words, tags) in enumerate(docs)
+    ))
+
+
+@settings(deadline=None)
+@given(term_corpora(), st.sampled_from(FIELD_CHOICES), st.sampled_from(PAIR_CHOICES), st.data())
+def test_top_n_build_matches_full_build_then_filter(corpus, field, pairs, data):
+    full = build_cooccurrence(corpus, _TERM_LEX, field, pairs)
+    n = data.draw(st.integers(1, len(full.nodes) + 2), label="top_n")
+    assert build_cooccurrence(corpus, _TERM_LEX, field, pairs, top_n=n) == top_n_filter_reference(full, n)
 
 
 def test_graph_validation_rules():

@@ -165,6 +165,8 @@ def test_partition_validation():
         Partition(assignment={}, modularity=0.0, cluster_count=1)
     with pytest.raises(CommunityError, match="outside"):
         Partition(assignment={"a": 2}, modularity=0.0, cluster_count=2)
+    with pytest.raises(CommunityError, match=r"^cluster 1 has no nodes"):
+        Partition(assignment={"a": 0, "b": 2, "c": 3}, modularity=0.0, cluster_count=4)
     part = Partition(assignment={"a": 0, "b": 1, "c": 0}, modularity=0.0, cluster_count=2)
     assert part.members(0) == ("a", "c")
     assert part.clusters() == [("a", "c"), ("b",)]

@@ -139,11 +139,19 @@ def saved_corpora(draw):
 @settings(deadline=None)
 @given(saved_corpora(), st.sampled_from(["jsonl", "csv"]))
 def test_save_load_roundtrip_property(corpus, fmt):
-    semicolon_docs = [doc.id for doc in corpus.documents if any(";" in tag for tag in doc.tags)]
+    def csv_error(doc):
+        if any(";" in tag for tag in doc.tags):
+            return "tag .* ';'"
+        nul = [column for column, value in (("id", doc.id), ("text", doc.text), ("tags", "".join(doc.tags)))
+               if "\x00" in value]
+        return f"{nul[0]} contains a NUL character" if nul else None
+
+    unwritable = [(doc.id, csv_error(doc)) for doc in corpus.documents if csv_error(doc)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"corpus.{fmt}"
-        if fmt == "csv" and semicolon_docs:
-            with pytest.raises(CorpusError, match=f"document {re.escape(repr(semicolon_docs[0]))}: tag .* ';'"):
+        if fmt == "csv" and unwritable:
+            doc_id, message = unwritable[0]
+            with pytest.raises(CorpusError, match=f"document {re.escape(repr(doc_id))}: {message}"):
                 save_corpus(corpus, path)
             assert not path.exists()
             return

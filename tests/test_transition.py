@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from techflux.community import Partition
-from techflux.errors import TransitionError
+from techflux.errors import CommunityError, TransitionError
 from techflux.transition import (
     EVENT_BIRTH,
     EVENT_DEATH,
@@ -84,11 +84,8 @@ def test_disjoint_windows_zero_matrix_and_events():
 
 
 def test_empty_cluster_rejected():
-    bad = Partition({"a": 0}, 0.0, 2)
-    with pytest.raises(TransitionError, match="empty cluster 1 in window-t "):
-        similarity_matrix(bad, partition({"a"}))
-    with pytest.raises(TransitionError, match="empty cluster 1 in window-t1"):
-        similarity_matrix(partition({"a"}), bad)
+    with pytest.raises(CommunityError, match="^cluster 1 has no nodes"):
+        Partition({"a": 0}, 0.0, 2)
 
 
 def test_biadjacency_block_structure():
