@@ -22,9 +22,6 @@ across the degrees of freedom this module produces.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +31,7 @@ from .community import louvain
 from .config import PipelineConfig
 from .corpus import Corpus, TimeWindow, window_filter
 from .errors import StatsError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, json_text, write_csv
 from .lexicon import TermLexicon
 from .transition import MEASURE_OVERLAP_TARGET, transition_report
 
@@ -218,7 +215,7 @@ def break_result_to_json(result: BreakTestResult) -> str:
         "n1": result.n1,
         "n2": result.n2,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json_text(payload)
 
 
 def export_break_json(result: BreakTestResult, path: str | Path) -> None:
@@ -301,17 +298,12 @@ def index_series(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow]
 
 
 def export_series_csv(series: IndexSeries, path: str | Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["window_start", "window_end", "mean_ci", "mean_ni"])
-    for point in series.points:
-        writer.writerow([
-            point.window.start.isoformat(),
-            point.window.end.isoformat(),
-            f"{point.mean_ci:.6f}",
-            f"{point.mean_ni:.6f}",
-        ])
-    atomic_write_text(path, buf.getvalue())
+    rows = [("window_start", "window_end", "mean_ci", "mean_ni")]
+    rows += [
+        (p.window.start.isoformat(), p.window.end.isoformat(), f"{p.mean_ci:.6f}", f"{p.mean_ni:.6f}")
+        for p in series.points
+    ]
+    write_csv(path, rows)
 
 
 def _period_key(date, period: str) -> str:
@@ -356,13 +348,9 @@ def term_trend(
 def export_trend_csv(counts: dict[str, dict[str, int]], path: str | Path) -> None:
     """CSV rows (period, source, count) covering every period seen anywhere."""
     periods = sorted({p for per_period in counts.values() for p in per_period})
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["period", "source", "count"])
-    for period in periods:
-        for source in sorted(counts):
-            writer.writerow([period, source, counts[source].get(period, 0)])
-    atomic_write_text(path, buf.getvalue())
+    rows = [("period", "source", "count")]
+    rows += [(period, source, counts[source].get(period, 0)) for period in periods for source in sorted(counts)]
+    write_csv(path, rows)
 
 
 def pearson(a: list[float], b: list[float]) -> float:

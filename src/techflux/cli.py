@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import json
 import math
 import re
 import sys
@@ -26,7 +25,7 @@ from .community import export_partition_json, suggest_labels
 from .config import PipelineConfig, build_config, read_config_file
 from .corpus import TimeWindow, load_corpus, load_windows, save_corpus
 from .errors import ConfigError, StatsError, TechfluxError
-from .fileio import atomic_write_text
+from .fileio import read_text, write_csv, write_json
 from .lexicon import compile_lexicon, lexicon_from_records
 from .transition import MEASURES, alluvial_export, export_report_json, export_similarity_csv, transition_report
 
@@ -146,11 +145,7 @@ def _parse_source(raw: str) -> tuple[str, str]:
 
 
 def _load_terms_file(path: str) -> list[str]:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read terms file {path}: {exc}") from exc
-    terms = [line.strip() for line in lines]
+    terms = [line.strip() for line in read_text(path, ConfigError, "terms file").splitlines()]
     terms = [t for t in terms if t and not t.startswith("#")]
     if not terms:
         raise ConfigError(f"terms file {path} lists no terms")
@@ -190,9 +185,8 @@ def run_trend(args: argparse.Namespace) -> int:
                 print(f"trend: {term!r} between {a} and {b}: {exc}", file=sys.stderr)
                 continue
             correlation_rows.append((term, a, b, f"{r:.6f}"))
-    lines = ["term,source_a,source_b,pearson_r"]
-    lines += [",".join(row) for row in correlation_rows]
-    atomic_write_text(out / "correlations.csv", "\n".join(lines) + "\n")
+    header = ("term", "source_a", "source_b", "pearson_r")
+    write_csv(out / "correlations.csv", [header] + correlation_rows, lineterminator="\n")
     print(f"wrote {len(terms)} trend files and correlations.csv to {out}")
     return 0
 
@@ -207,7 +201,7 @@ def run_synth(args: argparse.Namespace) -> int:
     synth.export_ground_truth(truth, out / "ground_truth.json")
     records = synth.lexicon_records(truth)
     lexicon_from_records(records, where="generated lexicon")
-    atomic_write_text(out / "lexicon.json", json.dumps(records, indent=2) + "\n")
+    write_json(out / "lexicon.json", records)
     print(
         f"generated {len(corpus.documents)} documents over {len(spec.windows)} windows, "
         f"{len(truth.terms())} terms, seed {spec.seed}"

@@ -15,7 +15,6 @@ passed through ``top_n_filter``.
 from __future__ import annotations
 
 import itertools
-import json
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import GraphError
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes, read_json, write_json
 from .lexicon import TermLexicon, extract_terms
 
 KIND_TECHNOLOGY = "technology"
@@ -248,17 +247,12 @@ def export_graph_json(graph: CoGraph, path: str | Path) -> None:
         "nodes": [{"name": n.name, "kind": n.kind, "doc_frequency": n.doc_frequency} for n in graph.nodes],
         "edges": [{"u": e.u, "v": e.v, "weight": e.weight} for e in graph.edges],
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    write_json(path, payload)
 
 
 def import_graph_json(path: str | Path) -> CoGraph:
     path = Path(path)
-    if not path.exists():
-        raise GraphError(f"graph json file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"{path.name}: invalid JSON ({exc.msg})") from None
+    payload = read_json(path, GraphError, "graph JSON file")
     if not isinstance(payload, dict) or "nodes" not in payload or "edges" not in payload:
         raise GraphError(f"{path.name}: expected object with 'nodes' and 'edges'")
     nodes = tuple(

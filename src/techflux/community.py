@@ -29,13 +29,12 @@ partitions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .cograph import CoGraph
 from .errors import CommunityError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, json_text
 
 EDGELESS_MSG = "modularity undefined on edgeless graph"
 
@@ -466,7 +465,7 @@ def partition_to_json(partition: Partition) -> str:
         "modularity": partition.modularity,
         "cluster_count": partition.cluster_count,
     }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return json_text(payload)
 
 
 def export_partition_json(partition: Partition, path) -> None:

@@ -7,12 +7,12 @@ over defaults.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .cograph import FIELD_CHOICES, PAIR_CHOICES
 from .errors import ConfigError
+from .fileio import read_json
 from .transition import MEASURES
 
 
@@ -61,13 +61,7 @@ _CONFIG_KEYS: dict[str, type] = {
 
 def read_config_file(path: str | Path) -> dict[str, object]:
     """Load a flat JSON object of config keys, which are the dataclass field names."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    raw = read_json(path, ConfigError, "config file")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a flat JSON object")
     values: dict[str, object] = {}

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CorpusError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, has_lone_surrogate, open_text, read_json, write_csv
 
 
 def normalize_tag(raw: str) -> str:
@@ -137,7 +136,7 @@ def _make_document(record: dict, where: str) -> Document:
 
 def _load_jsonl(path: Path) -> list[Document]:
     docs = []
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path, CorpusError, "corpus file") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -148,6 +147,8 @@ def _load_jsonl(path: Path) -> list[Document]:
                 raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from None
             if not isinstance(record, dict):
                 raise CorpusError(f"{where}: record must be a JSON object")
+            if has_lone_surrogate(line, record):
+                raise CorpusError(f"{where}: lone surrogate escape, not valid text")
             docs.append(_make_document(record, where))
     return docs
 
@@ -164,7 +165,7 @@ def _load_csv(path: Path) -> list[Document]:
     # the limit is process-wide, so it is raised for this read only
     old_limit = csv.field_size_limit(_CSV_FIELD_LIMIT)
     try:
-        with path.open(encoding="utf-8", newline="") as fh:
+        with open_text(path, CorpusError, "corpus file") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
             missing = [c for c in _CSV_COLUMNS if c not in header]
@@ -191,8 +192,6 @@ def load_corpus(path: str | Path, format: str | None = None) -> Corpus:
     preserved; tags come back case-folded and deduplicated per document.
     """
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"corpus file not found: {path}")
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if format == "jsonl":
@@ -210,17 +209,10 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str | None = None) -> 
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if format == "jsonl":
-        lines = []
-        for doc in corpus.documents:
-            lines.append(json.dumps(
-                {"id": doc.id, "date": doc.date.isoformat(), "text": doc.text, "tags": list(doc.tags)},
-                ensure_ascii=False,
-            ))
-        atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+        records = ({"id": d.id, "date": d.date.isoformat(), "text": d.text, "tags": list(d.tags)} for d in corpus.documents)
+        atomic_write_text(path, "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records))
     elif format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(_CSV_COLUMNS)
+        rows = [_CSV_COLUMNS]
         for doc in corpus.documents:
             bad = [t for t in doc.tags if ";" in t]
             if bad:
@@ -230,8 +222,8 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str | None = None) -> 
             nul = [column for column, value in zip(_CSV_COLUMNS, row) if "\x00" in value]
             if nul:
                 raise CorpusError(f"document {doc.id!r}: {nul[0]} contains a NUL character, not representable in CSV")
-            writer.writerow(row)
-        atomic_write_text(path, buf.getvalue())
+            rows.append(row)
+        write_csv(path, rows)
     else:
         raise CorpusError(f"unknown corpus format: {format!r} (expected jsonl or csv)")
 
@@ -242,20 +234,17 @@ def window_filter(corpus: Corpus, window: TimeWindow) -> Corpus:
     return Corpus(documents=kept)
 
 
+def window_from_record(record: object, where: str) -> TimeWindow:
+    """A window from a {"start", "end", "label"} record; a time of day in a date is dropped."""
+    if not isinstance(record, dict) or "start" not in record or "end" not in record:
+        raise CorpusError(f"{where} needs 'start' and 'end'")
+    return TimeWindow(parse_date(str(record["start"])), parse_date(str(record["end"])), str(record.get("label", "")))
+
+
 def load_windows(path: str | Path) -> list[TimeWindow]:
     """Load a JSON array of {"start", "end", "label"} window records."""
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"windows file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path.name}: invalid JSON ({exc.msg})") from None
+    raw = read_json(path, CorpusError, "windows file")
     if not isinstance(raw, list):
         raise CorpusError(f"{path.name}: expected a JSON array of window records")
-    windows = []
-    for i, rec in enumerate(raw):
-        if not isinstance(rec, dict) or "start" not in rec or "end" not in rec:
-            raise CorpusError(f"{path.name}: window {i} needs 'start' and 'end'")
-        windows.append(TimeWindow(parse_date(str(rec["start"])), parse_date(str(rec["end"])), str(rec.get("label", ""))))
-    return windows
+    return [window_from_record(rec, f"{path.name}: window {i}") for i, rec in enumerate(raw)]

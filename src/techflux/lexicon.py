@@ -30,13 +30,13 @@ left, so the index reads the text with ``ı`` as ``i``.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Document
+from .corpus import Document, normalize_tag
 from .errors import LexiconError
+from .fileio import read_json
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def compile_pattern(pattern: str) -> re.Pattern:
 
 
 def _compile_entry(canonical: str, patterns: list[str]) -> TermPattern:
-    canonical = " ".join(canonical.casefold().split())
+    canonical = normalize_tag(canonical)
     if not canonical:
         raise LexiconError("lexicon entry with empty canonical term")
     if not patterns:
@@ -196,13 +196,7 @@ def _compile_entry(canonical: str, patterns: list[str]) -> TermPattern:
 def compile_lexicon(path: str | Path) -> TermLexicon:
     """Load and compile a lexicon file, self-testing every pattern."""
     path = Path(path)
-    if not path.exists():
-        raise LexiconError(f"lexicon file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"{path.name}: invalid JSON ({exc.msg})") from None
-    return lexicon_from_records(raw, where=path.name)
+    return lexicon_from_records(read_json(path, LexiconError, "lexicon file"), where=path.name)
 
 
 def lexicon_from_records(raw: object, where: str = "lexicon") -> TermLexicon:

@@ -23,15 +23,14 @@ same number of scalar draws: the stream is the same splitmix64 sequence.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .corpus import Corpus, Document, TimeWindow, normalize_tag
+from .corpus import Corpus, Document, TimeWindow, normalize_tag, window_from_record
 from .errors import SynthError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, json_text, read_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -260,11 +259,7 @@ def plant_spec_from_records(raw: object, where: str = "plant spec") -> PlantSpec
     windows_raw = raw.get("windows")
     if not isinstance(windows_raw, list) or not windows_raw:
         raise SynthError(f"{where}: windows must be a nonempty list")
-    windows = []
-    for i, rec in enumerate(windows_raw):
-        if not isinstance(rec, dict) or "start" not in rec or "end" not in rec:
-            raise SynthError(f"{where}: window {i} needs start and end dates")
-        windows.append(TimeWindow.parse(f"{rec['start']}:{rec['end']}", label=rec.get("label", "")))
+    windows = [window_from_record(rec, f"{where}: window {i}") for i, rec in enumerate(windows_raw)]
     for prev, cur in zip(windows, windows[1:]):
         if not cur.start > prev.start:
             raise SynthError(f"{where}: windows must be strictly increasing by start date")
@@ -301,14 +296,7 @@ def plant_spec_from_records(raw: object, where: str = "plant spec") -> PlantSpec
 
 
 def load_plant_spec(path: str | Path) -> PlantSpec:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SynthError(f"cannot read plant spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SynthError(f"{path}: invalid JSON: {exc}") from exc
-    return plant_spec_from_records(raw, where=str(path))
+    return plant_spec_from_records(read_json(path, SynthError, "plant spec"), where=str(path))
 
 
 def _inherit_count(mixing: float, size: int) -> int:
@@ -512,7 +500,7 @@ def ground_truth_to_json(truth: GroundTruth) -> str:
             for i in range(len(truth.pair_events))
         ],
     }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return json_text(payload)
 
 
 def export_ground_truth(truth: GroundTruth, path: str | Path) -> None:

@@ -19,15 +19,12 @@ exploration but the indices are undefined for it.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .community import Partition
 from .errors import TransitionError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, json_text, write_csv
 
 MEASURE_OVERLAP_TARGET = "overlap_target"
 MEASURE_JACCARD = "jaccard"
@@ -216,12 +213,9 @@ def export_similarity_csv(
     """CSV: header = t+1 cluster labels, first column = t cluster labels, 6 decimals."""
     row_labels = row_labels or [str(i) for i in range(len(matrix.row_sizes))]
     col_labels = col_labels or [str(j) for j in range(len(matrix.col_sizes))]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([""] + list(col_labels))
-    for i, label in enumerate(row_labels):
-        writer.writerow([label] + [f"{v:.6f}" for v in matrix.values[i]])
-    atomic_write_text(path, buf.getvalue())
+    rows = [[""] + list(col_labels)]
+    rows += [[label] + [f"{v:.6f}" for v in matrix.values[i]] for i, label in enumerate(row_labels)]
+    write_csv(path, rows)
 
 
 def report_to_json(report: TransitionReport, row_labels: list[str] | None = None, col_labels: list[str] | None = None) -> str:
@@ -246,7 +240,7 @@ def report_to_json(report: TransitionReport, row_labels: list[str] | None = None
             for e in report.events
         ],
     }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return json_text(payload)
 
 
 def export_report_json(report: TransitionReport, path: str | Path, row_labels=None, col_labels=None) -> None:
@@ -273,9 +267,5 @@ def alluvial_export(
             if flow > 0:
                 rows.append((i, j, flow, labels_t[i], labels_t1[j], matrix.row_sizes[i]))
     rows.sort(key=lambda r: (-r[5], -r[2], r[0], r[1]))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["source_cluster", "target_cluster", "flow_weight", "source_label", "target_label"])
-    for source, target, flow, slabel, tlabel, _ in rows:
-        writer.writerow([source, target, flow, slabel, tlabel])
-    atomic_write_text(path, buf.getvalue())
+    header = ("source_cluster", "target_cluster", "flow_weight", "source_label", "target_label")
+    write_csv(path, [header] + [row[:5] for row in rows])

@@ -1,6 +1,8 @@
 import collections
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import techflux
 import techflux.cograph
 from techflux.cli import main
 from techflux.corpus import load_corpus, load_windows, window_filter
+from techflux.lexicon import compile_lexicon
 
 COMPARE_FILES = (
     "graph_t.graphml", "graph_t1.graphml", "graph_t.json", "graph_t1.json",
@@ -301,6 +304,69 @@ def test_malformed_csv_exits_2(tmp_path, capsys, monkeypatch):
     assert "internal error" not in err
 
 
+_GOOD_INPUTS = {
+    "c.jsonl": '{"id": "d1", "date": "2021-01-05", "tags": ["ai", "iot"]}\n',
+    "lex.json": '[{"canonical": "ai", "patterns": ["ai"]}]',
+    "terms.txt": "ai\n",
+}
+
+# input -> (module that owns its errors, file name, argv that reads it, a valid
+# file of the input around one JSON string, or None if the input is not JSON)
+_INPUTS = {
+    "jsonl_corpus": ("corpus", "bad.jsonl", lambda d, p: ["cluster", "--corpus", p, "--lexicon", d["lex.json"]],
+                     '{"id": "d1", "date": "2021-01-05", "tags": [%s]}\n'),
+    "csv_corpus": ("corpus", "bad.csv", lambda d, p: ["cluster", "--corpus", p, "--lexicon", d["lex.json"]], None),
+    "lexicon": ("lexicon", "bad.json", lambda d, p: ["cluster", "--corpus", d["c.jsonl"], "--lexicon", p],
+                '[{"canonical": %s, "patterns": ["ai"]}]'),
+    "windows": ("corpus", "bad.json", lambda d, p: [
+        "series", "--corpus", d["c.jsonl"], "--lexicon", d["lex.json"], "--windows", p, "--breakpoint", "1",
+    ], '[{"start": "2021-01-01", "end": "2021-02-01", "label": %s}]'),
+    "plant_spec": ("synth", "bad.json", lambda d, p: ["synth", "--plant-spec", p], (
+        '{"seed": 1, "docs_per_window": 5, "windows": [{"start": "2021-01-01", "end": "2021-02-01"}],'
+        ' "communities": [{"name": "c", "members": [%s, "ai"], "rate": 1.0}]}'
+    )),
+    "config": ("config", "bad.json", lambda d, p: [
+        "cluster", "--config", p, "--corpus", d["c.jsonl"], "--lexicon", d["lex.json"],
+    ], '{"lexicon": %s}'),
+    "terms": ("config", "bad.txt", lambda d, p: [
+        "trend", "--corpus", f"a={d['c.jsonl']}", "--corpus", f"b={d['c.jsonl']}",
+        "--lexicon", d["lex.json"], "--terms", p,
+    ], None),
+}
+
+
+_READ_FAILURES = [
+    (kind, failure)
+    for kind, spec in _INPUTS.items()
+    for failure in ("missing", "directory", "not_utf8") + (("invalid_json", "lone_surrogate") if spec[3] else ())
+]
+
+
+@pytest.mark.parametrize("kind,failure", _READ_FAILURES, ids=[f"{k}-{f}" for k, f in _READ_FAILURES])
+def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, kind, failure):
+    module, name, make_argv, json_template = _INPUTS[kind]
+    given = {}
+    for good_name, content in _GOOD_INPUTS.items():
+        (tmp_path / good_name).write_text(content, encoding="utf-8")
+        given[good_name] = str(tmp_path / good_name)
+    bad = tmp_path / name
+    if failure == "directory":
+        bad.mkdir()
+    elif failure == "not_utf8":
+        bad.write_bytes("ai\ncaf\u00e9\n".encode("latin-1"))
+    elif failure == "invalid_json":
+        bad.write_text("{nope\n", encoding="utf-8")
+    elif failure == "lone_surrogate":
+        bad.write_text(json_template % r'"bad\ud800tag"', encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(make_argv(given, str(bad)) + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"techflux {module}: "), err
+    assert name in err
+    assert not list(out.glob("*"))
+
+
 # imports every package module, runs the CLI with the given arguments, then
 # prints whether numpy got loaded
 _NUMPY_PROBE = (
@@ -312,50 +378,63 @@ _NUMPY_PROBE = (
 )
 
 
-@pytest.mark.parametrize("command", ["import", "trend", "cluster", "compare", "series"])
-def test_numpy_stays_off_the_start_up_path(tmp_path, command):
+def _cli_argv(tmp_path, command):
+    """Arguments for one successful run of ``command`` on small fixtures."""
+    out = ["--out", str(tmp_path / "out")]
+    if command == "synth":
+        return ["synth", "--plant-spec", two_window_spec(tmp_path), *out]
     if command == "trend":
         lexicon, terms = trend_fixture(tmp_path)
-        argv = [
+        return [
             "trend",
             "--corpus", f"news={tmp_path / 'news.jsonl'}",
             "--corpus", f"patents={tmp_path / 'patents.jsonl'}",
-            "--terms", terms, "--lexicon", lexicon, "--out", str(tmp_path / "out"),
+            "--terms", terms, "--lexicon", lexicon, *out,
         ]
-    elif command == "cluster":
-        data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
-        argv = [
-            "cluster",
-            "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
-            "--window", "2021-01-01:2021-02-01", "--out", str(tmp_path / "out"),
-        ]
-    elif command == "compare":
-        data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
-        argv = [
-            "compare",
-            "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
-            "--window-t", "2021-01-01:2021-02-01", "--window-t1", "2021-02-01:2021-03-01",
-            "--out", str(tmp_path / "out"),
-        ]
-    elif command == "series":
+    if command == "series":
         data = synth_into(tmp_path, eight_window_spec(tmp_path), "data8")
         windows = write_json(tmp_path / "windows.json", [{"start": MONTHS[i], "end": MONTHS[i + 1]} for i in range(8)])
-        argv = [
+        return [
             "series",
             "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
-            "--windows", windows, "--breakpoint", "3", "--out", str(tmp_path / "out"),
+            "--windows", windows, "--breakpoint", "3", *out,
         ]
-    else:
-        argv = []
+    data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
+    inputs = ["--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json")]
+    if command == "cluster":
+        return ["cluster", *inputs, "--window", "2021-01-01:2021-02-01", *out]
+    assert command == "compare"
+    return ["compare", *inputs, "--window-t", "2021-01-01:2021-02-01", "--window-t1", "2021-02-01:2021-03-01", *out]
+
+
+def _package_env():
     src = Path(techflux.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("command", ["import", "trend", "cluster", "compare", "series"])
+def test_numpy_stays_off_the_start_up_path(tmp_path, command):
+    argv = [] if command == "import" else _cli_argv(tmp_path, command)
     result = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_package_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "numpy loaded: False"
+
+
+@pytest.mark.parametrize("command", ["synth", "trend", "cluster", "compare", "series"])
+def test_every_file_is_opened_with_an_encoding(tmp_path, command):
+    # its own process, so that warnings from test code and plugins do not count
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "techflux", *_cli_argv(tmp_path, command)],
+        env=_package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "EncodingWarning" not in result.stderr
 
 
 def test_argparse_usage_error_exits_2(capsys):
@@ -412,6 +491,23 @@ def test_trend_counts_and_correlations(tmp_path, capsys):
         "term,source_a,source_b,pearson_r",
         "ai,news,patents,1.000000",
     ]
+
+
+def test_correlations_csv_quotes_a_label_with_a_comma(tmp_path, capsys):
+    lexicon, terms = trend_fixture(tmp_path)
+    out = tmp_path / "trend_out"
+    code = main([
+        "trend",
+        "--corpus", f"news, us={tmp_path / 'news.jsonl'}",
+        "--corpus", f"patents={tmp_path / 'patents.jsonl'}",
+        "--terms", terms, "--lexicon", lexicon, "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    with open(out / "correlations.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["term", "source_a", "source_b", "pearson_r"], ["ai", "news, us", "patents", "1.000000"]]
+    assert (out / "correlations.csv").read_bytes().endswith(b'ai,"news, us",patents,1.000000\n')
 
 
 def test_trend_source_errors(tmp_path, capsys):
@@ -567,6 +663,24 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert code == 2
     assert "techflux config:" in captured.err
     assert "bogus" in captured.err
+
+
+def test_synth_lexicon_keeps_non_ascii_terms_and_loads_back(tmp_path):
+    spec = write_json(tmp_path / "plant.json", {
+        "seed": 2,
+        "docs_per_window": 20,
+        "windows": [{"start": "2021-01-01", "end": "2021-02-01"}, {"start": "2021-02-01", "end": "2021-03-01"}],
+        "communities": [{"name": "eu", "members": ["café", "naïve", "über"], "rate": 1.0}],
+    })
+    out = synth_into(tmp_path, spec, "data")
+    written = (out / "lexicon.json").read_bytes()
+    assert "café".encode("utf-8") in written and b"\\u" not in written
+    truth = json.loads((out / "ground_truth.json").read_text(encoding="utf-8"))
+    lexicon = compile_lexicon(out / "lexicon.json")
+    assert [(e.canonical, e.patterns) for e in lexicon.entries] == [
+        (term, (re.escape(term),)) for term in sorted(truth["assignments"][0])
+    ]
+    assert lexicon.canonical_terms == {"café", "naïve", "über"}
 
 
 def test_synth_seed_override_and_text_mode(tmp_path):

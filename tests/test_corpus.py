@@ -202,6 +202,40 @@ def test_load_reports_bad_json_line(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_load_reports_the_line_of_bytes_that_are_not_utf8(tmp_path, suffix):
+    corpus = Corpus(documents=tuple(
+        Document(id=f"d{i}", date=dt.date(2020, 1, 1), text="x" * 40, tags=("ai",)) for i in range(3000)
+    ))
+    path = tmp_path / f"c{suffix}"
+    save_corpus(corpus, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    # past the first read buffer, so the line read when decoding fails is an earlier one
+    lines[2500] = lines[2500].replace(b"x" * 40, "caf\u00e9".encode("latin-1"))
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(CorpusError, match=rf"^c\{suffix} line 2501: not valid UTF-8$"):
+        load_corpus(path)
+
+
+def test_load_rejects_a_lone_surrogate_and_keeps_a_pair(tmp_path):
+    path = tmp_path / "c.jsonl"
+    good = r'{"id": "d1", "date": "2020-01-01", "tags": ["\ud83d\ude80 launch", "\\ud800"]}'
+    path.write_text(good + "\n", encoding="utf-8")
+    assert load_corpus(path).documents[0].tags == ("\U0001f680 launch", "\\ud800")
+    path.write_text(good + "\n" + r'{"id": "d2", "date": "2020-01-01", "tags": ["bad\ud800tag"]}' + "\n")
+    with pytest.raises(CorpusError, match=r"^c\.jsonl line 2: lone surrogate escape, not valid text$"):
+        load_corpus(path)
+
+
+def test_load_reads_crlf_line_ends(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"id": "d1", "date": "2020-01-01", "tags": ["ai"]}\r\n\r\n{"id": "d2", "date": "2020-01-02"}\r\n')
+    with pytest.raises(CorpusError, match=r"^c\.jsonl line 3: record needs at least one of"):
+        load_corpus(path)
+    path.write_bytes(path.read_bytes().replace(b'"2020-01-02"}', b'"2020-01-02", "text": "x"}'))
+    assert [doc.id for doc in load_corpus(path).documents] == ["d1", "d2"]
+
+
 def test_load_missing_file():
     with pytest.raises(CorpusError, match="not found"):
         load_corpus("/nonexistent/corpus.jsonl")
@@ -249,3 +283,9 @@ def test_load_windows_rejects_bad_record(tmp_path):
     path.write_text(json.dumps([{"start": "2019-01-01"}]))
     with pytest.raises(CorpusError, match="window 0"):
         load_windows(path)
+
+
+def test_window_records_truncate_datetimes_to_the_day(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps([{"start": "2021-01-01T00:00:00", "end": "2021-02-01T12:30:00", "label": "jan"}]))
+    assert load_windows(path) == [TimeWindow(dt.date(2021, 1, 1), dt.date(2021, 2, 1), "jan")]

@@ -188,6 +188,15 @@ def test_spec_consumption_errors():
         generate_corpus(plant_spec_from_records(records))
 
 
+def test_spec_windows_truncate_datetimes_to_the_day():
+    records = base_records()
+    records["windows"][0] = {"start": "2020-01-01T00:00:00", "end": "2020-02-01T08:00:00", "label": "jan"}
+    spec = plant_spec_from_records(records)
+    assert (spec.windows[0].start, spec.windows[0].end, spec.windows[0].label) == (
+        dt.date(2020, 1, 1), dt.date(2020, 2, 1), "jan",
+    )
+
+
 def test_load_plant_spec_file(tmp_path):
     path = tmp_path / "plant.json"
     path.write_text(json.dumps(base_records()))
