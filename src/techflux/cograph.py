@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import GraphError
-from .fileio import atomic_write_bytes, read_json, write_json
+from .fileio import atomic_write_bytes, write_json
 from .lexicon import TermLexicon, extract_terms
 
 KIND_TECHNOLOGY = "technology"
@@ -79,13 +79,6 @@ class CoGraph:
 
     def total_weight(self) -> int:
         return sum(e.weight for e in self.edges)
-
-    def adjacency(self) -> dict[str, dict[str, int]]:
-        adj: dict[str, dict[str, int]] = {n.name: {} for n in self.nodes}
-        for e in self.edges:
-            adj[e.u][e.v] = e.weight
-            adj[e.v][e.u] = e.weight
-        return adj
 
 
 def document_items(doc, lexicon: TermLexicon, field: str) -> set[str]:
@@ -196,51 +189,6 @@ def export_graphml(graph: CoGraph, path: str | Path, assignment: dict[str, int] 
     atomic_write_bytes(path, payload)
 
 
-def import_graphml(path: str | Path) -> tuple[CoGraph, dict[str, int] | None]:
-    """Read back a graph written by export_graphml; returns (graph, cluster map or None)."""
-    path = Path(path)
-    if not path.exists():
-        raise GraphError(f"graphml file not found: {path}")
-    try:
-        root = ET.parse(path).getroot()
-    except ET.ParseError as exc:
-        raise GraphError(f"{path.name}: invalid XML ({exc})") from None
-
-    def tag(name: str) -> str:
-        return f"{{{_GRAPHML_NS}}}{name}"
-
-    key_names = {}
-    for key_el in root.findall(tag("key")):
-        key_names[key_el.get("id")] = key_el.get("attr.name")
-    graph_el = root.find(tag("graph"))
-    if graph_el is None:
-        raise GraphError(f"{path.name}: no <graph> element")
-    nodes = []
-    assignment: dict[str, int] = {}
-    for node_el in graph_el.findall(tag("node")):
-        name = node_el.get("id")
-        attrs: dict[str, str] = {}
-        for data_el in node_el.findall(tag("data")):
-            attrs[key_names.get(data_el.get("key"), "")] = data_el.text or ""
-        if name is None or "kind" not in attrs or "doc_frequency" not in attrs:
-            raise GraphError(f"{path.name}: node missing id/kind/doc_frequency")
-        nodes.append(GraphNode(name=name, kind=attrs["kind"], doc_frequency=int(attrs["doc_frequency"])))
-        if "cluster" in attrs:
-            assignment[name] = int(attrs["cluster"])
-    edges = []
-    for edge_el in graph_el.findall(tag("edge")):
-        u, v = edge_el.get("source"), edge_el.get("target")
-        weight = 1
-        for data_el in edge_el.findall(tag("data")):
-            if key_names.get(data_el.get("key")) == "weight":
-                weight = int(data_el.text or "1")
-        if u is None or v is None:
-            raise GraphError(f"{path.name}: edge missing endpoints")
-        edges.append(GraphEdge(u=u, v=v, weight=weight))
-    graph = CoGraph(nodes=tuple(sorted(nodes, key=lambda n: n.name)), edges=tuple(sorted(edges, key=lambda e: (e.u, e.v))))
-    return graph, (assignment or None)
-
-
 def export_graph_json(graph: CoGraph, path: str | Path) -> None:
     """Write the graph as JSON mirroring the CoGraph fields."""
     payload = {
@@ -248,16 +196,3 @@ def export_graph_json(graph: CoGraph, path: str | Path) -> None:
         "edges": [{"u": e.u, "v": e.v, "weight": e.weight} for e in graph.edges],
     }
     write_json(path, payload)
-
-
-def import_graph_json(path: str | Path) -> CoGraph:
-    path = Path(path)
-    payload = read_json(path, GraphError, "graph JSON file")
-    if not isinstance(payload, dict) or "nodes" not in payload or "edges" not in payload:
-        raise GraphError(f"{path.name}: expected object with 'nodes' and 'edges'")
-    nodes = tuple(
-        GraphNode(name=str(n["name"]), kind=str(n["kind"]), doc_frequency=int(n["doc_frequency"]))
-        for n in payload["nodes"]
-    )
-    edges = tuple(GraphEdge(u=str(e["u"]), v=str(e["v"]), weight=int(e["weight"])) for e in payload["edges"])
-    return CoGraph(nodes=tuple(sorted(nodes, key=lambda n: n.name)), edges=tuple(sorted(edges, key=lambda e: (e.u, e.v))))

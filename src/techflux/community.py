@@ -5,9 +5,10 @@ cluster ids (and everything computed from them) irreproducible. Since the
 whole downstream transition analysis compares partitions across windows,
 this implementation pins every source of nondeterminism:
 
-* nodes are traversed in fixed orders (lexicographic by name, and by
-  descending degree); aggregated supernodes inherit the smallest member
-  name as their sort key;
+* nodes are traversed in fixed orders: index order, and descending degree
+  with ties in index order. Level-0 node i is the i-th name in sorted
+  order and aggregation numbers supernodes by their first member, so at
+  every level index order is the order of each node's smallest member name;
 * in the greedy phases a node moves only on strictly positive gain, which
   guarantees termination without cycle detection;
 * ties between equally good target communities go to the smallest community
@@ -108,10 +109,9 @@ def modularity(graph: CoGraph, partition: Partition | dict[str, int], resolution
 
 
 class _Level:
-    """One aggregation level: indexed nodes, adjacency, self-loops, degrees."""
+    """One aggregation level: nodes 0..size-1, adjacency, self-loops, degrees."""
 
-    def __init__(self, sort_keys: list[str], adj: list[dict[int, float]], self_w: list[float]):
-        self.sort_keys = sort_keys
+    def __init__(self, adj: list[dict[int, float]], self_w: list[float]):
         self.adj = adj
         self.self_w = self_w
         self.degree = [sum(nbrs.values()) + 2.0 * self_w[i] for i, nbrs in enumerate(adj)]
@@ -119,15 +119,15 @@ class _Level:
 
     @property
     def size(self) -> int:
-        return len(self.sort_keys)
+        return len(self.adj)
 
 
 def _lex_order(level: _Level) -> list[int]:
-    return sorted(range(level.size), key=lambda i: level.sort_keys[i])
+    return list(range(level.size))
 
 
 def _degree_order(level: _Level) -> list[int]:
-    return sorted(range(level.size), key=lambda i: (-level.degree[i], level.sort_keys[i]))
+    return sorted(range(level.size), key=lambda i: (-level.degree[i], i))
 
 
 def _gain(link: float, tot_c: float, k_i: float, m: float, resolution: float) -> float:
@@ -335,11 +335,8 @@ def _refine(
 
 def _aggregate(level: _Level, com: list[int]) -> tuple[_Level, dict[int, int]]:
     """Collapse communities into supernodes; intra-community weight becomes a self-loop."""
-    present = sorted(set(com))
-    # Supernode sort key = smallest member key, so lexicographic traversal
-    # stays meaningful across levels.
-    key_of = {c: min(level.sort_keys[i] for i in range(level.size) if com[i] == c) for c in present}
-    ordered = sorted(present, key=lambda c: key_of[c])
+    # supernodes in order of first member: index order stays smallest-name order
+    ordered = list(dict.fromkeys(com))
     new_index = {c: idx for idx, c in enumerate(ordered)}
     adj: list[dict[int, float]] = [{} for _ in ordered]
     self_w = [0.0] * len(ordered)
@@ -355,7 +352,7 @@ def _aggregate(level: _Level, com: list[int]) -> tuple[_Level, dict[int, int]]:
             else:
                 adj[ci][cj] = adj[ci].get(cj, 0.0) + w
                 adj[cj][ci] = adj[cj].get(ci, 0.0) + w
-    return _Level([key_of[c] for c in ordered], adj, self_w), new_index
+    return _Level(adj, self_w), new_index
 
 
 def _multilevel_from(level: _Level, resolution: float, order_fn, com: list[int]) -> list[int]:
@@ -425,7 +422,7 @@ def louvain(graph: CoGraph, resolution: float = 1.0) -> Partition:
         iu, iv = index[edge.u], index[edge.v]
         adj[iu][iv] = float(edge.weight)
         adj[iv][iu] = float(edge.weight)
-    level = _Level(list(names), adj, [0.0] * len(names))
+    level = _Level(adj, [0.0] * len(names))
     best: tuple[float, dict[str, int]] | None = None
     for order_fn in (_lex_order, _degree_order):
         assignment = _dense_assignment(names, _descend(level, resolution, order_fn))

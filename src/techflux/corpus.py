@@ -89,11 +89,20 @@ class TimeWindow:
 
     @classmethod
     def parse(cls, spec: str, label: str = "") -> "TimeWindow":
-        """Parse a "START:END" string of ISO dates."""
-        parts = spec.split(":")
-        if len(parts) != 2:
-            raise CorpusError(f"window spec must be START:END, got {spec!r}")
-        return cls(parse_date(parts[0]), parse_date(parts[1]), label)
+        """Parse "START:END" or "START/END", each side a date as in a windows file."""
+        # a time of day has colons too, so the one cut that leaves two dates wins
+        sep = "/" if "/" in spec else ":"
+        cuts = [i for i, ch in enumerate(spec) if ch == sep]
+        windows = []
+        for i in cuts:
+            try:
+                windows.append(cls(parse_date(spec[:i]), parse_date(spec[i + 1:]), label))
+            except CorpusError:
+                if len(cuts) == 1:  # the only cut: its own error is the precise one
+                    raise
+        if len(windows) != 1:
+            raise CorpusError(f"window spec must be START:END or START/END with one valid cut, got {spec!r}")
+        return windows[0]
 
 
 @dataclass(frozen=True)
@@ -185,33 +194,21 @@ def _load_csv(path: Path) -> list[Document]:
     return docs
 
 
-def load_corpus(path: str | Path, format: str | None = None) -> Corpus:
-    """Load a corpus from a JSONL or CSV file.
+def load_corpus(path: str | Path) -> Corpus:
+    """Load a corpus from a CSV file (suffix ``.csv``, any case) or else JSONL.
 
-    ``format`` is inferred from the file suffix when omitted. Record order is
-    preserved; tags come back case-folded and deduplicated per document.
+    Record order is preserved; tags come back case-folded and deduplicated
+    per document.
     """
     path = Path(path)
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format == "jsonl":
-        docs = _load_jsonl(path)
-    elif format == "csv":
-        docs = _load_csv(path)
-    else:
-        raise CorpusError(f"unknown corpus format: {format!r} (expected jsonl or csv)")
+    docs = _load_csv(path) if path.suffix.lower() == ".csv" else _load_jsonl(path)
     return Corpus(documents=tuple(docs))
 
 
-def save_corpus(corpus: Corpus, path: str | Path, format: str | None = None) -> None:
-    """Serialize a corpus; the output loads back to an equal Corpus."""
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Serialize a corpus, as CSV or JSONL by suffix; the output loads back to an equal Corpus."""
     path = Path(path)
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format == "jsonl":
-        records = ({"id": d.id, "date": d.date.isoformat(), "text": d.text, "tags": list(d.tags)} for d in corpus.documents)
-        atomic_write_text(path, "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records))
-    elif format == "csv":
+    if path.suffix.lower() == ".csv":
         rows = [_CSV_COLUMNS]
         for doc in corpus.documents:
             bad = [t for t in doc.tags if ";" in t]
@@ -225,7 +222,8 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str | None = None) -> 
             rows.append(row)
         write_csv(path, rows)
     else:
-        raise CorpusError(f"unknown corpus format: {format!r} (expected jsonl or csv)")
+        records = ({"id": d.id, "date": d.date.isoformat(), "text": d.text, "tags": list(d.tags)} for d in corpus.documents)
+        atomic_write_text(path, "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records))
 
 
 def window_filter(corpus: Corpus, window: TimeWindow) -> Corpus:
@@ -234,11 +232,14 @@ def window_filter(corpus: Corpus, window: TimeWindow) -> Corpus:
     return Corpus(documents=kept)
 
 
-def window_from_record(record: object, where: str) -> TimeWindow:
+def window_from_record(record: object, where: str, error: type[Exception] = CorpusError) -> TimeWindow:
     """A window from a {"start", "end", "label"} record; a time of day in a date is dropped."""
     if not isinstance(record, dict) or "start" not in record or "end" not in record:
-        raise CorpusError(f"{where} needs 'start' and 'end'")
-    return TimeWindow(parse_date(str(record["start"])), parse_date(str(record["end"])), str(record.get("label", "")))
+        raise error(f"{where} needs 'start' and 'end'")
+    try:
+        return TimeWindow(parse_date(str(record["start"])), parse_date(str(record["end"])), str(record.get("label", "")))
+    except CorpusError as exc:
+        raise error(f"{where}: {exc}") from None
 
 
 def load_windows(path: str | Path) -> list[TimeWindow]:

@@ -259,7 +259,7 @@ def plant_spec_from_records(raw: object, where: str = "plant spec") -> PlantSpec
     windows_raw = raw.get("windows")
     if not isinstance(windows_raw, list) or not windows_raw:
         raise SynthError(f"{where}: windows must be a nonempty list")
-    windows = [window_from_record(rec, f"{where}: window {i}") for i, rec in enumerate(windows_raw)]
+    windows = [window_from_record(rec, f"{where}: window {i}", SynthError) for i, rec in enumerate(windows_raw)]
     for prev, cur in zip(windows, windows[1:]):
         if not cur.start > prev.start:
             raise SynthError(f"{where}: windows must be strictly increasing by start date")

@@ -1,14 +1,14 @@
 """Cluster evolution between two windows.
 
 Given the partitions of two adjacent time windows, this module builds the
-cluster-overlap similarity matrix, the bipartite bi-adjacency matrix,
-per-cluster convergence/novelty indices, and a classified list of
-evolution events (birth, death, merge, split, persist). Raw intersection
-counts and cluster sizes are kept alongside the normalized similarity
-values so flows can be exported exactly. Partitions carry dense cluster
-ids, so row i of every matrix is cluster i of the earlier window and
-column j is cluster j of the later one. The matrices are tuples of tuples:
-they hold a few dozen clusters a side, so plain Python is enough.
+cluster-overlap similarity matrix, per-cluster convergence/novelty indices,
+and a classified list of evolution events (birth, death, merge, split,
+persist). Raw intersection counts and cluster sizes are kept alongside the
+normalized similarity values so flows can be exported exactly. Partitions
+carry dense cluster ids, so row i of every matrix is cluster i of the
+earlier window and column j is cluster j of the later one. The matrices are
+tuples of tuples: they hold a few dozen clusters a side, so plain Python is
+enough.
 
 The default similarity measure divides each intersection by the size of the
 later (t+1) cluster; a column sum then equals the fraction of that
@@ -101,14 +101,6 @@ def similarity_matrix(
         col_sizes=col_sizes,
         measure=measure,
     )
-
-
-def biadjacency(matrix: SimilarityMatrix) -> tuple[tuple[float, ...], ...]:
-    """Square block matrix [[0, S], [S^T, 0]] over the M+K clusters."""
-    m, k = len(matrix.row_sizes), len(matrix.col_sizes)
-    top = tuple((0.0,) * m + row for row in matrix.values)
-    bottom = tuple(column + (0.0,) * k for column in zip(*matrix.values))
-    return top + bottom
 
 
 def inheritance_indices(matrix: SimilarityMatrix) -> tuple[dict[int, float], dict[int, float]]:

@@ -9,7 +9,10 @@ package itself does not use for these quantities.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import random
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +36,47 @@ def make_graph(edge_list, extra_nodes=(), kind="tag"):
     nodes = tuple(GraphNode(name=n, kind=kind, doc_frequency=1) for n in sorted(names))
     edges = tuple(GraphEdge(u=a, v=b, weight=w) for (a, b), w in sorted(weights.items()))
     return CoGraph(nodes=nodes, edges=edges)
+
+
+def adjacency(graph: CoGraph) -> dict[str, dict[str, int]]:
+    """Neighbour -> edge weight, per node name."""
+    adj: dict[str, dict[str, int]] = {n.name: {} for n in graph.nodes}
+    for e in graph.edges:
+        adj[e.u][e.v] = e.weight
+        adj[e.v][e.u] = e.weight
+    return adj
+
+
+def _sorted_graph(nodes, edges) -> CoGraph:
+    return CoGraph(nodes=tuple(sorted(nodes, key=lambda n: n.name)), edges=tuple(sorted(edges, key=lambda e: (e.u, e.v))))
+
+
+def read_graphml(path) -> tuple[CoGraph, dict[str, int] | None]:
+    """(graph, cluster map or None) from a GraphML file, attributes resolved through its <key> table."""
+    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+    root = ET.parse(path).getroot()
+    key_names = {key.get("id"): key.get("attr.name") for key in root.findall("g:key", ns)}
+
+    def attrs(element):
+        return {key_names[data.get("key")]: data.text for data in element.findall("g:data", ns)}
+
+    nodes, edges, assignment = [], [], {}
+    for node_el in root.findall("g:graph/g:node", ns):
+        a = attrs(node_el)
+        nodes.append(GraphNode(name=node_el.get("id"), kind=a["kind"], doc_frequency=int(a["doc_frequency"])))
+        if "cluster" in a:
+            assignment[node_el.get("id")] = int(a["cluster"])
+    for edge_el in root.findall("g:graph/g:edge", ns):
+        edges.append(GraphEdge(u=edge_el.get("source"), v=edge_el.get("target"), weight=int(attrs(edge_el)["weight"])))
+    return _sorted_graph(nodes, edges), (assignment or None)
+
+
+def read_graph_json(path) -> CoGraph:
+    """The graph of a file written by ``export_graph_json``."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    nodes = [GraphNode(name=n["name"], kind=n["kind"], doc_frequency=n["doc_frequency"]) for n in payload["nodes"]]
+    edges = [GraphEdge(u=e["u"], v=e["v"], weight=e["weight"]) for e in payload["edges"]]
+    return _sorted_graph(nodes, edges)
 
 
 def top_n_filter_reference(graph: CoGraph, n: int) -> CoGraph:
@@ -64,7 +108,7 @@ def set_partitions(items):
 def modularity_pairsum(graph: CoGraph, assignment: dict[str, int]) -> float:
     """Q as the ordered-pair sum (1/2m) sum_ij (A_ij - k_i k_j / 2m) [c_i = c_j]."""
     m = float(graph.total_weight())
-    adj = graph.adjacency()
+    adj = adjacency(graph)
     degree = {n: float(sum(adj[n].values())) for n in adj}
     total = 0.0
     for i in adj:
@@ -234,6 +278,30 @@ def local_phase_reference(level: _Level, resolution: float, order, com=None):
         total_moves += moves
         if moves == 0:
             return com, total_moves
+
+
+def aggregate_reference(names, level: _Level, com):
+    """One Louvain aggregation with supernodes ordered by smallest member name.
+
+    names[i] is the name of node i; a supernode's is its smallest member's.
+    Returns (supernode names, adjacency, self-loop weights, community ->
+    supernode index). Weights are summed over both directions of every
+    edge, an order other than the package's, so they agree exactly only on
+    integer weights. Reference for ``techflux.community._aggregate``.
+    """
+    members = {}
+    for i, c in enumerate(com):
+        members.setdefault(c, []).append(i)
+    name_of = {c: min(names[i] for i in block) for c, block in members.items()}
+    ordered = sorted(members, key=name_of.get)
+    new_index = {c: idx for idx, c in enumerate(ordered)}
+    between = [[0.0] * len(ordered) for _ in ordered]
+    for i, nbrs in enumerate(level.adj):
+        for j, w in nbrs.items():
+            between[new_index[com[i]]][new_index[com[j]]] += w
+    adj = [{b: w for b, w in enumerate(row) if b != a and w} for a, row in enumerate(between)]
+    self_w = [between[a][a] / 2.0 + sum(level.self_w[i] for i in members[c]) for a, c in enumerate(ordered)]
+    return [name_of[c] for c in ordered], adj, self_w, new_index
 
 
 def similarity_matrix_reference(part_t, part_t1, measure: str):

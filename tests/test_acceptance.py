@@ -36,7 +36,6 @@ from techflux.corpus import Corpus, Document, TimeWindow, load_corpus, window_fi
 from techflux.lexicon import compile_lexicon, lexicon_from_records
 from techflux.synth import generate_corpus, plant_spec_from_records
 from techflux.transition import (
-    biadjacency,
     classify_events,
     inheritance_indices,
     similarity_matrix,
@@ -177,11 +176,6 @@ def test_criterion_3_transition_algebra():
         for i in range(m):
             assert (i in deaths) == (not any(matrix.values[i]))
 
-        block = biadjacency(matrix)
-        assert block == tuple(zip(*block))
-        assert not any(any(row[:m]) for row in block[:m])
-        assert not any(any(row[m:]) for row in block[m:])
-
         perm_t = list(range(part_t.cluster_count))
         perm_t1 = list(range(part_t1.cluster_count))
         rng.shuffle(perm_t)
@@ -195,7 +189,7 @@ def test_criterion_3_transition_algebra():
             _canonical_events(classify_events(shuffled, tau=0.1), inv_t, inv_t1)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    return f"500 partition pairs: indices, events, symmetry, permutations, {elapsed:.1f}s"
+    return f"500 partition pairs: indices, events, permutations, {elapsed:.1f}s"
 
 
 # ------------------------------------------------------------ criterion 4
@@ -413,15 +407,15 @@ def test_criterion_5_break_test_oracle():
 
 
 @criterion(6)
-def test_criterion_6_byte_identical_compare(tmp_path):
+def test_criterion_6_byte_identical_outputs(tmp_path):
     spec_path = tmp_path / "plant.json"
     spec_path.write_text(json.dumps({
         "seed": 21,
         "docs_per_window": 60,
         "noise_rate": 0.05,
         "windows": [
-            {"start": "2021-05-01", "end": "2021-06-01"},
             {"start": "2021-06-01", "end": "2021-07-01"},
+            {"start": "2021-07-01", "end": "2021-08-01"},
         ],
         "communities": [
             {"name": "a", "size": 6, "rate": 1.0},
@@ -436,34 +430,49 @@ def test_criterion_6_byte_identical_compare(tmp_path):
     }))
     data = tmp_path / "data"
     assert main(["synth", "--plant-spec", str(spec_path), "--out", str(data)]) == 0
-    argv = [
-        "compare",
-        "--corpus", str(data / "corpus.jsonl"),
-        "--lexicon", str(data / "lexicon.json"),
-        "--window-t", "2021-05-01:2021-06-01",
-        "--window-t1", "2021-06-01:2021-07-01",
-    ]
-    names = ("graph_t.graphml", "graph_t1.graphml", "graph_t.json", "graph_t1.json",
-             "partition_t.json", "partition_t1.json", "similarity.csv",
-             "report.json", "alluvial.csv")
-    for run in ("one", "two"):
-        assert main(argv + ["--out", str(tmp_path / run)]) == 0
+    # a second corpus for trend, which correlates sources over the two quarters
+    assert main(["synth", "--plant-spec", str(spec_path), "--seed", "22", "--out", str(tmp_path / "data22")]) == 0
+    corpus, lexicon = str(data / "corpus.jsonl"), str(data / "lexicon.json")
+    days = ("2021-06-01", "2021-06-10", "2021-06-19", "2021-06-28", "2021-07-07", "2021-07-16", "2021-07-25",
+            "2021-08-01")
+    windows = tmp_path / "windows.json"
+    windows.write_text(json.dumps([{"start": s, "end": e} for s, e in zip(days, days[1:])]))
+    terms = tmp_path / "terms.txt"
+    terms.write_text("".join(entry["canonical"] + "\n" for entry in json.loads(Path(lexicon).read_text())))
+    commands = {
+        "compare": ["compare", "--corpus", corpus, "--lexicon", lexicon,
+                    "--window-t", "2021-06-01:2021-07-01", "--window-t1", "2021-07-01:2021-08-01"],
+        "series": ["series", "--corpus", corpus, "--lexicon", lexicon, "--windows", str(windows), "--breakpoint", "3"],
+        "cluster": ["cluster", "--corpus", corpus, "--lexicon", lexicon, "--window", "2021-06-01:2021-08-01"],
+        "trend": ["trend", "--corpus", f"x={corpus}", "--corpus", f"y={tmp_path / 'data22' / 'corpus.jsonl'}", "--lexicon", lexicon,
+                  "--terms", str(terms), "--period", "quarter"],
+        "synth": ["synth", "--plant-spec", str(spec_path)],
+    }
     # Fresh interpreters under fixed, different string-hash seeds: output must
     # not depend on set or dict iteration order of hashed keys.
     src = Path(techflux.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     hash_seeds = ("0", "12345")
-    for hash_seed in hash_seeds:
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-        subprocess.run(
-            [sys.executable, "-m", "techflux", *argv, "--out", str(tmp_path / f"hash{hash_seed}")],
-            env=env, check=True, capture_output=True, timeout=300,
-        )
-    for name in names:
-        reference = (tmp_path / "one" / name).read_bytes()
+    file_counts = {}
+    for command, argv in commands.items():
+        runs = tmp_path / command
+        for run in ("one", "two"):
+            assert main(argv + ["--out", str(runs / run)]) == 0
+        for hash_seed in hash_seeds:
+            subprocess.run(
+                [sys.executable, "-m", "techflux", *argv, "--out", str(runs / f"hash{hash_seed}")],
+                env=dict(env, PYTHONHASHSEED=hash_seed), check=True, capture_output=True, timeout=300,
+            )
+        names = sorted(path.name for path in (runs / "one").iterdir())
         for run in ("two", *(f"hash{seed}" for seed in hash_seeds)):
-            assert (tmp_path / run / name).read_bytes() == reference, f"{run}/{name}"
-    return ("compare reruns byte-identical across all 9 files incl. GraphML, "
+            assert sorted(path.name for path in (runs / run).iterdir()) == names, f"{command}/{run}"
+            for name in names:
+                assert (runs / run / name).read_bytes() == (runs / "one" / name).read_bytes(), f"{command}/{run}/{name}"
+        file_counts[command] = len(names)
+    assert file_counts["compare"] == 9
+    counts = ", ".join(f"{command} {count}" for command, count in file_counts.items())
+    return (f"reruns byte-identical for every subcommand ({counts} files, GraphML included), "
             "in-process and in subprocesses with PYTHONHASHSEED 0 and 12345")
 
 

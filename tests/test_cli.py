@@ -580,6 +580,52 @@ def test_cluster_subcommand(tmp_path, capsys):
     assert partition["cluster_count"] == 3
 
 
+@pytest.mark.parametrize("window_t, window_t1", [
+    ("2021-01-01T00:00:00:2021-02-01", "2021-02-01T00:00:00:2021-03-01T12:30"),
+    ("2021-01-01/2021-02-01", "2021-02-01T00:00/2021-03-01"),
+])
+def test_window_flags_take_times_of_day_and_the_slash_form(tmp_path, capsys, window_t, window_t1):
+    data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
+    inputs = ["--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json")]
+    runs = {"plain": ("2021-01-01:2021-02-01", "2021-02-01:2021-03-01"), "given": (window_t, window_t1)}
+    for run, (start, end) in runs.items():
+        assert main(["cluster", *inputs, "--window", start, "--out", str(tmp_path / run / "cluster")]) == 0
+        assert main(["compare", *inputs, "--window-t", start, "--window-t1", end,
+                     "--out", str(tmp_path / run / "compare")]) == 0
+    capsys.readouterr()
+    for name in ("cluster/partition.json", "cluster/graph.json", *(f"compare/{name}" for name in COMPARE_FILES)):
+        assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("spec", ["2021-01-01", "2021-01-01:2021-02-01:2021-03-01", "2021-01-01/2021-02-01/2021-03-01"])
+def test_window_flag_without_one_valid_cut_exits_2(tmp_path, capsys, spec):
+    data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
+    code = main(["cluster", "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
+                 "--window", spec, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"techflux corpus: window spec must be START:END or START/END with one valid cut, got {spec!r}" \
+        in capsys.readouterr().err
+
+
+def test_bad_date_in_plant_spec_reports_under_synth_with_its_window(tmp_path, capsys):
+    spec = json.loads(Path(two_window_spec(tmp_path)).read_text())
+    spec["windows"][1]["start"] = "2021-13-01"
+    path = write_json(tmp_path / "bad_plant.json", spec)
+    assert main(["synth", "--plant-spec", path, "--out", str(tmp_path / "x")]) == 2
+    assert f"techflux synth: {path}: window 1: invalid ISO-8601 date: '2021-13-01'" in capsys.readouterr().err
+
+
+def test_bad_date_in_windows_file_names_the_file_and_window(tmp_path, capsys):
+    data = synth_into(tmp_path, eight_window_spec(tmp_path), "data8")
+    records = [{"start": MONTHS[i], "end": MONTHS[i + 1]} for i in range(8)]
+    records[2]["end"] = "2020-04-31"
+    windows = write_json(tmp_path / "windows.json", records)
+    code = main(["series", "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
+                 "--windows", windows, "--breakpoint", "3", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "techflux corpus: windows.json: window 2: invalid ISO-8601 date: '2020-04-31'" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
     cfg_out = tmp_path / "cfg_out"

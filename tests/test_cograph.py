@@ -15,15 +15,13 @@ from techflux.cograph import (
     build_cooccurrence,
     export_graph_json,
     export_graphml,
-    import_graph_json,
-    import_graphml,
     top_n_filter,
 )
 from techflux.corpus import Corpus, Document
 from techflux.errors import GraphError
 from techflux.lexicon import lexicon_from_records
 
-from oracles import make_graph, top_n_filter_reference
+from oracles import make_graph, read_graph_json, read_graphml, top_n_filter_reference
 
 DATE = dt.date(2020, 1, 1)
 
@@ -261,7 +259,7 @@ def test_graphml_roundtrip(tmp_path):
     graph = build_cooccurrence(corpus_of(*docs), lexicon, field="both")
     path = tmp_path / "g.graphml"
     export_graphml(graph, path)
-    loaded, assignment = import_graphml(path)
+    loaded, assignment = read_graphml(path)
     assert loaded == graph
     assert assignment is None
 
@@ -270,7 +268,7 @@ def test_graphml_roundtrip_with_clusters(tmp_path):
     graph = make_graph([("a", "b", 2), ("b", "c", 1)])
     path = tmp_path / "g.graphml"
     export_graphml(graph, path, assignment={"a": 0, "b": 0, "c": 1})
-    loaded, assignment = import_graphml(path)
+    loaded, assignment = read_graphml(path)
     assert loaded == graph
     assert assignment == {"a": 0, "b": 0, "c": 1}
 
@@ -278,7 +276,7 @@ def test_graphml_roundtrip_with_clusters(tmp_path):
 def test_graphml_empty_graph(tmp_path):
     path = tmp_path / "empty.graphml"
     export_graphml(CoGraph(), path)
-    loaded, assignment = import_graphml(path)
+    loaded, assignment = read_graphml(path)
     assert loaded == CoGraph()
     assert assignment is None
 
@@ -304,4 +302,4 @@ def test_graph_json_roundtrip(tmp_path):
     graph = make_graph([("a", "b", 2), ("b", "c", 1)])
     path = tmp_path / "g.json"
     export_graph_json(graph, path)
-    assert import_graph_json(path) == graph
+    assert read_graph_json(path) == graph

@@ -9,6 +9,7 @@ from techflux.community import (
     EDGELESS_MSG,
     Partition,
     _Level,
+    _aggregate,
     _degree_order,
     _escape_round,
     _lex_order,
@@ -23,6 +24,7 @@ from techflux.cograph import CoGraph, GraphNode
 from techflux.errors import CommunityError
 
 from oracles import (
+    aggregate_reference,
     best_partition_bruteforce,
     escape_round_reference,
     local_phase_reference,
@@ -223,7 +225,7 @@ def escape_round_cases(draw):
             # Nodes 0 and 1 are always linked, so the graph has an edge.
             if (u, v) == (0, 1) or rnd.random() < density:
                 adj[u][v] = adj[v][u] = float(rnd.randint(1, max_weight))
-    level = _Level([f"n{i:02d}" for i in range(n)], adj, [0.0] * n)
+    level = _Level(adj, [0.0] * n)
     order = draw(st.sampled_from([_lex_order, _degree_order]))(level)
     resolution = draw(st.floats(0.5, 2.0))
     if draw(st.booleans()):
@@ -246,7 +248,7 @@ def local_phase_cases(draw):
     """An escape-round case whose nodes may carry self-loops, as on aggregated levels."""
     level, resolution, order, com = draw(escape_round_cases())
     self_w = draw(st.lists(st.integers(0, 3).map(float), min_size=level.size, max_size=level.size))
-    return _Level(level.sort_keys, level.adj, self_w), resolution, order, com
+    return _Level(level.adj, self_w), resolution, order, com
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,6 +261,20 @@ def test_local_phase_matches_ascending_scan_oracle(case):
 
 # short names over a small alphabet, so shared prefixes are common
 _NAMES = st.text("ab-é中", min_size=1, max_size=3)
+
+
+@settings(deadline=None)
+@given(local_phase_cases(), st.data())
+def test_aggregate_matches_smallest_name_oracle(case, data):
+    level, _, _, com = case
+    names = [f"n{i:02d}" for i in range(level.size)]
+    # three levels up, so the order of later supernodes is checked as well
+    for _ in range(3):
+        new_level, new_index = _aggregate(level, com)
+        names, adj, self_w, ref_index = aggregate_reference(names, level, com)
+        assert (new_level.adj, new_level.self_w, new_index) == (adj, self_w, ref_index)
+        level = new_level
+        com = data.draw(st.lists(st.integers(0, level.size - 1), min_size=level.size, max_size=level.size))
 
 
 @st.composite

@@ -250,11 +250,11 @@ def test_load_csv_requires_columns(tmp_path):
 
 def test_format_inferred_from_suffix(tmp_path):
     corpus = Corpus(documents=_sample_docs())
-    jsonl = tmp_path / "a.jsonl"
-    save_corpus(corpus, jsonl)
-    assert load_corpus(jsonl, format="jsonl").documents == corpus.documents
-    with pytest.raises(CorpusError, match="unknown corpus format"):
-        load_corpus(jsonl, format="parquet")
+    for name, first_line in (("a.jsonl", '{"id": "d1"'), ("a.data", '{"id": "d1"'), ("a.CSV", "id,date,text,tags")):
+        path = tmp_path / name
+        save_corpus(corpus, path)
+        assert path.read_text(encoding="utf-8").startswith(first_line)
+        assert load_corpus(path).documents == corpus.documents
 
 
 def test_window_filter_keeps_order_and_bounds():

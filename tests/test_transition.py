@@ -19,7 +19,6 @@ from techflux.transition import (
     MEASURE_OVERLAP_TARGET,
     MEASURES,
     alluvial_export,
-    biadjacency,
     classify_events,
     inheritance_indices,
     report_to_json,
@@ -86,23 +85,6 @@ def test_disjoint_windows_zero_matrix_and_events():
 def test_empty_cluster_rejected():
     with pytest.raises(CommunityError, match="^cluster 1 has no nodes"):
         Partition({"a": 0}, 0.0, 2)
-
-
-def test_biadjacency_block_structure():
-    matrix = similarity_matrix(
-        partition(set(names("n", 10))),
-        partition(set(names("n", 3)) | set(names("m", 7))),
-    )
-    assert matrix.values[0][0] == 0.3
-    block = biadjacency(matrix)
-    assert (len(block), len(block[0])) == (2, 2)
-    assert block == ((0.0, 0.3), (0.3, 0.0))
-    two = similarity_matrix(partition({"a", "b"}, {"c"}), partition({"a", "c"}, {"b", "z"}))
-    big = biadjacency(two)
-    assert (len(big), len(big[0])) == (4, 4)
-    assert big == tuple(zip(*big))
-    assert not any(big[i][i] for i in range(4))
-    assert not any(any(row[:2]) for row in big[:2]) and not any(any(row[2:]) for row in big[2:])
 
 
 def test_merge_supporters_above_threshold():
