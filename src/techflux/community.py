@@ -21,7 +21,13 @@ on small graphs, so each multilevel descent alternates with a refinement
 stage: a greedy fixpoint over single-node moves plus an escape search that
 chains forced relocations and keeps the best-scoring prefix. After each
 forced move the escape search re-scores only the gains toward the two
-communities that move touched, which is exact on integer edge weights. The
+communities that move touched, which is exact on integer edge weights.
+The escape search is a pure function of the level, the resolution, the
+traversal order and the assignment, and the first three are fixed within
+one descent; so a descent remembers the last assignment a search found no
+improvement for and does not search it again, which returns what the
+search would. The memo matches the exact label list, not the partition:
+relabelling the same partition moves the smallest-label tie-breaks. The
 descent runs once per traversal order and the higher-quality result wins,
 with ties going to the lexicographic sweep. Every stage uses fixed orders
 and tie-breaks, so repeated runs on the same graph yield identical
@@ -130,66 +136,53 @@ def _degree_order(level: _Level) -> list[int]:
     return sorted(range(level.size), key=lambda i: (-level.degree[i], i))
 
 
-def _gain(link: float, tot_c: float, k_i: float, m: float, resolution: float) -> float:
-    """Gain of inserting a detached node of degree k_i into community c.
-
-    link is the node's edge weight into c and tot_c the total degree of c
-    without the node. Terms constant in the target (self-loop, -k_i^2) are
-    dropped; only differences between targets matter.
-    """
-    return link / m - resolution * tot_c * k_i / (2.0 * m * m)
-
-
-def _best_target(
-    links: dict[int, float], home: int, tot: dict[int, float], k_i: float, m: float, resolution: float
-) -> tuple[int | None, float]:
-    """Best community in links other than home: largest gain, smallest label on ties.
-
-    Returns (None, 0.0) when every neighbour of the node shares its home.
-    """
-    best_c = None
-    best_gain = 0.0
-    for c, w in links.items():
-        if c == home:
-            continue
-        gain = _gain(w, tot[c], k_i, m, resolution)
-        if best_c is None or gain > best_gain or (gain == best_gain and c < best_c):
-            best_c, best_gain = c, gain
-    return best_c, best_gain
-
-
 def _local_phase(
     level: _Level, resolution: float, order: list[int], com: list[int] | None = None
 ) -> tuple[list[int], int]:
     """Greedy node moves until no strictly positive gain remains.
 
-    A node moves to its _best_target community only when that gains strictly
-    more than rejoining its home community, so ties keep it home.
-    Returns (community label per node, number of moves made). Starts from
-    singletons unless an assignment is given; singleton labels are the
-    initial node indices, so "smallest community id" is well defined and
-    deterministic.
+    A detached node of degree k_i gains w/m - resolution * tot_c * k_i /
+    (2 m^2) by joining community c, where w is its link weight into c and
+    tot_c the total degree of c without it; terms constant in the target
+    are dropped. The node moves to the best community other than its home
+    (smallest label on ties) only when that gains strictly more than
+    rejoining home, so ties keep it home. Returns (community label per
+    node, number of moves made). Starts from singletons unless an
+    assignment is given; singleton labels are the initial node indices, so
+    "smallest community id" is well defined and deterministic.
     """
     n = level.size
     com = list(range(n)) if com is None else list(com)
+    adj = level.adj
+    degree = level.degree
     tot: dict[int, float] = {}
     for i in range(n):
-        tot[com[i]] = tot.get(com[i], 0.0) + level.degree[i]
+        tot[com[i]] = tot.get(com[i], 0.0) + degree[i]
     m = level.m
+    two_m2 = 2.0 * m * m
     total_moves = 0
     while True:
         moves = 0
         for i in order:
-            k_i = level.degree[i]
+            k_i = degree[i]
             home = com[i]
             # Link weight from i to each neighboring community.
-            links: dict[int, float] = {home: 0.0}
-            for j, w in level.adj[i].items():
-                links[com[j]] = links.get(com[j], 0.0) + w
-            # Detach i, then compare reinsertion gains.
+            links: dict[int, float] = {}
+            for j, w in adj[i].items():
+                c = com[j]
+                if c in links:
+                    links[c] += w
+                else:
+                    links[c] = w
+            # Detach i, then compare reinsertion gains, starting from home's.
             tot[home] -= k_i
-            best_c, best_gain = _best_target(links, home, tot, k_i, m, resolution)
-            if best_c is not None and best_gain > _gain(links[home], tot[home], k_i, m, resolution):
+            best_c = home
+            best_gain = links.pop(home, 0.0) / m - resolution * tot[home] * k_i / two_m2
+            for c, w in links.items():
+                gain = w / m - resolution * tot[c] * k_i / two_m2
+                if gain > best_gain or (gain == best_gain and c < best_c and best_c != home):
+                    best_c, best_gain = c, gain
+            if best_c != home:
                 com[i] = best_c
                 tot[best_c] += k_i
                 moves += 1
@@ -224,18 +217,26 @@ def _escape_round(
     weight, updated for the mover's neighbours only) and a cached best
     target. After a move, a node whose cached target is A, B or None
     rescans its link table; any other node only weighs A and B against its
-    cached target. A step costs O(n) plus the rescans, instead of
-    re-scoring every link of every unlocked node. The updates are exact:
+    cached target; both evaluate the gain inline in one candidate loop,
+    over the link table or over A and B. A step costs O(n) plus the
+    rescans, instead of re-scoring every link of every unlocked node. The
+    updates are exact:
     this stage runs on level 0, where every edge weight is an integer, so
     every link weight and total is an integer held exactly in a double and
     an emptied link reaches exactly 0.0. The round thus builds the same
     chain as re-scoring from scratch. Levels above _ESCAPE_MAX_NODES nodes
     are skipped, since the round stays quadratic in node count.
+
+    The round depends on nothing but its arguments, so an assignment it
+    returned unimproved stays certified while level, resolution and order
+    stay fixed: _refine skips the round on an assignment equal, label for
+    label, to the one its descent last certified.
     """
     n = level.size
     if n > _ESCAPE_MAX_NODES:
         return com, False
     m = level.m
+    two_m2 = 2.0 * m * m
     degree = level.degree
     work = list(com)
     tot: dict[int, float] = {}
@@ -266,14 +267,20 @@ def _escape_round(
             table = links[i]
             c = target[i]
             if c is None or c in moved:
-                c, gain = _best_target(table, home, tot, k_i, m, resolution)
+                # Full rescan of the link table.
+                c = None
+                gain = 0.0
+                candidates = table
             else:
+                # Only the two communities of the last move can beat the cached target.
                 gain = target_gain[i]
-                for t in moved:
-                    if t != home and t in table:
-                        t_gain = _gain(table[t], tot[t], k_i, m, resolution)
-                        if t_gain > gain or (t_gain == gain and t < c):
-                            c, gain = t, t_gain
+                candidates = moved
+            for t in candidates:
+                if t == home or t not in table:
+                    continue
+                t_gain = table[t] / m - resolution * tot[t] * k_i / two_m2
+                if c is None or t_gain > gain or (t_gain == gain and t < c):
+                    c, gain = t, t_gain
             target[i] = c
             target_gain[i] = gain
             link_home = table.get(home, 0.0)
@@ -283,7 +290,7 @@ def _escape_round(
                 c, gain = next_fresh, 0.0
             if c is None:
                 continue
-            delta = gain - _gain(link_home, tot_home, k_i, m, resolution)
+            delta = gain - (link_home / m - resolution * tot_home * k_i / two_m2)
             if pick is None or delta > pick_delta:
                 pick, pick_target, pick_delta = i, c, delta
         if pick is None:
@@ -319,14 +326,21 @@ def _escape_round(
 
 
 def _refine(
-    level: _Level, resolution: float, order: list[int], com: list[int]
+    level: _Level, resolution: float, order: list[int], com: list[int], certified: list[int] | None
 ) -> tuple[list[int], bool]:
-    """Greedy fixpoint plus escape rounds until neither improves the assignment."""
+    """Greedy fixpoint plus escape rounds until neither improves the assignment.
+
+    certified is an assignment an earlier escape round of the same descent
+    found no improvement for; the round is not run on it again. The
+    assignment returned is always one the escape round has certified.
+    """
     changed = False
     while True:
         com, moves = _local_phase(level, resolution, order, com)
         if moves:
             changed = True
+        if com == certified:
+            return com, changed
         com, improved = _escape_round(level, resolution, order, com)
         if not improved:
             return com, changed
@@ -381,12 +395,15 @@ def _descend(level: _Level, resolution: float, order_fn) -> list[int]:
     coordinated sequence can. Iterating both to a joint fixpoint keeps each
     guarantee in the final assignment.
     """
+    order = order_fn(level)
     com = list(range(level.size))
+    certified = None
     while True:
         com = _multilevel_from(level, resolution, order_fn, com)
-        com, changed = _refine(level, resolution, order_fn(level), com)
+        com, changed = _refine(level, resolution, order, com, certified)
         if not changed:
             return com
+        certified = com
 
 
 def _dense_assignment(names: list[str], node_com: list[int]) -> dict[str, int]:

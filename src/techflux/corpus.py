@@ -10,7 +10,8 @@ formats are supported:
 
 Tags are normalized on load: Unicode case-fold, trim, internal whitespace
 collapsed to single spaces, duplicates dropped (first occurrence wins).
-Dates with a time component are truncated to the day.
+Dates are ``YYYY-MM-DD``, optionally with a time of day (see ``parse_date``),
+which is checked and truncated to the day.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,17 +42,35 @@ def normalize_tags(raw_tags: list[str] | tuple[str, ...]) -> tuple[str, ...]:
     return tuple(seen)
 
 
+# What may follow the date: "T" or a space, HH:MM[:SS[.ffffff]], then an
+# optional UTC offset, "Z" or +HH:MM / -HH:MM. Compiled on first use, so
+# inputs with plain dates never pay for it.
+_TIME_OF_DAY = r"[T ]([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.[0-9]{1,6})?)?(?:Z|[+-]([0-9]{2}):([0-9]{2}))?"
+
+
 def parse_date(raw: str) -> dt.date:
-    """Parse an ISO-8601 date, truncating any time component to the day."""
+    """Parse a YYYY-MM-DD date, optionally followed by a time of day, which is checked and dropped.
+
+    The grammar is pinned here, not left to ``fromisoformat``, whose accepted
+    forms widen from Python 3.11 on (basic and week dates, any character
+    between date and time); so one input reads the same on every version.
+    """
     raw = raw.strip()
-    try:
-        return dt.date.fromisoformat(raw)
-    except ValueError:
-        pass
-    try:
-        return dt.datetime.fromisoformat(raw).date()
-    except ValueError:
-        raise CorpusError(f"invalid ISO-8601 date: {raw!r}") from None
+    if len(raw) >= 10 and raw[4] == "-" and raw[7] == "-":
+        try:
+            # with dashes at 4 and 7, the only form fromisoformat takes is YYYY-MM-DD
+            day = dt.date.fromisoformat(raw[:10])
+        except ValueError:
+            pass
+        else:
+            if len(raw) == 10:
+                return day
+            time = re.compile(_TIME_OF_DAY).fullmatch(raw, 10)
+            if time is not None:
+                hour, minute, second, offset_hour, offset_minute = (int(g or 0) for g in time.groups())
+                if hour < 24 and minute < 60 and second < 60 and offset_hour < 24 and offset_minute < 60:
+                    return day
+    raise CorpusError(f"invalid ISO-8601 date: {raw!r}")
 
 
 @dataclass(frozen=True)

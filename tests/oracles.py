@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from techflux.cograph import CoGraph, GraphEdge, GraphNode
-from techflux.community import _Level
+from techflux.community import _Level, _aggregate, modularity
 from techflux.corpus import Corpus, Document
 from techflux.errors import GraphError
 from techflux.lexicon import TermLexicon
@@ -278,6 +278,67 @@ def local_phase_reference(level: _Level, resolution: float, order, com=None):
         total_moves += moves
         if moves == 0:
             return com, total_moves
+
+
+def louvain_reference(graph: CoGraph, resolution: float = 1.0) -> tuple[dict[str, int], float]:
+    """(assignment, modularity) of Louvain composed from the stage references, with no memo.
+
+    Per traversal order (index order, then descending degree with ties by
+    index), a descent alternates a multilevel pass, the greedy phase on
+    each aggregated level until one makes no move, with refinement, the
+    greedy fixpoint plus escape rounds until neither improves, and stops
+    when refinement changes nothing. Every escape round the control flow
+    asks for is run, even on an assignment an earlier round already found
+    no improvement for. The sweep with higher quality at the resolution
+    wins, ties to the first. Cluster ids are dense, ordered by smallest
+    member name. Only ``_aggregate`` and ``modularity``, each checked
+    against its own oracle, come from the package; reference for
+    ``techflux.community.louvain``.
+    """
+    names = list(graph.node_names())
+    index = {name: i for i, name in enumerate(names)}
+    adj = [{} for _ in names]
+    for e in graph.edges:
+        adj[index[e.u]][index[e.v]] = adj[index[e.v]][index[e.u]] = float(e.weight)
+    base = _Level(adj, [0.0] * len(names))
+
+    def index_order(level):
+        return list(range(level.size))
+
+    def degree_order(level):
+        return sorted(range(level.size), key=lambda i: (-level.degree[i], i))
+
+    best = None
+    for order_of in (index_order, degree_order):
+        com = list(range(base.size))
+        while True:
+            level, new_index = _aggregate(base, com)
+            com = [new_index[c] for c in com]
+            while True:
+                merged, moves = local_phase_reference(level, resolution, order_of(level))
+                if moves == 0:
+                    break
+                level, new_index = _aggregate(level, merged)
+                com = [new_index[merged[c]] for c in com]
+            changed = False
+            while True:
+                com, moves = local_phase_reference(base, resolution, order_of(base), com)
+                changed = changed or moves > 0
+                com, improved = escape_round_reference(base, resolution, order_of(base), com)
+                if not improved:
+                    break
+                changed = True
+            if not changed:
+                break
+        smallest = {}
+        for name, c in zip(names, com):
+            smallest.setdefault(c, name)
+        dense = {c: cid for cid, c in enumerate(sorted(smallest, key=smallest.get))}
+        assignment = {name: dense[c] for name, c in zip(names, com)}
+        quality = modularity(graph, assignment, resolution)
+        if best is None or quality > best[0]:
+            best = (quality, assignment)
+    return best[1], modularity(graph, best[1])
 
 
 def aggregate_reference(names, level: _Level, com):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from techflux import community
 from techflux.community import (
     EDGELESS_MSG,
     Partition,
     _Level,
     _aggregate,
     _degree_order,
+    _descend,
     _escape_round,
     _lex_order,
     _local_phase,
@@ -28,10 +30,15 @@ from oracles import (
     best_partition_bruteforce,
     escape_round_reference,
     local_phase_reference,
+    louvain_reference,
     make_graph,
     modularity_pairsum,
     random_connected_graph,
 )
+
+# The oracle properties run at least 200 examples, and the profile's count
+# when it asks for more (1,000 under HYPOTHESIS_PROFILE=ci).
+ORACLE_EXAMPLES = max(200, settings.default.max_examples)
 
 TRIANGLES = [("a", "b", 1), ("a", "c", 1), ("b", "c", 1),
              ("d", "e", 1), ("d", "f", 1), ("e", "f", 1)]
@@ -235,7 +242,7 @@ def escape_round_cases(draw):
     return level, resolution, order, com
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
 @given(escape_round_cases())
 def test_escape_round_matches_rescoring_oracle(case):
     level, resolution, order, com = case
@@ -251,7 +258,7 @@ def local_phase_cases(draw):
     return _Level(level.adj, self_w), resolution, order, com
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
 @given(local_phase_cases())
 def test_local_phase_matches_ascending_scan_oracle(case):
     level, resolution, order, com = case
@@ -308,3 +315,43 @@ def test_louvain_partition_properties(case):
     assert renamed_part.assignment == {rename[name]: cid for name, cid in part.assignment.items()}
     assert renamed_part.modularity == part.modularity
 
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+@given(louvain_cases())
+def test_louvain_matches_stage_reference_descent(case):
+    graph, _, _, resolution = case
+    part = louvain(graph, resolution=resolution)
+    assignment, quality = louvain_reference(graph, resolution)
+    assert repr((part.assignment, part.modularity)) == repr((assignment, quality))
+
+
+def test_descent_runs_no_escape_round_twice_on_one_assignment(monkeypatch):
+    # index order and degree order both reach the same label list twice here
+    level = _Level([{}, {3: 2.0, 4: 1.0, 5: 1.0}, {3: 1.0}, {1: 2.0, 2: 1.0}, {1: 1.0}, {1: 1.0}], [0.0] * 6)
+    calls = []
+
+    def recording_escape_round(level, resolution, order, com):
+        calls.append((tuple(order), tuple(com)))
+        return _escape_round(level, resolution, order, com)
+
+    monkeypatch.setattr(community, "_escape_round", recording_escape_round)
+    for order_fn in (_lex_order, _degree_order):
+        calls.clear()
+        _descend(level, 1.0, order_fn)
+        assert calls
+        assert len(calls) == len(set(calls))
+
+
+def test_louvain_matches_stage_reference_after_a_pass_that_only_relabels():
+    # A descent that skipped the escape search whenever the multilevel pass
+    # left the partition as it was, under new labels, gives another result
+    # on this seeded graph: the labels steer the smallest-label tie-breaks.
+    rng = random.Random(2701)
+    n = rng.randint(4, 30)
+    density = rng.uniform(0.05, 0.7)
+    max_weight = rng.choice([1, 2, 3])
+    edges = [(f"n{u:02d}", f"n{v:02d}", rng.randint(1, max_weight))
+             for u in range(n) for v in range(u + 1, n) if (u, v) == (0, 1) or rng.random() < density]
+    graph = make_graph(edges, extra_nodes=[f"n{i:02d}" for i in range(n)])
+    part = louvain(graph, resolution=1.7)
+    assert repr((part.assignment, part.modularity)) == repr(louvain_reference(graph, 1.7))

@@ -46,6 +46,48 @@ def test_parse_date_rejects_garbage():
         parse_date("not a date")
 
 
+@pytest.mark.parametrize("raw", [
+    "2020-03-15 10:30",
+    "2020-03-15T10:30:59",
+    "2020-03-15T10:30:59.5",
+    "2020-03-15T10:30:59.123456",
+    "2020-03-15T23:59Z",
+    "2020-03-15T10:30:00+02:00",
+    "2020-03-15 10:30-23:59",
+])
+def test_parse_date_takes_each_time_of_day_form(raw):
+    assert parse_date(raw) == dt.date(2020, 3, 15)
+
+
+@pytest.mark.parametrize("raw", [
+    "20200315",  # basic date
+    "2020-W11-7",  # week date
+    "2020W117",
+    "2020-03-15x10:30",  # separators other than T and space
+    "2020-03-15:10",
+    "2020-03-15t10:30",
+    "2020-03-15T10",  # hour without minutes
+    "2020-03-15T1030",
+    "2020-03-15T24:00",  # out of range
+    "2020-03-15T10:60",
+    "2020-03-15T10:30:60",
+    "2020-03-15T10:30:00.1234567",
+    "2020-03-15T10:30+0200",
+    "2020-03-15T10:30+24:00",
+    "2020-03-15T10:30z",
+    "２０２０-03-15",  # non-ASCII digits
+    "2020-03-15T1０:30",
+])
+def test_parse_date_rejects_other_forms(raw):
+    with pytest.raises(CorpusError, match="invalid ISO-8601 date"):
+        parse_date(raw)
+
+
+def test_window_spec_takes_no_colon_between_date_and_time():
+    with pytest.raises(CorpusError, match="one valid cut"):
+        TimeWindow.parse("2021-01-01:10:2021-02-01")
+
+
 def test_document_requires_id_and_date():
     with pytest.raises(CorpusError):
         Document(id="", date=dt.date(2020, 1, 1))
