@@ -152,6 +152,17 @@ class BreakTestResult:
     n2: int
 
 
+def segment_sizes(n: int, breakpoint_index: int, k: int = 2) -> tuple[int, int]:
+    """Sizes of [0, breakpoint) and [breakpoint, n); each must exceed the k fitted parameters."""
+    n1, n2 = breakpoint_index, n - breakpoint_index
+    if n1 <= k or n2 <= k:
+        raise StatsError(
+            f"each segment needs more than {k} points; "
+            f"breakpoint {breakpoint_index} gives segments of {n1} and {n2}"
+        )
+    return n1, n2
+
+
 def chow_test(x: list[float], y: list[float], breakpoint_index: int) -> BreakTestResult:
     """Known-breakpoint structural-break F-test on a line-plus-noise model.
 
@@ -163,15 +174,8 @@ def chow_test(x: list[float], y: list[float], breakpoint_index: int) -> BreakTes
     """
     if len(x) != len(y):
         raise StatsError(f"x and y lengths differ: {len(x)} vs {len(y)}")
-    n = len(x)
     k = 2
-    n1 = breakpoint_index
-    n2 = n - breakpoint_index
-    if n1 <= k or n2 <= k:
-        raise StatsError(
-            f"each segment needs more than {k} points; "
-            f"breakpoint {breakpoint_index} gives segments of {n1} and {n2}"
-        )
+    n1, n2 = segment_sizes(len(x), breakpoint_index, k)
     pooled = ols_fit(x, y)
     left = ols_fit(x[:breakpoint_index], y[:breakpoint_index])
     right = ols_fit(x[breakpoint_index:], y[breakpoint_index:])

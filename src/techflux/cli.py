@@ -119,10 +119,13 @@ def run_series(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = _out_dir(config.out)
     lexicon = _require_lexicon(config)
-    corpus = load_corpus(args.corpus)
     windows = load_windows(args.windows)
-    series = breakcheck.index_series(corpus, lexicon, windows, config)
     breakpoint_index = args.breakpoint
+    # W windows give W - 1 points; a breakpoint that leaves a segment too
+    # short for the break test fails before any window is clustered
+    breakcheck.segment_sizes(len(windows) - 1, breakpoint_index)
+    corpus = load_corpus(args.corpus)
+    series = breakcheck.index_series(corpus, lexicon, windows, config)
     breakcheck.export_series_csv(series, out / "series.csv")
     x = [float(i) for i in range(len(series.points))]
     for name, values in (("ci", series.ci_values()), ("ni", series.ni_values())):
@@ -149,6 +152,14 @@ def _load_terms_file(path: str) -> list[str]:
     terms = [t for t in terms if t and not t.startswith("#")]
     if not terms:
         raise ConfigError(f"terms file {path} lists no terms")
+    owners: dict[str, str] = {}
+    for term in terms:
+        slug = _term_slug(term)
+        owner = owners.setdefault(slug, term)
+        if owner != term:
+            raise ConfigError(
+                f"terms file {path}: {owner!r} and {term!r} would both write trend_{slug}.csv"
+            )
     return terms
 
 

@@ -3,11 +3,16 @@
 A plant spec lists time windows, the term communities alive in the first
 window, and the evolution events to realize between consecutive windows
 (birth, death, merge, split, persist; persist with mixing below 1 renews
-part of a community's vocabulary). The generator evolves community
-memberships through those events, samples documents window by window, and
-returns the corpus together with exact ground truth: per-window term
+part of a community's vocabulary). Every target with sources is planted by
+one inheritance rule: keep the first mixing share (rounded half up) of each
+source run, fill up to the runs' total size with fresh names, and take the
+event's rate or else the first source's. Merge and persist read each source
+as one run; split cuts its source into near-equal runs, one per target; a
+birth is all fresh names. One pass over the window pairs builds the
+memberships together with the exact ground truth: per-window term
 assignments, the full event list including implicit persists, and the
-inherited-node fraction each later community was planted with.
+inherited-node fraction each later community was planted with. Documents
+are then sampled window by window.
 
 Randomness comes from a self-contained splitmix64 generator (add the odd
 constant 0x9E3779B97F4A7C15 each step, then two xor-shift multiplications)
@@ -23,7 +28,9 @@ same number of scalar draws: the stream is the same splitmix64 sequence.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -163,6 +170,19 @@ def _check_term(term: str, where: str) -> str:
     return term
 
 
+def _check_disjoint(communities: Sequence[PlantCommunity], where: str, window: str, noun: str) -> None:
+    """Reject repeated community names, then members shared between communities."""
+    names = [c.name for c in communities]
+    if len(set(names)) != len(names):
+        raise SynthError(f"{where}: duplicate community names in {window}")
+    seen: set[str] = set()
+    for community in communities:
+        overlap = seen.intersection(community.members)
+        if overlap:
+            raise SynthError(f"{where}: {noun} overlap on {sorted(overlap)}")
+        seen.update(community.members)
+
+
 def _community_from_record(raw: object, where: str) -> PlantCommunity:
     if not isinstance(raw, dict):
         raise SynthError(f"{where}: community record must be an object")
@@ -267,15 +287,7 @@ def plant_spec_from_records(raw: object, where: str = "plant spec") -> PlantSpec
     if not isinstance(communities_raw, list) or not communities_raw:
         raise SynthError(f"{where}: communities must be a nonempty list")
     communities = tuple(_community_from_record(rec, where) for rec in communities_raw)
-    names = [c.name for c in communities]
-    if len(set(names)) != len(names):
-        raise SynthError(f"{where}: duplicate community names in the first window")
-    seen: set[str] = set()
-    for community in communities:
-        overlap = seen.intersection(community.members)
-        if overlap:
-            raise SynthError(f"{where}: communities overlap on {sorted(overlap)}")
-        seen.update(community.members)
+    _check_disjoint(communities, where, "the first window", "communities")
     events_raw = raw.get("events", [])
     if not isinstance(events_raw, list):
         raise SynthError(f"{where}: events must be a list")
@@ -304,25 +316,26 @@ def _inherit_count(mixing: float, size: int) -> int:
     return int(mixing * size + 0.5)
 
 
-class _FreshNames:
-    def __init__(self) -> None:
-        self._next = 0
+def _plant(spec: PlantSpec) -> tuple[list[list[PlantCommunity]], GroundTruth]:
+    """Community state for every window and the exact ground truth, in one pass.
 
-    def take(self, count: int) -> list[str]:
-        out = [f"{FRESH_PREFIX}{self._next + i:05d}" for i in range(count)]
-        self._next += count
-        return out
+    Each target gets a group of source runs and the inheritance rule of the
+    module docstring. A death has no targets, so it only consumes its source.
+    """
+    fresh = itertools.count()
 
+    def take(count: int) -> list[str]:
+        return [f"{FRESH_PREFIX}{next(fresh):05d}" for _ in range(count)]
 
-def _evolve_communities(spec: PlantSpec) -> list[list[PlantCommunity]]:
-    """Community state for every window, realizing the planted events in order."""
     states = [list(spec.communities)]
-    fresh = _FreshNames()
+    pair_events: list[tuple[PlantedEvent, ...]] = []
+    convergence: list[dict[str, float]] = []
     for pair in range(len(spec.windows) - 1):
-        current = states[-1]
-        by_name = {c.name: c for c in current}
+        by_name = {c.name: c for c in states[-1]}
         consumed: set[str] = set()
+        events: list[PlantedEvent] = []
         produced: list[PlantCommunity] = []
+        inherited_share: dict[str, float] = {}
         for event in spec.events:
             if event.pair != pair:
                 continue
@@ -333,102 +346,52 @@ def _evolve_communities(spec: PlantSpec) -> list[list[PlantCommunity]]:
                 if source in consumed:
                     raise SynthError(f"{where}: source {source!r} already consumed by another event")
             consumed.update(event.sources)
-            if event.kind == "death":
-                continue
+            events.append(PlantedEvent(event.kind, event.sources, event.targets))
             if event.kind == "birth":
                 rate = event.rate if event.rate is not None else _DEFAULT_BIRTH_RATE
-                produced.append(PlantCommunity(
-                    name=event.targets[0],
-                    members=tuple(fresh.take(event.size)),
-                    rate=rate,
-                ))
-            elif event.kind == "merge":
-                inherited: list[str] = []
-                total = 0
-                for source in event.sources:
-                    src = by_name[source]
-                    total += len(src.members)
-                    inherited.extend(src.members[: _inherit_count(event.mixing, len(src.members))])
-                fill = fresh.take(total - len(inherited))
-                rate = event.rate if event.rate is not None else by_name[event.sources[0]].rate
-                produced.append(PlantCommunity(
-                    name=event.targets[0],
-                    members=tuple(sorted(inherited + fill)),
-                    rate=rate,
-                ))
-            elif event.kind == "split":
-                src = by_name[event.sources[0]]
-                parts = len(event.targets)
-                base, extra = divmod(len(src.members), parts)
-                if base == 0:
-                    raise SynthError(
-                        f"{where}: source {src.name!r} has {len(src.members)} members, "
-                        f"too few for {parts} parts"
-                    )
-                offset = 0
-                for t_index, target in enumerate(event.targets):
-                    part_size = base + (1 if t_index < extra else 0)
-                    part = src.members[offset: offset + part_size]
-                    offset += part_size
-                    kept = list(part[: _inherit_count(event.mixing, part_size)])
-                    fill = fresh.take(part_size - len(kept))
-                    rate = event.rate if event.rate is not None else src.rate
-                    produced.append(PlantCommunity(
-                        name=target, members=tuple(sorted(kept + fill)), rate=rate,
-                    ))
+                produced.append(PlantCommunity(event.targets[0], tuple(take(event.size)), rate))
+                inherited_share[event.targets[0]] = 0.0
+                continue
+            runs = [by_name[s].members for s in event.sources]
+            if event.kind == "split":
+                groups = [[run] for run in _split_runs(runs[0], len(event.targets), where, event.sources[0])]
             else:
-                src = by_name[event.sources[0]]
-                kept = list(src.members[: _inherit_count(event.mixing, len(src.members))])
-                fill = fresh.take(len(src.members) - len(kept))
-                rate = event.rate if event.rate is not None else src.rate
-                produced.append(PlantCommunity(
-                    name=event.targets[0], members=tuple(sorted(kept + fill)), rate=rate,
-                ))
-        carried = [c for c in current if c.name not in consumed]
+                groups = [runs]
+            rate = event.rate if event.rate is not None else by_name[event.sources[0]].rate
+            for target, group in zip(event.targets, groups):
+                kept = [t for run in group for t in run[: _inherit_count(event.mixing, len(run))]]
+                size = sum(len(run) for run in group)
+                produced.append(PlantCommunity(target, tuple(sorted(kept + take(size - len(kept)))), rate))
+                inherited_share[target] = len(kept) / size
+        carried = [c for c in states[-1] if c.name not in consumed]
         next_state = carried + produced
-        names = [c.name for c in next_state]
-        if len(set(names)) != len(names):
-            raise SynthError(f"pair {pair}: duplicate community names in the produced window")
-        seen: set[str] = set()
-        for community in next_state:
-            overlap = seen.intersection(community.members)
-            if overlap:
-                raise SynthError(f"pair {pair}: produced communities overlap on {sorted(overlap)}")
-            seen.update(community.members)
+        _check_disjoint(next_state, f"pair {pair}", "the produced window", "produced communities")
         if not next_state:
             raise SynthError(f"pair {pair}: events leave the next window with no communities")
-        states.append(next_state)
-    return states
-
-
-def _ground_truth(spec: PlantSpec, states: list[list[PlantCommunity]]) -> GroundTruth:
-    assignments = tuple(
-        {term: c.name for c in state for term in c.members} for state in states
-    )
-    pair_events: list[tuple[PlantedEvent, ...]] = []
-    convergence: list[dict[str, float]] = []
-    novelty: list[dict[str, float]] = []
-    for pair in range(len(spec.windows) - 1):
-        explicit = [e for e in spec.events if e.pair == pair]
-        consumed = {s for e in explicit for s in e.sources}
-        events = [PlantedEvent(e.kind, e.sources, e.targets) for e in explicit]
-        for community in states[pair]:
-            if community.name not in consumed:
-                events.append(PlantedEvent("persist", (community.name,), (community.name,)))
-        vocab_prev = set(assignments[pair])
-        ci: dict[str, float] = {}
-        for community in states[pair + 1]:
-            inherited = sum(1 for t in community.members if t in vocab_prev)
-            ci[community.name] = inherited / len(community.members)
+        events += [PlantedEvent("persist", (c.name,), (c.name,)) for c in carried]
         pair_events.append(tuple(events))
-        convergence.append(ci)
-        novelty.append({name: 1.0 - v for name, v in ci.items()})
-    return GroundTruth(
-        assignments=assignments,
+        convergence.append({c.name: 1.0 for c in carried} | inherited_share)
+        states.append(next_state)
+    truth = GroundTruth(
+        assignments=tuple({term: c.name for c in state for term in c.members} for state in states),
         pair_events=tuple(pair_events),
         convergence=tuple(convergence),
-        novelty=tuple(novelty),
+        novelty=tuple({name: 1.0 - v for name, v in ci.items()} for ci in convergence),
     )
+    return states, truth
+
+
+def _split_runs(members: tuple[str, ...], parts: int, where: str, source: str) -> list[tuple[str, ...]]:
+    """Cut members into parts near-equal runs, the first len % parts one longer."""
+    base, extra = divmod(len(members), parts)
+    if base == 0:
+        raise SynthError(f"{where}: source {source!r} has {len(members)} members, too few for {parts} parts")
+    runs, offset = [], 0
+    for index in range(parts):
+        size = base + (1 if index < extra else 0)
+        runs.append(members[offset: offset + size])
+        offset += size
+    return runs
 
 
 def generate_corpus(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, GroundTruth]:
@@ -444,8 +407,7 @@ def generate_corpus(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, G
     """
     import numpy as np
 
-    states = _evolve_communities(spec)
-    truth = _ground_truth(spec, states)
+    states, truth = _plant(spec)
     rng = SplitMix64(spec.seed)
     noise = spec.noise_rate
     documents: list[Document] = []

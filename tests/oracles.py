@@ -15,14 +15,27 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from techflux.cograph import CoGraph, GraphEdge, GraphNode
 from techflux.community import _Level, _aggregate, modularity
 from techflux.corpus import Corpus, Document
-from techflux.errors import GraphError
+from techflux.errors import GraphError, SynthError
 from techflux.lexicon import TermLexicon
-from techflux.synth import GroundTruth, PlantSpec, SplitMix64, _evolve_communities, _ground_truth
+from techflux.synth import (
+    _DEFAULT_BIRTH_RATE,
+    FRESH_PREFIX,
+    GroundTruth,
+    PlantCommunity,
+    PlantedEvent,
+    PlantSpec,
+    SplitMix64,
+)
 from techflux.transition import TransitionEvent
+
+# The oracle properties run at least 200 examples, and the profile's count
+# when it asks for more (1,000 under HYPOTHESIS_PROFILE=ci).
+ORACLE_EXAMPLES = max(200, settings.default.max_examples)
 
 
 def make_graph(edge_list, extra_nodes=(), kind="tag"):
@@ -473,10 +486,152 @@ def term_trend_reference(corpora: list[tuple[str, Corpus]], lexicon: TermLexicon
     return counts
 
 
+def _inherit_count_reference(mixing: float, size: int) -> int:
+    return int(mixing * size + 0.5)
+
+
+class _FreshNames:
+    def __init__(self) -> None:
+        self._next = 0
+
+    def take(self, count: int) -> list[str]:
+        out = [f"{FRESH_PREFIX}{self._next + i:05d}" for i in range(count)]
+        self._next += count
+        return out
+
+
+def _evolve_communities_reference(spec: PlantSpec) -> list[list[PlantCommunity]]:
+    """Community state for every window, one branch per event kind."""
+    states = [list(spec.communities)]
+    fresh = _FreshNames()
+    for pair in range(len(spec.windows) - 1):
+        current = states[-1]
+        by_name = {c.name: c for c in current}
+        consumed: set[str] = set()
+        produced: list[PlantCommunity] = []
+        for event in spec.events:
+            if event.pair != pair:
+                continue
+            where = f"pair {pair} {event.kind}"
+            for source in event.sources:
+                if source not in by_name:
+                    raise SynthError(f"{where}: unknown source community {source!r}")
+                if source in consumed:
+                    raise SynthError(f"{where}: source {source!r} already consumed by another event")
+            consumed.update(event.sources)
+            if event.kind == "death":
+                continue
+            if event.kind == "birth":
+                rate = event.rate if event.rate is not None else _DEFAULT_BIRTH_RATE
+                produced.append(PlantCommunity(
+                    name=event.targets[0],
+                    members=tuple(fresh.take(event.size)),
+                    rate=rate,
+                ))
+            elif event.kind == "merge":
+                inherited: list[str] = []
+                total = 0
+                for source in event.sources:
+                    src = by_name[source]
+                    total += len(src.members)
+                    inherited.extend(src.members[: _inherit_count_reference(event.mixing, len(src.members))])
+                fill = fresh.take(total - len(inherited))
+                rate = event.rate if event.rate is not None else by_name[event.sources[0]].rate
+                produced.append(PlantCommunity(
+                    name=event.targets[0],
+                    members=tuple(sorted(inherited + fill)),
+                    rate=rate,
+                ))
+            elif event.kind == "split":
+                src = by_name[event.sources[0]]
+                parts = len(event.targets)
+                base, extra = divmod(len(src.members), parts)
+                if base == 0:
+                    raise SynthError(
+                        f"{where}: source {src.name!r} has {len(src.members)} members, "
+                        f"too few for {parts} parts"
+                    )
+                offset = 0
+                for t_index, target in enumerate(event.targets):
+                    part_size = base + (1 if t_index < extra else 0)
+                    part = src.members[offset: offset + part_size]
+                    offset += part_size
+                    kept = list(part[: _inherit_count_reference(event.mixing, part_size)])
+                    fill = fresh.take(part_size - len(kept))
+                    rate = event.rate if event.rate is not None else src.rate
+                    produced.append(PlantCommunity(
+                        name=target, members=tuple(sorted(kept + fill)), rate=rate,
+                    ))
+            else:
+                src = by_name[event.sources[0]]
+                kept = list(src.members[: _inherit_count_reference(event.mixing, len(src.members))])
+                fill = fresh.take(len(src.members) - len(kept))
+                rate = event.rate if event.rate is not None else src.rate
+                produced.append(PlantCommunity(
+                    name=event.targets[0], members=tuple(sorted(kept + fill)), rate=rate,
+                ))
+        carried = [c for c in current if c.name not in consumed]
+        next_state = carried + produced
+        names = [c.name for c in next_state]
+        if len(set(names)) != len(names):
+            raise SynthError(f"pair {pair}: duplicate community names in the produced window")
+        seen: set[str] = set()
+        for community in next_state:
+            overlap = seen.intersection(community.members)
+            if overlap:
+                raise SynthError(f"pair {pair}: produced communities overlap on {sorted(overlap)}")
+            seen.update(community.members)
+        if not next_state:
+            raise SynthError(f"pair {pair}: events leave the next window with no communities")
+        states.append(next_state)
+    return states
+
+
+def _ground_truth_reference(spec: PlantSpec, states: list[list[PlantCommunity]]) -> GroundTruth:
+    """Events, implicit persists and indices recomputed from the finished states."""
+    assignments = tuple(
+        {term: c.name for c in state for term in c.members} for state in states
+    )
+    pair_events: list[tuple[PlantedEvent, ...]] = []
+    convergence: list[dict[str, float]] = []
+    novelty: list[dict[str, float]] = []
+    for pair in range(len(spec.windows) - 1):
+        explicit = [e for e in spec.events if e.pair == pair]
+        consumed = {s for e in explicit for s in e.sources}
+        events = [PlantedEvent(e.kind, e.sources, e.targets) for e in explicit]
+        for community in states[pair]:
+            if community.name not in consumed:
+                events.append(PlantedEvent("persist", (community.name,), (community.name,)))
+        vocab_prev = set(assignments[pair])
+        ci: dict[str, float] = {}
+        for community in states[pair + 1]:
+            inherited = sum(1 for t in community.members if t in vocab_prev)
+            ci[community.name] = inherited / len(community.members)
+        pair_events.append(tuple(events))
+        convergence.append(ci)
+        novelty.append({name: 1.0 - v for name, v in ci.items()})
+    return GroundTruth(
+        assignments=assignments,
+        pair_events=tuple(pair_events),
+        convergence=tuple(convergence),
+        novelty=tuple(novelty),
+    )
+
+
+def plant_reference(spec: PlantSpec) -> tuple[list[list[PlantCommunity]], GroundTruth]:
+    """The planted states and ground truth in two passes, one branch per event kind.
+
+    The states come first, with merge, split and persist each written out;
+    the events, implicit persists and indices are then recomputed from the
+    finished states, convergence by membership in the previous vocabulary.
+    """
+    states = _evolve_communities_reference(spec)
+    return states, _ground_truth_reference(spec, states)
+
+
 def generate_corpus_reference(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, GroundTruth]:
     """generate_corpus with one scalar SplitMix64.chance call per term."""
-    states = _evolve_communities(spec)
-    truth = _ground_truth(spec, states)
+    states, truth = plant_reference(spec)
     rng = SplitMix64(spec.seed)
     documents: list[Document] = []
     for w_index, (window, state) in enumerate(zip(spec.windows, states)):

@@ -152,12 +152,19 @@ def test_series_with_break_report(tmp_path, capsys):
         assert payload["p_value"] == 1.0
 
 
-def test_series_invalid_breakpoint_exits_2(tmp_path, capsys):
+def _no_build(*args, **kwargs):
+    raise AssertionError("a window was clustered before the breakpoint was checked")
+
+
+def test_series_invalid_breakpoint_exits_2(tmp_path, capsys, monkeypatch):
     data = synth_into(tmp_path, eight_window_spec(tmp_path), "data8")
     windows_path = write_json(
         tmp_path / "windows.json",
         [{"start": MONTHS[i], "end": MONTHS[i + 1]} for i in range(8)],
     )
+    for module in [m for name, m in sorted(sys.modules.items()) if name.startswith("techflux")]:
+        if hasattr(module, "build_cooccurrence"):
+            monkeypatch.setattr(module, "build_cooccurrence", _no_build)
     code = main([
         "series",
         "--corpus", str(data / "corpus.jsonl"),
@@ -169,7 +176,8 @@ def test_series_invalid_breakpoint_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "techflux breakcheck:" in captured.err
-    assert "segments of 1 and 6" in captured.err
+    assert "each segment needs more than 2 points; breakpoint 1 gives segments of 1 and 6" in captured.err
+    assert not (tmp_path / "series_out" / "series.csv").exists()
 
 
 def _no_full_build(*args, **kwargs):
@@ -520,6 +528,28 @@ def test_trend_source_errors(tmp_path, capsys):
     assert "duplicate corpus label 'news'" in capsys.readouterr().err
     assert main(base + ["--corpus", news, "--corpus", "nolabel"]) == 2
     assert "LABEL=PATH" in capsys.readouterr().err
+
+
+def test_trend_rejects_terms_that_share_a_file_before_reading_a_corpus(tmp_path, capsys):
+    lexicon = write_json(tmp_path / "lex.json", [
+        {"canonical": "machine learning", "patterns": ["machine learning"]},
+        {"canonical": "machine-learning", "patterns": ["machine-learning"]},
+    ])
+    terms = tmp_path / "terms.txt"
+    # a term listed twice is not a clash; a second term with the same file is
+    terms.write_text("machine learning\nmachine learning\nmachine-learning\n")
+    out = tmp_path / "o"
+    # neither corpus exists, so only a check made before reading them can pass
+    code = main([
+        "trend", "--corpus", f"a={tmp_path / 'missing_a.jsonl'}", "--corpus", f"b={tmp_path / 'missing_b.jsonl'}",
+        "--terms", str(terms), "--lexicon", lexicon, "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("techflux config: ")
+    assert f"terms file {terms}" in err
+    assert "'machine learning' and 'machine-learning' would both write trend_machine_learning.csv" in err
+    assert not list(out.glob("*"))
 
 
 @pytest.mark.parametrize("case", ["duplicate_label", "unknown_term"])

@@ -26,6 +26,7 @@ from techflux.cograph import CoGraph, GraphNode
 from techflux.errors import CommunityError
 
 from oracles import (
+    ORACLE_EXAMPLES,
     aggregate_reference,
     best_partition_bruteforce,
     escape_round_reference,
@@ -35,10 +36,6 @@ from oracles import (
     modularity_pairsum,
     random_connected_graph,
 )
-
-# The oracle properties run at least 200 examples, and the profile's count
-# when it asks for more (1,000 under HYPOTHESIS_PROFILE=ci).
-ORACLE_EXAMPLES = max(200, settings.default.max_examples)
 
 TRIANGLES = [("a", "b", 1), ("a", "c", 1), ("b", "c", 1),
              ("d", "e", 1), ("d", "f", 1), ("e", "f", 1)]
@@ -304,7 +301,7 @@ def louvain_cases(draw):
     return graph, renamed_graph, rename, draw(st.floats(0.5, 2.0))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(louvain_cases())
 def test_louvain_partition_properties(case):
     graph, renamed_graph, rename, resolution = case

@@ -1,4 +1,5 @@
 import datetime as dt
+import itertools
 import json
 import warnings
 
@@ -15,9 +16,11 @@ from techflux.lexicon import extract_terms, lexicon_from_records
 from techflux.synth import (
     _GAMMA,
     _MASK64,
+    EVENT_KINDS,
     FRESH_PREFIX,
     PlantedEvent,
     SplitMix64,
+    _plant,
     export_ground_truth,
     generate_corpus,
     ground_truth_to_json,
@@ -27,7 +30,7 @@ from techflux.synth import (
 )
 from techflux.transition import transition_report
 
-from oracles import generate_corpus_reference
+from oracles import ORACLE_EXAMPLES, generate_corpus_reference, plant_reference
 
 EMPTY_LEX = lexicon_from_records([])
 
@@ -381,6 +384,94 @@ def test_generate_corpus_matches_scalar_oracle(spec, with_text):
     expected_corpus, expected_truth = generate_corpus_reference(spec, with_text=with_text)
     assert corpus == expected_corpus
     assert truth.assignments == expected_truth.assignments
+    assert ground_truth_to_json(truth) == ground_truth_to_json(expected_truth)
+
+
+@st.composite
+def evolving_plant_specs(draw):
+    """2-4 windows and up to 3 events per pair of any kind.
+
+    Sources are mostly live, unconsumed communities and targets mostly new
+    names. About one name in ten comes from a shared pool instead, so some
+    specs name a community that is not alive, consume a source twice or
+    produce a name twice; splits also meet sources with too few members.
+    Those must fail in both implementations with the same error.
+    """
+    n_windows = draw(st.integers(2, 4))
+    n_communities = draw(st.integers(1, 4))
+    pool = [f"c{i}" for i in range(n_communities + 2)]
+    new_names = (f"n{i}" for i in itertools.count())
+    alive = pool[:n_communities]
+    events = []
+    for pair in range(n_windows - 1):
+        free, produced = list(alive), []
+
+        def source():
+            if free and draw(st.integers(0, 9)):
+                name = draw(st.sampled_from(free))
+                free.remove(name)
+                return name
+            return draw(st.sampled_from(pool))
+
+        def target():
+            name = next(new_names) if draw(st.integers(0, 9)) else draw(st.sampled_from(pool))
+            produced.append(name)
+            return name
+
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(EVENT_KINDS))
+            event = {"kind": kind, "pair": pair}
+            if kind in ("merge", "split"):
+                event["mixing"] = draw(st.floats(0.0, 1.0, exclude_min=True))
+            elif kind == "persist":
+                event["mixing"] = draw(st.floats(0.0, 1.0))
+            if kind != "birth":
+                event["sources"] = [source() for _ in range(draw(st.integers(2, 3)) if kind == "merge" else 1)]
+            if kind == "split":
+                event["targets"] = [target() for _ in range(draw(st.integers(2, 4)))]
+            elif kind in ("birth", "merge") or (kind == "persist" and draw(st.booleans())):
+                event["targets"] = [target()]
+            elif kind == "persist":
+                produced.append(event["sources"][0])
+            if kind == "birth":
+                event["size"] = draw(st.integers(1, 4))
+            if kind != "death" and draw(st.booleans()):
+                event["rate"] = draw(_RATES)
+            events.append(event)
+        alive = free + produced
+    return plant_spec_from_records({
+        "seed": 0,
+        "docs_per_window": 1,
+        "windows": [{"start": f"2020-{m:02d}-01", "end": f"2020-{m + 1:02d}-01"} for m in range(1, n_windows + 1)],
+        "communities": [
+            {"name": pool[i], "size": draw(st.integers(1, 6)), "rate": draw(st.floats(0.01, 1.0))}
+            for i in range(n_communities)
+        ],
+        "events": events,
+    })
+
+
+def _planted_or_error(plant, spec):
+    try:
+        return plant(spec)
+    except SynthError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+@given(evolving_plant_specs())
+def test_plant_matches_two_pass_reference(spec):
+    got = _planted_or_error(_plant, spec)
+    expected = _planted_or_error(plant_reference, spec)
+    if isinstance(expected[0], type):
+        assert got == expected
+        return
+    (states, truth), (expected_states, expected_truth) = got, expected
+    assert states == expected_states
+    assert truth.assignments == expected_truth.assignments
+    assert truth.pair_events == expected_truth.pair_events
+    assert truth.convergence == expected_truth.convergence
+    assert truth.novelty == expected_truth.novelty
     assert ground_truth_to_json(truth) == ground_truth_to_json(expected_truth)
 
 

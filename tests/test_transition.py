@@ -286,7 +286,7 @@ def partitions(draw):
     return Partition(dict(zip(members, ids)), 0.0, k)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=max(500, settings.default.max_examples), deadline=None)
 @given(partitions(), partitions(), st.sampled_from(MEASURES), st.floats(0.01, 0.99))
 def test_transition_matches_numpy_oracle(part_t, part_t1, measure, tau):
     report = transition_report(part_t, part_t1, tau=tau, measure=measure)
