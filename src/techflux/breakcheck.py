@@ -252,7 +252,8 @@ class IndexSeries:
         return [p.mean_ni for p in self.points]
 
 
-def _mean_index(per_cluster: dict[int, float], sizes: tuple[int, ...], weighted: bool) -> float:
+def mean_index(per_cluster: dict[int, float], sizes: tuple[int, ...], weighted: bool) -> float:
+    """Mean of a per-cluster index over the later window's clusters, plain or weighted by size."""
     values = [per_cluster[cid] for cid in sorted(per_cluster)]
     if not weighted:
         return math.fsum(values) / len(values)
@@ -295,8 +296,8 @@ def index_series(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow]
         sizes = report.similarity.col_sizes
         points.append(SeriesPoint(
             window=w_t1,
-            mean_ci=_mean_index(report.convergence, sizes, config.weighted_mean),
-            mean_ni=_mean_index(report.novelty, sizes, config.weighted_mean),
+            mean_ci=mean_index(report.convergence, sizes, config.weighted_mean),
+            mean_ni=mean_index(report.novelty, sizes, config.weighted_mean),
         ))
     return IndexSeries(points=tuple(points))
 

@@ -20,52 +20,51 @@ import sys
 from pathlib import Path
 
 from . import breakcheck, synth
-from .cograph import FIELD_CHOICES, PAIR_CHOICES, export_graph_json, export_graphml
+from .cograph import export_graph_json, export_graphml
 from .community import export_partition_json, suggest_labels
-from .config import PipelineConfig, build_config, read_config_file
+from .config import SETTINGS, PipelineConfig, build_config, read_config_file, setting_type
 from .corpus import TimeWindow, load_corpus, load_windows, save_corpus
 from .errors import ConfigError, StatsError, TechfluxError
 from .fileio import read_text, write_csv, write_json
-from .lexicon import compile_lexicon, lexicon_from_records
-from .transition import MEASURES, alluvial_export, export_report_json, export_similarity_csv, transition_report
+from .lexicon import TermLexicon, compile_lexicon, lexicon_from_records
+from .transition import alluvial_export, export_report_json, export_similarity_csv, transition_report
 
 
-# Each pipeline setting's CLI flag; dest, config-file key and PipelineConfig
-# field all share the setting's name.
-_SETTING_FLAGS: dict[str, dict] = {
-    "lexicon": dict(help="term lexicon JSON file"),
-    "field": dict(choices=FIELD_CHOICES, help="where terms come from (default both)"),
-    "pairs": dict(choices=PAIR_CHOICES, help="which co-occurring pairs become edges (default all)"),
-    "top_n": dict(type=int, help="keep the N most frequent nodes (default 100)"),
-    "measure": dict(choices=MEASURES, help="cluster similarity measure (default overlap_target)"),
-    "tau": dict(type=float, help="event threshold in (0,1) (default 0.1)"),
-    "resolution": dict(type=float, help="clustering resolution (default 1.0)"),
-    "weighted_mean": dict(action="store_true", default=None, help="weight cluster indices by cluster size"),
-    "out": dict(help="output directory (default .)"),
-}
+def _add_setting_flag(sub: argparse.ArgumentParser, name: str) -> None:
+    """Register a setting's flag as its PipelineConfig field declares it.
+
+    A flag left out is None, so it does not override the config file.
+    """
+    setting = SETTINGS[name]
+    flag = "--" + name.replace("_", "-")
+    text = setting.metadata["help"]
+    if setting.default is False:
+        sub.add_argument(flag, dest=name, action="store_true", default=None, help=text)
+        return
+    if setting.default is not None:
+        text += f" (default {setting.default})"
+    sub.add_argument(flag, dest=name, type=setting_type(setting), choices=setting.metadata["choices"], help=text)
 
 
 def _add_setting_flags(sub: argparse.ArgumentParser, *settings: str) -> None:
     """Register --config plus the flags of the settings this subcommand reads."""
     sub.add_argument("--config", help="flat JSON config file; flags override it")
     for name in settings:
-        sub.add_argument("--" + name.replace("_", "-"), dest=name, **_SETTING_FLAGS[name])
+        _add_setting_flag(sub, name)
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
+def _read_settings(args: argparse.Namespace) -> tuple[PipelineConfig, Path, TermLexicon]:
+    """Merge the config, create --out, then compile the lexicon, in that order."""
     file_values = read_config_file(args.config) if args.config else None
-    flag_values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(PipelineConfig)}
-    return build_config(file_values, flag_values)
-
-
-def _require_lexicon(config: PipelineConfig):
+    config = build_config(file_values, {name: getattr(args, name, None) for name in SETTINGS})
+    out = _out_dir(config.out)
     if not config.lexicon:
         raise ConfigError("a lexicon is required: pass --lexicon or set 'lexicon' in the config file")
-    return compile_lexicon(config.lexicon)
+    return config, out, compile_lexicon(config.lexicon)
 
 
-def _out_dir(path: str | None) -> Path:
-    out = Path(path or ".")
+def _out_dir(path: str) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -79,9 +78,7 @@ def _cluster_header(labels) -> list[str]:
 
 
 def run_compare(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    out = _out_dir(config.out)
-    lexicon = _require_lexicon(config)
+    config, out, lexicon = _read_settings(args)
     corpus = load_corpus(args.corpus)
     window_t = TimeWindow.parse(args.window_t, label="t")
     window_t1 = TimeWindow.parse(args.window_t1, label="t+1")
@@ -109,16 +106,16 @@ def run_compare(args: argparse.Namespace) -> int:
         line = f"  {event.kind:<8} {sources:>12} -> {targets:<12}"
         print(line + (f"  [{supports}]" if supports else ""))
     if report.convergence:
-        mean_ci = sum(report.convergence.values()) / len(report.convergence)
-        print(f"mean convergence {mean_ci:.4f}, mean novelty {1.0 - mean_ci:.4f}")
+        sizes = report.similarity.col_sizes
+        mean_ci = breakcheck.mean_index(report.convergence, sizes, weighted=False)
+        mean_ni = breakcheck.mean_index(report.novelty, sizes, weighted=False)
+        print(f"mean convergence {mean_ci:.4f}, mean novelty {mean_ni:.4f}")
     print(f"wrote 9 files to {out}")
     return 0
 
 
 def run_series(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    out = _out_dir(config.out)
-    lexicon = _require_lexicon(config)
+    config, out, lexicon = _read_settings(args)
     windows = load_windows(args.windows)
     breakpoint_index = args.breakpoint
     # W windows give W - 1 points; a breakpoint that leaves a segment too
@@ -148,8 +145,9 @@ def _parse_source(raw: str) -> tuple[str, str]:
 
 
 def _load_terms_file(path: str) -> list[str]:
-    terms = [line.strip() for line in read_text(path, ConfigError, "terms file").splitlines()]
-    terms = [t for t in terms if t and not t.startswith("#")]
+    lines = (line.strip() for line in read_text(path, ConfigError, "terms file").splitlines())
+    # a term listed twice is run once
+    terms = list(dict.fromkeys(t for t in lines if t and not t.startswith("#")))
     if not terms:
         raise ConfigError(f"terms file {path} lists no terms")
     owners: dict[str, str] = {}
@@ -168,9 +166,7 @@ def _term_slug(term: str) -> str:
 
 
 def run_trend(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    out = _out_dir(config.out)
-    lexicon = _require_lexicon(config)
+    config, out, lexicon = _read_settings(args)
     if len(args.corpus) < 2:
         raise ConfigError(f"trend needs at least 2 corpus sources, got {len(args.corpus)}")
     sources = [_parse_source(raw) for raw in args.corpus]
@@ -222,9 +218,7 @@ def run_synth(args: argparse.Namespace) -> int:
 
 
 def run_cluster(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    out = _out_dir(config.out)
-    lexicon = _require_lexicon(config)
+    config, out, lexicon = _read_settings(args)
     corpus = load_corpus(args.corpus)
     window = TimeWindow.parse(args.window) if args.window else None
     graph, partition = breakcheck.cluster_window(corpus, lexicon, window, config)
@@ -274,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth_cmd.add_argument("--seed", type=int, help="override the plant spec's seed")
     synth_cmd.add_argument("--with-text", action="store_true", dest="with_text",
                            help="emit terms inside sentences instead of tags")
-    synth_cmd.add_argument("--out", help="output directory (default .)")
-    synth_cmd.set_defaults(func=run_synth)
+    _add_setting_flag(synth_cmd, "out")
+    synth_cmd.set_defaults(func=run_synth, out=PipelineConfig.out)
 
     cluster = sub.add_parser("cluster", help="build and cluster a single window")
     cluster.add_argument("--corpus", required=True, help="corpus file (JSONL or CSV)")

@@ -211,6 +211,13 @@ def _community_from_record(raw: object, where: str) -> PlantCommunity:
     return PlantCommunity(name=name, members=members, rate=float(rate))
 
 
+def _event_names(raw: dict, key: str, where: str) -> tuple[str, ...]:
+    names = raw.get(key, [])
+    if not isinstance(names, list) or not all(isinstance(name, str) and name for name in names):
+        raise SynthError(f"{where}: {key} must be an array of nonempty strings, got {names!r}")
+    return tuple(names)
+
+
 def _event_from_record(raw: object, where: str) -> PlantEvent:
     if not isinstance(raw, dict):
         raise SynthError(f"{where}: event record must be an object")
@@ -220,8 +227,10 @@ def _event_from_record(raw: object, where: str) -> PlantEvent:
     pair = raw.get("pair", 0)
     if isinstance(pair, bool) or not isinstance(pair, int) or pair < 0:
         raise SynthError(f"{where}: event pair index must be a nonnegative integer")
-    sources = tuple(raw.get("sources", ()))
-    targets = tuple(raw.get("targets", ()))
+    sources = _event_names(raw, "sources", where)
+    targets = _event_names(raw, "targets", where)
+    if len(set(sources)) != len(sources):
+        raise SynthError(f"{where}: sources must be distinct, got {list(sources)!r}")
     mixing = raw.get("mixing", 1.0)
     if isinstance(mixing, bool) or not isinstance(mixing, (int, float)) or not 0.0 <= float(mixing) <= 1.0:
         raise SynthError(f"{where}: mixing must lie in [0, 1], got {mixing!r}")
@@ -255,9 +264,6 @@ def _event_from_record(raw: object, where: str) -> PlantEvent:
             raise SynthError(f"{where}: persist takes one source and at most one target")
         if not targets:
             targets = (sources[0],)
-    for name in sources + targets:
-        if not isinstance(name, str) or not name:
-            raise SynthError(f"{where}: community names must be nonempty strings")
     return PlantEvent(
         kind=kind, pair=pair, sources=sources, targets=targets,
         mixing=mixing, size=size, rate=float(rate) if rate is not None else None,

@@ -11,8 +11,11 @@ import pytest
 
 import techflux
 import techflux.cograph
+from techflux.breakcheck import mean_index
 from techflux.cli import main
+from techflux.config import PipelineConfig, build_config
 from techflux.corpus import load_corpus, load_windows, window_filter
+from techflux.errors import ConfigError
 from techflux.lexicon import compile_lexicon
 
 COMPARE_FILES = (
@@ -99,6 +102,12 @@ def test_synth_and_compare_end_to_end(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     kinds = sorted(e["kind"] for e in report["events"])
     assert kinds == ["birth", "merge", "persist"]
+    # compare prints the plain mean index that the series uses
+    mean_ci, mean_ni = (
+        mean_index({int(cid): v for cid, v in report[key].items()}, (), weighted=False)
+        for key in ("convergence_index", "novelty_index")
+    )
+    assert f"mean convergence {mean_ci:.4f}, mean novelty {mean_ni:.4f}\n" in captured.out
     truth = json.loads((data / "ground_truth.json").read_text())
     measured = sorted(report["convergence_index"].values())
     planted = sorted(truth["pairs"][0]["convergence"].values())
@@ -572,6 +581,27 @@ def test_trend_rejects_bad_input_before_writing(tmp_path, capsys, case):
     assert not (out / "correlations.csv").exists()
 
 
+def test_trend_runs_a_repeated_term_once(tmp_path, capsys):
+    lexicon, _ = trend_fixture(tmp_path)
+    terms = tmp_path / "terms_twice.txt"
+    terms.write_text("ai\nai\n")
+    out = tmp_path / "trend_out"
+    code = main([
+        "trend",
+        "--corpus", f"news={tmp_path / 'news.jsonl'}",
+        "--corpus", f"patents={tmp_path / 'patents.jsonl'}",
+        "--terms", str(terms), "--lexicon", lexicon, "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == f"wrote 1 trend files and correlations.csv to {out}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["correlations.csv", "trend_ai.csv"]
+    assert (out / "correlations.csv").read_text().splitlines() == [
+        "term,source_a,source_b,pearson_r",
+        "ai,news,patents,1.000000",
+    ]
+
+
 def test_trend_counts_under_field(tmp_path, capsys):
     lexicon, terms = trend_fixture(tmp_path)
     out = tmp_path / "trend_text"
@@ -643,6 +673,24 @@ def test_bad_date_in_plant_spec_reports_under_synth_with_its_window(tmp_path, ca
     path = write_json(tmp_path / "bad_plant.json", spec)
     assert main(["synth", "--plant-spec", path, "--out", str(tmp_path / "x")]) == 2
     assert f"techflux synth: {path}: window 1: invalid ISO-8601 date: '2021-13-01'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("event,key,value,message", [
+    (0, "sources", 5, "sources must be an array of nonempty strings, got 5"),
+    (1, "targets", 7, "targets must be an array of nonempty strings, got 7"),
+    (0, "sources", {"red": 1, "blue": 2}, "sources must be an array of nonempty strings, got {'red': 1, 'blue': 2}"),
+    (0, "sources", "red", "sources must be an array of nonempty strings, got 'red'"),
+    (0, "targets", ["purple", 3], "targets must be an array of nonempty strings, got ['purple', 3]"),
+    (0, "sources", ["red", "red"], "sources must be distinct, got ['red', 'red']"),
+], ids=["number", "number-targets", "object", "string", "non-string-name", "repeated-source"])
+def test_malformed_plant_spec_event_lists_exit_2_naming_the_event(tmp_path, capsys, event, key, value, message):
+    spec = json.loads(Path(two_window_spec(tmp_path)).read_text())
+    spec["events"][event][key] = value
+    path = write_json(tmp_path / "bad_plant.json", spec)
+    out = tmp_path / "x"
+    assert main(["synth", "--plant-spec", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"techflux synth: {path} event {event}: {message}\n"
+    assert not list(out.iterdir())
 
 
 def test_bad_date_in_windows_file_names_the_file_and_window(tmp_path, capsys):
@@ -771,3 +819,103 @@ def test_synth_seed_override_and_text_mode(tmp_path):
     first = json.loads((texted / "corpus.jsonl").read_text().splitlines()[0])
     assert first["tags"] == []
     assert first["text"].startswith("This note covers ")
+
+
+# Each config error, by the full message it prints; CONFIG stands for the
+# config file's path. The config is merged before --out is created.
+_CONFIG_FILE_ERRORS = [
+    ({"field": "title"}, "field must be one of ('text', 'tags', 'both'), got 'title'"),
+    ({"pairs": "tag-tag"}, "pairs must be one of ('all', 'tech-tag'), got 'tag-tag'"),
+    ({"measure": "cosine"}, "measure must be one of ('overlap_target', 'jaccard'), got 'cosine'"),
+    ({"top_n": 0}, "top_n must be an integer >= 1, got 0"),
+    ({"tau": 1}, "tau must lie in (0, 1), got 1.0"),
+    ({"tau": 0.0}, "tau must lie in (0, 1), got 0.0"),
+    ({"resolution": 0}, "resolution must be positive, got 0.0"),
+    ({"resolution": -1.5}, "resolution must be positive, got -1.5"),
+    (["tau", 0.5], "CONFIG: config must be a flat JSON object"),
+    ({"tau": "0.5"}, "CONFIG: key 'tau' must be a number, got '0.5'"),
+    ({"resolution": True}, "CONFIG: key 'resolution' must be a number, got True"),
+    ({"top_n": 2.5}, "CONFIG: key 'top_n' must be an integer, got 2.5"),
+    ({"top_n": False}, "CONFIG: key 'top_n' must be an integer, got False"),
+    ({"field": 1}, "CONFIG: key 'field' must be str, got 1"),
+    ({"lexicon": None}, "CONFIG: key 'lexicon' must be str, got None"),
+    ({"out": ["o"]}, "CONFIG: key 'out' must be str, got ['o']"),
+    ({"weighted_mean": 1}, "CONFIG: key 'weighted_mean' must be bool, got 1"),
+    ({"bogus": 1}, "CONFIG: unknown config key 'bogus'"),
+]
+
+_COMPARE_ARGS = ["compare", "--corpus", "c.jsonl", "--window-t", "2021-01-01:2021-02-01",
+                 "--window-t1", "2021-02-01:2021-03-01"]
+
+
+@pytest.mark.parametrize("payload,message", _CONFIG_FILE_ERRORS, ids=[
+    ",".join(f"{k}={v!r}" for k, v in p.items()) if isinstance(p, dict) else "array" for p, _ in _CONFIG_FILE_ERRORS
+])
+def test_config_file_errors_exit_2_with_their_message(tmp_path, capsys, payload, message):
+    config = write_json(tmp_path / "config.json", payload)
+    out = tmp_path / "out"
+    assert main([*_COMPARE_ARGS, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"techflux config: {message.replace('CONFIG', config)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,message", [
+    (["--top-n", "0"], "top_n must be an integer >= 1, got 0"),
+    (["--tau", "1"], "tau must lie in (0, 1), got 1.0"),
+    (["--resolution", "0"], "resolution must be positive, got 0.0"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_setting_flag_errors_exit_2_with_their_message(tmp_path, capsys, flag, message):
+    out = tmp_path / "out"
+    assert main([*_COMPARE_ARGS, *flag, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"techflux config: {message}\n"
+    assert not out.exists()
+
+
+def test_config_checks_a_library_caller_meets():
+    # the config file's type checks stop these before PipelineConfig sees them
+    with pytest.raises(ConfigError, match=re.escape("top_n must be an integer >= 1, got 2.0")):
+        PipelineConfig(top_n=2.0)
+    with pytest.raises(ConfigError, match=re.escape("top_n must be an integer >= 1, got True")):
+        PipelineConfig(top_n=True)
+    with pytest.raises(ConfigError, match=re.escape("weighted_mean must be a boolean, got 1")):
+        PipelineConfig(weighted_mean=1)
+    with pytest.raises(ConfigError, match=re.escape("unknown config field 'bogus'")):
+        build_config({"bogus": 1})
+
+
+# What --help prints for each setting flag; the help layout differs between
+# Python versions, so the test compares with whitespace collapsed.
+_SETTING_HELP = {
+    "lexicon": "--lexicon LEXICON term lexicon JSON file",
+    "field": "--field {text,tags,both} where terms come from (default both)",
+    "pairs": "--pairs {all,tech-tag} which co-occurring pairs become edges (default all)",
+    "top_n": "--top-n TOP_N keep the N most frequent nodes (default 100)",
+    "measure": "--measure {overlap_target,jaccard} cluster similarity measure (default overlap_target)",
+    "tau": "--tau TAU event threshold in (0,1) (default 0.1)",
+    "resolution": "--resolution RESOLUTION clustering resolution (default 1.0)",
+    "weighted_mean": "--weighted-mean weight cluster indices by cluster size",
+    "out": "--out OUT output directory (default .)",
+}
+
+
+_SETTINGS_READ = {
+    "compare": ["lexicon", "field", "pairs", "top_n", "measure", "tau", "resolution", "out"],
+    "series": ["lexicon", "field", "pairs", "top_n", "resolution", "weighted_mean", "out"],
+    "trend": ["lexicon", "field", "out"],
+    "synth": ["out"],
+    "cluster": ["lexicon", "field", "pairs", "top_n", "resolution", "out"],
+}
+
+
+@pytest.mark.parametrize("command", _SETTINGS_READ)
+def test_help_lists_each_setting_with_its_choices_and_default(capsys, command):
+    settings = _SETTINGS_READ[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name in settings:
+        assert _SETTING_HELP[name] in text
+    for name in _SETTING_HELP.keys() - set(settings):
+        assert "--" + name.replace("_", "-") + " " not in text
+    assert ("--config CONFIG flat JSON config file; flags override it" in text) == (command != "synth")

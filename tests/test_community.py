@@ -247,6 +247,23 @@ def test_escape_round_matches_rescoring_oracle(case):
         escape_round_reference(level, resolution, order, list(com))
 
 
+def test_escape_round_skips_a_level_over_its_size_cap():
+    n = community._ESCAPE_MAX_NODES + 1
+    level = _Level([{(i + 1) % n: 1.0, (i - 1) % n: 1.0} for i in range(n)], [0.0] * n)
+    com = [i // 2 for i in range(n)]
+    got, improved = _escape_round(level, 1.0, _lex_order(level), com)
+    assert got is com and improved is False
+
+
+def test_louvain_over_the_escape_cap_finds_disjoint_cliques():
+    # 105 five-cliques: 525 nodes, so level 0 is refined without escape rounds
+    cliques = [[f"n{5 * k + i:03d}" for i in range(5)] for k in range(105)]
+    edges = [(a, b, 1) for clique in cliques for i, a in enumerate(clique) for b in clique[i + 1:]]
+    part = louvain(make_graph(edges))
+    assert len(part.assignment) > community._ESCAPE_MAX_NODES
+    assert clusters_as_sets(part) == {frozenset(clique) for clique in cliques}
+
+
 @st.composite
 def local_phase_cases(draw):
     """An escape-round case whose nodes may carry self-loops, as on aggregated levels."""

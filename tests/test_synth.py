@@ -395,7 +395,8 @@ def evolving_plant_specs(draw):
     names. About one name in ten comes from a shared pool instead, so some
     specs name a community that is not alive, consume a source twice or
     produce a name twice; splits also meet sources with too few members.
-    Those must fail in both implementations with the same error.
+    Those must fail in both implementations with the same error. One
+    event's sources stay distinct, since the spec parser rejects a repeat.
     """
     n_windows = draw(st.integers(2, 4))
     n_communities = draw(st.integers(1, 4))
@@ -406,12 +407,13 @@ def evolving_plant_specs(draw):
     for pair in range(n_windows - 1):
         free, produced = list(alive), []
 
-        def source():
-            if free and draw(st.integers(0, 9)):
-                name = draw(st.sampled_from(free))
+        def source(chosen):
+            options = [name for name in free if name not in chosen]
+            if options and draw(st.integers(0, 9)):
+                name = draw(st.sampled_from(options))
                 free.remove(name)
                 return name
-            return draw(st.sampled_from(pool))
+            return draw(st.sampled_from([name for name in pool if name not in chosen]))
 
         def target():
             name = next(new_names) if draw(st.integers(0, 9)) else draw(st.sampled_from(pool))
@@ -426,7 +428,9 @@ def evolving_plant_specs(draw):
             elif kind == "persist":
                 event["mixing"] = draw(st.floats(0.0, 1.0))
             if kind != "birth":
-                event["sources"] = [source() for _ in range(draw(st.integers(2, 3)) if kind == "merge" else 1)]
+                sources = event["sources"] = []
+                for _ in range(draw(st.integers(2, 3)) if kind == "merge" else 1):
+                    sources.append(source(sources))
             if kind == "split":
                 event["targets"] = [target() for _ in range(draw(st.integers(2, 4)))]
             elif kind in ("birth", "merge") or (kind == "persist" and draw(st.booleans())):
