@@ -5,9 +5,10 @@ config file, and command-line flags. Flags win over the file, the file wins
 over defaults.
 
 Each setting is declared once, as a `PipelineConfig` field that carries its
-default, its help text and, where the value is one of a fixed set, its
-choices. The config-file key and the flag (with ``-`` for ``_``) take the
-field's name, and both take the field's type from `setting_type`.
+default, its help text, its choices where the value is one of a fixed set,
+and any other rule its value must meet. The config-file key and the flag
+(with ``-`` for ``_``) take the field's name, and both take the field's
+type from `setting_type`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,19 @@ from .fileio import read_json
 from .transition import MEASURES
 
 
-def _setting(default: object, help: str, choices: tuple[str, ...] | None = None):
-    return field(default=default, metadata={"help": help, "choices": choices})
+def _setting(default: object, help: str, choices: tuple[str, ...] | None = None, rule=None):
+    """A setting's field; rule is (requirement, test), and choices make the rule.
+
+    A value of the setting's type must pass test; one that fails either
+    check is reported as "<name> must <requirement>, got <value>".
+    """
+    if choices is not None:
+        rule = (f"be one of {choices}", choices.__contains__)
+    return field(default=default, metadata={"help": help, "choices": choices, "rule": rule})
+
+
+# the requirement of a setting without a rule, by its type
+_TYPE_REQUIREMENTS = {bool: "be a boolean", int: "be an integer", float: "be a number", str: "be a string"}
 
 
 @dataclass(frozen=True)
@@ -30,27 +42,22 @@ class PipelineConfig:
     lexicon: str | None = _setting(None, "term lexicon JSON file")
     field: str = _setting("both", "where terms come from", FIELD_CHOICES)
     pairs: str = _setting("all", "which co-occurring pairs become edges", PAIR_CHOICES)
-    top_n: int = _setting(100, "keep the N most frequent nodes")
+    top_n: int = _setting(100, "keep the N most frequent nodes", rule=("be an integer >= 1", lambda n: n >= 1))
     measure: str = _setting("overlap_target", "cluster similarity measure", MEASURES)
-    tau: float = _setting(0.1, "event threshold in (0,1)")
-    resolution: float = _setting(1.0, "clustering resolution")
+    tau: float = _setting(0.1, "event threshold in (0,1)", rule=("lie in (0, 1)", lambda t: 0.0 < t < 1.0))
+    resolution: float = _setting(1.0, "clustering resolution", rule=("be positive", lambda r: r > 0.0))
     weighted_mean: bool = _setting(False, "weight cluster indices by cluster size")
     out: str = _setting(".", "output directory")
 
     def __post_init__(self) -> None:
         for setting in fields(self):
-            choices = setting.metadata["choices"]
             value = getattr(self, setting.name)
-            if choices is not None and value not in choices:
-                raise ConfigError(f"{setting.name} must be one of {choices}, got {value!r}")
-        if not isinstance(self.top_n, int) or isinstance(self.top_n, bool) or self.top_n < 1:
-            raise ConfigError(f"top_n must be an integer >= 1, got {self.top_n!r}")
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
-        if not self.resolution > 0.0:
-            raise ConfigError(f"resolution must be positive, got {self.resolution}")
-        if not isinstance(self.weighted_mean, bool):
-            raise ConfigError(f"weighted_mean must be a boolean, got {self.weighted_mean!r}")
+            if value is None and setting.default is None:
+                continue
+            expected = setting_type(setting)
+            requirement, test = setting.metadata["rule"] or (_TYPE_REQUIREMENTS[expected], None)
+            if not _has_type(value, expected) or (test is not None and not test(value)):
+                raise ConfigError(f"{setting.name} must {requirement}, got {value!r}")
 
 
 # setting name (= config-file key) -> its PipelineConfig field
@@ -60,6 +67,15 @@ SETTINGS: dict[str, Field] = {setting.name: setting for setting in fields(Pipeli
 def setting_type(setting: Field) -> type:
     """The type a setting takes in a config file and on its flag: its default's, or str for lexicon."""
     return str if setting.default is None else type(setting.default)
+
+
+def _has_type(value: object, expected: type) -> bool:
+    """isinstance, except that a bool is no int or float and an int is a float."""
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
 
 
 def read_config_file(path: str | Path) -> dict[str, object]:
@@ -72,16 +88,10 @@ def read_config_file(path: str | Path) -> dict[str, object]:
         if key not in SETTINGS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
         expected = setting_type(SETTINGS[key])
-        if expected is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{path}: key {key!r} must be a number, got {value!r}")
-            value = float(value)
-        elif expected is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{path}: key {key!r} must be an integer, got {value!r}")
-        elif not isinstance(value, expected):
-            raise ConfigError(f"{path}: key {key!r} must be {expected.__name__}, got {value!r}")
-        values[key] = value
+        if not _has_type(value, expected):
+            kind = {float: "a number", int: "an integer"}.get(expected, expected.__name__)
+            raise ConfigError(f"{path}: key {key!r} must be {kind}, got {value!r}")
+        values[key] = float(value) if expected is float else value
     return values
 
 

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import techflux
 import techflux.cograph
 from techflux.breakcheck import mean_index
 from techflux.cli import main
@@ -17,6 +16,8 @@ from techflux.config import PipelineConfig, build_config
 from techflux.corpus import load_corpus, load_windows, window_filter
 from techflux.errors import ConfigError
 from techflux.lexicon import compile_lexicon
+
+from conftest import package_env
 
 COMPARE_FILES = (
     "graph_t.graphml", "graph_t1.graphml", "graph_t.json", "graph_t1.json",
@@ -424,19 +425,12 @@ def _cli_argv(tmp_path, command):
     return ["compare", *inputs, "--window-t", "2021-01-01:2021-02-01", "--window-t1", "2021-02-01:2021-03-01", *out]
 
 
-def _package_env():
-    src = Path(techflux.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    return env
-
-
 @pytest.mark.parametrize("command", ["import", "trend", "cluster", "compare", "series"])
 def test_numpy_stays_off_the_start_up_path(tmp_path, command):
     argv = [] if command == "import" else _cli_argv(tmp_path, command)
     result = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, *argv],
-        env=_package_env(), capture_output=True, text=True, timeout=120,
+        env=package_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "numpy loaded: False"
@@ -448,7 +442,7 @@ def test_every_file_is_opened_with_an_encoding(tmp_path, command):
     result = subprocess.run(
         [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
          "-m", "techflux", *_cli_argv(tmp_path, command)],
-        env=_package_env(), capture_output=True, text=True, timeout=120,
+        env=package_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert "EncodingWarning" not in result.stderr
@@ -881,6 +875,25 @@ def test_config_checks_a_library_caller_meets():
         PipelineConfig(weighted_mean=1)
     with pytest.raises(ConfigError, match=re.escape("unknown config field 'bogus'")):
         build_config({"bogus": 1})
+
+
+@pytest.mark.parametrize("values,message", [
+    ({"tau": "0.5"}, "tau must lie in (0, 1), got '0.5'"),
+    ({"resolution": None}, "resolution must be positive, got None"),
+    ({"resolution": True}, "resolution must be positive, got True"),
+    ({"lexicon": 5}, "lexicon must be a string, got 5"),
+    ({"out": 5}, "out must be a string, got 5"),
+    ({"field": 5}, "field must be one of ('text', 'tags', 'both'), got 5"),
+    ({"weighted_mean": None}, "weighted_mean must be a boolean, got None"),
+])
+def test_config_checks_every_setting_type(values, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        PipelineConfig(**values)
+
+
+def test_config_takes_an_int_for_a_float_and_no_lexicon():
+    config = PipelineConfig(lexicon=None, resolution=2, tau=0.5)
+    assert (config.lexicon, config.resolution) == (None, 2)
 
 
 # What --help prints for each setting flag; the help layout differs between

@@ -1,5 +1,11 @@
 import json
+import marshal
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +28,13 @@ from techflux.community import (
     partition_to_json,
     suggest_labels,
 )
-from techflux.cograph import CoGraph, GraphNode
+from techflux.cograph import CoGraph, GraphNode, build_cooccurrence
+from techflux.corpus import window_filter
 from techflux.errors import CommunityError
+from techflux.lexicon import lexicon_from_records
+from techflux.synth import generate_corpus, plant_spec_from_records
 
+from conftest import package_env
 from oracles import (
     ORACLE_EXAMPLES,
     aggregate_reference,
@@ -369,3 +379,236 @@ def test_louvain_matches_stage_reference_after_a_pass_that_only_relabels():
     graph = make_graph(edges, extra_nodes=[f"n{i:02d}" for i in range(n)])
     part = louvain(graph, resolution=1.7)
     assert repr((part.assignment, part.modularity)) == repr(louvain_reference(graph, 1.7))
+
+
+@pytest.mark.parametrize("resolution", [1.0, 1.7])
+def test_partition_modularity_is_the_standard_measure(resolution):
+    rng = random.Random(8)
+    for _ in range(20):
+        graph = random_connected_graph(rng, max_nodes=12)
+        part = louvain(graph, resolution)
+        assert repr(part.modularity) == repr(modularity(graph, part))
+
+
+def _planted_graphs():
+    """The tag graphs of two synthetic windows, 72 nodes each."""
+    spec = plant_spec_from_records({
+        "seed": 11, "docs_per_window": 300, "noise_rate": 0.02,
+        "windows": [{"start": "2021-01-01", "end": "2021-02-01"}, {"start": "2021-02-01", "end": "2021-03-01"}],
+        "communities": [{"name": f"c{i}", "size": 9, "rate": 0.5} for i in range(8)],
+        "events": [{"kind": "merge", "pair": 0, "sources": ["c0", "c1"], "targets": ["m"], "mixing": 1.0, "rate": 0.5}],
+    })
+    corpus, _ = generate_corpus(spec)
+    return [build_cooccurrence(window_filter(corpus, w), lexicon_from_records([]), field="tags") for w in spec.windows]
+
+
+def _random_graph(seed, n):
+    """A seeded graph of n nodes with loose groups, a few of them isolated."""
+    rng = random.Random(seed)
+    groups = n // 12
+    names = [f"n{i:03d}" for i in range(n)]
+    edges = [(names[u], names[v], rng.randint(1, 3)) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < (0.5 if u % groups == v % groups else 0.15)]
+    return make_graph(edges, extra_nodes=names)
+
+
+def _fork_cases():
+    """(graph, resolution) pairs, each graph large enough for a fork."""
+    cases = [(graph, 1.0) for graph in _planted_graphs()]
+    cases += [(_random_graph(1, 64), 1.0), (_random_graph(2, 90), 1.0), (_random_graph(3, 72), 1.5)]
+    assert all(len(graph.nodes) >= community._FORK_MIN_NODES for graph, _ in cases)
+    return cases
+
+
+# Clusters the (nodes, edges, resolution) triples read from stdin in a fresh
+# interpreter, where numpy is not loaded, optionally with a second thread
+# alive, and prints the number of forks made and every partition; each CPU
+# affinity a child sets goes to stderr.
+_FORK_PROBE = """
+import json, os, sys, threading
+from techflux.cograph import CoGraph, GraphEdge, GraphNode
+from techflux.community import louvain
+
+forks = 0
+real_fork = os.fork
+
+def counting_fork():
+    global forks
+    forks += 1
+    return real_fork()
+
+os.fork = counting_fork
+real_setaffinity = os.sched_setaffinity
+
+def reporting_setaffinity(pid, cpus):
+    # a forked child exits without flushing, so write unbuffered
+    os.write(2, ("affinity %s\\n" % json.dumps(sorted(cpus))).encode())
+    real_setaffinity(pid, cpus)
+
+os.sched_setaffinity = reporting_setaffinity
+request = json.load(sys.stdin)
+release = threading.Event()
+if request["thread"]:
+    threading.Thread(target=release.wait).start()
+partitions = []
+for nodes, edges, resolution in request["graphs"]:
+    graph = CoGraph(nodes=tuple(GraphNode(*n) for n in nodes), edges=tuple(GraphEdge(*e) for e in edges))
+    part = louvain(graph, resolution)
+    partitions.append([part.assignment, part.cluster_count, repr(part.modularity)])
+release.set()
+print(json.dumps({"forks": forks, "numpy": "numpy" in sys.modules, "partitions": partitions}))
+"""
+
+
+def _run_fork_probe(cases, thread):
+    graphs = [[[(n.name, n.kind, n.doc_frequency) for n in graph.nodes], [(e.u, e.v, e.weight) for e in graph.edges],
+               resolution] for graph, resolution in cases]
+    result = subprocess.run([sys.executable, "-c", _FORK_PROBE], input=json.dumps({"thread": thread, "graphs": graphs}),
+                            env=package_env(), capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    report["affinities"] = [set(json.loads(line[len("affinity "):])) for line in result.stderr.splitlines()
+                            if line.startswith("affinity ")]
+    return report
+
+
+def test_forked_descent_matches_the_reference_in_a_fresh_process():
+    cases = _fork_cases()
+    report = _run_fork_probe(cases, thread=False)
+    assert not report["numpy"]
+    assert report["forks"] == len(cases)
+    # each child leaves its parent's CPU when it may run elsewhere
+    allowed = os.sched_getaffinity(0)
+    assert len(report["affinities"]) == (len(cases) if len(allowed) > 1 else 0)
+    assert all(cpus < allowed and len(cpus) == len(allowed) - 1 for cpus in report["affinities"])
+    for (graph, resolution), got in zip(cases, report["partitions"]):
+        assignment, quality = louvain_reference(graph, resolution)
+        assert got == [assignment, max(assignment.values()) + 1, repr(quality)]
+        here = louvain(graph, resolution)
+        assert got == [here.assignment, here.cluster_count, repr(here.modularity)]
+
+
+def test_a_second_thread_keeps_both_descents_in_process():
+    cases = _fork_cases()[:2]
+    report = _run_fork_probe(cases, thread=True)
+    assert report["forks"] == 0
+    for (graph, resolution), got in zip(cases, report["partitions"]):
+        here = louvain(graph, resolution)
+        assert got == [here.assignment, here.cluster_count, repr(here.modularity)]
+
+
+def test_current_cpu_is_one_the_process_may_run_on():
+    if not os.path.exists("/proc/self/stat"):
+        pytest.skip("needs /proc")
+    assert community._current_cpu() in os.sched_getaffinity(0)
+
+
+# From Python 3.12 a fork from a process with more threads warns; pytest runs
+# with numpy's threads, so the tests that force a fork here filter it.
+_FORK_WARNING = "ignore:This process .* is multi-threaded:DeprecationWarning"
+
+
+def _in_process_partition(graph):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(community, "_FORK_MIN_NODES", sys.maxsize)
+        return louvain(graph)
+
+
+def _force_fork(monkeypatch, fork=os.fork):
+    """Take the fork even with numpy's threads alive; return the list of forking pids."""
+    forks = []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(community, "_single_threaded", lambda: True)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _assert_nothing_left(fds):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"), reason="needs fork and /proc")
+class TestForkFallbacks:
+    graph = _random_graph(3, 72)
+
+    def setup_method(self):
+        self.expected = repr(_in_process_partition(self.graph))
+        self.fds = sorted(os.listdir("/proc/self/fd"))
+
+    @pytest.mark.filterwarnings(_FORK_WARNING)
+    def test_forked_descent_in_process(self, monkeypatch):
+        forks = _force_fork(monkeypatch)
+        assert repr(louvain(self.graph)) == self.expected
+        assert forks == [os.getpid()]
+        _assert_nothing_left(self.fds)
+
+    def test_fork_raising_oserror(self, monkeypatch):
+        def failing_fork():
+            raise OSError("fork refused")
+
+        forks = _force_fork(monkeypatch, failing_fork)
+        assert repr(louvain(self.graph)) == self.expected
+        assert forks == [os.getpid()]
+        _assert_nothing_left(self.fds)
+
+    def test_fork_missing(self, monkeypatch):
+        monkeypatch.setattr(community, "_single_threaded", lambda: True)
+        monkeypatch.delattr(os, "fork")
+        assert repr(louvain(self.graph)) == self.expected
+        _assert_nothing_left(self.fds)
+
+    @pytest.mark.filterwarnings(_FORK_WARNING)
+    def test_child_that_fails(self, monkeypatch):
+        def failing_dumps(value):
+            raise ValueError("no reply")
+
+        forks = _force_fork(monkeypatch)
+        # the child inherits the patch, so its descent ends in an error
+        monkeypatch.setattr(marshal, "dumps", failing_dumps)
+        assert repr(louvain(self.graph)) == self.expected
+        assert forks == [os.getpid()]
+        _assert_nothing_left(self.fds)
+
+    @pytest.mark.filterwarnings(_FORK_WARNING)
+    def test_child_with_a_short_reply(self, monkeypatch):
+        dumps = marshal.dumps
+        forks = _force_fork(monkeypatch)
+        monkeypatch.setattr(marshal, "dumps", lambda value: dumps(value)[:-1])
+        assert repr(louvain(self.graph)) == self.expected
+        assert forks == [os.getpid()]
+        _assert_nothing_left(self.fds)
+
+    @pytest.mark.filterwarnings(_FORK_WARNING)
+    def test_ignored_sigchld(self, monkeypatch):
+        # the kernel reaps the child itself, so waitpid finds none
+        forks = _force_fork(monkeypatch)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            got = repr(louvain(self.graph))
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert got == self.expected
+        assert forks == [os.getpid()]
+        _assert_nothing_left(self.fds)
+
+    @pytest.mark.filterwarnings(_FORK_WARNING)
+    def test_interrupt_kills_and_reaps_the_child(self, monkeypatch):
+        def interrupted_descend(level, resolution, order_fn):
+            if order_fn is _degree_order:
+                time.sleep(60)  # the child: only a kill ends it in time
+            raise KeyboardInterrupt
+
+        forks = _force_fork(monkeypatch)
+        monkeypatch.setattr(community, "_descend", interrupted_descend)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            louvain(self.graph)
+        assert time.monotonic() - start < 30
+        assert forks == [os.getpid()]
+        _assert_nothing_left(self.fds)
