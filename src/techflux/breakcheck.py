@@ -26,14 +26,14 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cograph import FIELD_CHOICES, build_cooccurrence, document_items
+from .cograph import build_cooccurrence, document_items
 from .community import louvain
-from .config import PipelineConfig
+from .config import MEASURE_OVERLAP_TARGET, PipelineConfig, check_setting
 from .corpus import Corpus, TimeWindow, window_filter
 from .errors import StatsError
 from .fileio import atomic_write_text, json_text, write_csv
 from .lexicon import TermLexicon
-from .transition import MEASURE_OVERLAP_TARGET, transition_report
+from .transition import transition_report
 
 _CF_MAX_ITER = 300
 _CF_EPS = 1e-15
@@ -332,8 +332,7 @@ def term_trend(
     """
     if period not in TREND_PERIODS:
         raise StatsError(f"period must be one of {TREND_PERIODS}, got {period!r}")
-    if field not in FIELD_CHOICES:
-        raise StatsError(f"field must be one of {FIELD_CHOICES}, got {field!r}")
+    check_setting("field", field, StatsError)
     for term in terms:
         if term not in lexicon.canonical_terms:
             raise StatsError(f"unknown term {term!r}: not in the lexicon")

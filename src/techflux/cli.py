@@ -79,9 +79,9 @@ def _cluster_header(labels) -> list[str]:
 
 def run_compare(args: argparse.Namespace) -> int:
     config, out, lexicon = _read_settings(args)
-    corpus = load_corpus(args.corpus)
     window_t = TimeWindow.parse(args.window_t, label="t")
     window_t1 = TimeWindow.parse(args.window_t1, label="t+1")
+    corpus = load_corpus(args.corpus)
     graph_t, part_t = breakcheck.cluster_window(corpus, lexicon, window_t, config)
     graph_t1, part_t1 = breakcheck.cluster_window(corpus, lexicon, window_t1, config)
     report = transition_report(part_t, part_t1, tau=config.tau, measure=config.measure)
@@ -219,8 +219,8 @@ def run_synth(args: argparse.Namespace) -> int:
 
 def run_cluster(args: argparse.Namespace) -> int:
     config, out, lexicon = _read_settings(args)
-    corpus = load_corpus(args.corpus)
     window = TimeWindow.parse(args.window) if args.window else None
+    corpus = load_corpus(args.corpus)
     graph, partition = breakcheck.cluster_window(corpus, lexicon, window, config)
     export_graphml(graph, out / "graph.graphml", partition.assignment)
     export_graph_json(graph, out / "graph.json")

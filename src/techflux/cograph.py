@@ -9,17 +9,20 @@ is deterministic.
 A node's document frequency is known before any pair is counted, so the
 build can keep only the top-n nodes (highest frequency, ties to the lower
 name) and count pairs among those alone; the graph equals the full build
-passed through ``top_n_filter``.
+passed through ``top_n_filter``. ``field``, ``pairs`` and ``top_n`` meet the
+rules of their `PipelineConfig` fields, or raise GraphError.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import check_setting
 from .corpus import Corpus
 from .errors import GraphError
 from .fileio import atomic_write_bytes, write_json
@@ -27,9 +30,6 @@ from .lexicon import TermLexicon, extract_terms
 
 KIND_TECHNOLOGY = "technology"
 KIND_TAG = "tag"
-
-FIELD_CHOICES = ("text", "tags", "both")
-PAIR_CHOICES = ("all", "tech-tag")
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,10 @@ def build_cooccurrence(
     the result equals ``top_n_filter(build_cooccurrence(...), top_n)``.
     Each document's items are extracted once either way.
     """
-    if field not in FIELD_CHOICES:
-        raise GraphError(f"field must be one of {FIELD_CHOICES}, got {field!r}")
-    if pairs not in PAIR_CHOICES:
-        raise GraphError(f"pairs must be one of {PAIR_CHOICES}, got {pairs!r}")
+    check_setting("field", field, GraphError)
+    check_setting("pairs", pairs, GraphError)
     if top_n is not None:
-        _check_top_n(top_n)
+        check_setting("top_n", top_n, GraphError)
     canonical = lexicon.canonical_terms
     item_sets = [document_items(doc, lexicon, field) for doc in corpus.documents]
     doc_frequency = Counter(itertools.chain.from_iterable(item_sets))
@@ -137,11 +135,6 @@ def build_cooccurrence(
     return CoGraph(nodes=nodes, edges=edges)
 
 
-def _check_top_n(n: int) -> None:
-    if n < 1:
-        raise GraphError(f"top_n must be >= 1, got {n}")
-
-
 def _top_names(doc_frequency: dict[str, int], n: int) -> set[str]:
     """The n names with highest doc_frequency (ties: lexicographic, lower kept)."""
     ranked = sorted(doc_frequency, key=lambda name: (-doc_frequency[name], name))
@@ -150,7 +143,7 @@ def _top_names(doc_frequency: dict[str, int], n: int) -> set[str]:
 
 def top_n_filter(graph: CoGraph, n: int) -> CoGraph:
     """Keep the n nodes with highest doc_frequency (ties: lexicographic, lower kept)."""
-    _check_top_n(n)
+    check_setting("top_n", n, GraphError)
     if len(graph.nodes) <= n:
         return graph
     keep = _top_names({node.name: node.doc_frequency for node in graph.nodes}, n)
@@ -161,6 +154,8 @@ def top_n_filter(graph: CoGraph, n: int) -> CoGraph:
 
 # GraphML key ids are fixed so exports are byte-stable.
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+# a character outside XML 1.0's Char production; ElementTree would write it raw
+_NOT_XML_CHAR = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 _KEYS = (
     ("d_kind", "node", "kind", "string"),
     ("d_freq", "node", "doc_frequency", "int"),
@@ -170,7 +165,14 @@ _KEYS = (
 
 
 def export_graphml(graph: CoGraph, path: str | Path, assignment: dict[str, int] | None = None) -> None:
-    """Write GraphML with kind/doc_frequency/cluster node attributes and weight edges."""
+    """Write GraphML with kind/doc_frequency/cluster node attributes and weight edges.
+
+    A node name that XML 1.0 cannot hold raises GraphError before anything is written.
+    """
+    for node in graph.nodes:
+        bad = _NOT_XML_CHAR.search(node.name)
+        if bad:
+            raise GraphError(f"node {node.name!r}: U+{ord(bad.group()):04X} is no XML 1.0 character, so GraphML cannot hold it")
     root = ET.Element("graphml", xmlns=_GRAPHML_NS)
     for key_id, domain, name, attr_type in _KEYS:
         ET.SubElement(root, "key", attrib={"id": key_id, "for": domain, "attr.name": name, "attr.type": attr_type})

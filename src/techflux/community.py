@@ -49,6 +49,7 @@ import os
 from dataclasses import dataclass
 
 from .cograph import CoGraph
+from .config import check_setting
 from .errors import CommunityError
 from .fileio import atomic_write_text, json_text
 
@@ -536,8 +537,7 @@ def louvain(graph: CoGraph, resolution: float = 1.0) -> Partition:
     modularity. The reported modularity is always the standard measure, even
     when a different resolution steered the optimization.
     """
-    if resolution <= 0:
-        raise CommunityError(f"resolution must be positive, got {resolution}")
+    check_setting("resolution", resolution, CommunityError)
     if graph.total_weight() == 0:
         raise CommunityError(EDGELESS_MSG)
     names = list(graph.node_names())

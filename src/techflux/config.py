@@ -8,7 +8,8 @@ Each setting is declared once, as a `PipelineConfig` field that carries its
 default, its help text, its choices where the value is one of a fixed set,
 and any other rule its value must meet. The config-file key and the flag
 (with ``-`` for ``_``) take the field's name, and both take the field's
-type from `setting_type`.
+type from `setting_type`. A library function that takes a setting checks it
+with `check_setting` under its own error class, in the same words.
 """
 
 from __future__ import annotations
@@ -16,10 +17,14 @@ from __future__ import annotations
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
-from .cograph import FIELD_CHOICES, PAIR_CHOICES
-from .errors import ConfigError
+from .errors import ConfigError, TechfluxError
 from .fileio import read_json
-from .transition import MEASURES
+
+FIELD_CHOICES = ("text", "tags", "both")
+PAIR_CHOICES = ("all", "tech-tag")
+MEASURE_OVERLAP_TARGET = "overlap_target"
+MEASURE_JACCARD = "jaccard"
+MEASURES = (MEASURE_OVERLAP_TARGET, MEASURE_JACCARD)
 
 
 def _setting(default: object, help: str, choices: tuple[str, ...] | None = None, rule=None):
@@ -33,7 +38,7 @@ def _setting(default: object, help: str, choices: tuple[str, ...] | None = None,
     return field(default=default, metadata={"help": help, "choices": choices, "rule": rule})
 
 
-# the requirement of a setting without a rule, by its type
+# by type: the requirement of a setting without a rule, and of a config-file value
 _TYPE_REQUIREMENTS = {bool: "be a boolean", int: "be an integer", float: "be a number", str: "be a string"}
 
 
@@ -43,25 +48,30 @@ class PipelineConfig:
     field: str = _setting("both", "where terms come from", FIELD_CHOICES)
     pairs: str = _setting("all", "which co-occurring pairs become edges", PAIR_CHOICES)
     top_n: int = _setting(100, "keep the N most frequent nodes", rule=("be an integer >= 1", lambda n: n >= 1))
-    measure: str = _setting("overlap_target", "cluster similarity measure", MEASURES)
+    measure: str = _setting(MEASURE_OVERLAP_TARGET, "cluster similarity measure", MEASURES)
     tau: float = _setting(0.1, "event threshold in (0,1)", rule=("lie in (0, 1)", lambda t: 0.0 < t < 1.0))
     resolution: float = _setting(1.0, "clustering resolution", rule=("be positive", lambda r: r > 0.0))
     weighted_mean: bool = _setting(False, "weight cluster indices by cluster size")
     out: str = _setting(".", "output directory")
 
     def __post_init__(self) -> None:
-        for setting in fields(self):
-            value = getattr(self, setting.name)
-            if value is None and setting.default is None:
-                continue
-            expected = setting_type(setting)
-            requirement, test = setting.metadata["rule"] or (_TYPE_REQUIREMENTS[expected], None)
-            if not _has_type(value, expected) or (test is not None and not test(value)):
-                raise ConfigError(f"{setting.name} must {requirement}, got {value!r}")
+        for name in SETTINGS:
+            check_setting(name, getattr(self, name))
 
 
 # setting name (= config-file key) -> its PipelineConfig field
 SETTINGS: dict[str, Field] = {setting.name: setting for setting in fields(PipelineConfig)}
+
+
+def check_setting(name: str, value: object, error: type[TechfluxError] = ConfigError) -> None:
+    """Raise error("<name> must <requirement>, got <value!r>") unless value meets the setting's type and rule."""
+    setting = SETTINGS[name]
+    if value is None and setting.default is None:
+        return
+    expected = setting_type(setting)
+    requirement, test = setting.metadata["rule"] or (_TYPE_REQUIREMENTS[expected], None)
+    if not _has_type(value, expected) or (test is not None and not test(value)):
+        raise error(f"{name} must {requirement}, got {value!r}")
 
 
 def setting_type(setting: Field) -> type:
@@ -89,8 +99,7 @@ def read_config_file(path: str | Path) -> dict[str, object]:
             raise ConfigError(f"{path}: unknown config key {key!r}")
         expected = setting_type(SETTINGS[key])
         if not _has_type(value, expected):
-            kind = {float: "a number", int: "an integer"}.get(expected, expected.__name__)
-            raise ConfigError(f"{path}: key {key!r} must be {kind}, got {value!r}")
+            raise ConfigError(f"{path}: key {key!r} must {_TYPE_REQUIREMENTS[expected]}, got {value!r}")
         values[key] = float(value) if expected is float else value
     return values
 

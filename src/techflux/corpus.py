@@ -3,8 +3,9 @@
 A corpus is an immutable, ordered list of dated documents. Two on-disk
 formats are supported:
 
-* JSONL: one object per line with fields ``id`` (string), ``date``
-  ("YYYY-MM-DD"), ``text`` (string), ``tags`` (array of strings).
+* JSONL: one object per line with fields ``id`` (nonempty string or
+  integer), ``date`` ("YYYY-MM-DD"), ``text`` (string or null), ``tags``
+  (array of strings, or null); any other JSON type is refused.
 * CSV: header ``id,date,text,tags`` with ``;``-separated tags, UTF-8,
   RFC-4180 quoting.
 
@@ -36,7 +37,7 @@ def normalize_tags(raw_tags: list[str] | tuple[str, ...]) -> tuple[str, ...]:
     """Normalize and deduplicate tags, preserving first-occurrence order."""
     seen: dict[str, None] = {}
     for raw in raw_tags:
-        tag = normalize_tag(str(raw))
+        tag = normalize_tag(raw)
         if tag and tag not in seen:
             seen[tag] = None
     return tuple(seen)
@@ -148,18 +149,30 @@ def _make_document(record: dict, where: str) -> Document:
             raise CorpusError(f"{where}: missing field {field_name!r}")
     if "text" not in record and "tags" not in record:
         raise CorpusError(f"{where}: record needs at least one of 'text'/'tags'")
-    tags = record.get("tags") or []
-    if not isinstance(tags, (list, tuple)):
+    doc_id, text = record["id"], record.get("text")
+    if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+        raise CorpusError(f"{where}: field 'id' must be a nonempty string or an integer, got {doc_id!r}")
+    if text is not None and not isinstance(text, str):
+        raise CorpusError(f"{where}: field 'text' must be a string or null, got {text!r}")
+    tags = record.get("tags")
+    if tags is None:
+        tags = []
+    elif not isinstance(tags, (list, tuple)):
         raise CorpusError(f"{where}: field 'tags' must be a list")
+    try:
+        normalized = normalize_tags(tags)
+    except AttributeError:  # a JSON value other than a string has no casefold
+        bad = next(tag for tag in tags if not isinstance(tag, str))
+        raise CorpusError(f"{where}: field 'tags' must hold only strings, got {bad!r}") from None
     try:
         date = parse_date(str(record["date"]))
     except CorpusError as exc:
         raise CorpusError(f"{where}: field 'date': {exc}") from None
     return Document(
-        id=str(record["id"]),
+        id=str(doc_id),
         date=date,
-        text=str(record.get("text") or ""),
-        tags=normalize_tags(tags),
+        text=text or "",
+        tags=normalized,
     )
 
 

@@ -187,6 +187,9 @@ def _compile_entry(canonical: str, patterns: list[str]) -> TermPattern:
             rx = compile_pattern(pattern)
         except re.error as exc:
             raise LexiconError(f"entry {canonical!r}: pattern {pattern!r} does not compile: {exc}") from None
+        # an empty match at the end of a word: such a pattern fires in every document with a word
+        if rx.match("a", 1):
+            raise LexiconError(f"entry {canonical!r}: pattern {pattern!r} matches the empty string")
         if rx.search(canonical) is None:
             raise LexiconError(f"entry {canonical!r}: pattern {pattern!r} fails self-test (does not match the canonical form)")
         compiled.append(rx)

@@ -105,9 +105,6 @@ class SplitMix64:
             if v < limit:
                 return v % n
 
-    def chance(self, p: float) -> bool:
-        return self.uniform() < p
-
 
 @dataclass(frozen=True)
 class PlantCommunity:

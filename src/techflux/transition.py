@@ -14,7 +14,8 @@ The default similarity measure divides each intersection by the size of the
 later (t+1) cluster; a column sum then equals the fraction of that
 cluster's nodes already present anywhere in the earlier window, which is
 exactly the convergence index. Jaccard similarity is available for
-exploration but the indices are undefined for it.
+exploration but the indices are undefined for it. ``measure`` and ``tau``
+meet the rules of their `PipelineConfig` fields, or raise TransitionError.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .community import Partition
+from .config import MEASURE_OVERLAP_TARGET, check_setting
 from .errors import TransitionError
 from .fileio import atomic_write_text, json_text, write_csv
-
-MEASURE_OVERLAP_TARGET = "overlap_target"
-MEASURE_JACCARD = "jaccard"
-MEASURES = (MEASURE_OVERLAP_TARGET, MEASURE_JACCARD)
 
 EVENT_BIRTH = "birth"
 EVENT_DEATH = "death"
@@ -80,8 +78,7 @@ def similarity_matrix(
     measure: str = MEASURE_OVERLAP_TARGET,
 ) -> SimilarityMatrix:
     """Node-name overlap between every cluster at t and every cluster at t+1."""
-    if measure not in MEASURES:
-        raise TransitionError(f"unknown similarity measure {measure!r} (expected one of {MEASURES})")
+    check_setting("measure", measure, TransitionError)
     members_t = _cluster_members(part_t)
     members_t1 = _cluster_members(part_t1)
     inter = tuple(tuple(len(vi & vj) for vj in members_t1) for vi in members_t)
@@ -144,8 +141,7 @@ def classify_events(matrix: SimilarityMatrix, tau: float) -> list[TransitionEven
     persist(i -> j): S_ij >= tau and neither merge(j) nor split(i) holds.
     Merge and split are not mutually exclusive.
     """
-    if not 0.0 < tau < 1.0:
-        raise TransitionError(f"tau must lie in (0, 1), got {tau}")
+    check_setting("tau", tau, TransitionError)
     values = matrix.values
     m, k = len(matrix.row_sizes), len(matrix.col_sizes)
     events: list[TransitionEvent] = []

@@ -629,8 +629,13 @@ def plant_reference(spec: PlantSpec) -> tuple[list[list[PlantCommunity]], Ground
     return states, _ground_truth_reference(spec, states)
 
 
+def chance(rng: SplitMix64, p: float) -> bool:
+    """One scalar draw: True with probability p."""
+    return rng.uniform() < p
+
+
 def generate_corpus_reference(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, GroundTruth]:
-    """generate_corpus with one scalar SplitMix64.chance call per term."""
+    """generate_corpus with one scalar ``chance`` draw per term."""
     states, truth = plant_reference(spec)
     rng = SplitMix64(spec.seed)
     documents: list[Document] = []
@@ -640,11 +645,11 @@ def generate_corpus_reference(spec: PlantSpec, with_text: bool = False) -> tuple
         for d_index in range(spec.docs_per_window):
             community = state[rng.below(len(state))]
             member_set = set(community.members)
-            picked = [t for t in community.members if rng.chance(community.rate)]
+            picked = [t for t in community.members if chance(rng, community.rate)]
             if spec.noise_rate > 0.0:
                 picked.extend(
                     t for t in vocabulary
-                    if t not in member_set and rng.chance(spec.noise_rate)
+                    if t not in member_set and chance(rng, spec.noise_rate)
                 )
             tags = tuple(sorted(set(picked)))
             date = window.start + dt.timedelta(days=rng.below(span_days))

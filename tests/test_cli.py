@@ -1,6 +1,7 @@
 import collections
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,12 +11,15 @@ from pathlib import Path
 import pytest
 
 import techflux.cograph
-from techflux.breakcheck import mean_index
+from techflux.breakcheck import mean_index, term_trend
 from techflux.cli import main
+from techflux.cograph import build_cooccurrence, top_n_filter
+from techflux.community import louvain
 from techflux.config import PipelineConfig, build_config
 from techflux.corpus import load_corpus, load_windows, window_filter
-from techflux.errors import ConfigError
+from techflux.errors import CommunityError, ConfigError, GraphError, StatsError, TransitionError
 from techflux.lexicon import compile_lexicon
+from techflux.transition import classify_events, similarity_matrix
 
 from conftest import package_env
 
@@ -661,6 +665,33 @@ def test_window_flag_without_one_valid_cut_exits_2(tmp_path, capsys, spec):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["cluster", "--window", "2021-01-01:2021-13-01"],
+    ["compare", "--window-t", "2021-01-01:2021-13-01", "--window-t1", "2021-02-01:2021-03-01"],
+    ["compare", "--window-t", "2021-01-01:2021-02-01", "--window-t1", "2021-02-01:2021-13-01"],
+], ids=["cluster", "compare-t", "compare-t1"])
+def test_window_flags_are_checked_before_the_corpus_is_read(tmp_path, capsys, flags):
+    lexicon = write_json(tmp_path / "lexicon.json", [{"canonical": "ai", "patterns": ["ai"]}])
+    command, *window_flags = flags
+    code = main([command, "--corpus", str(tmp_path / "missing.jsonl"), "--lexicon", lexicon,
+                 *window_flags, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == "techflux corpus: invalid ISO-8601 date: '2021-13-01'\n"
+
+
+def test_graphml_refusal_exits_2_before_any_file_is_written(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    records = [{"id": f"d{i}", "date": "2021-01-01", "tags": ["ai", "bad\u0001tag", f"t{i % 2}"]} for i in range(4)]
+    corpus.write_text("".join(json.dumps(record) + "\n" for record in records))
+    lexicon = write_json(tmp_path / "lexicon.json", [{"canonical": "ai", "patterns": ["ai"]}])
+    out = tmp_path / "out"
+    assert main(["cluster", "--corpus", str(corpus), "--lexicon", lexicon, "--field", "tags", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "techflux cograph: node 'bad\\x01tag': U+0001 is no XML 1.0 character, so GraphML cannot hold it\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_bad_date_in_plant_spec_reports_under_synth_with_its_window(tmp_path, capsys):
     spec = json.loads(Path(two_window_spec(tmp_path)).read_text())
     spec["windows"][1]["start"] = "2021-13-01"
@@ -831,10 +862,10 @@ _CONFIG_FILE_ERRORS = [
     ({"resolution": True}, "CONFIG: key 'resolution' must be a number, got True"),
     ({"top_n": 2.5}, "CONFIG: key 'top_n' must be an integer, got 2.5"),
     ({"top_n": False}, "CONFIG: key 'top_n' must be an integer, got False"),
-    ({"field": 1}, "CONFIG: key 'field' must be str, got 1"),
-    ({"lexicon": None}, "CONFIG: key 'lexicon' must be str, got None"),
-    ({"out": ["o"]}, "CONFIG: key 'out' must be str, got ['o']"),
-    ({"weighted_mean": 1}, "CONFIG: key 'weighted_mean' must be bool, got 1"),
+    ({"field": 1}, "CONFIG: key 'field' must be a string, got 1"),
+    ({"lexicon": None}, "CONFIG: key 'lexicon' must be a string, got None"),
+    ({"out": ["o"]}, "CONFIG: key 'out' must be a string, got ['o']"),
+    ({"weighted_mean": 1}, "CONFIG: key 'weighted_mean' must be a boolean, got 1"),
     ({"bogus": 1}, "CONFIG: unknown config key 'bogus'"),
 ]
 
@@ -889,6 +920,51 @@ def test_config_checks_a_library_caller_meets():
 def test_config_checks_every_setting_type(values, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         PipelineConfig(**values)
+
+
+class _Unreadable:
+    """An input whose reading fails the test: the settings are checked first."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"input read (.{name}) before the settings were checked")
+
+
+_UNREAD = _Unreadable()
+
+# (entry point, its error class, the setting it checks, a call with that setting)
+_LIBRARY_SETTINGS = [
+    ("build_cooccurrence", GraphError, "field", lambda v: build_cooccurrence(_UNREAD, _UNREAD, field=v)),
+    ("build_cooccurrence", GraphError, "pairs", lambda v: build_cooccurrence(_UNREAD, _UNREAD, pairs=v)),
+    ("build_cooccurrence", GraphError, "top_n", lambda v: build_cooccurrence(_UNREAD, _UNREAD, top_n=v)),
+    ("top_n_filter", GraphError, "top_n", lambda v: top_n_filter(_UNREAD, v)),
+    ("louvain", CommunityError, "resolution", lambda v: louvain(_UNREAD, resolution=v)),
+    ("similarity_matrix", TransitionError, "measure", lambda v: similarity_matrix(_UNREAD, _UNREAD, measure=v)),
+    ("classify_events", TransitionError, "tau", lambda v: classify_events(_UNREAD, v)),
+    ("term_trend", StatsError, "field", lambda v: term_trend(_UNREAD, _UNREAD, [], "year", field=v)),
+]
+
+_BAD_SETTING_VALUES = {
+    "field": ["title", 5, None],
+    "pairs": ["tag-tag", None],
+    "top_n": [0, -3, 2.0, True, "5"],
+    "measure": ["cosine", 5, None],
+    "tau": [0.0, 1, "0.5", None, math.nan],
+    "resolution": [0, -1.5, True, None, "1"],
+}
+
+
+@pytest.mark.parametrize("entry,error,name,call,value", [
+    pytest.param(entry, error, name, call, value, id=f"{entry}-{name}={value!r}")
+    for entry, error, name, call in _LIBRARY_SETTINGS
+    for value in _BAD_SETTING_VALUES[name]
+])
+def test_library_entry_points_check_settings_in_the_config_words(entry, error, name, call, value):
+    with pytest.raises(ConfigError) as expected:
+        PipelineConfig(**{name: value})
+    with pytest.raises(error) as raised:
+        call(value)
+    assert type(raised.value) is error
+    assert str(raised.value) == str(expected.value)
 
 
 def test_config_takes_an_int_for_a_float_and_no_lexicon():

@@ -1,14 +1,13 @@
 import datetime as dt
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from techflux.cograph import (
-    FIELD_CHOICES,
-    PAIR_CHOICES,
     CoGraph,
     GraphEdge,
     GraphNode,
@@ -17,6 +16,7 @@ from techflux.cograph import (
     export_graphml,
     top_n_filter,
 )
+from techflux.config import FIELD_CHOICES, PAIR_CHOICES
 from techflux.corpus import Corpus, Document
 from techflux.errors import GraphError
 from techflux.lexicon import lexicon_from_records
@@ -189,7 +189,7 @@ def test_top_n_requires_positive_n():
     graph = build_cooccurrence(corpus_of(tag_doc("d1", "a", "b")), EMPTY_LEX, field="tags")
     with pytest.raises(GraphError):
         top_n_filter(graph, 0)
-    with pytest.raises(GraphError, match=r"^top_n must be >= 1, got 0$"):
+    with pytest.raises(GraphError, match=r"^top_n must be an integer >= 1, got 0$"):
         build_cooccurrence(_UnreadableCorpus(), EMPTY_LEX, top_n=0)
 
 
@@ -279,6 +279,23 @@ def test_graphml_empty_graph(tmp_path):
     loaded, assignment = read_graphml(path)
     assert loaded == CoGraph()
     assert assignment is None
+
+
+@pytest.mark.parametrize("name,code_point", [("bad\x01tag", "U+0001"), ("x\x1f", "U+001F"), ("\ufffe", "U+FFFE")])
+def test_graphml_refuses_a_name_xml_cannot_hold(tmp_path, name, code_point):
+    graph = make_graph([("a", name, 1)])
+    path = tmp_path / "g.graphml"
+    message = f"node {name!r}: {code_point} is no XML 1.0 character, so GraphML cannot hold it"
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        export_graphml(graph, path)
+    assert not path.exists()
+
+
+def test_graphml_keeps_tab_newline_and_astral_names(tmp_path):
+    graph = make_graph([("a\tb", "c\nd", 1), ("c\nd", "\U0001f680", 2)])
+    path = tmp_path / "g.graphml"
+    export_graphml(graph, path, assignment={"a\tb": 0, "c\nd": 0, "\U0001f680": 1})
+    assert read_graphml(path) == (graph, {"a\tb": 0, "c\nd": 0, "\U0001f680": 1})
 
 
 def test_graphml_triangle_element_counts(tmp_path):

@@ -237,6 +237,31 @@ def test_load_reports_missing_field_with_location(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("id", {"x": 1}, "field 'id' must be a nonempty string or an integer, got {'x': 1}"),
+    ("id", True, "field 'id' must be a nonempty string or an integer, got True"),
+    ("id", 1.5, "field 'id' must be a nonempty string or an integer, got 1.5"),
+    ("text", ["ai"], "field 'text' must be a string or null, got ['ai']"),
+    ("text", 5, "field 'text' must be a string or null, got 5"),
+    ("tags", [None, 5], "field 'tags' must hold only strings, got None"),
+    ("tags", ["ai", 5], "field 'tags' must hold only strings, got 5"),
+    ("tags", "", "field 'tags' must be a list"),
+    ("tags", 0, "field 'tags' must be a list"),
+])
+def test_load_type_checks_each_jsonl_field(tmp_path, field, value, message):
+    good = {"id": "d1", "date": "2021-01-01", "text": "ai", "tags": ["ai"]}
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "d2", field: value}) + "\n")
+    with pytest.raises(CorpusError, match=f"^{re.escape('c.jsonl line 2: ' + message)}$"):
+        load_corpus(path)
+
+
+def test_load_takes_an_integer_id_and_null_text_and_tags(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"id": 7, "date": "2021-01-01", "text": None, "tags": None}) + "\n")
+    assert load_corpus(path).documents == (Document(id="7", date=dt.date(2021, 1, 1), text="", tags=()),)
+
+
 def test_load_reports_bad_json_line(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"id": "d1", "date": "2020-01-01", "tags": []}\nnot json\n')

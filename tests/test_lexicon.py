@@ -104,6 +104,14 @@ def test_self_test_rejects_pattern_missing_canonical():
         lex({"canonical": "artificial intelligence", "patterns": ["deep nets"]})
 
 
+@pytest.mark.parametrize("pattern", ["", "x?", "drones?|", r"\w*"])
+def test_pattern_matching_the_empty_string_rejected(pattern):
+    # self-tested alone, each would pass and then fire in every document with a word
+    message = f"entry 'drone': pattern {pattern!r} matches the empty string"
+    with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
+        lex({"canonical": "ai", "patterns": ["ai"]}, {"canonical": "drone", "patterns": ["drones?", pattern]})
+
+
 def test_duplicate_canonical_rejected():
     with pytest.raises(LexiconError, match="duplicate"):
         lex({"canonical": "ai", "patterns": ["ai"]}, {"canonical": "AI", "patterns": ["ai"]})

@@ -30,7 +30,7 @@ from techflux.synth import (
 )
 from techflux.transition import transition_report
 
-from oracles import ORACLE_EXAMPLES, generate_corpus_reference, plant_reference
+from oracles import ORACLE_EXAMPLES, chance, generate_corpus_reference, plant_reference
 
 EMPTY_LEX = lexicon_from_records([])
 
@@ -71,8 +71,8 @@ def test_splitmix_below():
 
 def test_splitmix_chance_extremes():
     gen = SplitMix64(3)
-    assert not any(gen.chance(0.0) for _ in range(50))
-    assert all(gen.chance(1.0) for _ in range(50))
+    assert not any(chance(gen, 0.0) for _ in range(50))
+    assert all(chance(gen, 1.0) for _ in range(50))
 
 
 @st.composite

@@ -2,12 +2,14 @@ import csv
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from techflux.community import Partition
+from techflux.config import MEASURE_JACCARD, MEASURE_OVERLAP_TARGET, MEASURES
 from techflux.errors import CommunityError, TransitionError
 from techflux.transition import (
     EVENT_BIRTH,
@@ -15,9 +17,6 @@ from techflux.transition import (
     EVENT_MERGE,
     EVENT_PERSIST,
     EVENT_SPLIT,
-    MEASURE_JACCARD,
-    MEASURE_OVERLAP_TARGET,
-    MEASURES,
     alluvial_export,
     classify_events,
     inheritance_indices,
@@ -62,7 +61,7 @@ def test_jaccard_measure():
 
 
 def test_unknown_measure_rejected():
-    with pytest.raises(TransitionError, match="unknown similarity measure"):
+    with pytest.raises(TransitionError, match=re.escape("measure must be one of ('overlap_target', 'jaccard'), got 'cosine'")):
         similarity_matrix(partition({"a"}), partition({"a"}), measure="cosine")
 
 
