@@ -1,140 +1,42 @@
-"""Co-occurrence networks of technology terms, cluster evolution, and break tests."""
+"""Co-occurrence networks of technology terms, cluster evolution, and break tests.
 
-from .breakcheck import (
-    BreakTestResult,
-    IndexSeries,
-    OlsFit,
-    SeriesPoint,
-    chow_test,
-    f_survival,
-    index_series,
-    ols_fit,
-    pearson,
-    regularized_incomplete_beta,
-    term_trend,
-)
-from .cograph import (
-    CoGraph,
-    GraphEdge,
-    GraphNode,
-    build_cooccurrence,
-    export_graph_json,
-    export_graphml,
-    top_n_filter,
-)
-from .community import (
-    ClusterLabel,
-    Partition,
-    export_partition_json,
-    louvain,
-    modularity,
-    suggest_labels,
-)
-from .config import PipelineConfig, build_config, read_config_file
-from .corpus import (
-    Corpus,
-    Document,
-    TimeWindow,
-    load_corpus,
-    load_windows,
-    normalize_tag,
-    save_corpus,
-    window_filter,
-)
-from .errors import (
-    CommunityError,
-    ConfigError,
-    CorpusError,
-    GraphError,
-    LexiconError,
-    StatsError,
-    SynthError,
-    TechfluxError,
-    TransitionError,
-)
-from .lexicon import TermLexicon, compile_lexicon, extract_terms, lexicon_from_records
-from .synth import (
-    GroundTruth,
-    PlantSpec,
-    SplitMix64,
-    generate_corpus,
-    load_plant_spec,
-    plant_spec_from_records,
-)
-from .transition import (
-    SimilarityMatrix,
-    TransitionEvent,
-    TransitionReport,
-    alluvial_export,
-    classify_events,
-    inheritance_indices,
-    similarity_matrix,
-    transition_report,
-)
+Each public name is imported from its defining module on first use (PEP 562),
+so ``import techflux`` alone loads none of the pipeline modules.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BreakTestResult",
-    "ClusterLabel",
-    "CoGraph",
-    "CommunityError",
-    "ConfigError",
-    "Corpus",
-    "CorpusError",
-    "Document",
-    "GraphEdge",
-    "GraphError",
-    "GraphNode",
-    "GroundTruth",
-    "IndexSeries",
-    "LexiconError",
-    "OlsFit",
-    "Partition",
-    "PipelineConfig",
-    "PlantSpec",
-    "SeriesPoint",
-    "SimilarityMatrix",
-    "SplitMix64",
-    "StatsError",
-    "SynthError",
-    "TechfluxError",
-    "TermLexicon",
-    "TimeWindow",
-    "TransitionError",
-    "TransitionEvent",
-    "TransitionReport",
-    "alluvial_export",
-    "build_config",
-    "build_cooccurrence",
-    "chow_test",
-    "classify_events",
-    "compile_lexicon",
-    "export_graph_json",
-    "export_graphml",
-    "export_partition_json",
-    "extract_terms",
-    "f_survival",
-    "generate_corpus",
-    "index_series",
-    "inheritance_indices",
-    "lexicon_from_records",
-    "load_corpus",
-    "load_plant_spec",
-    "load_windows",
-    "louvain",
-    "modularity",
-    "normalize_tag",
-    "ols_fit",
-    "pearson",
-    "plant_spec_from_records",
-    "read_config_file",
-    "regularized_incomplete_beta",
-    "save_corpus",
-    "similarity_matrix",
-    "suggest_labels",
-    "term_trend",
-    "top_n_filter",
-    "transition_report",
-    "window_filter",
-]
+_EXPORTS = {
+    "breakcheck": "BreakTestResult IndexSeries OlsFit SeriesPoint chow_test f_survival index_series"
+    " ols_fit pearson regularized_incomplete_beta term_trend",
+    "cograph": "CoGraph GraphEdge GraphNode build_cooccurrence export_graph_json export_graphml top_n_filter",
+    "community": "ClusterLabel Partition export_partition_json louvain modularity suggest_labels",
+    "config": "PipelineConfig build_config read_config_file",
+    "corpus": "Corpus Document TimeWindow load_corpus load_windows normalize_tag save_corpus window_filter",
+    "errors": "CommunityError ConfigError CorpusError GraphError LexiconError StatsError SynthError"
+    " TechfluxError TransitionError",
+    "lexicon": "TermLexicon compile_lexicon extract_terms lexicon_from_records",
+    "synth": "GroundTruth PlantSpec SplitMix64 generate_corpus load_plant_spec plant_spec_from_records",
+    "transition": "SimilarityMatrix TransitionEvent TransitionReport alluvial_export classify_events"
+    " inheritance_indices similarity_matrix transition_report",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = frozenset(_EXPORTS) | {"fileio"}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

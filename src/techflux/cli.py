@@ -78,6 +78,8 @@ def _cluster_header(labels) -> list[str]:
 
 
 def run_compare(args: argparse.Namespace) -> int:
+    from .cograph import check_graphml_names  # only compare writes two GraphML files
+
     config, out, lexicon = _read_settings(args)
     window_t = TimeWindow.parse(args.window_t, label="t")
     window_t1 = TimeWindow.parse(args.window_t1, label="t+1")
@@ -87,6 +89,9 @@ def run_compare(args: argparse.Namespace) -> int:
     report = transition_report(part_t, part_t1, tau=config.tau, measure=config.measure)
     labels_t = _cluster_header(suggest_labels(graph_t, part_t))
     labels_t1 = _cluster_header(suggest_labels(graph_t1, part_t1))
+    # a refusal of either graph leaves --out untouched
+    check_graphml_names(graph_t)
+    check_graphml_names(graph_t1)
     export_graphml(graph_t, out / "graph_t.graphml", part_t.assignment)
     export_graphml(graph_t1, out / "graph_t1.graphml", part_t1.assignment)
     export_graph_json(graph_t, out / "graph_t.json")
@@ -204,10 +209,11 @@ def run_synth(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     corpus, truth = synth.generate_corpus(spec, with_text=args.with_text)
-    save_corpus(corpus, out / "corpus.jsonl")
-    synth.export_ground_truth(truth, out / "ground_truth.json")
+    # the generated lexicon is checked before anything is written
     records = synth.lexicon_records(truth)
     lexicon_from_records(records, where="generated lexicon")
+    save_corpus(corpus, out / "corpus.jsonl")
+    synth.export_ground_truth(truth, out / "ground_truth.json")
     write_json(out / "lexicon.json", records)
     print(
         f"generated {len(corpus.documents)} documents over {len(spec.windows)} windows, "

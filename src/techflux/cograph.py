@@ -164,15 +164,20 @@ _KEYS = (
 )
 
 
+def check_graphml_names(graph: CoGraph) -> None:
+    """Raise GraphError for the first node name that XML 1.0, and so GraphML, cannot hold."""
+    for node in graph.nodes:
+        bad = _NOT_XML_CHAR.search(node.name)
+        if bad:
+            raise GraphError(f"node {node.name!r}: U+{ord(bad.group()):04X} is no XML 1.0 character, so GraphML cannot hold it")
+
+
 def export_graphml(graph: CoGraph, path: str | Path, assignment: dict[str, int] | None = None) -> None:
     """Write GraphML with kind/doc_frequency/cluster node attributes and weight edges.
 
     A node name that XML 1.0 cannot hold raises GraphError before anything is written.
     """
-    for node in graph.nodes:
-        bad = _NOT_XML_CHAR.search(node.name)
-        if bad:
-            raise GraphError(f"node {node.name!r}: U+{ord(bad.group()):04X} is no XML 1.0 character, so GraphML cannot hold it")
+    check_graphml_names(graph)
     root = ET.Element("graphml", xmlns=_GRAPHML_NS)
     for key_id, domain, name, attr_type in _KEYS:
         ET.SubElement(root, "key", attrib={"id": key_id, "for": domain, "attr.name": name, "attr.type": attr_type})

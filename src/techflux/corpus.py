@@ -269,8 +269,12 @@ def window_from_record(record: object, where: str, error: type[Exception] = Corp
     """A window from a {"start", "end", "label"} record; a time of day in a date is dropped."""
     if not isinstance(record, dict) or "start" not in record or "end" not in record:
         raise error(f"{where} needs 'start' and 'end'")
+    for field in ("start", "end", "label"):
+        value = record.get(field, "")
+        if not isinstance(value, str):
+            raise error(f"{where}: {field!r} must be a string, got {value!r}")
     try:
-        return TimeWindow(parse_date(str(record["start"])), parse_date(str(record["end"])), str(record.get("label", "")))
+        return TimeWindow(parse_date(record["start"]), parse_date(record["end"]), record.get("label", ""))
     except CorpusError as exc:
         raise error(f"{where}: {exc}") from None
 

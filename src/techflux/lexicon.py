@@ -210,10 +210,12 @@ def lexicon_from_records(raw: object, where: str = "lexicon") -> TermLexicon:
     for i, rec in enumerate(raw):
         if not isinstance(rec, dict) or "canonical" not in rec:
             raise LexiconError(f"{where}: entry {i} needs a 'canonical' field")
+        if not isinstance(rec["canonical"], str):
+            raise LexiconError(f"{where}: entry {i}: 'canonical' must be a string, got {rec['canonical']!r}")
         patterns = rec.get("patterns")
         if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
             raise LexiconError(f"{where}: entry {rec['canonical']!r}: 'patterns' must be a list of strings")
-        entries.append(_compile_entry(str(rec["canonical"]), patterns))
+        entries.append(_compile_entry(rec["canonical"], patterns))
     return TermLexicon(entries=tuple(entries))
 
 

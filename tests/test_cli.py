@@ -679,15 +679,36 @@ def test_window_flags_are_checked_before_the_corpus_is_read(tmp_path, capsys, fl
     assert capsys.readouterr().err == "techflux corpus: invalid ISO-8601 date: '2021-13-01'\n"
 
 
-def test_graphml_refusal_exits_2_before_any_file_is_written(tmp_path, capsys):
+@pytest.mark.parametrize("command", [
+    ["cluster"],
+    ["compare", "--window-t", "2021-01-01:2021-02-01", "--window-t1", "2021-02-01:2021-03-01"],
+], ids=["cluster", "compare"])
+def test_graphml_refusal_exits_2_before_any_file_is_written(tmp_path, capsys, command):
     corpus = tmp_path / "c.jsonl"
-    records = [{"id": f"d{i}", "date": "2021-01-01", "tags": ["ai", "bad\u0001tag", f"t{i % 2}"]} for i in range(4)]
+    # the bad tag is in February only, so compare refuses its second graph
+    records = [
+        {"id": f"d{i}", "date": f"2021-0{1 + i % 2}-01", "tags": ["ai", f"t{i % 3}"] + (["bad\u0001tag"] if i % 2 else [])}
+        for i in range(8)
+    ]
     corpus.write_text("".join(json.dumps(record) + "\n" for record in records))
     lexicon = write_json(tmp_path / "lexicon.json", [{"canonical": "ai", "patterns": ["ai"]}])
     out = tmp_path / "out"
-    assert main(["cluster", "--corpus", str(corpus), "--lexicon", lexicon, "--field", "tags", "--out", str(out)]) == 2
+    code = main([*command, "--corpus", str(corpus), "--lexicon", lexicon, "--field", "tags", "--out", str(out)])
+    assert code == 2
     assert capsys.readouterr().err == (
         "techflux cograph: node 'bad\\x01tag': U+0001 is no XML 1.0 character, so GraphML cannot hold it\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_synth_refusal_of_its_generated_lexicon_writes_nothing(tmp_path, capsys):
+    spec = json.loads(Path(two_window_spec(tmp_path)).read_text())
+    spec["communities"][0] = {"name": "red", "members": ["c++", "java"], "rate": 1.0}
+    path = write_json(tmp_path / "cpp_plant.json", spec)
+    out = tmp_path / "out"
+    assert main(["synth", "--plant-spec", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "techflux lexicon: entry 'c++': pattern 'c\\\\+\\\\+' fails self-test (does not match the canonical form)\n"
     )
     assert list(out.iterdir()) == []
 

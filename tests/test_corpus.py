@@ -352,6 +352,15 @@ def test_load_windows_rejects_bad_record(tmp_path):
         load_windows(path)
 
 
+@pytest.mark.parametrize("field, value", [("start", 20190101), ("end", None), ("label", None), ("label", 7)])
+def test_load_windows_requires_string_fields(tmp_path, field, value):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps([{"start": "2019-01-01", "end": "2019-04-01", field: value}]))
+    message = f"w.json: window 0: {field!r} must be a string, got {value!r}"
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        load_windows(path)
+
+
 def test_window_records_truncate_datetimes_to_the_day(tmp_path):
     path = tmp_path / "w.json"
     path.write_text(json.dumps([{"start": "2021-01-01T00:00:00", "end": "2021-02-01T12:30:00", "label": "jan"}]))

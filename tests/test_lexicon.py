@@ -124,6 +124,13 @@ def test_entry_needs_pattern_list():
         lex({"canonical": "ai"})
 
 
+@pytest.mark.parametrize("canonical", [None, 5, ["ai"]])
+def test_canonical_must_be_a_string(canonical):
+    message = f"lexicon: entry 1: 'canonical' must be a string, got {canonical!r}"
+    with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
+        lex({"canonical": "ai", "patterns": ["ai"]}, {"canonical": canonical, "patterns": ["none", "5"]})
+
+
 def test_canonical_normalized_to_lowercase():
     lexicon = lex({"canonical": "Machine  Learning", "patterns": ["machine learning"]})
     assert lexicon.canonical_terms == {"machine learning"}

@@ -152,6 +152,9 @@ def test_spec_validation_errors():
     reject(lambda r: r.update(noise_rate=1.0), r"noise_rate must lie in \[0, 1\)")
     reject(lambda r: r.update(windows=[]), "windows must be a nonempty list")
     reject(lambda r: r["windows"].insert(0, dict(r["windows"][0])), "strictly increasing")
+    reject(lambda r: r["windows"][1].update(start=20200201), "^plant spec: window 1: 'start' must be a string, got 20200201$")
+    reject(lambda r: r["windows"][1].update(end=None), "^plant spec: window 1: 'end' must be a string, got None$")
+    reject(lambda r: r["windows"][1].update(label=None), "^plant spec: window 1: 'label' must be a string, got None$")
     reject(lambda r: r["communities"].append({"name": "alpha", "size": 2, "rate": 1.0}),
            "duplicate community names")
     reject(lambda r: r["communities"].append(
