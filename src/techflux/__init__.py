@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "breakcheck": "BreakTestResult IndexSeries OlsFit SeriesPoint chow_test f_survival index_series"
     " ols_fit pearson regularized_incomplete_beta term_trend",
-    "cograph": "CoGraph GraphEdge GraphNode build_cooccurrence export_graph_json export_graphml top_n_filter",
+    "cograph": "CoGraph GraphNode build_cooccurrence export_graph_json export_graphml top_n_filter",
     "community": "ClusterLabel Partition export_partition_json louvain modularity suggest_labels",
     "config": "PipelineConfig build_config read_config_file",
     "corpus": "Corpus Document TimeWindow load_corpus load_windows normalize_tag save_corpus window_filter",

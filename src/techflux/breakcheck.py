@@ -274,13 +274,8 @@ def cluster_window(corpus: Corpus, lexicon: TermLexicon, window: TimeWindow | No
     return graph, louvain(graph, config.resolution)
 
 
-def index_series(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig) -> IndexSeries:
-    """Mean convergence/novelty per consecutive window pair.
-
-    Each point is labeled with the later window of its pair, so a list of W
-    windows yields W - 1 points. Indices always use the overlap measure
-    regardless of the configured exploratory measure.
-    """
+def check_windows(windows: list[TimeWindow]) -> None:
+    """Raise StatsError unless there are at least 3 windows, strictly increasing by start date."""
     if len(windows) < 3:
         raise StatsError(f"need at least 3 windows, got {len(windows)}")
     for prev, cur in zip(windows, windows[1:]):
@@ -289,6 +284,16 @@ def index_series(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow]
                 f"windows must be strictly increasing by start date: "
                 f"{prev.describe()} then {cur.describe()}"
             )
+
+
+def index_series(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig) -> IndexSeries:
+    """Mean convergence/novelty per consecutive window pair.
+
+    Each point is labeled with the later window of its pair, so a list of W
+    windows yields W - 1 points. Indices always use the overlap measure
+    regardless of the configured exploratory measure.
+    """
+    check_windows(windows)
     partitions = [cluster_window(corpus, lexicon, w, config)[1] for w in windows]
     points = []
     for part_t, part_t1, w_t1 in zip(partitions, partitions[1:], windows[1:]):

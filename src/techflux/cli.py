@@ -123,8 +123,9 @@ def run_series(args: argparse.Namespace) -> int:
     config, out, lexicon = _read_settings(args)
     windows = load_windows(args.windows)
     breakpoint_index = args.breakpoint
-    # W windows give W - 1 points; a breakpoint that leaves a segment too
-    # short for the break test fails before any window is clustered
+    # W windows give W - 1 points; refused windows, or a breakpoint that leaves
+    # a segment too short for the break test, fail before the corpus is read
+    breakcheck.check_windows(windows)
     breakcheck.segment_sizes(len(windows) - 1, breakpoint_index)
     corpus = load_corpus(args.corpus)
     series = breakcheck.index_series(corpus, lexicon, windows, config)
@@ -233,9 +234,8 @@ def run_cluster(args: argparse.Namespace) -> int:
     export_partition_json(partition, out / "partition.json")
     print(f"{len(graph.nodes)} nodes, {len(graph.edges)} edges, "
           f"{partition.cluster_count} clusters, modularity {partition.modularity:.4f}")
-    for label in suggest_labels(graph, partition):
-        members = len(partition.members(label.cluster_id))
-        print(f"  cluster {label.cluster_id} ({members} nodes): {', '.join(label.top_tags)}")
+    for label, members in zip(suggest_labels(graph, partition), partition.clusters()):
+        print(f"  cluster {label.cluster_id} ({len(members)} nodes): {', '.join(label.top_tags)}")
     print(f"wrote graph.graphml, graph.json, partition.json to {out}")
     return 0
 

@@ -2,9 +2,10 @@
 
 Nodes are technology terms (lexicon hits) and document tags; an edge exists
 between two items iff they appear together in at least one document, with
-weight = the number of such documents. Node and edge listings are kept in
-canonical sorted order so that every downstream computation and every export
-is deterministic.
+weight = the number of such documents. Nodes are sorted by name and edges
+are ``(u, v, weight)`` triples of node indices, u < v, sorted by (u, v), so
+index order is name order and every computation and export (which names
+each endpoint) is deterministic.
 
 A node's document frequency is known before any pair is counted, so the
 build can keep only the top-n nodes (highest frequency, ties to the lower
@@ -40,45 +41,47 @@ class GraphNode:
 
 
 @dataclass(frozen=True)
-class GraphEdge:
-    u: str
-    v: str
-    weight: int
-
-
-@dataclass(frozen=True)
 class CoGraph:
-    """Immutable weighted undirected graph; nodes sorted by name, edges by (u, v)."""
+    """Immutable weighted undirected graph; nodes sorted by name, (u, v, weight) index triples sorted by (u, v)."""
 
     nodes: tuple[GraphNode, ...] = ()
-    edges: tuple[GraphEdge, ...] = ()
+    edges: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        names = [n.name for n in self.nodes]
-        if sorted(names) != names or len(set(names)) != len(names):
-            raise GraphError("graph nodes must be unique and sorted by name")
+        names = []
         for node in self.nodes:
+            name = node.name
+            if not isinstance(name, str):
+                raise GraphError(f"node name {name!r}: must be a string")
+            if names and not names[-1] < name:
+                raise GraphError("graph nodes must be unique and sorted by name")
+            names.append(name)
             if node.kind not in (KIND_TECHNOLOGY, KIND_TAG):
-                raise GraphError(f"node {node.name!r}: unknown kind {node.kind!r}")
+                raise GraphError(f"node {name!r}: unknown kind {node.kind!r}")
+            if type(node.doc_frequency) is not int:
+                raise GraphError(f"node {name!r}: doc_frequency {node.doc_frequency!r} is not an integer")
             if node.doc_frequency < 0:
-                raise GraphError(f"node {node.name!r}: negative doc_frequency")
-        name_set = set(names)
-        pairs = [(e.u, e.v) for e in self.edges]
-        if sorted(pairs) != pairs or len(set(pairs)) != len(pairs):
-            raise GraphError("graph edges must be unique and sorted by (u, v)")
+                raise GraphError(f"node {name!r}: negative doc_frequency")
+        n = len(names)
+        last = (-1, -1)
         for edge in self.edges:
-            if edge.u >= edge.v:
-                raise GraphError(f"edge ({edge.u!r}, {edge.v!r}): endpoints must satisfy u < v (no self-loops)")
-            if edge.u not in name_set or edge.v not in name_set:
-                raise GraphError(f"edge ({edge.u!r}, {edge.v!r}): endpoint not in node set")
-            if edge.weight < 1:
-                raise GraphError(f"edge ({edge.u!r}, {edge.v!r}): weight must be >= 1")
+            # type() rather than isinstance(): a bool is no node index or weight
+            if type(edge) is not tuple or len(edge) != 3 or not all(type(x) is int for x in edge):
+                raise GraphError(f"edge {edge!r}: must be a (u, v, weight) triple of integers")
+            u, v, weight = edge
+            if not 0 <= u < v < n:
+                raise GraphError(f"edge {edge!r}: endpoints must satisfy 0 <= u < v < {n} (no self-loops)")
+            if (u, v) <= last:
+                raise GraphError("graph edges must be unique and sorted by (u, v)")
+            last = (u, v)
+            if weight < 1:
+                raise GraphError(f"edge ({names[u]!r}, {names[v]!r}): weight must be >= 1")
 
     def node_names(self) -> tuple[str, ...]:
         return tuple(n.name for n in self.nodes)
 
     def total_weight(self) -> int:
-        return sum(e.weight for e in self.edges)
+        return sum(weight for _, _, weight in self.edges)
 
 
 def document_items(doc, lexicon: TermLexicon, field: str) -> set[str]:
@@ -121,18 +124,17 @@ def build_cooccurrence(
         keep = _top_names(doc_frequency, top_n)
         item_sets = [items & keep for items in item_sets]
         doc_frequency = {name: doc_frequency[name] for name in keep}
-    weights: Counter[tuple[str, str]] = Counter()
+    names = sorted(doc_frequency)
+    index = {name: i for i, name in enumerate(names)}
+    kinds = [KIND_TECHNOLOGY if name in canonical else KIND_TAG for name in names]
+    weights: Counter[tuple[int, int]] = Counter()
     for items in item_sets:
-        combos = itertools.combinations(sorted(items), 2)
+        combos = itertools.combinations(sorted(map(index.__getitem__, items)), 2)
         if pairs == "tech-tag":
-            combos = ((u, v) for u, v in combos if (u in canonical) != (v in canonical))
+            combos = ((u, v) for u, v in combos if kinds[u] != kinds[v])
         weights.update(combos)
-    nodes = tuple(
-        GraphNode(name=name, kind=KIND_TECHNOLOGY if name in canonical else KIND_TAG, doc_frequency=doc_frequency[name])
-        for name in sorted(doc_frequency)
-    )
-    edges = tuple(GraphEdge(u=u, v=v, weight=w) for (u, v), w in sorted(weights.items()))
-    return CoGraph(nodes=nodes, edges=edges)
+    nodes = tuple(GraphNode(name, kind, doc_frequency[name]) for name, kind in zip(names, kinds))
+    return CoGraph(nodes=nodes, edges=tuple((u, v, w) for (u, v), w in sorted(weights.items())))
 
 
 def _top_names(doc_frequency: dict[str, int], n: int) -> set[str]:
@@ -142,14 +144,15 @@ def _top_names(doc_frequency: dict[str, int], n: int) -> set[str]:
 
 
 def top_n_filter(graph: CoGraph, n: int) -> CoGraph:
-    """Keep the n nodes with highest doc_frequency (ties: lexicographic, lower kept)."""
+    """Keep the n nodes with highest doc_frequency (ties: lexicographic, lower kept), renumbered in order."""
     check_setting("top_n", n, GraphError)
     if len(graph.nodes) <= n:
         return graph
     keep = _top_names({node.name: node.doc_frequency for node in graph.nodes}, n)
-    nodes = tuple(node for node in graph.nodes if node.name in keep)
-    edges = tuple(edge for edge in graph.edges if edge.u in keep and edge.v in keep)
-    return CoGraph(nodes=nodes, edges=edges)
+    kept = [i for i, node in enumerate(graph.nodes) if node.name in keep]
+    new_index = {old: new for new, old in enumerate(kept)}
+    edges = tuple((new_index[u], new_index[v], w) for u, v, w in graph.edges if u in new_index and v in new_index)
+    return CoGraph(nodes=tuple(graph.nodes[i] for i in kept), edges=edges)
 
 
 # GraphML key ids are fixed so exports are byte-stable.
@@ -188,18 +191,20 @@ def export_graphml(graph: CoGraph, path: str | Path, assignment: dict[str, int] 
         ET.SubElement(node_el, "data", key="d_freq").text = str(node.doc_frequency)
         if assignment is not None and node.name in assignment:
             ET.SubElement(node_el, "data", key="d_cluster").text = str(assignment[node.name])
-    for edge in graph.edges:
-        edge_el = ET.SubElement(graph_el, "edge", source=edge.u, target=edge.v)
-        ET.SubElement(edge_el, "data", key="d_weight").text = str(edge.weight)
+    names = graph.node_names()
+    for u, v, weight in graph.edges:
+        edge_el = ET.SubElement(graph_el, "edge", source=names[u], target=names[v])
+        ET.SubElement(edge_el, "data", key="d_weight").text = str(weight)
     ET.indent(root)
     payload = ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
     atomic_write_bytes(path, payload)
 
 
 def export_graph_json(graph: CoGraph, path: str | Path) -> None:
-    """Write the graph as JSON mirroring the CoGraph fields."""
+    """Write the graph as JSON mirroring the CoGraph fields, each edge endpoint by name."""
+    names = graph.node_names()
     payload = {
         "nodes": [{"name": n.name, "kind": n.kind, "doc_frequency": n.doc_frequency} for n in graph.nodes],
-        "edges": [{"u": e.u, "v": e.v, "weight": e.weight} for e in graph.edges],
+        "edges": [{"u": names[u], "v": names[v], "weight": w} for u, v, w in graph.edges],
     }
     write_json(path, payload)

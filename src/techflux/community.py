@@ -6,9 +6,9 @@ whole downstream transition analysis compares partitions across windows,
 this implementation pins every source of nondeterminism:
 
 * nodes are traversed in fixed orders: index order, and descending degree
-  with ties in index order. Level-0 node i is the i-th name in sorted
-  order and aggregation numbers supernodes by their first member, so at
-  every level index order is the order of each node's smallest member name;
+  with ties in index order. Level-0 node i is graph node i, the i-th name
+  in sorted order, and aggregation numbers supernodes by their first
+  member, so at every level index order is that of smallest member names;
 * in the greedy phases a node moves only on strictly positive gain, which
   guarantees termination without cycle detection;
 * ties between equally good target communities go to the smallest community
@@ -70,7 +70,9 @@ class Partition:
         if self.cluster_count < 1:
             raise CommunityError("cluster_count must be >= 1")
         for node, cid in self.assignment.items():
-            if not isinstance(cid, int) or cid < 0 or cid >= self.cluster_count:
+            if isinstance(cid, bool) or not isinstance(cid, int):
+                raise CommunityError(f"node {node!r}: cluster id {cid!r} is not an integer")
+            if cid < 0 or cid >= self.cluster_count:
                 raise CommunityError(f"node {node!r}: cluster id {cid!r} outside 0..{self.cluster_count - 1}")
         used = set(self.assignment.values())
         if len(used) < self.cluster_count:
@@ -81,7 +83,11 @@ class Partition:
         return tuple(sorted(name for name, cid in self.assignment.items() if cid == cluster_id))
 
     def clusters(self) -> list[tuple[str, ...]]:
-        return [self.members(cid) for cid in range(self.cluster_count)]
+        """Every cluster's members(), in one pass over the assignment."""
+        blocks: list[list[str]] = [[] for _ in range(self.cluster_count)]
+        for name in sorted(self.assignment):
+            blocks[self.assignment[name]].append(name)
+        return [tuple(block) for block in blocks]
 
 
 @dataclass(frozen=True)
@@ -98,30 +104,35 @@ def modularity(graph: CoGraph, partition: Partition | dict[str, int], resolution
     where w_in counts each intra-cluster edge's weight twice and w_tot sums
     the weighted degrees of the cluster's nodes. Resolution 1 gives the
     standard measure; other values give the quality Louvain optimizes at
-    that resolution.
+    that resolution. The sums walk the index triples, as Louvain's ranking of its descents does.
     """
     assignment = partition.assignment if isinstance(partition, Partition) else partition
-    names = set(graph.node_names())
-    if set(assignment) != names:
-        missing = sorted(names - set(assignment))[:3]
-        extra = sorted(set(assignment) - names)[:3]
+    names = graph.node_names()
+    if set(assignment) != set(names):
+        missing = sorted(set(names) - set(assignment))[:3]
+        extra = sorted(set(assignment) - set(names))[:3]
         raise CommunityError(f"incomplete partition: missing={missing} extra={extra}")
-    m = graph.total_weight()
-    if m == 0:
+    if not graph.edges:
         raise CommunityError(EDGELESS_MSG)
-    two_m = 2.0 * m
+    return _quality(graph, [assignment[name] for name in names], resolution)
+
+
+def _quality(graph: CoGraph, labels: list[int], resolution: float) -> float:
+    """Modularity at the resolution of a graph with edges, labels[i] being node i's community.
+
+    w_in and w_tot sum integers, exact in doubles, and math.fsum rounds once
+    in any term order, so relabelling the partition leaves every bit alone.
+    """
+    two_m = 2.0 * graph.total_weight()
     w_in: dict[int, float] = {}
-    w_tot: dict[int, float] = {}
-    for node in graph.nodes:
-        w_tot.setdefault(assignment[node.name], 0.0)
-    for edge in graph.edges:
-        cu, cv = assignment[edge.u], assignment[edge.v]
+    w_tot = dict.fromkeys(labels, 0.0)
+    for u, v, weight in graph.edges:
+        cu, cv = labels[u], labels[v]
         if cu == cv:
-            w_in[cu] = w_in.get(cu, 0.0) + 2.0 * edge.weight
-        w_tot[cu] += edge.weight
-        w_tot[cv] += edge.weight
-    terms = [w_in.get(c, 0.0) / two_m - resolution * (w_tot[c] / two_m) ** 2 for c in w_tot]
-    return math.fsum(terms)
+            w_in[cu] = w_in.get(cu, 0.0) + 2.0 * weight
+        w_tot[cu] += weight
+        w_tot[cv] += weight
+    return math.fsum(w_in.get(c, 0.0) / two_m - resolution * (w_tot[c] / two_m) ** 2 for c in w_tot)
 
 
 class _Level:
@@ -416,15 +427,10 @@ def _descend(level: _Level, resolution: float, order_fn) -> list[int]:
         certified = com
 
 
-def _dense_assignment(names: list[str], node_com: list[int]) -> dict[str, int]:
-    """Relabel communities with dense ids ordered by smallest member name."""
-    reps: dict[int, str] = {}
-    for i, name in enumerate(names):
-        c = node_com[i]
-        if c not in reps or name < reps[c]:
-            reps[c] = name
-    final_id = {c: idx for idx, (_, c) in enumerate(sorted((rep, c) for c, rep in reps.items()))}
-    return {name: final_id[node_com[i]] for i, name in enumerate(names)}
+def _dense_assignment(names: tuple[str, ...], node_com: list[int]) -> dict[str, int]:
+    """Relabel communities with dense ids ordered by smallest member name, that is by first node."""
+    final_id = {c: idx for idx, c in enumerate(dict.fromkeys(node_com))}
+    return {name: final_id[c] for name, c in zip(names, node_com)}
 
 
 # Below this many level-0 nodes the degree-order descent stays in-process.
@@ -535,51 +541,40 @@ def louvain(graph: CoGraph, resolution: float = 1.0) -> Partition:
     descents run at the same time when a fork is taken (see _descents).
     Isolated nodes end up in singleton clusters and contribute 0 to
     modularity. The reported modularity is always the standard measure, even
-    when a different resolution steered the optimization.
+    when a different resolution steered the optimization. Level 0 is the
+    graph's index triples; only the winning labels are renamed to dense ids.
     """
     check_setting("resolution", resolution, CommunityError)
-    if graph.total_weight() == 0:
+    if not graph.edges:
         raise CommunityError(EDGELESS_MSG)
-    names = list(graph.node_names())
-    index = {name: i for i, name in enumerate(names)}
-    adj: list[dict[int, float]] = [{} for _ in names]
-    for edge in graph.edges:
-        iu, iv = index[edge.u], index[edge.v]
-        adj[iu][iv] = float(edge.weight)
-        adj[iv][iu] = float(edge.weight)
-    level = _Level(adj, [0.0] * len(names))
-    best: tuple[float, dict[str, int]] | None = None
-    for labels in _descents(level, resolution):
-        assignment = _dense_assignment(names, labels)
-        quality = modularity(graph, assignment, resolution)
-        if best is None or quality > best[0]:
-            best = (quality, assignment)
-    quality, assignment = best
+    adj: list[dict[int, float]] = [{} for _ in graph.nodes]
+    for u, v, weight in graph.edges:
+        adj[u][v] = adj[v][u] = float(weight)
+    level = _Level(adj, [0.0] * len(adj))
+    ranked = [(_quality(graph, labels, resolution), labels) for labels in _descents(level, resolution)]
+    # max keeps the first of equals: ties go to the index-order sweep
+    quality, labels = max(ranked, key=lambda pair: pair[0])
+    assignment = _dense_assignment(graph.node_names(), labels)
     return Partition(
         assignment=assignment,
         # at resolution 1 the quality already is the standard modularity
-        modularity=quality if resolution == 1.0 else modularity(graph, assignment),
+        modularity=quality if resolution == 1.0 else _quality(graph, labels, 1.0),
         cluster_count=max(assignment.values()) + 1,
     )
 
 
 def suggest_labels(graph: CoGraph, partition: Partition) -> list[ClusterLabel]:
     """Per cluster: up to 5 members by intra-cluster weighted degree, ties lexicographic."""
-    names = set(graph.node_names())
-    if set(partition.assignment) != names:
+    names = graph.node_names()
+    if set(partition.assignment) != set(names):
         raise CommunityError("partition does not cover exactly the graph's nodes")
-    intra: dict[str, float] = {name: 0.0 for name in names}
-    for edge in graph.edges:
-        if partition.assignment[edge.u] == partition.assignment[edge.v]:
-            intra[edge.u] += edge.weight
-            intra[edge.v] += edge.weight
-    labels = []
-    for cid in range(partition.cluster_count):
-        members = partition.members(cid)
-        ranked = sorted(members, key=lambda name: (-intra[name], name))
-        top = tuple(ranked[:5])
-        labels.append(ClusterLabel(cluster_id=cid, suggested_label=top[0], top_tags=top))
-    return labels
+    intra = dict.fromkeys(names, 0.0)
+    for u, v, weight in graph.edges:
+        if partition.assignment[names[u]] == partition.assignment[names[v]]:
+            intra[names[u]] += weight
+            intra[names[v]] += weight
+    tops = [tuple(sorted(members, key=lambda name: (-intra[name], name))[:5]) for members in partition.clusters()]
+    return [ClusterLabel(cluster_id=cid, suggested_label=top[0], top_tags=top) for cid, top in enumerate(tops)]
 
 
 def partition_to_json(partition: Partition) -> str:

@@ -175,23 +175,23 @@ def compile_pattern(pattern: str) -> re.Pattern:
     return re.compile(rf"\b(?:{pattern})\b", re.IGNORECASE | re.UNICODE)
 
 
-def _compile_entry(canonical: str, patterns: list[str]) -> TermPattern:
+def _compile_entry(canonical: str, patterns: list[str], where: str) -> TermPattern:
     canonical = normalize_tag(canonical)
     if not canonical:
-        raise LexiconError("lexicon entry with empty canonical term")
+        raise LexiconError(f"{where}: entry with empty canonical term")
     if not patterns:
-        raise LexiconError(f"entry {canonical!r}: needs at least one pattern")
+        raise LexiconError(f"{where}: entry {canonical!r}: needs at least one pattern")
     compiled = []
     for pattern in patterns:
         try:
             rx = compile_pattern(pattern)
         except re.error as exc:
-            raise LexiconError(f"entry {canonical!r}: pattern {pattern!r} does not compile: {exc}") from None
+            raise LexiconError(f"{where}: entry {canonical!r}: pattern {pattern!r} does not compile: {exc}") from None
         # an empty match at the end of a word: such a pattern fires in every document with a word
         if rx.match("a", 1):
-            raise LexiconError(f"entry {canonical!r}: pattern {pattern!r} matches the empty string")
+            raise LexiconError(f"{where}: entry {canonical!r}: pattern {pattern!r} matches the empty string")
         if rx.search(canonical) is None:
-            raise LexiconError(f"entry {canonical!r}: pattern {pattern!r} fails self-test (does not match the canonical form)")
+            raise LexiconError(f"{where}: entry {canonical!r}: pattern {pattern!r} fails self-test (does not match the canonical form)")
         compiled.append(rx)
     return TermPattern(canonical=canonical, patterns=tuple(patterns), compiled=tuple(compiled))
 
@@ -215,7 +215,7 @@ def lexicon_from_records(raw: object, where: str = "lexicon") -> TermLexicon:
         patterns = rec.get("patterns")
         if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
             raise LexiconError(f"{where}: entry {rec['canonical']!r}: 'patterns' must be a list of strings")
-        entries.append(_compile_entry(rec["canonical"], patterns))
+        entries.append(_compile_entry(rec["canonical"], patterns, where))
     return TermLexicon(entries=tuple(entries))
 
 

@@ -65,13 +65,6 @@ class TransitionReport:
     tau: float
 
 
-def _cluster_members(partition: Partition) -> list[set[str]]:
-    members: list[set[str]] = [set() for _ in range(partition.cluster_count)]
-    for name, cid in partition.assignment.items():
-        members[cid].add(name)
-    return members
-
-
 def similarity_matrix(
     part_t: Partition,
     part_t1: Partition,
@@ -79,8 +72,8 @@ def similarity_matrix(
 ) -> SimilarityMatrix:
     """Node-name overlap between every cluster at t and every cluster at t+1."""
     check_setting("measure", measure, TransitionError)
-    members_t = _cluster_members(part_t)
-    members_t1 = _cluster_members(part_t1)
+    members_t = [set(block) for block in part_t.clusters()]
+    members_t1 = [set(block) for block in part_t1.clusters()]
     inter = tuple(tuple(len(vi & vj) for vj in members_t1) for vi in members_t)
     row_sizes = tuple(len(v) for v in members_t)
     col_sizes = tuple(len(v) for v in members_t1)

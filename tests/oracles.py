@@ -9,6 +9,7 @@ package itself does not use for these quantities.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import json
 import random
 import xml.etree.ElementTree as ET
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import settings
 
-from techflux.cograph import CoGraph, GraphEdge, GraphNode
+from techflux.cograph import KIND_TAG, KIND_TECHNOLOGY, CoGraph, GraphNode, document_items
 from techflux.community import _Level, _aggregate, modularity
 from techflux.corpus import Corpus, Document
 from techflux.errors import GraphError, SynthError
@@ -38,6 +39,24 @@ from techflux.transition import TransitionEvent
 ORACLE_EXAMPLES = max(200, settings.default.max_examples)
 
 
+def named_graph(nodes, edges) -> CoGraph:
+    """CoGraph from GraphNodes and (u name, v name, weight) edges, each in any order.
+
+    Endpoints keep their orientation, so an edge whose u name sorts after
+    its v name is refused by CoGraph, as are a repeated pair and an unknown
+    name (KeyError).
+    """
+    nodes = sorted(nodes, key=lambda node: node.name)
+    index = {node.name: i for i, node in enumerate(nodes)}
+    return CoGraph(nodes=tuple(nodes), edges=tuple(sorted((index[u], index[v], w) for u, v, w in edges)))
+
+
+def named_edges(graph: CoGraph) -> dict[tuple[str, str], int]:
+    """(u name, v name) -> weight of every edge, in edge order."""
+    names = graph.node_names()
+    return {(names[u], names[v]): w for u, v, w in graph.edges}
+
+
 def make_graph(edge_list, extra_nodes=(), kind="tag"):
     """CoGraph from (u, v, weight) triples, without hand-sorting anything."""
     weights = {}
@@ -46,22 +65,44 @@ def make_graph(edge_list, extra_nodes=(), kind="tag"):
         a, b = (u, v) if u < v else (v, u)
         weights[(a, b)] = weights.get((a, b), 0) + w
         names.update((a, b))
-    nodes = tuple(GraphNode(name=n, kind=kind, doc_frequency=1) for n in sorted(names))
-    edges = tuple(GraphEdge(u=a, v=b, weight=w) for (a, b), w in sorted(weights.items()))
-    return CoGraph(nodes=nodes, edges=edges)
+    nodes = [GraphNode(name=n, kind=kind, doc_frequency=1) for n in names]
+    return named_graph(nodes, [(a, b, w) for (a, b), w in weights.items()])
 
 
 def adjacency(graph: CoGraph) -> dict[str, dict[str, int]]:
     """Neighbour -> edge weight, per node name."""
     adj: dict[str, dict[str, int]] = {n.name: {} for n in graph.nodes}
-    for e in graph.edges:
-        adj[e.u][e.v] = e.weight
-        adj[e.v][e.u] = e.weight
+    for (u, v), w in named_edges(graph).items():
+        adj[u][v] = w
+        adj[v][u] = w
     return adj
 
 
-def _sorted_graph(nodes, edges) -> CoGraph:
-    return CoGraph(nodes=tuple(sorted(nodes, key=lambda n: n.name)), edges=tuple(sorted(edges, key=lambda e: (e.u, e.v))))
+def build_cooccurrence_reference(corpus, lexicon, field="both", pairs="all", top_n=None) -> CoGraph:
+    """The co-occurrence network counted on name pairs; reference for ``build_cooccurrence``.
+
+    Every document's items (``document_items``) add 1 to each of their
+    sorted name pairs, tech-tag pairs only under ``pairs="tech-tag"``. With
+    ``top_n`` the top_n names by document frequency (ties: lower name) are
+    kept and pairs are counted among them alone.
+    """
+    canonical = lexicon.canonical_terms
+    item_sets = [document_items(doc, lexicon, field) for doc in corpus.documents]
+    frequency = {}
+    for items in item_sets:
+        for name in items:
+            frequency[name] = frequency.get(name, 0) + 1
+    if top_n is not None:
+        keep = set(sorted(frequency, key=lambda name: (-frequency[name], name))[:top_n])
+        item_sets = [items & keep for items in item_sets]
+        frequency = {name: f for name, f in frequency.items() if name in keep}
+    weights = {}
+    for items in item_sets:
+        for u, v in itertools.combinations(sorted(items), 2):
+            if pairs == "all" or (u in canonical) != (v in canonical):
+                weights[(u, v)] = weights.get((u, v), 0) + 1
+    nodes = [GraphNode(name, KIND_TECHNOLOGY if name in canonical else KIND_TAG, f) for name, f in frequency.items()]
+    return named_graph(nodes, [(u, v, w) for (u, v), w in weights.items()])
 
 
 def read_graphml(path) -> tuple[CoGraph, dict[str, int] | None]:
@@ -80,16 +121,16 @@ def read_graphml(path) -> tuple[CoGraph, dict[str, int] | None]:
         if "cluster" in a:
             assignment[node_el.get("id")] = int(a["cluster"])
     for edge_el in root.findall("g:graph/g:edge", ns):
-        edges.append(GraphEdge(u=edge_el.get("source"), v=edge_el.get("target"), weight=int(attrs(edge_el)["weight"])))
-    return _sorted_graph(nodes, edges), (assignment or None)
+        edges.append((edge_el.get("source"), edge_el.get("target"), int(attrs(edge_el)["weight"])))
+    return named_graph(nodes, edges), (assignment or None)
 
 
 def read_graph_json(path) -> CoGraph:
     """The graph of a file written by ``export_graph_json``."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     nodes = [GraphNode(name=n["name"], kind=n["kind"], doc_frequency=n["doc_frequency"]) for n in payload["nodes"]]
-    edges = [GraphEdge(u=e["u"], v=e["v"], weight=e["weight"]) for e in payload["edges"]]
-    return _sorted_graph(nodes, edges)
+    edges = [(e["u"], e["v"], e["weight"]) for e in payload["edges"]]
+    return named_graph(nodes, edges)
 
 
 def top_n_filter_reference(graph: CoGraph, n: int) -> CoGraph:
@@ -100,9 +141,8 @@ def top_n_filter_reference(graph: CoGraph, n: int) -> CoGraph:
         return graph
     ranked = sorted(graph.nodes, key=lambda node: (-node.doc_frequency, node.name))
     keep = {node.name for node in ranked[:n]}
-    nodes = tuple(node for node in graph.nodes if node.name in keep)
-    edges = tuple(edge for edge in graph.edges if edge.u in keep and edge.v in keep)
-    return CoGraph(nodes=nodes, edges=edges)
+    nodes = [node for node in graph.nodes if node.name in keep]
+    return named_graph(nodes, [(u, v, w) for (u, v), w in named_edges(graph).items() if u in keep and v in keep])
 
 
 def set_partitions(items):
@@ -311,8 +351,8 @@ def louvain_reference(graph: CoGraph, resolution: float = 1.0) -> tuple[dict[str
     names = list(graph.node_names())
     index = {name: i for i, name in enumerate(names)}
     adj = [{} for _ in names]
-    for e in graph.edges:
-        adj[index[e.u]][index[e.v]] = adj[index[e.v]][index[e.u]] = float(e.weight)
+    for (u, v), w in named_edges(graph).items():
+        adj[index[u]][index[v]] = adj[index[v]][index[u]] = float(w)
     base = _Level(adj, [0.0] * len(names))
 
     def index_order(level):

@@ -48,6 +48,7 @@ from oracles import (
     chow_reference,
     make_graph,
     modularity_pairsum,
+    named_edges,
     random_connected_graph,
 )
 
@@ -500,8 +501,8 @@ def test_criterion_7_counting_identity_and_filter():
                 frequency[tag] = frequency.get(tag, 0) + 1
             for u, v in itertools.combinations(items, 2):
                 expected[(u, v)] = expected.get((u, v), 0) + 1
-        assert {(e.u, e.v): e.weight for e in graph.edges} == expected
-        assert sum(e.weight for e in graph.edges) == sum(expected.values())
+        assert named_edges(graph) == expected
+        assert sum(weight for _, _, weight in graph.edges) == sum(expected.values())
         assert {n.name: n.doc_frequency for n in graph.nodes} == frequency
 
         for n in range(1, len(graph.nodes) + 2):

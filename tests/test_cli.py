@@ -194,6 +194,22 @@ def test_series_invalid_breakpoint_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "series_out" / "series.csv").exists()
 
 
+def _no_corpus(*args, **kwargs):
+    raise AssertionError("the corpus was read")
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_series_with_fewer_than_3_windows_exits_2_before_reading_the_corpus(tmp_path, capsys, monkeypatch, count):
+    lexicon = write_json(tmp_path / "lexicon.json", [{"canonical": "ai", "patterns": ["ai"]}])
+    windows = write_json(tmp_path / "windows.json", [{"start": MONTHS[i], "end": MONTHS[i + 1]} for i in range(count)])
+    monkeypatch.setattr("techflux.cli.load_corpus", _no_corpus)
+    code = main(["series", "--corpus", str(tmp_path / "corpus.jsonl"), "--lexicon", lexicon, "--windows", windows,
+                 "--breakpoint", "3", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"techflux breakcheck: need at least 3 windows, got {count}\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def _no_full_build(*args, **kwargs):
     raise AssertionError("a full graph was built and then cut to the top n")
 
@@ -708,7 +724,7 @@ def test_synth_refusal_of_its_generated_lexicon_writes_nothing(tmp_path, capsys)
     out = tmp_path / "out"
     assert main(["synth", "--plant-spec", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "techflux lexicon: entry 'c++': pattern 'c\\\\+\\\\+' fails self-test (does not match the canonical form)\n"
+        "techflux lexicon: generated lexicon: entry 'c++': pattern 'c\\\\+\\\\+' fails self-test (does not match the canonical form)\n"
     )
     assert list(out.iterdir()) == []
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from techflux.cograph import (
     CoGraph,
-    GraphEdge,
     GraphNode,
     build_cooccurrence,
     export_graph_json,
@@ -21,7 +20,15 @@ from techflux.corpus import Corpus, Document
 from techflux.errors import GraphError
 from techflux.lexicon import lexicon_from_records
 
-from oracles import make_graph, read_graph_json, read_graphml, top_n_filter_reference
+from oracles import (
+    ORACLE_EXAMPLES,
+    build_cooccurrence_reference,
+    make_graph,
+    named_edges,
+    read_graph_json,
+    read_graphml,
+    top_n_filter_reference,
+)
 
 DATE = dt.date(2020, 1, 1)
 
@@ -37,21 +44,17 @@ def corpus_of(*docs):
 EMPTY_LEX = lexicon_from_records([])
 
 
-def edge_map(graph):
-    return {(e.u, e.v): e.weight for e in graph.edges}
-
-
 def test_single_doc_triangle():
     graph = build_cooccurrence(corpus_of(tag_doc("d1", "a", "b", "c")), EMPTY_LEX, field="tags")
     assert graph.node_names() == ("a", "b", "c")
-    assert edge_map(graph) == {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
+    assert named_edges(graph) == {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
 
 
 def test_repeated_pair_accumulates_weight():
     graph = build_cooccurrence(
         corpus_of(tag_doc("d1", "a", "b"), tag_doc("d2", "a", "b")), EMPTY_LEX, field="tags"
     )
-    assert edge_map(graph) == {("a", "b"): 2}
+    assert named_edges(graph) == {("a", "b"): 2}
     freq = {n.name: n.doc_frequency for n in graph.nodes}
     assert freq == {"a": 2, "b": 2}
 
@@ -65,7 +68,7 @@ def test_single_item_doc_gives_isolated_node():
 def test_duplicate_tag_in_doc_counts_once():
     doc = Document(id="d1", date=DATE, tags=("a", "a", "b"))
     graph = build_cooccurrence(corpus_of(doc), EMPTY_LEX, field="tags")
-    assert edge_map(graph) == {("a", "b"): 1}
+    assert named_edges(graph) == {("a", "b"): 1}
 
 
 def test_empty_corpus_gives_empty_graph():
@@ -115,7 +118,7 @@ def test_tech_tag_pairs_mode_drops_same_kind_edges():
     ])
     doc = Document(id="d1", date=DATE, text="ai and iot", tags=("cloud", "devops"))
     graph = build_cooccurrence(corpus_of(doc), lexicon, field="both", pairs="tech-tag")
-    assert set(edge_map(graph)) == {("ai", "cloud"), ("ai", "devops"), ("cloud", "iot"), ("devops", "iot")}
+    assert set(named_edges(graph)) == {("ai", "cloud"), ("ai", "devops"), ("cloud", "iot"), ("devops", "iot")}
 
 
 def test_order_independence():
@@ -138,7 +141,7 @@ def test_counting_identity_small_random_corpora():
         for doc in docs:
             for a, b in itertools.combinations(sorted(set(doc.tags)), 2):
                 brute[(a, b)] = brute.get((a, b), 0) + 1
-        assert edge_map(graph) == brute
+        assert named_edges(graph) == brute
 
 
 def test_top_n_identity_when_small():
@@ -158,7 +161,7 @@ def test_top_n_selection_and_edge_pruning():
     assert freq == {"a": 9, "b": 6, "c": 5}
     cut = top_n_filter(graph, 2)
     assert cut.node_names() == ("a", "b")
-    assert edge_map(cut) == {("a", "b"): 5}
+    assert named_edges(cut) == {("a", "b"): 5}
 
 
 def test_top_n_tie_breaks_lexicographically():
@@ -224,30 +227,72 @@ def test_top_n_build_matches_full_build_then_filter(corpus, field, pairs, data):
     assert build_cooccurrence(corpus, _TERM_LEX, field, pairs, top_n=n) == top_n_filter_reference(full, n)
 
 
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+@given(term_corpora(), st.sampled_from(FIELD_CHOICES), st.sampled_from(PAIR_CHOICES), st.data())
+def test_build_matches_the_name_pair_reference(corpus, field, pairs, data):
+    full = build_cooccurrence_reference(corpus, _TERM_LEX, field, pairs)
+    top_n = data.draw(st.none() | st.integers(1, len(full.nodes) + 2), label="top_n")
+    graph = build_cooccurrence(corpus, _TERM_LEX, field, pairs, top_n)
+    reference = build_cooccurrence_reference(corpus, _TERM_LEX, field, pairs, top_n)
+    assert graph.nodes == reference.nodes
+    assert named_edges(graph) == named_edges(reference)
+
+
+@pytest.mark.parametrize("field", FIELD_CHOICES)
+@pytest.mark.parametrize("pairs", PAIR_CHOICES)
+@pytest.mark.parametrize("top_n", [None, 1])
+def test_build_of_the_empty_corpus_matches_the_reference(field, pairs, top_n):
+    graph = build_cooccurrence(corpus_of(), _TERM_LEX, field, pairs, top_n)
+    assert graph == build_cooccurrence_reference(corpus_of(), _TERM_LEX, field, pairs, top_n) == CoGraph()
+
+
 def test_graph_validation_rules():
     node = GraphNode("a", "tag", 1)
     other = GraphNode("b", "tag", 1)
+    third = GraphNode("c", "tag", 1)
     with pytest.raises(GraphError, match="sorted"):
         CoGraph(nodes=(other, node))
+    with pytest.raises(GraphError, match="sorted"):
+        CoGraph(nodes=(node, node))
     with pytest.raises(GraphError, match="u < v"):
-        CoGraph(nodes=(node, other), edges=(GraphEdge("b", "a", 1),))
+        CoGraph(nodes=(node, other), edges=((1, 0, 1),))
     with pytest.raises(GraphError, match="u < v"):
-        CoGraph(nodes=(node, other), edges=(GraphEdge("a", "a", 1),))
+        CoGraph(nodes=(node, other), edges=((0, 0, 1),))
     with pytest.raises(GraphError, match="endpoint"):
-        CoGraph(nodes=(node, other), edges=(GraphEdge("a", "z", 1),))
-    with pytest.raises(GraphError, match="weight"):
-        CoGraph(nodes=(node, other), edges=(GraphEdge("a", "b", 0),))
+        CoGraph(nodes=(node, other), edges=((0, 2, 1),))
+    with pytest.raises(GraphError, match="endpoint"):
+        CoGraph(nodes=(node, other), edges=((-1, 1, 1),))
+    with pytest.raises(GraphError, match=r"^graph edges must be unique and sorted by \(u, v\)$"):
+        CoGraph(nodes=(node, other, third), edges=((0, 2, 1), (0, 1, 1)))
+    with pytest.raises(GraphError, match=r"^graph edges must be unique and sorted by \(u, v\)$"):
+        CoGraph(nodes=(node, other, third), edges=((0, 1, 1), (0, 1, 1)))
+    with pytest.raises(GraphError, match=r"^edge \('a', 'b'\): weight must be >= 1$"):
+        CoGraph(nodes=(node, other), edges=((0, 1, 0),))
     with pytest.raises(GraphError, match="kind"):
         CoGraph(nodes=(GraphNode("a", "color", 1),))
+    with pytest.raises(GraphError, match=r"^node 'a': negative doc_frequency$"):
+        CoGraph(nodes=(GraphNode("a", "tag", -1),))
+    for bad_node, message in [
+        (GraphNode("a", "tag", "1"), "node 'a': doc_frequency '1' is not an integer"),
+        (GraphNode("a", "tag", True), "node 'a': doc_frequency True is not an integer"),
+        (GraphNode("a", "tag", 1.0), "node 'a': doc_frequency 1.0 is not an integer"),
+        (GraphNode(1, "tag", 1), "node name 1: must be a string"),
+    ]:
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            CoGraph(nodes=(bad_node,))
+    for bad_edge in [(0, 1), (0, 1, 1, 1), [0, 1, 1], (False, True, 1), (0, 1, True), (0, 1, 1.0), ("a", "b", 1), None]:
+        message = f"edge {bad_edge!r}: must be a (u, v, weight) triple of integers"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            CoGraph(nodes=(node, other), edges=(bad_edge,))
 
 
 def test_doc_frequency_bounds_incident_weights():
     docs = [tag_doc(f"d{i}", "a", "b", "c") for i in range(4)]
     graph = build_cooccurrence(corpus_of(*docs), EMPTY_LEX, field="tags")
     freq = {n.name: n.doc_frequency for n in graph.nodes}
-    for edge in graph.edges:
-        assert freq[edge.u] >= edge.weight
-        assert freq[edge.v] >= edge.weight
+    for (u, v), weight in named_edges(graph).items():
+        assert freq[u] >= weight
+        assert freq[v] >= weight
 
 
 def test_graphml_roundtrip(tmp_path):

@@ -2,6 +2,7 @@ import json
 import marshal
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -183,6 +184,11 @@ def test_partition_validation():
         Partition(assignment={"a": 2}, modularity=0.0, cluster_count=2)
     with pytest.raises(CommunityError, match=r"^cluster 1 has no nodes"):
         Partition(assignment={"a": 0, "b": 2, "c": 3}, modularity=0.0, cluster_count=4)
+    with pytest.raises(CommunityError, match=r"^node 'a': cluster id False is not an integer$"):
+        Partition(assignment={"a": False, "b": True}, modularity=0.0, cluster_count=2)
+    for cid in (False, True, 1.0, "0", None):
+        with pytest.raises(CommunityError, match=f"^node 'b': cluster id {re.escape(repr(cid))} is not an integer$"):
+            Partition(assignment={"a": 0, "b": cid}, modularity=0.0, cluster_count=2)
     part = Partition(assignment={"a": 0, "b": 1, "c": 0}, modularity=0.0, cluster_count=2)
     assert part.members(0) == ("a", "c")
     assert part.clusters() == [("a", "c"), ("b",)]
@@ -426,7 +432,7 @@ def _fork_cases():
 # affinity a child sets goes to stderr.
 _FORK_PROBE = """
 import json, os, sys, threading
-from techflux.cograph import CoGraph, GraphEdge, GraphNode
+from techflux.cograph import CoGraph, GraphNode
 from techflux.community import louvain
 
 forks = 0
@@ -452,7 +458,7 @@ if request["thread"]:
     threading.Thread(target=release.wait).start()
 partitions = []
 for nodes, edges, resolution in request["graphs"]:
-    graph = CoGraph(nodes=tuple(GraphNode(*n) for n in nodes), edges=tuple(GraphEdge(*e) for e in edges))
+    graph = CoGraph(nodes=tuple(GraphNode(*n) for n in nodes), edges=tuple(map(tuple, edges)))
     part = louvain(graph, resolution)
     partitions.append([part.assignment, part.cluster_count, repr(part.modularity)])
 release.set()
@@ -461,8 +467,8 @@ print(json.dumps({"forks": forks, "numpy": "numpy" in sys.modules, "partitions":
 
 
 def _run_fork_probe(cases, thread):
-    graphs = [[[(n.name, n.kind, n.doc_frequency) for n in graph.nodes], [(e.u, e.v, e.weight) for e in graph.edges],
-               resolution] for graph, resolution in cases]
+    graphs = [[[(n.name, n.kind, n.doc_frequency) for n in graph.nodes], graph.edges, resolution]
+              for graph, resolution in cases]
     result = subprocess.run([sys.executable, "-c", _FORK_PROBE], input=json.dumps({"thread": thread, "graphs": graphs}),
                             env=package_env(), capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -107,9 +107,17 @@ def test_self_test_rejects_pattern_missing_canonical():
 @pytest.mark.parametrize("pattern", ["", "x?", "drones?|", r"\w*"])
 def test_pattern_matching_the_empty_string_rejected(pattern):
     # self-tested alone, each would pass and then fire in every document with a word
-    message = f"entry 'drone': pattern {pattern!r} matches the empty string"
+    message = f"lexicon: entry 'drone': pattern {pattern!r} matches the empty string"
     with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
         lex({"canonical": "ai", "patterns": ["ai"]}, {"canonical": "drone", "patterns": ["drones?", pattern]})
+
+
+def test_bad_pattern_in_a_lexicon_file_names_the_file(tmp_path):
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps([{"canonical": "ai", "patterns": ["deep nets"]}]))
+    message = "terms.json: entry 'ai': pattern 'deep nets' fails self-test (does not match the canonical form)"
+    with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
+        compile_lexicon(path)
 
 
 def test_duplicate_canonical_rejected():

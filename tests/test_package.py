@@ -42,7 +42,7 @@ def test_public_names_load_their_module_on_first_use():
         [sys.executable, "-c", _LAZY_PROBE], env=package_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "62 0.1.0\n"
+    assert result.stdout == "61 0.1.0\n"
 
 
 def test_each_submodule_is_an_attribute_after_a_bare_import():
