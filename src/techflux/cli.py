@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import breakcheck, synth
-from .cograph import export_graph_json, export_graphml
+from .cograph import check_graphml_names, export_graph_json, export_graphml
 from .community import export_partition_json, suggest_labels
 from .config import SETTINGS, PipelineConfig, build_config, read_config_file, setting_type
 from .corpus import TimeWindow, load_corpus, load_windows, save_corpus
@@ -78,8 +78,6 @@ def _cluster_header(labels) -> list[str]:
 
 
 def run_compare(args: argparse.Namespace) -> int:
-    from .cograph import check_graphml_names  # only compare writes two GraphML files
-
     config, out, lexicon = _read_settings(args)
     window_t = TimeWindow.parse(args.window_t, label="t")
     window_t1 = TimeWindow.parse(args.window_t1, label="t+1")

@@ -12,13 +12,20 @@ build can keep only the top-n nodes (highest frequency, ties to the lower
 name) and count pairs among those alone; the graph equals the full build
 passed through ``top_n_filter``. ``field``, ``pairs`` and ``top_n`` meet the
 rules of their `PipelineConfig` fields, or raise GraphError.
+
+The GraphML and JSON exports are written directly from string pieces, in one
+pass over the nodes and edges. They hold the bytes that ElementTree (with
+``ET.indent``) and ``fileio.json_text`` would write: GraphML escapes ``&``,
+``<`` and ``>`` in element text, and in attribute values also ``"``, CR, LF
+and tab (as ``&#13;``, ``&#10;`` and ``&#09;``); each JSON string goes
+through the C encoder of ``json``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import re
-import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +33,7 @@ from pathlib import Path
 from .config import check_setting
 from .corpus import Corpus
 from .errors import GraphError
-from .fileio import atomic_write_bytes, write_json
+from .fileio import atomic_write_bytes, atomic_write_text
 from .lexicon import TermLexicon, extract_terms
 
 KIND_TECHNOLOGY = "technology"
@@ -155,16 +162,26 @@ def top_n_filter(graph: CoGraph, n: int) -> CoGraph:
     return CoGraph(nodes=tuple(graph.nodes[i] for i in kept), edges=edges)
 
 
-# GraphML key ids are fixed so exports are byte-stable.
-_GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
-# a character outside XML 1.0's Char production; ElementTree would write it raw
-_NOT_XML_CHAR = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
-_KEYS = (
-    ("d_kind", "node", "kind", "string"),
-    ("d_freq", "node", "doc_frequency", "int"),
-    ("d_cluster", "node", "cluster", "int"),
-    ("d_weight", "edge", "weight", "int"),
+# The GraphML head, key ids included, is fixed so exports are byte-stable.
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+    '  <key id="d_kind" for="node" attr.name="kind" attr.type="string" />\n'
+    '  <key id="d_freq" for="node" attr.name="doc_frequency" attr.type="int" />\n'
+    '  <key id="d_cluster" for="node" attr.name="cluster" attr.type="int" />\n'
+    '  <key id="d_weight" for="edge" attr.name="weight" attr.type="int" />\n'
 )
+# ElementTree's escapes: element text, and attribute values, where a tab or
+# line break is a character reference so that a parser keeps it as written
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
+# a character outside XML 1.0's Char production; written raw or escaped, it
+# leaves a file that no XML parser accepts
+_NOT_XML_CHAR = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# the C encoder of one JSON string, non-ASCII kept as is
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def check_graphml_names(graph: CoGraph) -> None:
@@ -178,33 +195,55 @@ def check_graphml_names(graph: CoGraph) -> None:
 def export_graphml(graph: CoGraph, path: str | Path, assignment: dict[str, int] | None = None) -> None:
     """Write GraphML with kind/doc_frequency/cluster node attributes and weight edges.
 
-    A node name that XML 1.0 cannot hold raises GraphError before anything is written.
+    The layout is ElementTree's with ``ET.indent``: two-space indent, empty
+    elements as ``<tag ... />``, a final newline. A node name that XML 1.0
+    cannot hold raises GraphError before anything is written.
     """
     check_graphml_names(graph)
-    root = ET.Element("graphml", xmlns=_GRAPHML_NS)
-    for key_id, domain, name, attr_type in _KEYS:
-        ET.SubElement(root, "key", attrib={"id": key_id, "for": domain, "attr.name": name, "attr.type": attr_type})
-    graph_el = ET.SubElement(root, "graph", edgedefault="undirected")
-    for node in graph.nodes:
-        node_el = ET.SubElement(graph_el, "node", id=node.name)
-        ET.SubElement(node_el, "data", key="d_kind").text = node.kind
-        ET.SubElement(node_el, "data", key="d_freq").text = str(node.doc_frequency)
-        if assignment is not None and node.name in assignment:
-            ET.SubElement(node_el, "data", key="d_cluster").text = str(assignment[node.name])
-    names = graph.node_names()
-    for u, v, weight in graph.edges:
-        edge_el = ET.SubElement(graph_el, "edge", source=names[u], target=names[v])
-        ET.SubElement(edge_el, "data", key="d_weight").text = str(weight)
-    ET.indent(root)
-    payload = ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
-    atomic_write_bytes(path, payload)
+    ids = [node.name.translate(_ATTR_ESCAPES) for node in graph.nodes]
+    clusters = assignment or {}
+    parts = [_GRAPHML_HEAD]
+    if not graph.nodes:
+        parts.append('  <graph edgedefault="undirected" />\n')
+    else:
+        parts.append('  <graph edgedefault="undirected">\n')
+        for node, node_id in zip(graph.nodes, ids):
+            parts.append(
+                f'    <node id="{node_id}">\n'
+                f'      <data key="d_kind">{node.kind}</data>\n'
+                f'      <data key="d_freq">{node.doc_frequency}</data>\n'
+            )
+            if node.name in clusters:
+                parts.append(f'      <data key="d_cluster">{str(clusters[node.name]).translate(_TEXT_ESCAPES)}</data>\n')
+            parts.append("    </node>\n")
+        parts.extend(
+            f'    <edge source="{ids[u]}" target="{ids[v]}">\n      <data key="d_weight">{weight}</data>\n    </edge>\n'
+            for u, v, weight in graph.edges
+        )
+        parts.append("  </graph>\n")
+    parts.append("</graphml>\n")
+    atomic_write_bytes(path, "".join(parts).encode("utf-8"))
 
 
 def export_graph_json(graph: CoGraph, path: str | Path) -> None:
-    """Write the graph as JSON mirroring the CoGraph fields, each edge endpoint by name."""
-    names = graph.node_names()
-    payload = {
-        "nodes": [{"name": n.name, "kind": n.kind, "doc_frequency": n.doc_frequency} for n in graph.nodes],
-        "edges": [{"u": names[u], "v": names[v], "weight": w} for u, v, w in graph.edges],
-    }
-    write_json(path, payload)
+    """Write the graph as JSON mirroring the CoGraph fields, each edge endpoint by name.
+
+    The layout is ``fileio.json_text``'s: two-space indent, non-ASCII kept
+    as is, an empty list as ``[]``, a final newline.
+    """
+    names = [_json_string(node.name) for node in graph.nodes]
+    nodes = ",\n".join(
+        f'    {{\n      "name": {name},\n      "kind": {_json_string(node.kind)},\n'
+        f'      "doc_frequency": {node.doc_frequency}\n    }}'
+        for node, name in zip(graph.nodes, names)
+    )
+    edges = ",\n".join(
+        f'    {{\n      "u": {names[u]},\n      "v": {names[v]},\n      "weight": {weight}\n    }}'
+        for u, v, weight in graph.edges
+    )
+    atomic_write_text(path, f'{{\n  "nodes": {_json_list(nodes)},\n  "edges": {_json_list(edges)}\n}}\n')
+
+
+def _json_list(items: str) -> str:
+    """A JSON list of already indented items, as the second level of a two-space layout."""
+    return f"[\n{items}\n  ]" if items else "[]"

@@ -22,6 +22,7 @@ from techflux.cograph import KIND_TAG, KIND_TECHNOLOGY, CoGraph, GraphNode, docu
 from techflux.community import _Level, _aggregate, modularity
 from techflux.corpus import Corpus, Document
 from techflux.errors import GraphError, SynthError
+from techflux.fileio import json_text
 from techflux.lexicon import TermLexicon
 from techflux.synth import (
     _DEFAULT_BIRTH_RATE,
@@ -103,6 +104,38 @@ def build_cooccurrence_reference(corpus, lexicon, field="both", pairs="all", top
                 weights[(u, v)] = weights.get((u, v), 0) + 1
     nodes = [GraphNode(name, KIND_TECHNOLOGY if name in canonical else KIND_TAG, f) for name, f in frequency.items()]
     return named_graph(nodes, [(u, v, w) for (u, v), w in weights.items()])
+
+
+def export_graphml_reference(graph: CoGraph, assignment: dict[str, int] | None = None) -> bytes:
+    """The GraphML bytes of ``export_graphml``, built as an ElementTree and indented by ``ET.indent``."""
+    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+    for key_id, domain, name, attr_type in (
+        ("d_kind", "node", "kind", "string"),
+        ("d_freq", "node", "doc_frequency", "int"),
+        ("d_cluster", "node", "cluster", "int"),
+        ("d_weight", "edge", "weight", "int"),
+    ):
+        ET.SubElement(root, "key", attrib={"id": key_id, "for": domain, "attr.name": name, "attr.type": attr_type})
+    graph_el = ET.SubElement(root, "graph", edgedefault="undirected")
+    for node in graph.nodes:
+        node_el = ET.SubElement(graph_el, "node", id=node.name)
+        ET.SubElement(node_el, "data", key="d_kind").text = node.kind
+        ET.SubElement(node_el, "data", key="d_freq").text = str(node.doc_frequency)
+        if assignment is not None and node.name in assignment:
+            ET.SubElement(node_el, "data", key="d_cluster").text = str(assignment[node.name])
+    for (u, v), weight in named_edges(graph).items():
+        edge_el = ET.SubElement(graph_el, "edge", source=u, target=v)
+        ET.SubElement(edge_el, "data", key="d_weight").text = str(weight)
+    ET.indent(root)
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+
+
+def graph_json_reference(graph: CoGraph) -> str:
+    """The text of ``export_graph_json``: a payload dict through ``fileio.json_text``."""
+    return json_text({
+        "nodes": [{"name": n.name, "kind": n.kind, "doc_frequency": n.doc_frequency} for n in graph.nodes],
+        "edges": [{"u": u, "v": v, "weight": w} for (u, v), w in named_edges(graph).items()],
+    })
 
 
 def read_graphml(path) -> tuple[CoGraph, dict[str, int] | None]:

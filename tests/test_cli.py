@@ -456,6 +456,26 @@ def test_numpy_stays_off_the_start_up_path(tmp_path, command):
     assert result.stdout.splitlines()[-1] == "numpy loaded: False"
 
 
+_XML_PROBE = (
+    "import sys\n"
+    "from techflux.cli import main\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print('xml loaded:', sorted({'xml.etree.ElementTree', 'pyexpat'} & set(sys.modules)))\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("command", ["import", "trend", "series", "compare", "cluster", "synth"])
+def test_xml_stays_off_the_start_up_path(tmp_path, command):
+    argv = [] if command == "import" else _cli_argv(tmp_path, command)
+    result = subprocess.run(
+        [sys.executable, "-c", _XML_PROBE, *argv],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "xml loaded: []"
+
+
 @pytest.mark.parametrize("command", ["synth", "trend", "cluster", "compare", "series"])
 def test_every_file_is_opened_with_an_encoding(tmp_path, command):
     # its own process, so that warnings from test code and plugins do not count

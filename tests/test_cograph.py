@@ -4,10 +4,12 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from techflux.cograph import (
+    KIND_TAG,
+    KIND_TECHNOLOGY,
     CoGraph,
     GraphNode,
     build_cooccurrence,
@@ -23,8 +25,11 @@ from techflux.lexicon import lexicon_from_records
 from oracles import (
     ORACLE_EXAMPLES,
     build_cooccurrence_reference,
+    export_graphml_reference,
+    graph_json_reference,
     make_graph,
     named_edges,
+    named_graph,
     read_graph_json,
     read_graphml,
     top_n_filter_reference,
@@ -365,3 +370,102 @@ def test_graph_json_roundtrip(tmp_path):
     path = tmp_path / "g.json"
     export_graph_json(graph, path)
     assert read_graph_json(path) == graph
+
+
+# name pieces: XML specials, a CDATA end, whitespace, non-ASCII and astral text
+_NAME_PIECES = ("&", "<", ">", '"', "'", "]]>", "\t", "\n", "\r", " ", "a", "b", "é", "中", "\U0001f680", "&amp;")
+# characters XML 1.0 can hold: no surrogate, U+FFFE or U+FFFF, and of the controls only tab, LF, CR and NEL
+_XML_CHARS = st.characters(
+    exclude_categories=("Cc", "Cs"), include_characters="\t\n\r\x85", exclude_characters="\ufffe\uffff"
+)
+_NAMES = st.lists(st.sampled_from(_NAME_PIECES), max_size=4).map("".join) | st.text(_XML_CHARS, max_size=6)
+
+
+@st.composite
+def exportable_graphs(draw):
+    """A graph of XML-safe names with any kinds, frequencies and weights, and a cluster assignment or None."""
+    names = sorted(draw(st.lists(_NAMES, unique=True, max_size=8)))
+    nodes = tuple(
+        GraphNode(name, draw(st.sampled_from((KIND_TECHNOLOGY, KIND_TAG))), draw(st.integers(0, 10**9)))
+        for name in names
+    )
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(len(names)), 2))), unique=True)
+                 if len(names) > 1 else st.just([]))
+    edges = tuple((u, v, draw(st.integers(1, 10**9))) for u, v in sorted(pairs))
+    clusters = {name: draw(st.integers(0, 50)) for name in names}
+    assignment = draw(st.sampled_from(("full", "partial", "empty", "none")))
+    if assignment == "partial":
+        clusters = {name: c for name, c in clusters.items() if draw(st.booleans())}
+    return CoGraph(nodes=nodes, edges=edges), {"full": clusters, "partial": clusters, "empty": {}, "none": None}[assignment]
+
+
+@pytest.fixture(scope="module")
+def export_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("exports")
+
+
+@settings(deadline=None)
+@given(exportable_graphs())
+@example((CoGraph(), None))
+@example((CoGraph(), {}))
+@example((CoGraph(nodes=(GraphNode("a", KIND_TAG, 0), GraphNode("b", KIND_TECHNOLOGY, 1))), {"a": 0}))
+def test_exports_match_the_elementtree_and_json_text_writers(export_dir, case):
+    graph, assignment = case
+    export_graphml(graph, export_dir / "g.graphml", assignment)
+    export_graph_json(graph, export_dir / "g.json")
+    assert (export_dir / "g.graphml").read_bytes() == export_graphml_reference(graph, assignment)
+    assert (export_dir / "g.json").read_bytes() == graph_json_reference(graph).encode("utf-8")
+
+
+def test_export_escapes_are_pinned_in_literal_bytes(tmp_path):
+    graph = named_graph(
+        [GraphNode('a&b<c>"d', KIND_TECHNOLOGY, 4), GraphNode("e\tf\ng\rh'é", KIND_TAG, 3)],
+        [('a&b<c>"d', "e\tf\ng\rh'é", 3)],
+    )
+    export_graphml(graph, tmp_path / "g.graphml", assignment={'a&b<c>"d': 0})
+    export_graph_json(graph, tmp_path / "g.json")
+    assert (tmp_path / "g.graphml").read_bytes() == """\
+<?xml version='1.0' encoding='utf-8'?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="d_kind" for="node" attr.name="kind" attr.type="string" />
+  <key id="d_freq" for="node" attr.name="doc_frequency" attr.type="int" />
+  <key id="d_cluster" for="node" attr.name="cluster" attr.type="int" />
+  <key id="d_weight" for="edge" attr.name="weight" attr.type="int" />
+  <graph edgedefault="undirected">
+    <node id="a&amp;b&lt;c&gt;&quot;d">
+      <data key="d_kind">technology</data>
+      <data key="d_freq">4</data>
+      <data key="d_cluster">0</data>
+    </node>
+    <node id="e&#09;f&#10;g&#13;h'é">
+      <data key="d_kind">tag</data>
+      <data key="d_freq">3</data>
+    </node>
+    <edge source="a&amp;b&lt;c&gt;&quot;d" target="e&#09;f&#10;g&#13;h'é">
+      <data key="d_weight">3</data>
+    </edge>
+  </graph>
+</graphml>
+""".encode("utf-8")
+    assert (tmp_path / "g.json").read_bytes() == r"""{
+  "nodes": [
+    {
+      "name": "a&b<c>\"d",
+      "kind": "technology",
+      "doc_frequency": 4
+    },
+    {
+      "name": "e\tf\ng\rh'é",
+      "kind": "tag",
+      "doc_frequency": 3
+    }
+  ],
+  "edges": [
+    {
+      "u": "a&b<c>\"d",
+      "v": "e\tf\ng\rh'é",
+      "weight": 3
+    }
+  ]
+}
+""".encode("utf-8")
