@@ -178,16 +178,18 @@ _ATTR_ESCAPES = str.maketrans(
     {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
 )
 # a character outside XML 1.0's Char production; written raw or escaped, it
-# leaves a file that no XML parser accepts
-_NOT_XML_CHAR = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# leaves a file that no XML parser accepts. Compiled on first use, so
+# subcommands that write no GraphML never pay for it.
+_NOT_XML_CHAR = r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]"
 # the C encoder of one JSON string, non-ASCII kept as is
 _json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def check_graphml_names(graph: CoGraph) -> None:
     """Raise GraphError for the first node name that XML 1.0, and so GraphML, cannot hold."""
+    search = re.compile(_NOT_XML_CHAR).search
     for node in graph.nodes:
-        bad = _NOT_XML_CHAR.search(node.name)
+        bad = search(node.name)
         if bad:
             raise GraphError(f"node {node.name!r}: U+{ord(bad.group()):04X} is no XML 1.0 character, so GraphML cannot hold it")
 

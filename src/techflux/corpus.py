@@ -35,10 +35,21 @@ def normalize_tag(raw: str) -> str:
 
 def normalize_tags(raw_tags: list[str] | tuple[str, ...]) -> tuple[str, ...]:
     """Normalize and deduplicate tags, preserving first-occurrence order."""
+    return _normalize_tags(raw_tags, {})
+
+
+def _normalize_tags(raw_tags: list[str] | tuple[str, ...], names: dict[str, str]) -> tuple[str, ...]:
+    """normalize_tags, normalizing each raw tag not yet in names and adding it there.
+
+    A corpus load passes one dict for all its documents, which repeat a few
+    hundred distinct tags many times over.
+    """
     seen: dict[str, None] = {}
     for raw in raw_tags:
-        tag = normalize_tag(raw)
-        if tag and tag not in seen:
+        tag = names.get(raw)
+        if tag is None:
+            tag = names[raw] = normalize_tag(raw)
+        if tag:
             seen[tag] = None
     return tuple(seen)
 
@@ -143,7 +154,7 @@ class Corpus:
         return len(self.documents)
 
 
-def _make_document(record: dict, where: str) -> Document:
+def _make_document(record: dict, where: str, names: dict[str, str]) -> Document:
     for field_name in ("id", "date"):
         if record.get(field_name) in (None, ""):
             raise CorpusError(f"{where}: missing field {field_name!r}")
@@ -160,8 +171,8 @@ def _make_document(record: dict, where: str) -> Document:
     elif not isinstance(tags, (list, tuple)):
         raise CorpusError(f"{where}: field 'tags' must be a list")
     try:
-        normalized = normalize_tags(tags)
-    except AttributeError:  # a JSON value other than a string has no casefold
+        normalized = _normalize_tags(tags, names)
+    except (AttributeError, TypeError):  # a JSON value other than a string has no casefold, or no hash
         bad = next(tag for tag in tags if not isinstance(tag, str))
         raise CorpusError(f"{where}: field 'tags' must hold only strings, got {bad!r}") from None
     try:
@@ -177,7 +188,7 @@ def _make_document(record: dict, where: str) -> Document:
 
 
 def _load_jsonl(path: Path) -> list[Document]:
-    docs = []
+    docs, names = [], {}
     with open_text(path, CorpusError, "corpus file") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -191,7 +202,7 @@ def _load_jsonl(path: Path) -> list[Document]:
                 raise CorpusError(f"{where}: record must be a JSON object")
             if has_lone_surrogate(line, record):
                 raise CorpusError(f"{where}: lone surrogate escape, not valid text")
-            docs.append(_make_document(record, where))
+            docs.append(_make_document(record, where, names))
     return docs
 
 
@@ -203,7 +214,7 @@ _CSV_FIELD_LIMIT = 2**31 - 1
 
 
 def _load_csv(path: Path) -> list[Document]:
-    docs = []
+    docs, names = [], {}
     # the limit is process-wide, so it is raised for this read only
     old_limit = csv.field_size_limit(_CSV_FIELD_LIMIT)
     try:
@@ -217,7 +228,7 @@ def _load_csv(path: Path) -> list[Document]:
                 where = f"{path.name} line {reader.line_num}"
                 raw_tags = record.get("tags") or ""
                 tags = [t for t in raw_tags.split(";") if t.strip()]
-                docs.append(_make_document({**record, "tags": tags}, where))
+                docs.append(_make_document({**record, "tags": tags}, where, names))
     except csv.Error as exc:
         # only reading raises it, so reader exists; DictReader.line_num lags
         # on a failed row, its inner reader's does not

@@ -20,27 +20,25 @@ so the same seed yields the same bytes on every platform and Python
 version. Documents sample their tags from one community at that
 community's intra-document rate, plus uniform noise over the rest of the
 window vocabulary. Each output of splitmix64 is a pure function of its
-step count, so a document's per-term draws come from one vectorised numpy
-call that returns exactly the values, and leaves exactly the state, of the
-same number of scalar draws: the stream is the same splitmix64 sequence.
+step count, so a document's per-term draws run at once on 128-bit lanes of
+one Python int. The block gives exactly the keep decisions, and leaves
+exactly the state, of the same number of scalar draws, with no array
+library: the stream is the same splitmix64 sequence.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import itertools
+import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .corpus import Corpus, Document, TimeWindow, normalize_tag, window_from_record
 from .errors import SynthError
 from .fileio import atomic_write_text, json_text, read_json
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -59,6 +57,8 @@ class SplitMix64:
 
     def __init__(self, seed: int) -> None:
         self._state = seed & _MASK64
+        self._lanes: dict[int, tuple[int, int, int, int]] = {}
+        self._last = (-1, 0, 0)
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -71,28 +71,36 @@ class SplitMix64:
         # 53 random bits scaled into [0, 1)
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next count values of uniform() as one float64 array.
+    def flags_below(self, limits: int, count: int) -> bytes:
+        """One byte per draw of the next count: 1 where uniform() is below its lane's rate in limits.
 
-        The k-th output mixes only state + k * gamma, so all of them are
-        computed at once. uint64 arrays wrap like ``& _MASK64``; the state
-        itself stays a Python int, because numpy scalars warn on overflow
-        and numpy 1.x and 2.x promote Python ints mixed with uint64
-        differently.
+        Draw k mixes only state + k * gamma, so the block runs on 128-bit
+        lanes of one int, masked to 64 bits around each multiply so that no
+        product spills into the next lane. Lane constants are built per count
+        on first use. A block, then one below() call on each side, moves every
+        lane by (count + 2) * gamma, so the next block of that count adds a
+        constant instead of multiplying out the state.
         """
-        import numpy as np
-
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self._state)
-        self._state = (self._state + count * _GAMMA) & _MASK64
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        # below 2**53, so the conversion and the scaling are exact
-        return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        if count not in self._lanes:
+            ones = int.from_bytes(b"\1".ljust(16, b"\0") * count, "little")
+            gammas = b"".join((k * _GAMMA & _MASK64).to_bytes(16, "little") for k in range(1, count + 1))
+            step = ((count + 2) * _GAMMA & _MASK64) * ones
+            self._lanes[count] = (ones * _MASK64, ones, int.from_bytes(gammas, "little"), step)
+        mask, ones, gammas, step = self._lanes[count]
+        state, (last_count, last_state, z) = self._state, self._last
+        if count == last_count and state == (last_state + (count + 2) * _GAMMA) & _MASK64:
+            z = (z + step) & mask
+        else:
+            z = (state * ones + gammas) & mask
+        self._last = (count, state, z)
+        self._state = (state + count * _GAMMA) & _MASK64
+        z ^= z >> 30
+        z = ((z & mask) * _MIX1) & mask
+        z ^= z >> 27
+        z = ((z & mask) * _MIX2) & mask
+        z ^= z >> 31
+        # bound + 2**64 - 1 - z reaches bit 64, the lane's byte 8, exactly where z < bound
+        return (limits - (z & mask)).to_bytes(16 * count, "little")[8::16]
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n)."""
@@ -104,6 +112,16 @@ class SplitMix64:
             v = self.next_u64()
             if v < limit:
                 return v % n
+
+
+def lane_limits(runs: Sequence[tuple[float, int]]) -> int:
+    """The limits of flags_below(): for each (p, count) in order, count lanes at rate p.
+
+    uniform() < p exactly when the draw is below ceil(p * 2**53) << 11, and
+    the lane holds that bound plus 2**64 - 1.
+    """
+    lanes = (((math.ceil(p * 2.0**53) << 11) + _MASK64).to_bytes(16, "little") * n for p, n in runs)
+    return int.from_bytes(b"".join(lanes), "little")
 
 
 @dataclass(frozen=True)
@@ -406,30 +424,25 @@ def generate_corpus(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, G
     Each document draws its community, then one uniform per member in
     member order (kept below the community's rate), then, when noise is
     on, one per non-member in vocabulary order (kept below noise_rate),
-    then its day. The per-term draws are one uniforms() call.
+    then its day. The per-term draws are one flags_below() call.
     """
-    import numpy as np
-
     states, truth = _plant(spec)
     rng = SplitMix64(spec.seed)
     noise = spec.noise_rate
     documents: list[Document] = []
     for w_index, (window, state) in enumerate(zip(spec.windows, states)):
         vocabulary = sorted({term for c in state for term in c.members})
-        members, others = [], []
+        terms, limits = [], []
         for community in state:
             in_community = set(community.members)
-            members.append(np.array(community.members, dtype=object))
-            others.append(np.array([t for t in vocabulary if t not in in_community], dtype=object))
+            others = [t for t in vocabulary if t not in in_community] if noise > 0.0 else []
+            terms.append(community.members + tuple(others))
+            limits.append(lane_limits([(community.rate, len(community.members)), (noise, len(others))]))
         span_days = (window.end - window.start).days
         for d_index in range(spec.docs_per_window):
             ci = rng.below(len(state))
-            m = len(members[ci])
-            u = rng.uniforms(len(vocabulary) if noise > 0.0 else m)
-            picked = members[ci][u[:m] < state[ci].rate].tolist()
-            if noise > 0.0:
-                picked += others[ci][u[m:] < noise].tolist()
-            tags = tuple(sorted(picked))
+            flags = rng.flags_below(limits[ci], len(terms[ci]))
+            tags = tuple(sorted(itertools.compress(terms[ci], flags)))
             # the window is half-open, so the end day itself is excluded
             date = window.start + dt.timedelta(days=rng.below(span_days))
             doc_id = f"w{w_index}-d{d_index:05d}"

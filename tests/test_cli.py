@@ -445,7 +445,7 @@ def _cli_argv(tmp_path, command):
     return ["compare", *inputs, "--window-t", "2021-01-01:2021-02-01", "--window-t1", "2021-02-01:2021-03-01", *out]
 
 
-@pytest.mark.parametrize("command", ["import", "trend", "cluster", "compare", "series"])
+@pytest.mark.parametrize("command", ["import", "trend", "cluster", "compare", "series", "synth"])
 def test_numpy_stays_off_the_start_up_path(tmp_path, command):
     argv = [] if command == "import" else _cli_argv(tmp_path, command)
     result = subprocess.run(

@@ -245,6 +245,8 @@ def test_load_reports_missing_field_with_location(tmp_path):
     ("text", 5, "field 'text' must be a string or null, got 5"),
     ("tags", [None, 5], "field 'tags' must hold only strings, got None"),
     ("tags", ["ai", 5], "field 'tags' must hold only strings, got 5"),
+    ("tags", ["ai", ["ml"]], "field 'tags' must hold only strings, got ['ml']"),
+    ("tags", [{"ai": 1}], "field 'tags' must hold only strings, got {'ai': 1}"),
     ("tags", "", "field 'tags' must be a list"),
     ("tags", 0, "field 'tags' must be a list"),
 ])
@@ -254,6 +256,23 @@ def test_load_type_checks_each_jsonl_field(tmp_path, field, value, message):
     path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "d2", field: value}) + "\n")
     with pytest.raises(CorpusError, match=f"^{re.escape('c.jsonl line 2: ' + message)}$"):
         load_corpus(path)
+
+
+_RAW_TAGS = st.sampled_from(["AI", "ai", " ai ", "Big  Data", "big data", "BIG\tDATA", "", "  ", "Straße", "STRASSE", "İ", "ı"])
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(_RAW_TAGS, max_size=6), min_size=1, max_size=8))
+def test_load_normalizes_repeated_raw_tags_one_by_one(raw_tag_lists):
+    # one load normalizes each distinct raw tag once; every document must still get its own tags
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": f"d{i}", "date": "2021-01-01", "tags": tags}) + "\n" for i, tags in enumerate(raw_tag_lists)
+        ), encoding="utf-8")
+        loaded = load_corpus(path)
+    expected = [tuple(dict.fromkeys(tag for tag in map(normalize_tag, tags) if tag)) for tags in raw_tag_lists]
+    assert [doc.tags for doc in loaded.documents] == expected
 
 
 def test_load_takes_an_integer_id_and_null_text_and_tags(tmp_path):

@@ -1,9 +1,8 @@
 import datetime as dt
 import itertools
 import json
-import warnings
+import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +15,8 @@ from techflux.lexicon import extract_terms, lexicon_from_records
 from techflux.synth import (
     _GAMMA,
     _MASK64,
+    _MIX1,
+    _MIX2,
     EVENT_KINDS,
     FRESH_PREFIX,
     PlantedEvent,
@@ -24,6 +25,7 @@ from techflux.synth import (
     export_ground_truth,
     generate_corpus,
     ground_truth_to_json,
+    lane_limits,
     lexicon_records,
     load_plant_spec,
     plant_spec_from_records,
@@ -88,17 +90,74 @@ def splitmix_states(draw):
 _COUNTS = st.one_of(st.sampled_from([0, 1]), st.integers(0, 2000))
 
 
+_RATES_OR_EDGES = st.one_of(st.sampled_from([0.0, 5e-324, 2.0**-53, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
 @settings(deadline=None)
-@given(splitmix_states(), _COUNTS, _COUNTS)
-def test_uniforms_equal_scalar_draws(state, first, second):
+@given(splitmix_states(), _COUNTS, _COUNTS, _RATES_OR_EDGES)
+def test_uniforms_equal_scalar_draws(state, first, second, p):
     block, scalar = SplitMix64(state), SplitMix64(state)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        head = block.uniforms(first)
-        tail = block.uniforms(second)
-    assert head.dtype == np.float64 and head.shape == (first,)
-    expected = [scalar.uniform() for _ in range(first + second)]
-    assert head.tolist() + tail.tolist() == expected
+    head = block.flags_below(lane_limits([(p, first)]), first)
+    tail = block.flags_below(lane_limits([(p, second)]), second)
+    assert len(head) == first
+    assert list(head + tail) == [scalar.uniform() < p for _ in range(first + second)]
+    assert block._state == scalar._state
+
+
+def _unshift(y, s):
+    """The x with x ^ (x >> s) == y."""
+    x = y
+    for _ in range(64 // s):
+        x = y ^ (x >> s)
+    return x
+
+
+def state_before(output, steps=0):
+    """The state whose next_u64() returns output after steps earlier draws: the mix run backwards."""
+    z = _unshift(output, 31)
+    z = _unshift(z * pow(_MIX2, -1, 2**64) & _MASK64, 27)
+    z = _unshift(z * pow(_MIX1, -1, 2**64) & _MASK64, 30)
+    return (z - (steps + 1) * _GAMMA) & _MASK64
+
+
+@pytest.mark.parametrize("output", [0, 2047, 2048, 4095, 2**63, _MASK64 - 2047, _MASK64])
+@pytest.mark.parametrize("p", [1.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+def test_flags_below_at_the_extreme_draws(output, p):
+    # draw 5 of 9 is output; 0 and 2047 give uniform() 0.0, kept even at the smallest positive rate
+    state = state_before(output, steps=5)
+    scalar = SplitMix64(state)
+    expected = [scalar.uniform() < p for _ in range(9)]
+    assert SplitMix64(state_before(output)).next_u64() == output
+    assert list(SplitMix64(state).flags_below(lane_limits([(p, 9)]), 9)) == expected
+    assert expected[5] == ((output >> 11) * 2.0**-53 < p)
+
+
+@settings(deadline=None)
+@given(splitmix_states(), st.integers(0, 40))
+def test_flags_below_is_strict_at_a_draws_own_value(state, k):
+    scalar = SplitMix64(state)
+    value = [scalar.uniform() for _ in range(k + 1)][k]
+    for p, kept in ((value, 0), (math.nextafter(value, 2.0), 1), (math.nextafter(value, 0.0), 0)):
+        assert SplitMix64(state).flags_below(lane_limits([(p, k + 1)]), k + 1)[k] == kept
+
+
+# bounds above 2**63 make below() reject about half its draws
+_BOUNDS = st.one_of(st.integers(1, 50), st.integers(2**63, _MASK64))
+
+
+@settings(deadline=None)
+@given(splitmix_states(), st.integers(0, 60), st.integers(0, 60), _RATES_OR_EDGES, _RATES_OR_EDGES, _BOUNDS, _BOUNDS)
+def test_flags_below_mixes_member_and_noise_rates(state, members, others, rate, noise, pick, days):
+    # two documents as generate_corpus draws them: the second block reuses the
+    # first one's lanes, unless a below() call rejected a draw
+    count = members + others
+    block, scalar = SplitMix64(state), SplitMix64(state)
+    limits = lane_limits([(rate, members), (noise, others)])
+    for _ in range(2):
+        assert block.below(pick) == scalar.below(pick)
+        flags = block.flags_below(limits, count)
+        assert list(flags) == [scalar.uniform() < (rate if i < members else noise) for i in range(count)]
+        assert block.below(days) == scalar.below(days)
     assert block._state == scalar._state
 
 
