@@ -1,37 +1,45 @@
-r"""Technology term lexicon: compiled regex matchers and term extraction.
+r"""Technology term lexicon: pattern checks and one-scan term extraction.
 
 The lexicon file is a JSON array of ``{"canonical": str, "patterns": [str]}``
 entries. Patterns are meant to cover inflections (singular/plural, spelling
-variants) of one canonical term. The compiler wraps every pattern with word
-boundaries and compiles it case-insensitively, so e.g. a pattern ``ai`` will
-not fire inside "maintain".
+variants) of one canonical term. A pattern matches where ``compile_pattern``
+matches: wrapped with word boundaries and compiled case-insensitively, so
+e.g. a pattern ``ai`` will not fire inside "maintain".
 
 Pattern dialect: Python `re`, restricted by convention to constructs common
 to mainstream engines -- character classes, alternation, optional/repeat
 quantifiers, non-capturing groups. Backreferences are not supported.
 
-Extraction does not run every pattern on every document. When a pattern has
-no top-level ``|`` and starts with an ASCII literal ``L`` whose first
-character is a word character, each of its matches starts where a ``\w+``
-token of the text starts, and the text continues with ``L`` from there. The
-lexicon therefore keeps an index, built once with the lexicon, from the
-first word run of each such ``L`` to its entries. A document runs only the
-entries whose ``L`` it contains at a token start, and confirms each with its
-compiled patterns, so the result is the same set the per-pattern search
-gives. ``L`` is read off the pattern string: plain characters and escaped
-punctuation, up to the first metacharacter, class, group or ``\`` + alphanumeric,
-without a character that a ``?``, ``*`` or ``{`` makes optional. An entry
-with any pattern that has no such ``L`` (``\bai\b``, ``(?:x|y)``) is a
-candidate in every document. Case-insensitive matching lets four non-ASCII
-letters stand for ASCII ones (``ı`` and ``İ`` match ``i``, ``ſ`` matches
-``s``, the Kelvin sign matches ``k``); after case folding only ``ı`` is
-left, so the index reads the text with ``ı`` as ``i``.
+Extraction scans each document once, with one regex for the whole lexicon.
+A pattern with no top-level ``|`` may start with an ASCII literal ``L``
+whose first character is a word character; every match of the pattern then
+starts where a word starts and the text continues with ``L``. ``L`` is read
+off the pattern string: plain characters and escaped punctuation, up to the
+first metacharacter, class, group or ``\`` + alphanumeric, without a
+character that a ``?``, ``*`` or ``{`` makes optional. A pattern that is
+all ``L`` is a literal pattern: it is never compiled on its own, and its
+self-test is a string check.
+
+The scan is ``\b(?=(<trie of every L>)(\w?))``, so at every word start it
+reports the longest ``L`` that the text continues with, overlapping matches
+included, and whether a word character follows. All that this string ``S``
+implies is worked out when the lexicon is built: a shorter literal ``P`` of
+``S`` holds where ``S`` has a word boundary after ``P``; the literal equal to
+``S`` holds where the following character makes one; and a pattern whose
+``L`` starts ``S`` is a candidate, confirmed by its own compiled search. A
+pattern with no ``L`` (``\bai\b``, ``(?:x|y)``) is searched in every
+document. Case-insensitive matching lets four non-ASCII letters stand for
+ASCII ones (``ı`` and ``İ`` match ``i``, ``ſ`` matches ``s``, the Kelvin
+sign matches ``k``). Case folding leaves only ``ı``, so a scanned string
+with ``ı`` read as ``i`` is one of the trie's.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 from .corpus import Document, normalize_tag
@@ -41,17 +49,21 @@ from .fileio import read_json
 
 @dataclass(frozen=True)
 class TermPattern:
-    """One canonical term plus the compiled patterns that detect it."""
+    """One canonical term plus the patterns that detect it."""
 
     canonical: str
     patterns: tuple[str, ...]
-    compiled: tuple[re.Pattern, ...]
 
 
-_TOKEN = re.compile(r"\w+")
-_WRAPPED = re.compile(r"\\b\(\?:(.*)\)\\b", re.DOTALL)
-_ASCII_WORD_RUN = re.compile(r"\w+", re.ASCII)
-_METACHARS = frozenset(".^$*+?{}[]()|")
+_FLAGS = re.IGNORECASE | re.UNICODE
+_BOUNDARY = re.compile(r"\b")
+# plain ASCII characters and escaped ASCII punctuation, each not made
+# optional by a ?, * or { after it
+_LITERAL_RUN = re.compile(r"(?:(?:[^\\.^$*+?{}\[\]()|\x80-\U0010ffff]|\\[^0-9A-Za-z\x80-\U0010ffff])(?![?*{]))*")
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+# sre_parse recurses once per nested group; strings below this many branch
+# points of the trie go into one flat alternation instead
+_MAX_NESTING = 64
 
 
 def _class_end(pattern: str, i: int) -> int:
@@ -81,50 +93,71 @@ def _has_top_level_bar(pattern: str) -> bool:
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch == "|" and depth <= 0:  # below 0 only in a hand-built \b(?:a)|(?:b)\b
+        elif ch == "|" and depth <= 0:  # below 0 only in a hand-built a)|(?:b
             return True
         i += 1
     return False
 
 
-def _literal_prefix(rx: re.Pattern) -> str:
-    """Lowercased ASCII text that starts every match of a compiled lexicon pattern.
+def _literal_prefix(pattern: str) -> tuple[str, bool]:
+    """Lowercased ASCII text that starts every match of a lexicon pattern, and whether it is the whole pattern.
 
-    Empty when no such text starting with a word character can be read off
-    the pattern; the entry is then a candidate in every document.
+    The text is empty when none starting with a word character can be read
+    off the pattern; the pattern is then searched in every document.
     """
-    wrapped = _WRAPPED.fullmatch(rx.pattern)
-    if wrapped is None or rx.flags & re.VERBOSE:
-        return ""
-    pattern = wrapped.group(1)
-    if _has_top_level_bar(pattern):
-        return ""
-    chars = []
-    i = 0
-    while i < len(pattern):
-        ch, step = pattern[i], 1
-        if ch == "\\":
-            ch, step = pattern[i + 1], 2
-            if ch.isalnum():
-                break
-        elif ch in _METACHARS:
-            break
-        if not ch.isascii() or pattern[i + step:i + step + 1] in ("?", "*", "{"):
-            break
-        chars.append(ch)
-        i += step
-    literal = "".join(chars).lower()
-    return literal if _ASCII_WORD_RUN.match(literal) else ""
+    if "|" in pattern and _has_top_level_bar(pattern):
+        return "", False
+    run = _LITERAL_RUN.match(pattern).group()
+    literal = _ESCAPED.sub(lambda m: m[1], run).lower()
+    if not literal or not _is_word(literal[0]):
+        return "", False
+    return literal, len(run) == len(pattern)
+
+
+def _is_word(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+def _literal_in(literal: str, text: str) -> bool:
+    r"""Whether ``\b(?:literal)\b`` matches a case-folded text case-insensitively."""
+    plain = text.replace("\u0131", "i")
+    start = plain.find(literal)
+    while start >= 0:
+        if _BOUNDARY.match(text, start) and _BOUNDARY.match(text, start + len(literal)):
+            return True
+        start = plain.find(literal, start + 1)
+    return False
+
+
+def _trie_regex(strings: list[str], depth: int = 0) -> str:
+    """A regex matching the longest of the sorted, distinct strings ("" among them) at its start."""
+    if depth == _MAX_NESTING:
+        return "(?:" + "|".join(map(re.escape, sorted(strings, key=len, reverse=True))) + ")"
+    optional = strings[0] == ""
+    branches = []
+    for head, group in groupby(strings[1:] if optional else strings, key=lambda s: s[0]):
+        tails = [s[1:] for s in group]
+        if len(tails) == 1:
+            branches.append(re.escape(head + tails[0]))
+            continue
+        stem = os.path.commonprefix(tails)
+        branches.append(re.escape(head + stem) + _trie_regex([t[len(stem):] for t in tails], depth + 1))
+    body = "|".join(branches)
+    if optional:
+        return f"(?:{body})?"
+    return f"(?:{body})" if len(branches) > 1 else body
 
 
 @dataclass(frozen=True)
 class TermLexicon:
     entries: tuple[TermPattern, ...]
-    # built in __post_init__: first word run of a literal prefix -> (prefix,
-    # entry index) pairs, the sorted key lengths, and the unindexed entries
-    _index: dict[str, tuple[tuple[str, int], ...]] = field(init=False, repr=False, compare=False)
-    _key_lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _always: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # built in __post_init__: the scan, each scanned string -> (terms it
+    # implies, (canonical, compiled) searches it calls for), first without
+    # and then with a word character after it, and the searches every
+    # document needs
+    _scan: re.Pattern | None = field(init=False, repr=False, compare=False)
+    _implied: dict[str, tuple[tuple[frozenset[str], tuple], ...]] = field(init=False, repr=False, compare=False)
+    _always: tuple[tuple[str, re.Pattern], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -132,35 +165,43 @@ class TermLexicon:
             if entry.canonical in seen:
                 raise LexiconError(f"duplicate canonical term: {entry.canonical!r}")
             seen.add(entry.canonical)
-        index: dict[str, list[tuple[str, int]]] = {}
+        literals: dict[str, list[str]] = {}
+        searches: dict[str, list[tuple[str, re.Pattern]]] = {}
         always = []
-        for i, entry in enumerate(self.entries):
-            literals = [_literal_prefix(rx) for rx in entry.compiled]
-            if not all(literals):
-                always.append(i)
-                continue
-            for literal in dict.fromkeys(literals):
-                key = _ASCII_WORD_RUN.match(literal).group()
-                index.setdefault(key, []).append((literal, i))
-        object.__setattr__(self, "_index", {key: tuple(hits) for key, hits in index.items()})
-        object.__setattr__(self, "_key_lengths", tuple(sorted({len(key) for key in index})))
+        for entry in self.entries:
+            for pattern in entry.patterns:
+                literal, whole = _literal_prefix(pattern)
+                if whole:
+                    literals.setdefault(literal, []).append(entry.canonical)
+                    continue
+                rx = compile_pattern(pattern)
+                # Python 3.10 applies an inline (?x) or (?a) anywhere in the
+                # pattern to all of it, which can change what L matches
+                if literal and rx.flags == _FLAGS:
+                    searches.setdefault(literal, []).append((entry.canonical, rx))
+                else:
+                    always.append((entry.canonical, rx))
+        strings = literals.keys() | searches.keys()
+        implied = {}
+        for s in strings:
+            bounded, called = [], []
+            for k in range(1, len(s)):
+                if s[:k] in strings:
+                    called += searches.get(s[:k], ())
+                    if _is_word(s[k - 1]) != _is_word(s[k]):
+                        bounded += literals.get(s[:k], ())
+            called += searches.get(s, ())
+            own = literals.get(s, [])
+            implied[s] = tuple(
+                (frozenset(bounded + own if _is_word(s[-1]) != word_after else bounded), tuple(called))
+                for word_after in (False, True)
+            )
+        scan = None
+        if implied:
+            scan = re.compile(rf"\b(?=({_trie_regex(sorted(implied))})(\w?))", _FLAGS)
+        object.__setattr__(self, "_scan", scan)
+        object.__setattr__(self, "_implied", implied)
         object.__setattr__(self, "_always", tuple(always))
-
-    def _candidates(self, text: str) -> list[TermPattern]:
-        """Entries that may match the case-folded text, in lexicon order."""
-        # same length and token starts; ı is the one case-folded letter that
-        # IGNORECASE matches to an ASCII one
-        text = text.replace("\u0131", "i")
-        hits = set(self._always)
-        for m in _TOKEN.finditer(text):
-            token, start = m.group(), m.start()
-            for length in self._key_lengths:
-                if length > len(token):
-                    break
-                for literal, i in self._index.get(token[:length], ()):
-                    if text.startswith(literal, start):
-                        hits.add(i)
-        return [self.entries[i] for i in sorted(hits)]
 
     @property
     def canonical_terms(self) -> frozenset[str]:
@@ -172,7 +213,7 @@ class TermLexicon:
 
 def compile_pattern(pattern: str) -> re.Pattern:
     """A lexicon pattern wrapped in word boundaries, compiled case-insensitively."""
-    return re.compile(rf"\b(?:{pattern})\b", re.IGNORECASE | re.UNICODE)
+    return re.compile(rf"\b(?:{pattern})\b", _FLAGS)
 
 
 def _compile_entry(canonical: str, patterns: list[str], where: str) -> TermPattern:
@@ -181,19 +222,23 @@ def _compile_entry(canonical: str, patterns: list[str], where: str) -> TermPatte
         raise LexiconError(f"{where}: entry with empty canonical term")
     if not patterns:
         raise LexiconError(f"{where}: entry {canonical!r}: needs at least one pattern")
-    compiled = []
     for pattern in patterns:
-        try:
-            rx = compile_pattern(pattern)
-        except re.error as exc:
-            raise LexiconError(f"{where}: entry {canonical!r}: pattern {pattern!r} does not compile: {exc}") from None
-        # an empty match at the end of a word: such a pattern fires in every document with a word
-        if rx.match("a", 1):
-            raise LexiconError(f"{where}: entry {canonical!r}: pattern {pattern!r} matches the empty string")
-        if rx.search(canonical) is None:
+        literal, whole = _literal_prefix(pattern)
+        if whole:
+            # compiles, and cannot match the empty string
+            passes = _literal_in(literal, canonical)
+        else:
+            try:
+                rx = compile_pattern(pattern)
+            except re.error as exc:
+                raise LexiconError(f"{where}: entry {canonical!r}: pattern {pattern!r} does not compile: {exc}") from None
+            # an empty match at the end of a word: such a pattern fires in every document with a word
+            if rx.match("a", 1):
+                raise LexiconError(f"{where}: entry {canonical!r}: pattern {pattern!r} matches the empty string")
+            passes = rx.search(canonical) is not None
+        if not passes:
             raise LexiconError(f"{where}: entry {canonical!r}: pattern {pattern!r} fails self-test (does not match the canonical form)")
-        compiled.append(rx)
-    return TermPattern(canonical=canonical, patterns=tuple(patterns), compiled=tuple(compiled))
+    return TermPattern(canonical=canonical, patterns=tuple(patterns))
 
 
 def compile_lexicon(path: str | Path) -> TermLexicon:
@@ -228,10 +273,14 @@ def extract_terms(doc: Document, lexicon: TermLexicon) -> set[str]:
     text = doc.text.casefold()
     if not text:
         return set()
-    found = set()
-    for entry in lexicon._candidates(text):
-        for rx in entry.compiled:
-            if rx.search(text):
-                found.add(entry.canonical)
-                break
+    found: set[str] = set()
+    searches = set(lexicon._always)
+    if lexicon._scan is not None:
+        for scanned, after in lexicon._scan.findall(text):
+            terms, called = lexicon._implied[scanned.replace("\u0131", "i")][after != ""]
+            found |= terms
+            searches.update(called)
+    for canonical, rx in searches:
+        if canonical not in found and rx.search(text):
+            found.add(canonical)
     return found

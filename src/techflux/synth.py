@@ -106,6 +106,9 @@ class SplitMix64:
         """Unbiased integer in [0, n)."""
         if n <= 0:
             raise SynthError(f"below() needs a positive bound, got {n}")
+        if n > _MASK64:
+            # the rejection limit below would be 0 or negative, and every draw rejected
+            raise SynthError(f"below() needs a bound of at most 2**64 - 1, got {n}")
         # rejection on the tail that would bias the modulo
         limit = _MASK64 - (_MASK64 % n)
         while True:

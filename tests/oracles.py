@@ -23,7 +23,7 @@ from techflux.community import _Level, _aggregate, modularity
 from techflux.corpus import Corpus, Document
 from techflux.errors import GraphError, SynthError
 from techflux.fileio import json_text
-from techflux.lexicon import TermLexicon
+from techflux.lexicon import TermLexicon, compile_pattern
 from techflux.synth import (
     _DEFAULT_BIRTH_RATE,
     FRESH_PREFIX,
@@ -536,8 +536,8 @@ def extract_terms_reference(doc: Document, lexicon: TermLexicon) -> set[str]:
         return set()
     found = set()
     for entry in lexicon.entries:
-        for rx in entry.compiled:
-            if rx.search(text):
+        for pattern in entry.patterns:
+            if compile_pattern(pattern).search(text):
                 found.add(entry.canonical)
                 break
     return found

@@ -3,12 +3,12 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import extract_terms_reference
 
 from techflux import synth
-from techflux.corpus import Document
+from techflux.corpus import Document, normalize_tag
 from techflux.errors import LexiconError
 from techflux.lexicon import (
     TermLexicon,
@@ -192,7 +192,7 @@ def test_unicode_casefold_matching():
     ("été", ""),
 ])
 def test_literal_prefix(pattern, literal):
-    assert _literal_prefix(compile_pattern(pattern)) == literal
+    assert _literal_prefix(pattern)[0] == literal
 
 
 def test_non_ascii_letter_stands_for_ascii_one():
@@ -209,6 +209,8 @@ def test_only_dotless_i_folds_onto_ascii():
 
 
 def test_synth_lexicon_is_fully_indexed():
+    # every generated pattern is a literal, so the scan alone decides every
+    # term: no pattern is searched in every document, none is confirmed
     spec = synth.plant_spec_from_records({
         "seed": 1,
         "docs_per_window": 10,
@@ -222,12 +224,15 @@ def test_synth_lexicon_is_fully_indexed():
     _, truth = synth.generate_corpus(spec)
     lexicon = lexicon_from_records(synth.lexicon_records(truth))
     assert lexicon._always == ()
-    indexed = {i for hits in lexicon._index.values() for _, i in hits}
-    assert indexed == set(range(len(lexicon)))
+    assert all(called == () for implied in lexicon._implied.values() for _, called in implied)
+    assert len(lexicon._implied) == len(lexicon)
 
 
-_TEXT_CHARS = list("aiskAISK01_ -.—’ıſKİßé")
-_SEPARATORS = ["", " ", "-", ".", "—", "’"]
+# the four letters that IGNORECASE matches to ASCII ones, two combining
+# marks, ß (folded to ss) and é
+_ODD_CHARS = ["\u0131", "\u017f", "\u212a", "\u0130", "\u0301", "\u0307", "\u00df", "\u00e9"]
+_TEXT_CHARS = list("aiskAISK01_ -.+#\u2014\u2019") + _ODD_CHARS
+_SEPARATORS = ["", " ", "-", ".", "\u2014", "\u2019"]
 
 
 @st.composite
@@ -247,7 +252,7 @@ def lexicons_with_texts(draw):
         st.tuples(word, st.sampled_from(["{1,2}", "{0,2}"])).map("".join),
         st.tuples(st.sampled_from(["(?:", "("]), word, word).map(lambda g: f"{g[0]}{g[1]}|{g[2]})"),
     )
-    # most patterns start with a word, so that most entries are indexed
+    # most patterns start with a word, so that most have a literal prefix
     lead = st.one_of(word, word.map(lambda w: w + "+"), word, piece)
     branch = st.builds(lambda first, rest: first + "".join(rest), lead, st.lists(piece, max_size=3))
     # a leading \b or a top-level | in about one pattern in eight each
@@ -255,19 +260,33 @@ def lexicons_with_texts(draw):
         lambda k, first, second: (r"\b" if k == 7 else "") + first + (f"|{second}" if k == 6 else ""),
         st.integers(0, 7), branch, branch,
     )
+    # literal patterns: words joined by separators, each literal often
+    # extending an earlier one (ai, ai chip, ai-chip), and some ending in a
+    # non-word character (c++, c#)
+    literals = [draw(word)]
+    for _ in range(draw(st.integers(0, 5))):
+        base = draw(st.sampled_from(literals + vocab))
+        literals.append(base + draw(st.sampled_from([" ", "-", ".", ""])) + draw(word))
+    literals = [text + draw(st.sampled_from(["", "", "+", "++", "#", "."])) for text in literals]
+    literal = st.sampled_from(literals).flatmap(
+        lambda text: st.sampled_from([re.escape(text), text.replace(".", r"\.").replace("+", r"\+")])
+    )
     entries = []
     for i in range(draw(st.integers(1, 6))):
-        patterns = tuple(draw(st.lists(pattern, min_size=1, max_size=2)))
-        compiled = tuple(compile_pattern(p) for p in patterns)
-        entries.append(TermPattern(canonical=f"t{i}", patterns=patterns, compiled=compiled))
+        # entries mix literal and regex patterns
+        patterns = tuple(draw(st.lists(st.one_of(literal, literal, pattern), min_size=1, max_size=3)))
+        entries.append(TermPattern(canonical=f"t{i}", patterns=patterns))
     matches = st.sampled_from([p for entry in entries for p in entry.patterns]).flatmap(
         lambda p: st.from_regex(re.compile(p, re.IGNORECASE), fullmatch=True)
     )
     fragment = st.one_of(
         matches,
-        matches.map(lambda m: m.replace("i", "ı")),  # dotless i still matches i
+        matches.map(lambda m: m.replace("i", "\u0131")),  # dotless i still matches i
+        st.tuples(matches, st.sampled_from(_ODD_CHARS)).map("".join),  # a mark or letter right after a match
+        st.tuples(st.sampled_from(_ODD_CHARS), matches).map("".join),
+        st.lists(word, min_size=2, max_size=4).map(" ".join),  # overlapping literals (a b, b c)
         word,
-        st.sampled_from(["ı", "ſ", "K", "İ", "ß", "é"]),
+        st.sampled_from(_ODD_CHARS),
         st.text(_TEXT_CHARS, max_size=3),
     )
     text = st.lists(st.tuples(fragment, st.sampled_from(_SEPARATORS)), max_size=8).map(
@@ -282,3 +301,94 @@ def test_extract_terms_matches_per_pattern_oracle(case):
     lexicon, texts = case
     for text in texts:
         assert extract_terms(doc(text), lexicon) == extract_terms_reference(doc(text), lexicon)
+
+
+_LITERAL_ENTRIES = [
+    {"canonical": "ai", "patterns": ["ai"]},
+    {"canonical": "ai chip", "patterns": ["ai chip"]},
+    {"canonical": "ai-chip", "patterns": [r"ai\-chip"]},
+    {"canonical": "machine learning", "patterns": ["machine learning"]},
+    {"canonical": "learning systems", "patterns": [r"learning\ systems"]},
+    # a literal that ends in a non-word character needs a word character after it
+    {"canonical": "c++11", "patterns": [r"c\+\+"]},
+    {"canonical": "c#7", "patterns": ["c#"]},
+    {"canonical": "chip design", "patterns": ["chip design", "chips? designs?"]},
+]
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("AI chips", {"ai"}),
+    ("an ai chip", {"ai", "ai chip"}),
+    ("ai-chip vendors", {"ai", "ai-chip"}),
+    ("ai chipset", {"ai"}),
+    ("machine learning systems", {"machine learning", "learning systems"}),
+    ("C++11 and C#7", {"c++11", "c#7"}),
+    ("c++ and c# and c+1", set()),
+    ("ai chip designs", {"ai", "ai chip", "chip design"}),
+    ("\u0131\u0301 ai\u0307 chip", {"ai"}),
+    ("a\u0131 chip\u0301", {"ai", "ai chip"}),
+    ("\u0130a ma\u0131chine learning", set()),
+])
+def test_literals_that_are_prefixes_or_overlap(text, terms):
+    lexicon = lex(*_LITERAL_ENTRIES)
+    assert extract_terms(doc(text), lexicon) == extract_terms_reference(doc(text), lexicon) == terms
+
+
+def test_a_literal_lexicon_compiles_one_regex(monkeypatch):
+    compiled = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *args: compiled.append(args[0]) or compile_(*args))
+    lexicon = lex(*_LITERAL_ENTRIES[:-1])
+    assert len(compiled) == 1
+    assert extract_terms(doc("machine learning systems"), lexicon) == {"machine learning", "learning systems"}
+    assert len(compiled) == 1
+
+
+def test_literals_nested_past_the_trie_depth():
+    # each literal extends the one before, one branch point of the trie per
+    # literal; nested 600 deep, the scan would overflow the recursion of re's parser
+    names = [" ".join(["a"] * n) for n in range(1, 601)]
+    lexicon = lex(*({"canonical": name, "patterns": [name]} for name in names))
+    for n in (1, 63, 64, 65, 600):
+        text = " ".join(["A"] * n)
+        assert extract_terms(doc(text), lexicon) == set(names[:n])
+        assert extract_terms(doc(text + "x"), lexicon) == set(names[:n - 1])
+
+
+@pytest.mark.parametrize("pattern, whole", [
+    (r"c00\-000", True),
+    (r"c\+\+", True),
+    ("c#", True),
+    (r"ai\ chip", True),
+    ("ai chip", True),
+    ("a\\\\b", True),
+    ("machine[- ]?learning", False),
+    ("Ab+c", False),
+    ("ai?", False),
+    ("ai\\", False),
+    ("aié", False),
+    (r"\bai\b", False),
+])
+def test_whole_literal(pattern, whole):
+    assert _literal_prefix(pattern)[1] == whole
+
+
+_CANONICAL_CHARS = list("aisk01_ -+#.") + _ODD_CHARS
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.sampled_from(["a", "i", "s", "k", "ai", "_", "1", " ", "-", "+", "#", "."]), min_size=1, max_size=4).map("".join),
+    st.text(_CANONICAL_CHARS, min_size=1, max_size=8),
+)
+def test_literal_self_test_matches_the_compiled_search(text, raw_canonical):
+    pattern = re.escape(text)
+    canonical = normalize_tag(raw_canonical)
+    assume(canonical and _literal_prefix(pattern)[1])
+    passes = compile_pattern(pattern).search(canonical) is not None
+    try:
+        lex({"canonical": raw_canonical, "patterns": [pattern]})
+    except LexiconError as exc:
+        assert not passes and "fails self-test" in str(exc)
+    else:
+        assert passes

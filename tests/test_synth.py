@@ -71,6 +71,14 @@ def test_splitmix_below():
         gen.below(0)
 
 
+@pytest.mark.parametrize("n", [2**64, 2**64 + 1])
+def test_splitmix_below_refuses_a_bound_past_64_bits(n):
+    gen = SplitMix64(7)
+    with pytest.raises(SynthError, match=rf"^below\(\) needs a bound of at most 2\*\*64 - 1, got {n}$"):
+        gen.below(n)
+    assert gen.below(_MASK64) == SplitMix64(7).next_u64()
+
+
 def test_splitmix_chance_extremes():
     gen = SplitMix64(3)
     assert not any(chance(gen, 0.0) for _ in range(50))
