@@ -322,6 +322,16 @@ def _period_key(date, period: str) -> str:
     return f"{date.year}Q{(date.month - 1) // 3 + 1}"
 
 
+def check_trend(lexicon: TermLexicon, terms: list[str], period: str, field: str) -> None:
+    """Raise StatsError for a period, a field or a term that term_trend cannot count, before any corpus is read."""
+    if period not in TREND_PERIODS:
+        raise StatsError(f"period must be one of {TREND_PERIODS}, got {period!r}")
+    check_setting("field", field, StatsError)
+    for term in terms:
+        if term not in lexicon.canonical_terms:
+            raise StatsError(f"unknown term {term!r}: not in the lexicon")
+
+
 def term_trend(
     corpora: list[tuple[str, Corpus]],
     lexicon: TermLexicon,
@@ -335,12 +345,7 @@ def term_trend(
     under ``field``, the items the network builder uses. Every document is
     read once, whatever the number of terms; a repeated term is counted once.
     """
-    if period not in TREND_PERIODS:
-        raise StatsError(f"period must be one of {TREND_PERIODS}, got {period!r}")
-    check_setting("field", field, StatsError)
-    for term in terms:
-        if term not in lexicon.canonical_terms:
-            raise StatsError(f"unknown term {term!r}: not in the lexicon")
+    check_trend(lexicon, terms, period, field)
     wanted = set(terms)
     counts: dict[str, dict[str, dict[str, int]]] = {term: {} for term in wanted}
     for label, corpus in corpora:

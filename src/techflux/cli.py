@@ -180,6 +180,7 @@ def run_trend(args: argparse.Namespace) -> int:
             raise ConfigError(f"duplicate corpus label {label!r}")
         seen_labels.add(label)
     terms = _load_terms_file(args.terms)
+    breakcheck.check_trend(lexicon, terms, args.period, config.field)
     corpora = [(label, load_corpus(path)) for label, path in sources]
     trends = breakcheck.term_trend(corpora, lexicon, terms, args.period, config.field)
     correlation_rows: list[tuple[str, str, str, str]] = []

@@ -33,25 +33,23 @@ with ties going to the lexicographic sweep. Every stage uses fixed orders
 and tie-breaks, so repeated runs on the same graph yield identical
 partitions.
 
-The two descents run at the same time when the process is single-threaded
-on Linux and the graph has at least _FORK_MIN_NODES nodes: the
-degree-order descent runs in a forked child, which moves itself off its
-parent's CPU and sends its labels back through a pipe. Each descent is a
-pure function of the level and the resolution, so the result is the same
-either way.
+On a graph of at least _FORK_MIN_NODES nodes the two descents run at the
+same time through forked.beside: in a single-threaded process on Linux the
+degree-order descent runs in a forked child and sends its labels back. Each
+descent is a pure function of the level and the resolution, so the result
+is the same either way.
 """
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
 from dataclasses import dataclass
 
 from .cograph import CoGraph
 from .config import check_setting
 from .errors import CommunityError
 from .fileio import atomic_write_text, json_text
+from .forked import beside
 
 EDGELESS_MSG = "modularity undefined on edgeless graph"
 
@@ -441,94 +439,19 @@ def _dense_assignment(names: tuple[str, ...], node_com: list[int]) -> dict[str, 
 _FORK_MIN_NODES = 64
 
 
-def _single_threaded() -> bool:
-    """Whether the process has exactly one thread; False where /proc cannot tell."""
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _current_cpu() -> int:
-    """The CPU this single-threaded process runs on, field 39 of /proc/self/stat."""
-    with open("/proc/self/stat", "rb") as stat:
-        # the fields after the parenthesised command name start at field 3
-        return int(stat.read().rsplit(b")", 1)[1].split()[36])
-
-
-def _fork_descent(level: _Level, resolution: float, order_fn):
-    """Start _descend in a forked child; (pid, read end of its pipe), or None without a fork.
-
-    The child moves to a CPU other than its parent's, if it may run on one,
-    writes its label list to the pipe as marshal bytes and exits 0, or
-    exits 1 on any error. A fork is taken only on a level of at least
-    _FORK_MIN_NODES nodes in a single-threaded process, where forking is
-    safe; otherwise, or when the fork fails, the caller runs the descent
-    itself.
-    """
-    if level.size < _FORK_MIN_NODES or not hasattr(os, "fork") or not _single_threaded():
-        return None
-    parent_cpu = _current_cpu()
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            # some kernels leave a forked child on its parent's CPU while another idles
-            others = os.sched_getaffinity(0) - {parent_cpu}
-            if others:
-                os.sched_setaffinity(0, others)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(_descend(level, resolution, order_fn)))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
 def _descents(level: _Level, resolution: float) -> list[list[int]]:
-    """The index-order and the degree-order descent, the second one in a forked child if one is taken.
+    """The index-order and the degree-order descent, the second one beside the first on a large level.
 
-    Both are pure functions of the level and the resolution, so the child's
-    labels equal the ones the parent would compute. When the child fails or
-    its reply is short, the parent runs the degree-order descent itself, so
-    an error in it raises here. The child is always reaped; on an exception
-    in the parent, KeyboardInterrupt included, it is killed first.
+    Both are pure functions of the level and the resolution, so labels a
+    forked child sends back equal the ones the parent would compute.
     """
-    child = _fork_descent(level, resolution, _degree_order)
-    if child is None:
+    if level.size < _FORK_MIN_NODES:
         return [_descend(level, resolution, order_fn) for order_fn in (_lex_order, _degree_order)]
-    pid, read_fd = child
-    reply = None
-    try:
-        with open(read_fd, "rb") as pipe:
-            lex = _descend(level, resolution, _lex_order)
-            reply = pipe.read()
-    finally:
-        if reply is None:
-            import signal  # only here, so that importing the CLI loads no more modules
-
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:  # already reaped, as under an ignored SIGCHLD
-                pass
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # SIGCHLD is ignored: only the reply tells
-            status = None
-    if status in (0, None):
-        try:
-            return [lex, marshal.loads(reply)]
-        except (EOFError, ValueError):
-            pass
-    return [lex, _descend(level, resolution, _degree_order)]
+    lex, degree = beside(
+        lambda: _descend(level, resolution, _lex_order),
+        lambda: _descend(level, resolution, _degree_order),
+    )
+    return [lex, degree]
 
 
 def louvain(graph: CoGraph, resolution: float = 1.0) -> Partition:

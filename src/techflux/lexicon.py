@@ -59,7 +59,7 @@ _FLAGS = re.IGNORECASE | re.UNICODE
 _BOUNDARY = re.compile(r"\b")
 # plain ASCII characters and escaped ASCII punctuation, each not made
 # optional by a ?, * or { after it
-_LITERAL_RUN = re.compile(r"(?:(?:[^\\.^$*+?{}\[\]()|\x80-\U0010ffff]|\\[^0-9A-Za-z\x80-\U0010ffff])(?![?*{]))*")
+_LITERAL_RUN = re.compile(r"(?:(?:(?![\\.^$*+?{}\[\]()|])[\x00-\x7f]|\\(?![0-9A-Za-z])[\x00-\x7f])(?![?*{]))*")
 _ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 # sre_parse recurses once per nested group; strings below this many branch
 # points of the trie go into one flat alternation instead

@@ -24,6 +24,15 @@ step count, so a document's per-term draws run at once on 128-bit lanes of
 one Python int. The block gives exactly the keep decisions, and leaves
 exactly the state, of the same number of scalar draws, with no array
 library: the stream is the same splitmix64 sequence.
+
+The same property lets a second process start at any document. Above
+_FORK_MIN_DRAWS expected per-term draws, a forked child (forked.beside)
+draws the second half of the documents while this process draws the first.
+The child walks the first half drawing only each document's community and
+day through below(), whose rejections can take extra draws, and skips each
+flag block; it replies with each document's day and kept positions in the
+window's sorted vocabulary, which map straight to sorted tags. The
+documents are the same as in one process.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from pathlib import Path
 from .corpus import Corpus, Document, TimeWindow, normalize_tag, window_from_record
 from .errors import SynthError
 from .fileio import atomic_write_text, json_text, read_json
+from .forked import beside
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -101,6 +111,10 @@ class SplitMix64:
         z ^= z >> 31
         # bound + 2**64 - 1 - z reaches bit 64, the lane's byte 8, exactly where z < bound
         return (limits - (z & mask)).to_bytes(16 * count, "little")[8::16]
+
+    def skip(self, count: int) -> None:
+        """Move past the next count draws without mixing them, as flags_below() of count does."""
+        self._state = (self._state + count * _GAMMA) & _MASK64
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n)."""
@@ -418,6 +432,111 @@ def _split_runs(members: tuple[str, ...], parts: int, where: str, source: str) -
     return runs
 
 
+# Below this many expected per-term draws the corpus is drawn in-process.
+# Per generate_corpus call on the benchmark's series spec cut to fewer
+# documents (2-core 2.1 GHz Xeon VM, median of 30 alternating calls), the
+# fork broke even at about 15,000 draws with noise 0.01 (20.7 against 20.8
+# ms) and 18,000 with noise 0 (26.6 against 26.9 ms), and won from 23,000
+# and 24,600 on (21.8 against 28.1 ms; 30.9 against 33.5 ms).
+_FORK_MIN_DRAWS = 24_000
+
+
+def _vocabulary(state: list[PlantCommunity]) -> list[str]:
+    return sorted({term for c in state for term in c.members})
+
+
+def _expected_draws(spec: PlantSpec, states: list[list[PlantCommunity]]) -> float:
+    """The per-term draws of the whole corpus on average; a document picks its community uniformly."""
+    sizes = [[len(c.members) for c in state] for state in states]
+    if spec.noise_rate > 0.0:
+        return spec.docs_per_window * sum(sum(size) for size in sizes)
+    return spec.docs_per_window * sum(sum(size) / len(size) for size in sizes)
+
+
+def _draws(spec: PlantSpec, states: list[list[PlantCommunity]], first: int, stop: int):
+    """(day, sorted kept positions) for documents first to stop - 1, numbered across windows.
+
+    The stream runs from the corpus's first document on. A document before
+    first still draws its community and its day through below(), since a
+    rejection there takes one more draw, and skips its flag block. A kept
+    position indexes the window's sorted vocabulary.
+    """
+    rng = SplitMix64(spec.seed)
+    noise = spec.noise_rate
+    docs = spec.docs_per_window
+    for w_index, (window, state) in enumerate(zip(spec.windows, states)):
+        lo = min(max(first - w_index * docs, 0), docs)
+        hi = min(stop - w_index * docs, docs)
+        if hi <= 0:
+            return
+        vocabulary = _vocabulary(state)
+        span_days = (window.end - window.start).days
+        if lo:
+            counts = [len(vocabulary) if noise > 0.0 else len(c.members) for c in state]
+            for _ in range(lo):
+                rng.skip(counts[rng.below(len(state))])
+                rng.below(span_days)
+        if lo >= hi:
+            continue
+        positions = list(range(len(vocabulary)))
+        position = dict(zip(vocabulary, positions))
+        terms, limits = [], []
+        for community in state:
+            members = tuple(position[t] for t in community.members)
+            in_community = set(members)
+            others = [i for i in positions if i not in in_community] if noise > 0.0 else []
+            terms.append(members + tuple(others))
+            limits.append(lane_limits([(community.rate, len(members)), (noise, len(others))]))
+        for _ in range(lo, hi):
+            ci = rng.below(len(state))
+            flags = rng.flags_below(limits[ci], len(terms[ci]))
+            yield rng.below(span_days), sorted(itertools.compress(terms[ci], flags))
+
+
+def _documents(spec: PlantSpec, states: list[list[PlantCommunity]], first: int, stop: int, draws, with_text: bool):
+    """The documents first to stop - 1 from their (day, sorted kept positions) draws."""
+    draws = iter(draws)
+    docs = spec.docs_per_window
+    for w_index, (window, state) in enumerate(zip(spec.windows, states)):
+        lo = max(first - w_index * docs, 0)
+        hi = min(stop - w_index * docs, docs)
+        if lo >= hi:
+            continue
+        vocabulary = _vocabulary(state)
+        for d_index, (day, positions) in zip(range(lo, hi), draws):
+            tags = tuple([vocabulary[p] for p in positions])
+            # the window is half-open, so the end day itself is excluded
+            date = window.start + dt.timedelta(days=day)
+            doc_id = f"w{w_index}-d{d_index:05d}"
+            if with_text:
+                text = "This note covers " + ", ".join(tags) + "." if tags else "This note covers nothing."
+                yield Document(id=doc_id, date=date, text=text, tags=())
+            else:
+                yield Document(id=doc_id, date=date, text="", tags=tags)
+
+
+def _packed(draws) -> bytes:
+    """The draws as C ints: per document its day, its kept count and its kept positions."""
+    from array import array  # only here: the parent reads the reply through a memoryview
+
+    values = array("i")
+    for day, positions in draws:
+        values.append(day)
+        values.append(len(positions))
+        values.extend(positions)
+    return values.tobytes()
+
+
+def _unpacked(packed: bytes):
+    """The (day, kept positions) draws of _packed bytes."""
+    values = memoryview(packed).cast("i")
+    i = 0
+    while i < len(values):
+        count = values[i + 1]
+        yield values[i], values[i + 2: i + 2 + count]
+        i += count + 2
+
+
 def generate_corpus(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, GroundTruth]:
     """Sample the corpus and return it with its ground truth.
 
@@ -427,35 +546,22 @@ def generate_corpus(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, G
     Each document draws its community, then one uniform per member in
     member order (kept below the community's rate), then, when noise is
     on, one per non-member in vocabulary order (kept below noise_rate),
-    then its day. The per-term draws are one flags_below() call.
+    then its day. The per-term draws are one flags_below() call. From
+    _FORK_MIN_DRAWS expected draws on, a forked child draws the second half
+    of the documents (forked.beside) while this process draws the first.
     """
     states, truth = _plant(spec)
-    rng = SplitMix64(spec.seed)
-    noise = spec.noise_rate
-    documents: list[Document] = []
-    for w_index, (window, state) in enumerate(zip(spec.windows, states)):
-        vocabulary = sorted({term for c in state for term in c.members})
-        terms, limits = [], []
-        for community in state:
-            in_community = set(community.members)
-            others = [t for t in vocabulary if t not in in_community] if noise > 0.0 else []
-            terms.append(community.members + tuple(others))
-            limits.append(lane_limits([(community.rate, len(community.members)), (noise, len(others))]))
-        span_days = (window.end - window.start).days
-        for d_index in range(spec.docs_per_window):
-            ci = rng.below(len(state))
-            flags = rng.flags_below(limits[ci], len(terms[ci]))
-            tags = tuple(sorted(itertools.compress(terms[ci], flags)))
-            # the window is half-open, so the end day itself is excluded
-            date = window.start + dt.timedelta(days=rng.below(span_days))
-            doc_id = f"w{w_index}-d{d_index:05d}"
-            if with_text:
-                text = "This note covers " + ", ".join(tags) + "." if tags else "This note covers nothing."
-                documents.append(Document(id=doc_id, date=date, text=text, tags=()))
-            else:
-                documents.append(Document(id=doc_id, date=date, text="", tags=tags))
-    corpus = Corpus(documents=tuple(documents))
-    return corpus, truth
+    total = len(spec.windows) * spec.docs_per_window
+    if _expected_draws(spec, states) < _FORK_MIN_DRAWS:
+        documents = list(_documents(spec, states, 0, total, _draws(spec, states, 0, total), with_text))
+    else:
+        half = total // 2
+        documents, reply = beside(
+            lambda: list(_documents(spec, states, 0, half, _draws(spec, states, 0, half), with_text)),
+            lambda: _packed(_draws(spec, states, half, total)),
+        )
+        documents += _documents(spec, states, half, total, _unpacked(reply), with_text)
+    return Corpus(documents=tuple(documents)), truth
 
 
 def lexicon_records(truth: GroundTruth) -> list[dict]:

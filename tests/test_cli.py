@@ -615,6 +615,25 @@ def test_trend_rejects_bad_input_before_writing(tmp_path, capsys, case):
     assert not (out / "correlations.csv").exists()
 
 
+def test_trend_checks_its_terms_before_reading_a_corpus(tmp_path, capsys, monkeypatch):
+    lexicon, _ = trend_fixture(tmp_path)
+    terms = tmp_path / "terms_unknown.txt"
+    terms.write_text("no such term\n")
+    out = tmp_path / "o"
+    # the second corpus cannot be read, so only a check made before reading either can name the term
+    code = main(["trend", "--corpus", f"news={tmp_path / 'news.jsonl'}", "--corpus", f"gone={tmp_path / 'missing.jsonl'}",
+                 "--terms", str(terms), "--lexicon", lexicon, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("techflux breakcheck: unknown term 'no such term': not in the lexicon")
+    # with both corpora present, none is read either
+    monkeypatch.setattr("techflux.cli.load_corpus", _no_corpus)
+    code = main(["trend", "--corpus", f"news={tmp_path / 'news.jsonl'}", "--corpus", f"patents={tmp_path / 'patents.jsonl'}",
+                 "--terms", str(terms), "--lexicon", lexicon, "--out", str(out)])
+    assert code == 2
+    assert "unknown term 'no such term'" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_trend_runs_a_repeated_term_once(tmp_path, capsys):
     lexicon, _ = trend_fixture(tmp_path)
     terms = tmp_path / "terms_twice.txt"

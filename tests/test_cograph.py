@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from techflux.cograph import (
+    _NOT_XML_CHAR,
     KIND_TAG,
     KIND_TECHNOLOGY,
     CoGraph,
@@ -469,3 +470,12 @@ def test_export_escapes_are_pinned_in_literal_bytes(tmp_path):
   ]
 }
 """.encode("utf-8")
+
+
+def test_not_xml_char_class_equals_the_complement_of_xml_chars_on_every_code_point():
+    # XML 1.0's Char production, negated: the form the class was first written in
+    complement = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+    every = "".join(map(chr, range(0x110000)))
+    found = re.findall(_NOT_XML_CHAR, every)
+    assert found == complement.findall(every)
+    assert len(found) == 2079

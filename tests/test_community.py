@@ -1,9 +1,7 @@
 import json
-import marshal
 import os
 import random
 import re
-import signal
 import subprocess
 import sys
 import time
@@ -12,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from techflux import community
+from techflux import community, forked
 from techflux.community import (
     EDGELESS_MSG,
     Partition,
@@ -36,6 +34,7 @@ from techflux.lexicon import lexicon_from_records
 from techflux.synth import generate_corpus, plant_spec_from_records
 
 from conftest import package_env
+from forkchecks import ForkFallbacks
 from oracles import (
     ORACLE_EXAMPLES,
     aggregate_reference,
@@ -506,115 +505,26 @@ def test_a_second_thread_keeps_both_descents_in_process():
 def test_current_cpu_is_one_the_process_may_run_on():
     if not os.path.exists("/proc/self/stat"):
         pytest.skip("needs /proc")
-    assert community._current_cpu() in os.sched_getaffinity(0)
+    assert forked._current_cpu() in os.sched_getaffinity(0)
 
 
-# From Python 3.12 a fork from a process with more threads warns; pytest runs
-# with numpy's threads, so the tests that force a fork here filter it.
-_FORK_WARNING = "ignore:This process .* is multi-threaded:DeprecationWarning"
+class TestForkFallbacks(ForkFallbacks):
+    """louvain's two descents on a graph over _FORK_MIN_NODES."""
 
-
-def _in_process_partition(graph):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(community, "_FORK_MIN_NODES", sys.maxsize)
-        return louvain(graph)
-
-
-def _force_fork(monkeypatch, fork=os.fork):
-    """Take the fork even with numpy's threads alive; return the list of forking pids."""
-    forks = []
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(community, "_single_threaded", lambda: True)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
-def _assert_nothing_left(fds):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert sorted(os.listdir("/proc/self/fd")) == fds
-
-
-@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"), reason="needs fork and /proc")
-class TestForkFallbacks:
     graph = _random_graph(3, 72)
 
-    def setup_method(self):
-        self.expected = repr(_in_process_partition(self.graph))
-        self.fds = sorted(os.listdir("/proc/self/fd"))
+    def run(self):
+        return repr(louvain(self.graph))
 
-    @pytest.mark.filterwarnings(_FORK_WARNING)
-    def test_forked_descent_in_process(self, monkeypatch):
-        forks = _force_fork(monkeypatch)
-        assert repr(louvain(self.graph)) == self.expected
-        assert forks == [os.getpid()]
-        _assert_nothing_left(self.fds)
+    def in_process(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(community, "_FORK_MIN_NODES", sys.maxsize)
+            return self.run()
 
-    def test_fork_raising_oserror(self, monkeypatch):
-        def failing_fork():
-            raise OSError("fork refused")
-
-        forks = _force_fork(monkeypatch, failing_fork)
-        assert repr(louvain(self.graph)) == self.expected
-        assert forks == [os.getpid()]
-        _assert_nothing_left(self.fds)
-
-    def test_fork_missing(self, monkeypatch):
-        monkeypatch.setattr(community, "_single_threaded", lambda: True)
-        monkeypatch.delattr(os, "fork")
-        assert repr(louvain(self.graph)) == self.expected
-        _assert_nothing_left(self.fds)
-
-    @pytest.mark.filterwarnings(_FORK_WARNING)
-    def test_child_that_fails(self, monkeypatch):
-        def failing_dumps(value):
-            raise ValueError("no reply")
-
-        forks = _force_fork(monkeypatch)
-        # the child inherits the patch, so its descent ends in an error
-        monkeypatch.setattr(marshal, "dumps", failing_dumps)
-        assert repr(louvain(self.graph)) == self.expected
-        assert forks == [os.getpid()]
-        _assert_nothing_left(self.fds)
-
-    @pytest.mark.filterwarnings(_FORK_WARNING)
-    def test_child_with_a_short_reply(self, monkeypatch):
-        dumps = marshal.dumps
-        forks = _force_fork(monkeypatch)
-        monkeypatch.setattr(marshal, "dumps", lambda value: dumps(value)[:-1])
-        assert repr(louvain(self.graph)) == self.expected
-        assert forks == [os.getpid()]
-        _assert_nothing_left(self.fds)
-
-    @pytest.mark.filterwarnings(_FORK_WARNING)
-    def test_ignored_sigchld(self, monkeypatch):
-        # the kernel reaps the child itself, so waitpid finds none
-        forks = _force_fork(monkeypatch)
-        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-        try:
-            got = repr(louvain(self.graph))
-        finally:
-            signal.signal(signal.SIGCHLD, previous)
-        assert got == self.expected
-        assert forks == [os.getpid()]
-        _assert_nothing_left(self.fds)
-
-    @pytest.mark.filterwarnings(_FORK_WARNING)
-    def test_interrupt_kills_and_reaps_the_child(self, monkeypatch):
+    def hang_child_and_interrupt_parent(self, monkeypatch):
         def interrupted_descend(level, resolution, order_fn):
             if order_fn is _degree_order:
                 time.sleep(60)  # the child: only a kill ends it in time
             raise KeyboardInterrupt
 
-        forks = _force_fork(monkeypatch)
         monkeypatch.setattr(community, "_descend", interrupted_descend)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            louvain(self.graph)
-        assert time.monotonic() - start < 30
-        assert forks == [os.getpid()]
-        _assert_nothing_left(self.fds)

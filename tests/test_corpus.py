@@ -201,6 +201,34 @@ def test_save_load_roundtrip_property(corpus, fmt):
         assert load_corpus(path).documents == corpus.documents
 
 
+# what JSON escapes or keeps: quotes, backslashes, control characters, the
+# line separators JSON leaves raw, non-ASCII and astral characters
+_JSON_TEXT = st.tuples(_TEXT, st.text(st.sampled_from('"\\/\b\f\x01\x1f\x7f é\U0001f600'), max_size=6)).map("".join)
+
+
+@st.composite
+def json_corpora(draw):
+    ids = draw(st.lists(_JSON_TEXT.filter(bool), max_size=4, unique=True))
+    return Corpus(tuple(
+        Document(id=doc_id, date=draw(st.dates()), text=draw(_JSON_TEXT),
+                 tags=normalize_tags(draw(st.lists(_JSON_TEXT, max_size=3))))
+        for doc_id in ids
+    ))
+
+
+@settings(deadline=None)
+@given(json_corpora())
+def test_jsonl_bytes_equal_json_dumps_per_record(corpus):
+    expected = "".join(
+        json.dumps({"id": d.id, "date": d.date.isoformat(), "text": d.text, "tags": list(d.tags)}, ensure_ascii=False) + "\n"
+        for d in corpus.documents
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        save_corpus(corpus, path)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_text_longer_than_the_csv_default_field_limit_roundtrips(tmp_path, fmt):
     long_text = "quantum, sensing; " * 8_333 + "edge AI"

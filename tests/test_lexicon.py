@@ -11,6 +11,7 @@ from techflux import synth
 from techflux.corpus import Document, normalize_tag
 from techflux.errors import LexiconError
 from techflux.lexicon import (
+    _LITERAL_RUN,
     TermLexicon,
     TermPattern,
     _literal_prefix,
@@ -193,6 +194,19 @@ def test_unicode_casefold_matching():
 ])
 def test_literal_prefix(pattern, literal):
     assert _literal_prefix(pattern)[0] == literal
+
+
+# the literal run as first written, with negated classes that run to U+10FFFF
+_LITERAL_RUN_ORACLE = re.compile(r"(?:(?:[^\\.^$*+?{}\[\]()|\x80-\U0010ffff]|\\[^0-9A-Za-z\x80-\U0010ffff])(?![?*{]))*")
+
+
+@given(st.text(st.one_of(
+    st.sampled_from("\\.^$*+?{}[]()|-_ aZ09\t\n\x00\x7f\x80éı中\U0001f600"),
+    st.characters(max_codepoint=0x7F),
+    st.characters(),
+)))
+def test_literal_run_matches_its_negated_class_form(pattern):
+    assert _LITERAL_RUN.match(pattern).group() == _LITERAL_RUN_ORACLE.match(pattern).group()
 
 
 def test_non_ascii_letter_stands_for_ascii_one():

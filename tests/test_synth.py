@@ -2,11 +2,16 @@ import datetime as dt
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from techflux import synth
 from techflux.cograph import build_cooccurrence
 from techflux.community import louvain
 from techflux.corpus import Document, window_filter
@@ -32,6 +37,8 @@ from techflux.synth import (
 )
 from techflux.transition import transition_report
 
+from conftest import package_env
+from forkchecks import FORK_WARNING, ForkFallbacks, force_fork
 from oracles import ORACLE_EXAMPLES, chance, generate_corpus_reference, plant_reference
 
 EMPTY_LEX = lexicon_from_records([])
@@ -167,6 +174,24 @@ def test_flags_below_mixes_member_and_noise_rates(state, members, others, rate, 
         assert list(flags) == [scalar.uniform() < (rate if i < members else noise) for i in range(count)]
         assert block.below(days) == scalar.below(days)
     assert block._state == scalar._state
+
+
+@settings(deadline=None)
+@given(splitmix_states(), st.integers(0, 600), _RATES_OR_EDGES, _BOUNDS, _BOUNDS)
+def test_skip_moves_past_a_flag_block_between_below_calls(state, count, rate, pick, days):
+    # a document that generate_corpus skips: bounds above 2**63 make below()
+    # reject draws on either side of the skipped block
+    skipping, drawing = SplitMix64(state), SplitMix64(state)
+    limits = lane_limits([(rate, count)])
+    for _ in range(2):
+        assert skipping.below(pick) == drawing.below(pick)
+        skipping.skip(count)
+        drawing.flags_below(limits, count)
+        assert skipping.below(days) == drawing.below(days)
+        assert skipping._state == drawing._state
+    # a block after skipped ones draws what it would after drawn ones
+    assert skipping.flags_below(limits, count) == drawing.flags_below(limits, count)
+    assert skipping._state == drawing._state
 
 
 # ---------------------------------------------------------------- spec parsing
@@ -455,6 +480,104 @@ def test_generate_corpus_matches_scalar_oracle(spec, with_text):
     assert corpus == expected_corpus
     assert truth.assignments == expected_truth.assignments
     assert ground_truth_to_json(truth) == ground_truth_to_json(expected_truth)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.filterwarnings(FORK_WARNING)
+@settings(deadline=None)
+@given(small_plant_specs(), st.booleans())
+def test_generate_corpus_matches_scalar_oracle_with_a_forced_fork(spec, with_text):
+    # every spec forks, down to one document: then the child draws it alone
+    with pytest.MonkeyPatch.context() as patch:
+        forks = force_fork(patch)
+        patch.setattr(synth, "_FORK_MIN_DRAWS", 0)
+        corpus, truth = generate_corpus(spec, with_text=with_text)
+    assert forks == [os.getpid()]
+    expected_corpus, expected_truth = generate_corpus_reference(spec, with_text=with_text)
+    assert corpus == expected_corpus
+    assert ground_truth_to_json(truth) == ground_truth_to_json(expected_truth)
+
+
+def _fork_spec_records(docs_per_window, windows):
+    """40 communities of 12 terms with a merge and a split, as the benchmark's series spec plants them."""
+    start = dt.date(2021, 1, 1)
+    return {
+        "seed": 3, "docs_per_window": docs_per_window, "noise_rate": 0.01,
+        "windows": [{"start": (start + dt.timedelta(days=30 * i)).isoformat(),
+                     "end": (start + dt.timedelta(days=30 * i + 30)).isoformat()} for i in range(windows)],
+        "communities": [{"name": f"c{i:02d}", "size": 12, "rate": 0.5} for i in range(40)],
+        "events": [
+            {"kind": "merge", "pair": 0, "sources": ["c00", "c01"], "targets": ["m0"], "mixing": 0.5},
+            {"kind": "split", "pair": windows - 2, "sources": ["c02"], "targets": ["s0", "s1"]},
+        ],
+    }
+
+
+class TestForkFallbacks(ForkFallbacks):
+    """generate_corpus on a spec over _FORK_MIN_DRAWS expected draws."""
+
+    spec = plant_spec_from_records(_fork_spec_records(docs_per_window=40, windows=2))
+
+    def run(self):
+        assert synth._expected_draws(self.spec, synth._plant(self.spec)[0]) >= synth._FORK_MIN_DRAWS
+        return repr(generate_corpus(self.spec)[0])
+
+    def in_process(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synth, "_FORK_MIN_DRAWS", math.inf)
+            return repr(generate_corpus(self.spec)[0])
+
+    def hang_child_and_interrupt_parent(self, monkeypatch):
+        def interrupted_draws(spec, states, first, stop):
+            if first:
+                time.sleep(60)  # the child: only a kill ends it in time
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(synth, "_draws", interrupted_draws)
+
+
+# Runs `techflux synth` in a fresh interpreter, where numpy is not loaded,
+# optionally with a second thread alive, and prints the number of forks made.
+_SYNTH_PROBE = """
+import json, os, sys, threading
+from techflux.cli import main
+
+forks = 0
+real_fork = os.fork
+
+def counting_fork():
+    global forks
+    forks += 1
+    return real_fork()
+
+os.fork = counting_fork
+release = threading.Event()
+if sys.argv[1] == "thread":
+    threading.Thread(target=release.wait).start()
+code = main(["synth", "--plant-spec", sys.argv[2], "--out", sys.argv[3], *sys.argv[4:]])
+release.set()
+print(json.dumps({"forks": forks, "code": code}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("text", [False, True], ids=["tags", "text"])
+def test_full_size_synth_forks_once_and_writes_the_in_process_bytes(tmp_path, text):
+    spec = tmp_path / "plant.json"
+    spec.write_text(json.dumps(_fork_spec_records(docs_per_window=600, windows=8)))
+    files = {}
+    for mode in ("plain", "thread"):
+        out = tmp_path / mode
+        result = subprocess.run([sys.executable, "-c", _SYNTH_PROBE, mode, str(spec), str(out)]
+                                + (["--with-text"] if text else []),
+                                env=package_env(), capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        # a second thread makes a fork unsafe, so generation stays in one process
+        assert report == {"forks": 1 if mode == "plain" else 0, "code": 0}
+        files[mode] = {name: (out / name).read_bytes() for name in ("corpus.jsonl", "ground_truth.json", "lexicon.json")}
+    assert files["plain"] == files["thread"]
+    assert files["plain"]["corpus.jsonl"].count(b"\n") == 4800
 
 
 @st.composite
