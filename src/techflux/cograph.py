@@ -72,10 +72,10 @@ class CoGraph:
         n = len(names)
         last = (-1, -1)
         for edge in self.edges:
+            u, v, weight = edge if type(edge) is tuple and len(edge) == 3 else (None, None, None)
             # type() rather than isinstance(): a bool is no node index or weight
-            if type(edge) is not tuple or len(edge) != 3 or not all(type(x) is int for x in edge):
+            if type(u) is not int or type(v) is not int or type(weight) is not int:
                 raise GraphError(f"edge {edge!r}: must be a (u, v, weight) triple of integers")
-            u, v, weight = edge
             if not 0 <= u < v < n:
                 raise GraphError(f"edge {edge!r}: endpoints must satisfy 0 <= u < v < {n} (no self-loops)")
             if (u, v) <= last:
@@ -134,14 +134,14 @@ def build_cooccurrence(
     names = sorted(doc_frequency)
     index = {name: i for i, name in enumerate(names)}
     kinds = [KIND_TECHNOLOGY if name in canonical else KIND_TAG for name in names]
-    weights: Counter[tuple[int, int]] = Counter()
-    for items in item_sets:
-        combos = itertools.combinations(sorted(map(index.__getitem__, items)), 2)
-        if pairs == "tech-tag":
-            combos = ((u, v) for u, v in combos if kinds[u] != kinds[v])
-        weights.update(combos)
+    id_lists = (sorted(map(index.__getitem__, items)) for items in item_sets)
+    combos = itertools.chain.from_iterable(map(itertools.combinations, id_lists, itertools.repeat(2)))
+    if pairs == "tech-tag":
+        combos = ((u, v) for u, v in combos if kinds[u] != kinds[v])
+    weights = Counter(combos)
     nodes = tuple(GraphNode(name, kind, doc_frequency[name]) for name, kind in zip(names, kinds))
-    return CoGraph(nodes=nodes, edges=tuple((u, v, w) for (u, v), w in sorted(weights.items())))
+    # sorting the int pairs alone is faster than sorting (pair, weight) items
+    return CoGraph(nodes=nodes, edges=tuple([(u, v, weights[u, v]) for u, v in sorted(weights)]))
 
 
 def _top_names(doc_frequency: dict[str, int], n: int) -> set[str]:

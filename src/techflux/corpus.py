@@ -154,7 +154,7 @@ class Corpus:
         return len(self.documents)
 
 
-def _make_document(record: dict, where: str, names: dict[str, str]) -> Document:
+def _make_document(record: dict, where: str, names: dict[str, str], dates: dict[str, dt.date]) -> Document:
     for field_name in ("id", "date"):
         if record.get(field_name) in (None, ""):
             raise CorpusError(f"{where}: missing field {field_name!r}")
@@ -175,10 +175,15 @@ def _make_document(record: dict, where: str, names: dict[str, str]) -> Document:
     except (AttributeError, TypeError):  # a JSON value other than a string has no casefold, or no hash
         bad = next(tag for tag in tags if not isinstance(tag, str))
         raise CorpusError(f"{where}: field 'tags' must hold only strings, got {bad!r}") from None
-    try:
-        date = parse_date(str(record["date"]))
-    except CorpusError as exc:
-        raise CorpusError(f"{where}: field 'date': {exc}") from None
+    # a load passes one dict of the dates parsed so far, as it does for tags;
+    # a bad date is never stored, so its error names its own record
+    raw_date = str(record["date"])
+    date = dates.get(raw_date)
+    if date is None:
+        try:
+            date = dates[raw_date] = parse_date(raw_date)
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: field 'date': {exc}") from None
     return Document(
         id=str(doc_id),
         date=date,
@@ -188,7 +193,7 @@ def _make_document(record: dict, where: str, names: dict[str, str]) -> Document:
 
 
 def _load_jsonl(path: Path) -> list[Document]:
-    docs, names = [], {}
+    docs, names, dates = [], {}, {}
     with open_text(path, CorpusError, "corpus file") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -202,7 +207,7 @@ def _load_jsonl(path: Path) -> list[Document]:
                 raise CorpusError(f"{where}: record must be a JSON object")
             if has_lone_surrogate(line, record):
                 raise CorpusError(f"{where}: lone surrogate escape, not valid text")
-            docs.append(_make_document(record, where, names))
+            docs.append(_make_document(record, where, names, dates))
     return docs
 
 
@@ -218,7 +223,7 @@ _json_record = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _load_csv(path: Path) -> list[Document]:
-    docs, names = [], {}
+    docs, names, dates = [], {}, {}
     # the limit is process-wide, so it is raised for this read only
     old_limit = csv.field_size_limit(_CSV_FIELD_LIMIT)
     try:
@@ -232,7 +237,7 @@ def _load_csv(path: Path) -> list[Document]:
                 where = f"{path.name} line {reader.line_num}"
                 raw_tags = record.get("tags") or ""
                 tags = [t for t in raw_tags.split(";") if t.strip()]
-                docs.append(_make_document({**record, "tags": tags}, where, names))
+                docs.append(_make_document({**record, "tags": tags}, where, names, dates))
     except csv.Error as exc:
         # only reading raises it, so reader exists; DictReader.line_num lags
         # on a failed row, its inner reader's does not

@@ -22,23 +22,26 @@ self-test is a string check.
 
 The scan is ``\b(?=(<trie of every L>)(\w?))``, so at every word start it
 reports the longest ``L`` that the text continues with, overlapping matches
-included, and whether a word character follows. All that this string ``S``
-implies is worked out when the lexicon is built: a shorter literal ``P`` of
-``S`` holds where ``S`` has a word boundary after ``P``; the literal equal to
-``S`` holds where the following character makes one; and a pattern whose
-``L`` starts ``S`` is a candidate, confirmed by its own compiled search. A
-pattern with no ``L`` (``\bai\b``, ``(?:x|y)``) is searched in every
-document. Case-insensitive matching lets four non-ASCII letters stand for
-ASCII ones (``ı`` and ``İ`` match ``i``, ``ſ`` matches ``s``, the Kelvin
-sign matches ``k``). Case folding leaves only ``ı``, so a scanned string
-with ``ı`` read as ``i`` is one of the trie's.
+included, and whether a word character follows. What a scanned string ``S``
+implies: a shorter literal ``P`` of ``S`` holds where ``S`` has a word
+boundary after ``P``; the literal equal to ``S`` holds where the following
+character makes one; and a pattern whose ``L`` starts ``S`` is a candidate,
+confirmed by its own compiled search. A pattern with no ``L`` (``\bai\b``,
+``(?:x|y)``) is searched in every document. The scan and these tables are
+built by the first extraction, so a lexicon that extracts nothing (a
+tags-only run) never builds them; a pattern that does not compile still
+fails when the lexicon is built. Case-insensitive matching lets four
+non-ASCII letters stand for ASCII ones (``ı`` and ``İ`` match ``i``, ``ſ``
+matches ``s``, the Kelvin sign matches ``k``). Case folding leaves only
+``ı``, so a scanned string with ``ı`` read as ``i`` is one of the trie's.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from pathlib import Path
 
@@ -151,13 +154,6 @@ def _trie_regex(strings: list[str], depth: int = 0) -> str:
 @dataclass(frozen=True)
 class TermLexicon:
     entries: tuple[TermPattern, ...]
-    # built in __post_init__: the scan, each scanned string -> (terms it
-    # implies, (canonical, compiled) searches it calls for), first without
-    # and then with a word character after it, and the searches every
-    # document needs
-    _scan: re.Pattern | None = field(init=False, repr=False, compare=False)
-    _implied: dict[str, tuple[tuple[frozenset[str], tuple], ...]] = field(init=False, repr=False, compare=False)
-    _always: tuple[tuple[str, re.Pattern], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -165,6 +161,18 @@ class TermLexicon:
             if entry.canonical in seen:
                 raise LexiconError(f"duplicate canonical term: {entry.canonical!r}")
             seen.add(entry.canonical)
+        # a pattern that does not compile fails here, not at the first extraction
+        for entry in self.entries:
+            for pattern in entry.patterns:
+                if not _literal_prefix(pattern)[1]:
+                    compile_pattern(pattern)
+
+    # built by the first extraction, so that a run which extracts nothing
+    # never builds them: the scan, each scanned string -> (terms it implies,
+    # (canonical, compiled) searches it calls for), first without and then
+    # with a word character after it, and the searches every document needs
+    @cached_property
+    def _tables(self) -> tuple[re.Pattern | None, dict[str, tuple[tuple[frozenset[str], tuple], ...]], tuple]:
         literals: dict[str, list[str]] = {}
         searches: dict[str, list[tuple[str, re.Pattern]]] = {}
         always = []
@@ -199,11 +207,9 @@ class TermLexicon:
         scan = None
         if implied:
             scan = re.compile(rf"\b(?=({_trie_regex(sorted(implied))})(\w?))", _FLAGS)
-        object.__setattr__(self, "_scan", scan)
-        object.__setattr__(self, "_implied", implied)
-        object.__setattr__(self, "_always", tuple(always))
+        return scan, implied, tuple(always)
 
-    @property
+    @cached_property
     def canonical_terms(self) -> frozenset[str]:
         return frozenset(entry.canonical for entry in self.entries)
 
@@ -273,11 +279,12 @@ def extract_terms(doc: Document, lexicon: TermLexicon) -> set[str]:
     text = doc.text.casefold()
     if not text:
         return set()
+    scan, implied, always = lexicon._tables
     found: set[str] = set()
-    searches = set(lexicon._always)
-    if lexicon._scan is not None:
-        for scanned, after in lexicon._scan.findall(text):
-            terms, called = lexicon._implied[scanned.replace("\u0131", "i")][after != ""]
+    searches = set(always)
+    if scan is not None:
+        for scanned, after in scan.findall(text):
+            terms, called = implied[scanned.replace("\u0131", "i")][after != ""]
             found |= terms
             searches.update(called)
     for canonical, rx in searches:

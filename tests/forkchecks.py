@@ -102,6 +102,17 @@ class ForkFallbacks:
         _assert_nothing_left(self.fds)
 
     @pytest.mark.filterwarnings(FORK_WARNING)
+    def test_child_that_exits_nonzero_after_a_complete_reply(self, monkeypatch):
+        # the reply loads, but the exit status says it is not the child's result
+        dumps, exit_ = marshal.dumps, os._exit
+        forks = force_fork(monkeypatch)
+        monkeypatch.setattr(marshal, "dumps", lambda value: dumps(type(value)()))
+        monkeypatch.setattr(os, "_exit", lambda status: exit_(1))
+        assert self.run() == self.expected
+        assert forks == [os.getpid()]
+        _assert_nothing_left(self.fds)
+
+    @pytest.mark.filterwarnings(FORK_WARNING)
     def test_ignored_sigchld(self, monkeypatch):
         # the kernel reaps the child itself, so waitpid finds none
         forks = force_fork(monkeypatch)

@@ -476,6 +476,34 @@ def test_xml_stays_off_the_start_up_path(tmp_path, command):
     assert result.stdout.splitlines()[-1] == "xml loaded: []"
 
 
+_SCAN_PROBE = (
+    "import sys\n"
+    "from techflux import lexicon\n"
+    "from techflux.cli import main\n"
+    "built, trie_regex = [], lexicon._trie_regex\n"
+    "lexicon._trie_regex = lambda strings, depth=0: built.append(depth) or trie_regex(strings, depth)\n"
+    "code = main(sys.argv[1:])\n"
+    "print('scan built:', bool(built))\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("command, field, built", [("series", "tags", False), ("synth", None, False), ("series", "text", True)])
+def test_only_an_extraction_builds_the_lexicon_scan(tmp_path, command, field, built):
+    argv = _cli_argv(tmp_path, command)
+    if field:
+        argv += ["--field", field]
+    if field == "text":
+        # the same corpus with its terms in the text instead of the tags
+        assert main(["synth", "--plant-spec", eight_window_spec(tmp_path), "--with-text", "--out", str(tmp_path / "data8")]) == 0
+    result = subprocess.run(
+        [sys.executable, "-c", _SCAN_PROBE, *argv],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"scan built: {built}"
+
+
 @pytest.mark.parametrize("command", ["synth", "trend", "cluster", "compare", "series"])
 def test_every_file_is_opened_with_an_encoding(tmp_path, command):
     # its own process, so that warnings from test code and plugins do not count

@@ -303,6 +303,38 @@ def test_load_normalizes_repeated_raw_tags_one_by_one(raw_tag_lists):
     assert [doc.tags for doc in loaded.documents] == expected
 
 
+# plain, with a time of day, with an offset, with surrounding spaces
+_DATE_FORMS = ["2021-01-05", "2021-01-05T10:30", "2021-01-06 23:59:59.5+02:00", "2021-01-07T08:00Z", "  2021-01-05  "]
+
+
+def _write_dated(path, dates):
+    if path.suffix == ".csv":
+        path.write_text("id,date,text,tags\n" + "".join(f'd{i},"{date}",,ai\n' for i, date in enumerate(dates)), encoding="utf-8")
+    else:
+        path.write_text("".join(json.dumps({"id": f"d{i}", "date": date, "tags": ["ai"]}) + "\n" for i, date in enumerate(dates)),
+                        encoding="utf-8")
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_load_parses_repeated_dates_one_by_one(tmp_path, suffix):
+    # one load parses each distinct raw date once; every record must still get its own date
+    dates = _DATE_FORMS * 3
+    path = tmp_path / f"c{suffix}"
+    _write_dated(path, dates)
+    assert [doc.date for doc in load_corpus(path).documents] == [parse_date(date) for date in dates]
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_a_bad_date_after_repeated_ones_names_its_own_line(tmp_path, suffix):
+    # line 1 is the CSV header, so record i is on line i + 2 there and i + 1 in JSONL
+    path = tmp_path / f"c{suffix}"
+    _write_dated(path, _DATE_FORMS * 2 + ["2021-01-05T24:00", "2021-01-05T24:00"])
+    line = len(_DATE_FORMS) * 2 + (2 if suffix == ".csv" else 1)
+    message = f"c{suffix} line {line}: field 'date': invalid ISO-8601 date: '2021-01-05T24:00'"
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        load_corpus(path)
+
+
 def test_load_takes_an_integer_id_and_null_text_and_tags(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps({"id": 7, "date": "2021-01-01", "text": None, "tags": None}) + "\n")

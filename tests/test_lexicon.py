@@ -237,9 +237,11 @@ def test_synth_lexicon_is_fully_indexed():
     })
     _, truth = synth.generate_corpus(spec)
     lexicon = lexicon_from_records(synth.lexicon_records(truth))
-    assert lexicon._always == ()
-    assert all(called == () for implied in lexicon._implied.values() for _, called in implied)
-    assert len(lexicon._implied) == len(lexicon)
+    extract_terms(doc("mint"), lexicon)
+    _, implied, always = lexicon._tables
+    assert always == ()
+    assert all(called == () for terms_called in implied.values() for _, called in terms_called)
+    assert len(implied) == len(lexicon)
 
 
 # the four letters that IGNORECASE matches to ASCII ones, two combining
@@ -353,9 +355,18 @@ def test_a_literal_lexicon_compiles_one_regex(monkeypatch):
     compile_ = re.compile
     monkeypatch.setattr(re, "compile", lambda *args: compiled.append(args[0]) or compile_(*args))
     lexicon = lex(*_LITERAL_ENTRIES[:-1])
-    assert len(compiled) == 1
+    assert compiled == []  # the scan is built by the first extraction
     assert extract_terms(doc("machine learning systems"), lexicon) == {"machine learning", "learning systems"}
     assert len(compiled) == 1
+    assert extract_terms(doc("learning systems"), lexicon) == {"learning systems"}
+    assert len(compiled) == 1
+
+
+def test_a_lexicon_built_directly_checks_its_patterns_before_any_extraction():
+    with pytest.raises(re.error):
+        TermLexicon(entries=(TermPattern("ai", ("ai",)), TermPattern("ml", ("ml(",))))
+    with pytest.raises(LexiconError, match="duplicate canonical term: 'ai'"):
+        TermLexicon(entries=(TermPattern("ai", ("ai",)), TermPattern("ai", ("a[i]",))))
 
 
 def test_literals_nested_past_the_trie_depth():
