@@ -270,7 +270,8 @@ def cluster_window(corpus: Corpus, lexicon: TermLexicon, window: TimeWindow | No
     graph = build_cooccurrence(sub, lexicon, field=config.field, pairs=config.pairs, top_n=config.top_n)
     if not graph.edges:
         scope = "the corpus" if window is None else f"window {window.describe()}"
-        raise StatsError(f"{scope} produced an edgeless graph")
+        cause = ": with pairs tech-tag, no document has both a lexicon term and a tag that is not one" if config.pairs == "tech-tag" else ""
+        raise StatsError(f"{scope} produced an edgeless graph{cause}")
     return graph, louvain(graph, config.resolution)
 
 

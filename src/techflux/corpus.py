@@ -201,11 +201,14 @@ def _load_jsonl(path: Path) -> list[Document]:
             where = f"{path.name} line {lineno}"
             try:
                 record = json.loads(line)
+                lone = has_lone_surrogate(line, record)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from None
+            except RecursionError:
+                raise CorpusError(f"{where}: invalid JSON (nested too deeply)") from None
             if not isinstance(record, dict):
                 raise CorpusError(f"{where}: record must be a JSON object")
-            if has_lone_surrogate(line, record):
+            if lone:
                 raise CorpusError(f"{where}: lone surrogate escape, not valid text")
             docs.append(_make_document(record, where, names, dates))
     return docs

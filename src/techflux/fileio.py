@@ -59,9 +59,12 @@ def read_json(path: str | Path, error: type[Exception], what: str) -> object:
     text = read_text(path, error, what)
     try:
         payload = json.loads(text)
+        lone = has_lone_surrogate(text, payload)
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
-    if has_lone_surrogate(text, payload):
+    except RecursionError:  # of the parse, or, just below its limit, of the dump that checks surrogates
+        raise error(f"{what} {path}: invalid JSON (nested too deeply)") from None
+    if lone:
         raise error(f"{what} {path}: lone surrogate escape, not valid text")
     return payload
 

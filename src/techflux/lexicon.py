@@ -8,7 +8,13 @@ e.g. a pattern ``ai`` will not fire inside "maintain".
 
 Pattern dialect: Python `re`, restricted by convention to constructs common
 to mainstream engines -- character classes, alternation, optional/repeat
-quantifiers, non-capturing groups. Backreferences are not supported.
+quantifiers, non-capturing groups. Backreferences and inline global flags
+(``(?x)``) are not supported.
+
+``TermLexicon`` reads each pattern once, when it is built: its literal prefix
+``L`` (below) and, unless it is all ``L``, its compiled search. It refuses a
+duplicate canonical or a pattern that does not compile; ``lexicon_from_records``
+also self-tests every pattern on that reading, so none is compiled twice.
 
 Extraction scans each document once, with one regex for the whole lexicon.
 A pattern with no top-level ``|`` may start with an ASCII literal ``L``
@@ -29,8 +35,7 @@ character makes one; and a pattern whose ``L`` starts ``S`` is a candidate,
 confirmed by its own compiled search. A pattern with no ``L`` (``\bai\b``,
 ``(?:x|y)``) is searched in every document. The scan and these tables are
 built by the first extraction, so a lexicon that extracts nothing (a
-tags-only run) never builds them; a pattern that does not compile still
-fails when the lexicon is built. Case-insensitive matching lets four
+tags-only run) never builds them. Case-insensitive matching lets four
 non-ASCII letters stand for ASCII ones (``ı`` and ``İ`` match ``i``, ``ſ``
 matches ``s``, the Kelvin sign matches ``k``). Case folding leaves only
 ``ı``, so a scanned string with ``ı`` read as ``i`` is one of the trie's.
@@ -161,34 +166,40 @@ class TermLexicon:
             if entry.canonical in seen:
                 raise LexiconError(f"duplicate canonical term: {entry.canonical!r}")
             seen.add(entry.canonical)
-        # a pattern that does not compile fails here, not at the first extraction
+        self._patterns  # a pattern that does not compile fails here, not at the first extraction
+
+    # per pattern: (canonical, pattern, literal prefix, compiled search or None if all literal)
+    @cached_property
+    def _patterns(self) -> tuple[tuple[str, str, str, re.Pattern | None], ...]:
+        read = []
         for entry in self.entries:
             for pattern in entry.patterns:
-                if not _literal_prefix(pattern)[1]:
-                    compile_pattern(pattern)
+                literal, whole = _literal_prefix(pattern)
+                try:  # Python 3.10 compiles a misplaced (?x) for all the pattern, and refuses (?a) with ValueError
+                    rx = None if whole else compile_pattern(pattern)
+                    if rx is not None and rx.flags != _FLAGS:
+                        raise ValueError
+                except (re.error, ValueError, OverflowError, RecursionError) as exc:
+                    reason = "global flags not at the start of the expression" if isinstance(exc, ValueError) else exc
+                    raise LexiconError(f"entry {entry.canonical!r}: pattern {pattern!r} does not compile: {reason}") from None
+                read.append((entry.canonical, pattern, literal, rx))
+        return tuple(read)
 
-    # built by the first extraction, so that a run which extracts nothing
-    # never builds them: the scan, each scanned string -> (terms it implies,
-    # (canonical, compiled) searches it calls for), first without and then
-    # with a word character after it, and the searches every document needs
+    # built by the first extraction: the scan, each scanned string -> (terms
+    # it implies, (canonical, compiled) searches it calls for), first without and
+    # then with a word character after it, and the searches every document needs
     @cached_property
     def _tables(self) -> tuple[re.Pattern | None, dict[str, tuple[tuple[frozenset[str], tuple], ...]], tuple]:
         literals: dict[str, list[str]] = {}
         searches: dict[str, list[tuple[str, re.Pattern]]] = {}
         always = []
-        for entry in self.entries:
-            for pattern in entry.patterns:
-                literal, whole = _literal_prefix(pattern)
-                if whole:
-                    literals.setdefault(literal, []).append(entry.canonical)
-                    continue
-                rx = compile_pattern(pattern)
-                # Python 3.10 applies an inline (?x) or (?a) anywhere in the
-                # pattern to all of it, which can change what L matches
-                if literal and rx.flags == _FLAGS:
-                    searches.setdefault(literal, []).append((entry.canonical, rx))
-                else:
-                    always.append((entry.canonical, rx))
+        for canonical, _, literal, rx in self._patterns:
+            if rx is None:
+                literals.setdefault(literal, []).append(canonical)
+            elif literal:
+                searches.setdefault(literal, []).append((canonical, rx))
+            else:
+                always.append((canonical, rx))
         strings = literals.keys() | searches.keys()
         implied = {}
         for s in strings:
@@ -222,52 +233,41 @@ def compile_pattern(pattern: str) -> re.Pattern:
     return re.compile(rf"\b(?:{pattern})\b", _FLAGS)
 
 
-def _compile_entry(canonical: str, patterns: list[str], where: str) -> TermPattern:
-    canonical = normalize_tag(canonical)
-    if not canonical:
-        raise LexiconError(f"{where}: entry with empty canonical term")
-    if not patterns:
-        raise LexiconError(f"{where}: entry {canonical!r}: needs at least one pattern")
-    for pattern in patterns:
-        literal, whole = _literal_prefix(pattern)
-        if whole:
-            # compiles, and cannot match the empty string
-            passes = _literal_in(literal, canonical)
-        else:
-            try:
-                rx = compile_pattern(pattern)
-            except re.error as exc:
-                raise LexiconError(f"{where}: entry {canonical!r}: pattern {pattern!r} does not compile: {exc}") from None
-            # an empty match at the end of a word: such a pattern fires in every document with a word
-            if rx.match("a", 1):
-                raise LexiconError(f"{where}: entry {canonical!r}: pattern {pattern!r} matches the empty string")
-            passes = rx.search(canonical) is not None
-        if not passes:
-            raise LexiconError(f"{where}: entry {canonical!r}: pattern {pattern!r} fails self-test (does not match the canonical form)")
-    return TermPattern(canonical=canonical, patterns=tuple(patterns))
-
-
 def compile_lexicon(path: str | Path) -> TermLexicon:
     """Load and compile a lexicon file, self-testing every pattern."""
-    path = Path(path)
-    return lexicon_from_records(read_json(path, LexiconError, "lexicon file"), where=path.name)
+    return lexicon_from_records(read_json(path, LexiconError, "lexicon file"), where=Path(path).name)
 
 
 def lexicon_from_records(raw: object, where: str = "lexicon") -> TermLexicon:
-    """Build a lexicon from already-parsed ``[{"canonical", "patterns"}]`` records."""
-    if not isinstance(raw, list):
-        raise LexiconError(f"{where}: expected a JSON array of entries")
-    entries = []
-    for i, rec in enumerate(raw):
-        if not isinstance(rec, dict) or "canonical" not in rec:
-            raise LexiconError(f"{where}: entry {i} needs a 'canonical' field")
-        if not isinstance(rec["canonical"], str):
-            raise LexiconError(f"{where}: entry {i}: 'canonical' must be a string, got {rec['canonical']!r}")
-        patterns = rec.get("patterns")
-        if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
-            raise LexiconError(f"{where}: entry {rec['canonical']!r}: 'patterns' must be a list of strings")
-        entries.append(_compile_entry(rec["canonical"], patterns, where))
-    return TermLexicon(entries=tuple(entries))
+    """Build a lexicon from already-parsed ``[{"canonical", "patterns"}]`` records; every error names ``where``."""
+    try:
+        if not isinstance(raw, list):
+            raise LexiconError("expected a JSON array of entries")
+        entries = []
+        for i, rec in enumerate(raw):
+            if not isinstance(rec, dict) or "canonical" not in rec:
+                raise LexiconError(f"entry {i} needs a 'canonical' field")
+            if not isinstance(rec["canonical"], str):
+                raise LexiconError(f"entry {i}: 'canonical' must be a string, got {rec['canonical']!r}")
+            patterns = rec.get("patterns")
+            if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
+                raise LexiconError(f"entry {rec['canonical']!r}: 'patterns' must be a list of strings")
+            canonical = normalize_tag(rec["canonical"])
+            if not canonical:
+                raise LexiconError("entry with empty canonical term")
+            if not patterns:
+                raise LexiconError(f"entry {canonical!r}: needs at least one pattern")
+            entries.append(TermPattern(canonical=canonical, patterns=tuple(patterns)))
+        lexicon = TermLexicon(entries=tuple(entries))
+        for canonical, pattern, literal, rx in lexicon._patterns:
+            # an empty match at the end of a word fires in every document with a word; a literal has none
+            if rx is not None and rx.match("a", 1):
+                raise LexiconError(f"entry {canonical!r}: pattern {pattern!r} matches the empty string")
+            if not (_literal_in(literal, canonical) if rx is None else rx.search(canonical)):
+                raise LexiconError(f"entry {canonical!r}: pattern {pattern!r} fails self-test (does not match the canonical form)")
+    except LexiconError as exc:
+        raise LexiconError(f"{where}: {exc}") from None
+    return lexicon
 
 
 def extract_terms(doc: Document, lexicon: TermLexicon) -> set[str]:

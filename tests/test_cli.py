@@ -299,6 +299,36 @@ def test_cluster_empty_window_exits_2(tmp_path, capsys):
     assert "produced an edgeless graph" in captured.err
 
 
+@pytest.mark.parametrize("command, scope", [("compare", "window t"), ("cluster", "the corpus")])
+def test_tech_tag_pairs_on_tags_that_are_all_lexicon_terms_exit_2(tmp_path, capsys, command, scope):
+    # a noise-free synth corpus with its own lexicon: every tag is a lexicon term
+    argv = _cli_argv(tmp_path, command)
+    if command == "cluster":
+        argv.remove("--window")
+        argv.remove("2021-01-01:2021-02-01")
+    code = main(argv + ["--pairs", "tech-tag"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == (
+        f"techflux breakcheck: {scope} produced an edgeless graph: with pairs tech-tag, "
+        "no document has both a lexicon term and a tag that is not one\n"
+    )
+    assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("pattern", ["(?:" * 1000 + "ai" + ")" * 1000, "ai{4294967296}"], ids=["nested", "repeat"])
+def test_a_pattern_that_re_fails_on_exits_2(tmp_path, capsys, pattern):
+    # re raises RecursionError and OverflowError here, not re.error
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(_GOOD_INPUTS["c.jsonl"], encoding="utf-8")
+    lexicon = write_json(tmp_path / "lex.json", [{"canonical": "ai", "patterns": ["ai", pattern]}])
+    code = main(["cluster", "--corpus", str(corpus), "--lexicon", lexicon, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"techflux lexicon: lex.json: entry 'ai': pattern {pattern!r} does not compile: "), err
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def _forbidden(*args, **kwargs):
     raise AssertionError("input loaded or work done before the output directory was checked")
 
@@ -376,7 +406,7 @@ _INPUTS = {
 _READ_FAILURES = [
     (kind, failure)
     for kind, spec in _INPUTS.items()
-    for failure in ("missing", "directory", "not_utf8") + (("invalid_json", "lone_surrogate") if spec[3] else ())
+    for failure in ("missing", "directory", "not_utf8") + (("invalid_json", "lone_surrogate", "deep_nesting") if spec[3] else ())
 ]
 
 
@@ -396,12 +426,17 @@ def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, kind, failur
         bad.write_text("{nope\n", encoding="utf-8")
     elif failure == "lone_surrogate":
         bad.write_text(json_template % r'"bad\ud800tag"', encoding="utf-8")
+    elif failure == "deep_nesting":  # past the recursion limit of the json parser
+        bad.write_text("[" * 100_000 + "\n", encoding="utf-8")
     out = tmp_path / "out"
     code = main(make_argv(given, str(bad)) + ["--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith(f"techflux {module}: "), err
     assert name in err
+    if failure == "deep_nesting":
+        where = f"{name} line 1" if name.endswith(".jsonl") else name
+        assert err.endswith(f"{where}: invalid JSON (nested too deeply)\n"), err
     assert not list(out.glob("*"))
 
 
@@ -502,6 +537,43 @@ def test_only_an_extraction_builds_the_lexicon_scan(tmp_path, command, field, bu
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"scan built: {built}"
+
+
+# counts the calls of each pattern-reading function per pattern over one CLI run
+_PATTERN_PROBE = (
+    "import collections, json, sys\n"
+    "from techflux import lexicon\n"
+    "from techflux.cli import main\n"
+    "calls = {'_literal_prefix': collections.Counter(), 'compile_pattern': collections.Counter()}\n"
+    "def counted(name, f):\n"
+    "    return lambda pattern: calls[name].update([pattern]) or f(pattern)\n"
+    "for name in calls:\n"
+    "    setattr(lexicon, name, counted(name, getattr(lexicon, name)))\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(calls))\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_a_text_run_reads_each_lexicon_pattern_once(tmp_path):
+    argv = _cli_argv(tmp_path, "compare")
+    # the same corpus with its terms in the text instead of the tags
+    assert main(["synth", "--plant-spec", two_window_spec(tmp_path), "--with-text", "--out", str(tmp_path / "data")]) == 0
+    # beside each literal pattern, a regex with the same literal prefix or with none
+    entries = json.loads((tmp_path / "data" / "lexicon.json").read_text())
+    for i, entry in enumerate(entries):
+        literal = entry["patterns"][0]
+        entry["patterns"].append(f"{literal}s?" if i % 2 else f"(?:{literal}|x{i})")
+    lexicon = write_json(tmp_path / "lex.json", entries)
+    argv[argv.index("--lexicon") + 1] = lexicon
+    result = subprocess.run(
+        [sys.executable, "-c", _PATTERN_PROBE, *argv, "--field", "text"],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    calls = json.loads(result.stdout.splitlines()[-1])
+    assert calls["_literal_prefix"] == {p: 1 for entry in entries for p in entry["patterns"]}
+    assert calls["compile_pattern"] == {entry["patterns"][1]: 1 for entry in entries}
 
 
 @pytest.mark.parametrize("command", ["synth", "trend", "cluster", "compare", "series"])

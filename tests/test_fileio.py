@@ -97,6 +97,20 @@ def test_read_json_rejects_a_lone_surrogate(tmp_path, escaped):
         read_json(path, InputError, "config file")
 
 
+def test_read_json_refuses_nesting_past_the_parsers_limit(tmp_path):
+    # just below the parse's limit, the dump that checks for surrogates can still pass it
+    path = tmp_path / "deep.json"
+    depth = refused = 0
+    while refused < 20:
+        depth += 1
+        path.write_text("[" * depth + r'"\ud83d\ude00"' + "]" * depth, encoding="utf-8")
+        try:
+            read_json(path, InputError, "config file")
+        except InputError as exc:
+            assert str(exc) == f"config file {path}: invalid JSON (nested too deeply)"
+            refused += 1
+
+
 def test_writers_go_through_the_atomic_write(tmp_path, monkeypatch):
     # tracing replaces the module-global name, so the writers must look it up
     written = {}

@@ -126,6 +126,23 @@ def test_duplicate_canonical_rejected():
         lex({"canonical": "ai", "patterns": ["ai"]}, {"canonical": "AI", "patterns": ["ai"]})
 
 
+def test_duplicate_canonical_in_a_lexicon_file_names_the_file(tmp_path):
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps([{"canonical": "ai", "patterns": ["ai"]}, {"canonical": "AI", "patterns": ["a[i]"]}]))
+    with pytest.raises(LexiconError, match=r"^terms\.json: duplicate canonical term: 'ai'$"):
+        compile_lexicon(path)
+
+
+# the words Python 3.11 and later use; 3.10 warns with a DeprecationWarning,
+# then compiles these with the flag applied to the whole pattern, or fails on (?a)
+@pytest.mark.filterwarnings("ignore:Flags not at the start:DeprecationWarning")
+@pytest.mark.parametrize("pattern", ["ai(?x) chip", "ai chip(?s)", "ai(?m) chip", "ai(?a) chip"])
+def test_inline_global_flags_are_refused_on_every_version(pattern):
+    message = f"lexicon: entry 'ai chip': pattern {pattern!r} does not compile: global flags not at the start of the expression"
+    with pytest.raises(LexiconError, match=f"^{re.escape(message)}"):
+        lex({"canonical": "ai chip", "patterns": ["ai chip", pattern]})
+
+
 def test_entry_needs_pattern_list():
     with pytest.raises(LexiconError, match="at least one pattern"):
         lex({"canonical": "ai", "patterns": []})
@@ -363,7 +380,8 @@ def test_a_literal_lexicon_compiles_one_regex(monkeypatch):
 
 
 def test_a_lexicon_built_directly_checks_its_patterns_before_any_extraction():
-    with pytest.raises(re.error):
+    message = "entry 'ml': pattern 'ml(' does not compile: missing ), unterminated subpattern at position 2"
+    with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
         TermLexicon(entries=(TermPattern("ai", ("ai",)), TermPattern("ml", ("ml(",))))
     with pytest.raises(LexiconError, match="duplicate canonical term: 'ai'"):
         TermLexicon(entries=(TermPattern("ai", ("ai",)), TermPattern("ai", ("a[i]",))))
