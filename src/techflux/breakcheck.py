@@ -3,7 +3,8 @@
 The series runner composes the full pipeline over a list of time windows:
 each window is built into a network and clustered, consecutive windows are
 compared, and the mean convergence/novelty indices become one series point
-per later window.
+per later window. One function here owns each number the CLI reports:
+``mean_indices``, ``break_tests``, ``_trend_table``, ``trend_correlations``.
 
 The break test is the classic known-breakpoint F-test: fit one regression
 line over the whole series, fit the two segments separately, and compare
@@ -22,6 +23,7 @@ across the degrees of freedom this module produces.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +35,7 @@ from .corpus import Corpus, TimeWindow, window_filter
 from .errors import StatsError
 from .fileio import atomic_write_text, json_text, write_csv
 from .lexicon import TermLexicon
-from .transition import transition_report
+from .transition import TransitionReport, transition_report
 
 _CF_MAX_ITER = 300
 _CF_EPS = 1e-15
@@ -252,13 +254,13 @@ class IndexSeries:
         return [p.mean_ni for p in self.points]
 
 
-def mean_index(per_cluster: dict[int, float], sizes: tuple[int, ...], weighted: bool) -> float:
-    """Mean of a per-cluster index over the later window's clusters, plain or weighted by size."""
-    values = [per_cluster[cid] for cid in sorted(per_cluster)]
-    if not weighted:
-        return math.fsum(values) / len(values)
-    total = sum(sizes)
-    return math.fsum(v * sizes[i] for i, v in enumerate(values)) / total
+def mean_indices(report: TransitionReport, weighted: bool) -> tuple[float, float]:
+    """(mean convergence, mean novelty) over the later window's clusters, plain or weighted by cluster size."""
+    weights = report.similarity.col_sizes if weighted else (1,) * len(report.similarity.col_sizes)
+    return tuple(
+        math.fsum(index[cid] * w for cid, w in enumerate(weights)) / sum(weights)
+        for index in (report.convergence, report.novelty)
+    )
 
 
 def cluster_window(corpus: Corpus, lexicon: TermLexicon, window: TimeWindow | None, config: PipelineConfig):
@@ -299,12 +301,8 @@ def index_series(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow]
     points = []
     for part_t, part_t1, w_t1 in zip(partitions, partitions[1:], windows[1:]):
         report = transition_report(part_t, part_t1, tau=config.tau, measure=MEASURE_OVERLAP_TARGET)
-        sizes = report.similarity.col_sizes
-        points.append(SeriesPoint(
-            window=w_t1,
-            mean_ci=mean_index(report.convergence, sizes, config.weighted_mean),
-            mean_ni=mean_index(report.novelty, sizes, config.weighted_mean),
-        ))
+        mean_ci, mean_ni = mean_indices(report, config.weighted_mean)
+        points.append(SeriesPoint(window=w_t1, mean_ci=mean_ci, mean_ni=mean_ni))
     return IndexSeries(points=tuple(points))
 
 
@@ -315,6 +313,12 @@ def export_series_csv(series: IndexSeries, path: str | Path) -> None:
         for p in series.points
     ]
     write_csv(path, rows)
+
+
+def break_tests(series: IndexSeries, breakpoint_index: int) -> dict[str, BreakTestResult]:
+    """Chow test of the mean convergence ("ci") and novelty ("ni") series, each against the point index 0..n-1."""
+    x = [float(i) for i in range(len(series.points))]
+    return {"ci": chow_test(x, series.ci_values(), breakpoint_index), "ni": chow_test(x, series.ni_values(), breakpoint_index)}
 
 
 def _period_key(date, period: str) -> str:
@@ -340,7 +344,7 @@ def term_trend(
     period: str,
     field: str = "both",
 ) -> dict[str, dict[str, dict[str, int]]]:
-    """Documents holding each term as {term: {label: {period: count}}}.
+    """Documents holding each term as {term: {label: {period: count}}}, terms in the order given.
 
     A document holds a term when the term is among its ``document_items``
     under ``field``, the items the network builder uses. Every document is
@@ -348,9 +352,9 @@ def term_trend(
     """
     check_trend(lexicon, terms, period, field)
     wanted = set(terms)
-    counts: dict[str, dict[str, dict[str, int]]] = {term: {} for term in wanted}
+    counts: dict[str, dict[str, dict[str, int]]] = {term: {} for term in terms}
     for label, corpus in corpora:
-        per_term: dict[str, dict[str, int]] = {term: {} for term in wanted}
+        per_term: dict[str, dict[str, int]] = {term: {} for term in counts}
         for doc in corpus.documents:
             for term in wanted.intersection(document_items(doc, lexicon, field)):
                 key = _period_key(doc.date, period)
@@ -360,12 +364,16 @@ def term_trend(
     return counts
 
 
+def _trend_table(counts: dict[str, dict[str, int]]) -> tuple[list[str], dict[str, list[int]]]:
+    """Every period seen anywhere, sorted, and each source's counts over them (0 where absent), sources sorted."""
+    periods = sorted({p for per_period in counts.values() for p in per_period})
+    return periods, {source: [counts[source].get(p, 0) for p in periods] for source in sorted(counts)}
+
+
 def export_trend_csv(counts: dict[str, dict[str, int]], path: str | Path) -> None:
     """CSV rows (period, source, count) covering every period seen anywhere."""
-    periods = sorted({p for per_period in counts.values() for p in per_period})
-    rows = [("period", "source", "count")]
-    rows += [(period, source, counts[source].get(period, 0)) for period in periods for source in sorted(counts)]
-    write_csv(path, rows)
+    periods, table = _trend_table(counts)
+    write_csv(path, [("period", "source", "count")] + [(p, s, table[s][i]) for i, p in enumerate(periods) for s in table])
 
 
 def pearson(a: list[float], b: list[float]) -> float:
@@ -390,3 +398,16 @@ def pearson(a: list[float], b: list[float]) -> float:
     elif r < -1.0:
         r = -1.0
     return r
+
+
+def trend_correlations(trends: dict[str, dict[str, dict[str, int]]]) -> tuple[list[tuple], list[str]]:
+    """(term, source a, source b, Pearson r) per term and sorted source pair, and a text for each pair with no r."""
+    rows, skipped = [], []
+    for term, counts in trends.items():
+        _, table = _trend_table(counts)
+        for a, b in itertools.combinations(table, 2):
+            try:
+                rows.append((term, a, b, pearson(table[a], table[b])))
+            except StatsError as exc:
+                skipped.append(f"{term!r} between {a} and {b}: {exc}")
+    return rows, skipped

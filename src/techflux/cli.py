@@ -1,20 +1,19 @@
 """Command-line pipeline: compare, series, trend, synth, cluster.
 
-Every subcommand is a thin orchestration over library calls, so anything
-the CLI does can be reproduced programmatically. Outputs land in the
-directory given by --out (default: current directory) under fixed file
-names; all writes go through a temp-file rename so partial files never
-appear. The output directory is created before any input is read, so an
-unusable --out fails at once. Exit codes: 0 success, 1 internal error, 2
-usage, input or I/O error.
+Each subcommand parses, calls the library, writes and prints; ``breakcheck``
+computes every number it reports (mean indices, break tests, trend
+correlations), so anything the CLI does can be reproduced programmatically.
+Outputs land in the directory given by --out (default: current directory)
+under fixed file names; all writes go through a temp-file rename so partial
+files never appear. The output directory is created before any input is
+read, so an unusable --out fails at once. Exit codes: 0 success, 1 internal
+error, 2 usage, input or I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
-import math
 import re
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from .cograph import check_graphml_names, export_graph_json, export_graphml
 from .community import export_partition_json, suggest_labels
 from .config import SETTINGS, PipelineConfig, build_config, read_config_file, setting_type
 from .corpus import TimeWindow, load_corpus, load_windows, save_corpus
-from .errors import ConfigError, StatsError, TechfluxError
+from .errors import ConfigError, TechfluxError
 from .fileio import read_text, write_csv, write_json
 from .lexicon import TermLexicon, compile_lexicon, lexicon_from_records
 from .transition import alluvial_export, export_report_json, export_similarity_csv, transition_report
@@ -69,10 +68,6 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _format_f(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:.6g}"
-
-
 def _cluster_header(labels) -> list[str]:
     return [f"{lab.cluster_id}:{lab.suggested_label}" for lab in labels]
 
@@ -109,9 +104,7 @@ def run_compare(args: argparse.Namespace) -> int:
         line = f"  {event.kind:<8} {sources:>12} -> {targets:<12}"
         print(line + (f"  [{supports}]" if supports else ""))
     if report.convergence:
-        sizes = report.similarity.col_sizes
-        mean_ci = breakcheck.mean_index(report.convergence, sizes, weighted=False)
-        mean_ni = breakcheck.mean_index(report.novelty, sizes, weighted=False)
+        mean_ci, mean_ni = breakcheck.mean_indices(report, weighted=False)
         print(f"mean convergence {mean_ci:.4f}, mean novelty {mean_ni:.4f}")
     print(f"wrote 9 files to {out}")
     return 0
@@ -128,12 +121,10 @@ def run_series(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     series = breakcheck.index_series(corpus, lexicon, windows, config)
     breakcheck.export_series_csv(series, out / "series.csv")
-    x = [float(i) for i in range(len(series.points))]
-    for name, values in (("ci", series.ci_values()), ("ni", series.ni_values())):
-        result = breakcheck.chow_test(x, values, breakpoint_index)
+    for name, result in breakcheck.break_tests(series, breakpoint_index).items():
         breakcheck.export_break_json(result, out / f"break_{name}.json")
         print(
-            f"{name.upper()} series: F = {_format_f(result.f_statistic)}, "
+            f"{name.upper()} series: F = {result.f_statistic:.6g}, "
             f"p = {breakcheck.format_p_value(result.p_value)} "
             f"(break at {breakpoint_index}, segments {result.n1}/{result.n2})"
         )
@@ -183,22 +174,13 @@ def run_trend(args: argparse.Namespace) -> int:
     breakcheck.check_trend(lexicon, terms, args.period, config.field)
     corpora = [(label, load_corpus(path)) for label, path in sources]
     trends = breakcheck.term_trend(corpora, lexicon, terms, args.period, config.field)
-    correlation_rows: list[tuple[str, str, str, str]] = []
-    for term in terms:
-        counts = trends[term]
+    for term, counts in trends.items():
         breakcheck.export_trend_csv(counts, out / f"trend_{_term_slug(term)}.csv")
-        periods = sorted({p for per in counts.values() for p in per})
-        for a, b in itertools.combinations(sorted(counts), 2):
-            series_a = [float(counts[a].get(p, 0)) for p in periods]
-            series_b = [float(counts[b].get(p, 0)) for p in periods]
-            try:
-                r = breakcheck.pearson(series_a, series_b)
-            except StatsError as exc:
-                print(f"trend: {term!r} between {a} and {b}: {exc}", file=sys.stderr)
-                continue
-            correlation_rows.append((term, a, b, f"{r:.6f}"))
-    header = ("term", "source_a", "source_b", "pearson_r")
-    write_csv(out / "correlations.csv", [header] + correlation_rows, lineterminator="\n")
+    rows, skipped = breakcheck.trend_correlations(trends)
+    for text in skipped:
+        print(f"trend: {text}", file=sys.stderr)
+    rows = [(term, a, b, f"{r:.6f}") for term, a, b, r in rows]
+    write_csv(out / "correlations.csv", [("term", "source_a", "source_b", "pearson_r")] + rows, lineterminator="\n")
     print(f"wrote {len(terms)} trend files and correlations.csv to {out}")
     return 0
 

@@ -13,8 +13,8 @@ quantifiers, non-capturing groups. Backreferences and inline global flags
 
 ``TermLexicon`` reads each pattern once, when it is built: its literal prefix
 ``L`` (below) and, unless it is all ``L``, its compiled search. It refuses a
-duplicate canonical or a pattern that does not compile; ``lexicon_from_records``
-also self-tests every pattern on that reading, so none is compiled twice.
+duplicate canonical or a pattern that does not compile, on its own or wrapped;
+``lexicon_from_records`` also self-tests every pattern on that reading.
 
 Extraction scans each document once, with one regex for the whole lexicon.
 A pattern with no top-level ``|`` may start with an ASCII literal ``L``
@@ -101,7 +101,7 @@ def _has_top_level_bar(pattern: str) -> bool:
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch == "|" and depth <= 0:  # below 0 only in a hand-built a)|(?:b
+        elif ch == "|" and depth == 0:
             return True
         i += 1
     return False
@@ -175,12 +175,15 @@ class TermLexicon:
         for entry in self.entries:
             for pattern in entry.patterns:
                 literal, whole = _literal_prefix(pattern)
-                try:  # Python 3.10 compiles a misplaced (?x) for all the pattern, and refuses (?a) with ValueError
-                    rx = None if whole else compile_pattern(pattern)
-                    if rx is not None and rx.flags != _FLAGS:
+                # compiled on its own first, so that an unbalanced ) cannot close the wrapper's group; under
+                # re.ASCII any global flag shows (a (?u) as ValueError) where Python 3.10 only warns of it
+                try:
+                    if not whole and re.compile(pattern, re.ASCII).flags != re.ASCII:
                         raise ValueError
-                except (re.error, ValueError, OverflowError, RecursionError) as exc:
-                    reason = "global flags not at the start of the expression" if isinstance(exc, ValueError) else exc
+                    rx = None if whole else compile_pattern(pattern)
+                except (re.error, ValueError, DeprecationWarning, OverflowError, RecursionError) as exc:
+                    flags = isinstance(exc, (ValueError, DeprecationWarning))
+                    reason = "global flags not at the start of the expression" if flags else exc
                     raise LexiconError(f"entry {entry.canonical!r}: pattern {pattern!r} does not compile: {reason}") from None
                 read.append((entry.canonical, pattern, literal, rx))
         return tuple(read)

@@ -12,6 +12,7 @@ import datetime as dt
 import itertools
 import json
 import random
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from techflux.community import _Level, _aggregate, modularity
 from techflux.corpus import Corpus, Document
 from techflux.errors import GraphError, SynthError
 from techflux.fileio import json_text
-from techflux.lexicon import TermLexicon, compile_pattern
+from techflux.lexicon import TermLexicon
 from techflux.synth import (
     _DEFAULT_BIRTH_RATE,
     FRESH_PREFIX,
@@ -530,14 +531,22 @@ def chow_reference(x, y, breakpoint_index: int):
 
 
 def extract_terms_reference(doc: Document, lexicon: TermLexicon) -> set[str]:
-    """Term extraction by searching every pattern of every entry in the text."""
+    """Term extraction by trying every pattern, unwrapped, on every span between two word boundaries.
+
+    A term is found when one of its patterns, compiled on its own and
+    case-insensitively, matches the whole of ``text[i:j]`` of the case-folded
+    text, where ``i`` and ``j`` are word boundaries. The match sees the text
+    before ``i`` (for a ``\\b`` or ``^`` in the pattern) but not the text after
+    ``j``, so this is exact for patterns with no ``\\b``, ``$`` or lookahead at
+    their end. Nothing of ``techflux.lexicon``'s wrapping is used.
+    """
     text = doc.text.casefold()
-    if not text:
-        return set()
+    bounds = [m.start() for m in re.finditer(r"\b", text)]
     found = set()
     for entry in lexicon.entries:
         for pattern in entry.patterns:
-            if compile_pattern(pattern).search(text):
+            rx = re.compile(pattern, re.IGNORECASE)
+            if any(rx.fullmatch(text, i, j) for n, i in enumerate(bounds) for j in bounds[n:]):
                 found.add(entry.canonical)
                 break
     return found

@@ -3,6 +3,8 @@ import datetime as dt
 import json
 import math
 import random
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -26,12 +28,14 @@ from techflux.breakcheck import (
     pearson,
     regularized_incomplete_beta,
     term_trend,
+    trend_correlations,
 )
 from techflux.config import PipelineConfig
 from techflux.corpus import Corpus, Document, TimeWindow
 from techflux.errors import StatsError
 from techflux.lexicon import lexicon_from_records
 
+from conftest import package_env
 from oracles import chow_reference, ols_ssr_reference, term_trend_reference
 
 EMPTY_LEX = lexicon_from_records([])
@@ -403,6 +407,44 @@ def test_term_trend_matches_per_term_oracle(case):
     assert set(trends) == set(terms)
     for term in terms:
         assert trends[term] == term_trend_reference(corpora, lexicon, term, period)
+
+
+_ORDER_PROBE = (
+    "import datetime as dt, json, sys\n"
+    "from techflux.breakcheck import term_trend\n"
+    "from techflux.corpus import Corpus, Document\n"
+    "from techflux.lexicon import lexicon_from_records\n"
+    "terms = sys.argv[1:]\n"
+    "lexicon = lexicon_from_records([{'canonical': t, 'patterns': [t]} for t in terms])\n"
+    "corpus = Corpus((Document(id='d1', date=dt.date(2020, 1, 1), text='ai and lasers', tags=('edge',)),))\n"
+    "print(json.dumps(list(term_trend([('news', corpus)], lexicon, terms + terms[:1], 'year'))))\n"
+)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "2"])
+def test_term_trend_keeps_the_order_of_its_terms_under_any_hash_seed(hash_seed):
+    # the order of a set of strings changes with the hash seed; the trend files
+    # and correlation rows follow these keys
+    terms = ["quantum dot", "laser", "edge", "ai"]
+    result = subprocess.run(
+        [sys.executable, "-c", _ORDER_PROBE, *terms],
+        env=dict(package_env(), PYTHONHASHSEED=hash_seed), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == terms
+
+
+def test_trend_correlations_over_the_union_of_periods():
+    trends = {
+        "ai": {"news": {"2019": 1, "2020": 3}, "patents": {"2020": 2, "2021": 5}, "blogs": {"2019": 2, "2020": 6}},
+        "edge": {"news": {"2020": 1}, "patents": {"2020": 4}},
+    }
+    rows, skipped = trend_correlations(trends)
+    # news (1, 3, 0), patents (0, 2, 5), blogs (2, 6, 0); sources sorted within a term
+    assert [row[:3] for row in rows] == [("ai", "blogs", "news"), ("ai", "blogs", "patents"), ("ai", "news", "patents")]
+    assert rows[0][3] == pytest.approx(1.0)
+    assert rows[2][3] == pytest.approx(pearson([1, 3, 0], [0, 2, 5]), abs=1e-15)
+    assert skipped == ["'edge' between news and patents: need at least 2 points, got 1"]
 
 
 def test_export_trend_csv_fills_missing_periods(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import techflux.cograph
-from techflux.breakcheck import mean_index, term_trend
+from techflux.breakcheck import term_trend
 from techflux.cli import main
 from techflux.cograph import build_cooccurrence, top_n_filter
 from techflux.community import louvain
@@ -109,8 +109,7 @@ def test_synth_and_compare_end_to_end(tmp_path, capsys):
     assert kinds == ["birth", "merge", "persist"]
     # compare prints the plain mean index that the series uses
     mean_ci, mean_ni = (
-        mean_index({int(cid): v for cid, v in report[key].items()}, (), weighted=False)
-        for key in ("convergence_index", "novelty_index")
+        math.fsum(report[key].values()) / len(report[key]) for key in ("convergence_index", "novelty_index")
     )
     assert f"mean convergence {mean_ci:.4f}, mean novelty {mean_ni:.4f}\n" in captured.out
     truth = json.loads((data / "ground_truth.json").read_text())
@@ -327,6 +326,21 @@ def test_a_pattern_that_re_fails_on_exits_2(tmp_path, capsys, pattern):
     assert code == 2, err
     assert err.startswith(f"techflux lexicon: lex.json: entry 'ai': pattern {pattern!r} does not compile: "), err
     assert not list((tmp_path / "out").glob("*"))
+
+
+def test_a_pattern_that_closes_its_wrapper_exits_2(tmp_path, capsys):
+    # wrapped as \b(?:ai)|(?:chip)\b, this pattern would find ai in "microchip"
+    for name in ("news", "patents"):
+        (tmp_path / f"{name}.jsonl").write_text('{"id": "d1", "date": "2020-01-05", "text": "a microchip story"}\n')
+    lexicon = write_json(tmp_path / "lex.json", [{"canonical": "ai", "patterns": ["ai)|(?:chip"]}])
+    (tmp_path / "terms.txt").write_text("ai\n")
+    out = tmp_path / "out"
+    code = main(["trend", "--corpus", f"news={tmp_path / 'news.jsonl'}", "--corpus", f"patents={tmp_path / 'patents.jsonl'}",
+                 "--terms", str(tmp_path / "terms.txt"), "--lexicon", lexicon, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == "techflux lexicon: lex.json: entry 'ai': pattern 'ai)|(?:chip' does not compile: unbalanced parenthesis at position 2\n"
+    assert not list(out.glob("*"))
 
 
 def _forbidden(*args, **kwargs):

@@ -134,9 +134,12 @@ def test_duplicate_canonical_in_a_lexicon_file_names_the_file(tmp_path):
 
 
 # the words Python 3.11 and later use; 3.10 warns with a DeprecationWarning,
-# then compiles these with the flag applied to the whole pattern, or fails on (?a)
+# then compiles these with the flag applied to the whole pattern, or fails on (?a);
+# a flag at the start of the pattern is not at the start of its wrapper
 @pytest.mark.filterwarnings("ignore:Flags not at the start:DeprecationWarning")
-@pytest.mark.parametrize("pattern", ["ai(?x) chip", "ai chip(?s)", "ai(?m) chip", "ai(?a) chip"])
+@pytest.mark.parametrize("pattern", [
+    "ai(?x) chip", "ai chip(?s)", "ai(?m) chip", "ai(?a) chip", "ai(?i) chip", "ai(?u) chip", "(?i)ai chip", "(?u)ai chip",
+])
 def test_inline_global_flags_are_refused_on_every_version(pattern):
     message = f"lexicon: entry 'ai chip': pattern {pattern!r} does not compile: global flags not at the start of the expression"
     with pytest.raises(LexiconError, match=f"^{re.escape(message)}"):
@@ -332,6 +335,27 @@ def lexicons_with_texts(draw):
 @given(lexicons_with_texts())
 def test_extract_terms_matches_per_pattern_oracle(case):
     lexicon, texts = case
+    for text in texts:
+        assert extract_terms(doc(text), lexicon) == extract_terms_reference(doc(text), lexicon)
+
+
+# pieces that can unbalance a group, put a | outside the wrapper's group,
+# or place a global flag anywhere
+_GRAMMAR = ["ai", "chip", "a", "i", "s?", " ", r"\-", "(?:", "(", ")", ")|(?:", r"\)", "[)]", "|", "(?i)", "(?u)"]
+_GRAMMAR_WORDS = ["ai", "AI", "chip", "chips", "microchip", "aichip", "ai-chip", "ai)", "a", "i"]
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(_GRAMMAR), min_size=1, max_size=6).map("".join), min_size=1, max_size=3),
+    st.lists(st.lists(st.sampled_from(_GRAMMAR_WORDS), max_size=5).map(" ".join), min_size=1, max_size=4),
+)
+def test_a_lexicon_is_refused_or_agrees_with_the_unwrapped_oracle(patterns, texts):
+    try:
+        lexicon = TermLexicon(entries=tuple(TermPattern(f"t{i}", (p,)) for i, p in enumerate(patterns)))
+    except LexiconError as exc:
+        assert "does not compile" in str(exc)
+        return
     for text in texts:
         assert extract_terms(doc(text), lexicon) == extract_terms_reference(doc(text), lexicon)
 
