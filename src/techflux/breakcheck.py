@@ -342,7 +342,7 @@ def term_trend(
     lexicon: TermLexicon,
     terms: list[str],
     period: str,
-    field: str = "both",
+    field: str = PipelineConfig.field,
 ) -> dict[str, dict[str, dict[str, int]]]:
     """Documents holding each term as {term: {label: {period: count}}}, terms in the order given.
 

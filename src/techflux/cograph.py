@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import check_setting
+from .config import PipelineConfig, check_setting
 from .corpus import Corpus
 from .errors import GraphError
 from .fileio import atomic_write_bytes, atomic_write_text
@@ -104,8 +104,8 @@ def document_items(doc, lexicon: TermLexicon, field: str) -> set[str]:
 def build_cooccurrence(
     corpus: Corpus,
     lexicon: TermLexicon,
-    field: str = "both",
-    pairs: str = "all",
+    field: str = PipelineConfig.field,
+    pairs: str = PipelineConfig.pairs,
     top_n: int | None = None,
 ) -> CoGraph:
     """Accumulate the co-occurrence network over a corpus.

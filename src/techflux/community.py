@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 from .cograph import CoGraph
-from .config import check_setting
+from .config import PipelineConfig, check_setting
 from .errors import CommunityError
 from .fileio import atomic_write_text, json_text
 from .forked import beside
@@ -454,7 +454,7 @@ def _descents(level: _Level, resolution: float) -> list[list[int]]:
     return [lex, degree]
 
 
-def louvain(graph: CoGraph, resolution: float = 1.0) -> Partition:
+def louvain(graph: CoGraph, resolution: float = PipelineConfig.resolution) -> Partition:
     """Multilevel modularity maximization with refinement, fully deterministic.
 
     Greedy local moving is sensitive to traversal order, so the full descent

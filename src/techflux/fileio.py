@@ -1,10 +1,11 @@
 """File formats: how every input is read and every output written.
 
-Inputs are UTF-8. A missing or unreadable file, bytes that are not UTF-8,
-malformed JSON or a lone surrogate escape raise the caller's error class,
-naming the file. Outputs are indented UTF-8 JSON or RFC-4180 CSV, written
-to an exclusive randomly named temp file in the target directory, fsynced
-and renamed, so a crash leaves no half-written file.
+Inputs are UTF-8, and a leading byte-order mark is dropped. A missing or
+unreadable file, bytes that are not UTF-8, malformed JSON or a lone
+surrogate escape raise the caller's error class, naming the file. Outputs
+are indented UTF-8 JSON or RFC-4180 CSV, written to an exclusive randomly
+named temp file in the target directory, fsynced and renamed, so a crash
+leaves no half-written file.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 @contextmanager
 def open_text(path: str | Path, error: type[Exception], what: str):
-    """A UTF-8 file opened for reading; failing to read it raises ``error``, naming it as ``what``."""
+    """A UTF-8 file opened for reading past any byte-order mark; failing to read it raises ``error``, naming it as ``what``."""
     path = Path(path)
     try:
         # line ends are left as written, which the csv module needs and JSON ignores
-        with path.open(encoding="utf-8", newline="") as fh:
+        with path.open(encoding="utf-8-sig", newline="") as fh:
             yield fh
     except OSError as exc:
         reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror or str(exc)

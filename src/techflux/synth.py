@@ -30,8 +30,7 @@ _FORK_MIN_DRAWS expected per-term draws, a forked child (forked.beside)
 draws the second half of the documents while this process draws the first.
 The child walks the first half drawing only each document's community and
 day through below(), whose rejections can take extra draws, and skips each
-flag block; it replies with each document's day and kept positions in the
-window's sorted vocabulary, which map straight to sorted tags. The
+flag block; it sends back each document's day and sorted tags. The
 documents are the same as in one process.
 """
 
@@ -441,10 +440,6 @@ def _split_runs(members: tuple[str, ...], parts: int, where: str, source: str) -
 _FORK_MIN_DRAWS = 24_000
 
 
-def _vocabulary(state: list[PlantCommunity]) -> list[str]:
-    return sorted({term for c in state for term in c.members})
-
-
 def _expected_draws(spec: PlantSpec, states: list[list[PlantCommunity]]) -> float:
     """The per-term draws of the whole corpus on average; a document picks its community uniformly."""
     sizes = [[len(c.members) for c in state] for state in states]
@@ -454,12 +449,11 @@ def _expected_draws(spec: PlantSpec, states: list[list[PlantCommunity]]) -> floa
 
 
 def _draws(spec: PlantSpec, states: list[list[PlantCommunity]], first: int, stop: int):
-    """(day, sorted kept positions) for documents first to stop - 1, numbered across windows.
+    """(day, sorted tags) for documents first to stop - 1, numbered across windows.
 
     The stream runs from the corpus's first document on. A document before
     first still draws its community and its day through below(), since a
-    rejection there takes one more draw, and skips its flag block. A kept
-    position indexes the window's sorted vocabulary.
+    rejection there takes one more draw, and skips its flag block.
     """
     rng = SplitMix64(spec.seed)
     noise = spec.noise_rate
@@ -469,7 +463,7 @@ def _draws(spec: PlantSpec, states: list[list[PlantCommunity]], first: int, stop
         hi = min(stop - w_index * docs, docs)
         if hi <= 0:
             return
-        vocabulary = _vocabulary(state)
+        vocabulary = sorted({term for c in state for term in c.members})
         span_days = (window.end - window.start).days
         if lo:
             counts = [len(vocabulary) if noise > 0.0 else len(c.members) for c in state]
@@ -478,6 +472,7 @@ def _draws(spec: PlantSpec, states: list[list[PlantCommunity]], first: int, stop
                 rng.below(span_days)
         if lo >= hi:
             continue
+        # positions in the sorted vocabulary sort as their terms do
         positions = list(range(len(vocabulary)))
         position = dict(zip(vocabulary, positions))
         terms, limits = [], []
@@ -490,51 +485,21 @@ def _draws(spec: PlantSpec, states: list[list[PlantCommunity]], first: int, stop
         for _ in range(lo, hi):
             ci = rng.below(len(state))
             flags = rng.flags_below(limits[ci], len(terms[ci]))
-            yield rng.below(span_days), sorted(itertools.compress(terms[ci], flags))
+            yield rng.below(span_days), tuple([vocabulary[p] for p in sorted(itertools.compress(terms[ci], flags))])
 
 
-def _documents(spec: PlantSpec, states: list[list[PlantCommunity]], first: int, stop: int, draws, with_text: bool):
-    """The documents first to stop - 1 from their (day, sorted kept positions) draws."""
-    draws = iter(draws)
-    docs = spec.docs_per_window
-    for w_index, (window, state) in enumerate(zip(spec.windows, states)):
-        lo = max(first - w_index * docs, 0)
-        hi = min(stop - w_index * docs, docs)
-        if lo >= hi:
-            continue
-        vocabulary = _vocabulary(state)
-        for d_index, (day, positions) in zip(range(lo, hi), draws):
-            tags = tuple([vocabulary[p] for p in positions])
-            # the window is half-open, so the end day itself is excluded
-            date = window.start + dt.timedelta(days=day)
-            doc_id = f"w{w_index}-d{d_index:05d}"
-            if with_text:
-                text = "This note covers " + ", ".join(tags) + "." if tags else "This note covers nothing."
-                yield Document(id=doc_id, date=date, text=text, tags=())
-            else:
-                yield Document(id=doc_id, date=date, text="", tags=tags)
-
-
-def _packed(draws) -> bytes:
-    """The draws as C ints: per document its day, its kept count and its kept positions."""
-    from array import array  # only here: the parent reads the reply through a memoryview
-
-    values = array("i")
-    for day, positions in draws:
-        values.append(day)
-        values.append(len(positions))
-        values.extend(positions)
-    return values.tobytes()
-
-
-def _unpacked(packed: bytes):
-    """The (day, kept positions) draws of _packed bytes."""
-    values = memoryview(packed).cast("i")
-    i = 0
-    while i < len(values):
-        count = values[i + 1]
-        yield values[i], values[i + 2: i + 2 + count]
-        i += count + 2
+def _documents(spec: PlantSpec, first: int, draws, with_text: bool):
+    """The documents first on, numbered across windows, from their (day, sorted tags) draws."""
+    for n, (day, tags) in enumerate(draws, first):
+        w_index, d_index = divmod(n, spec.docs_per_window)
+        # the window is half-open, so the end day itself is excluded
+        date = spec.windows[w_index].start + dt.timedelta(days=day)
+        doc_id = f"w{w_index}-d{d_index:05d}"
+        if with_text:
+            text = "This note covers " + ", ".join(tags) + "." if tags else "This note covers nothing."
+            yield Document(id=doc_id, date=date, text=text, tags=())
+        else:
+            yield Document(id=doc_id, date=date, text="", tags=tags)
 
 
 def generate_corpus(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, GroundTruth]:
@@ -553,14 +518,14 @@ def generate_corpus(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, G
     states, truth = _plant(spec)
     total = len(spec.windows) * spec.docs_per_window
     if _expected_draws(spec, states) < _FORK_MIN_DRAWS:
-        documents = list(_documents(spec, states, 0, total, _draws(spec, states, 0, total), with_text))
+        documents = list(_documents(spec, 0, _draws(spec, states, 0, total), with_text))
     else:
         half = total // 2
         documents, reply = beside(
-            lambda: list(_documents(spec, states, 0, half, _draws(spec, states, 0, half), with_text)),
-            lambda: _packed(_draws(spec, states, half, total)),
+            lambda: list(_documents(spec, 0, _draws(spec, states, 0, half), with_text)),
+            lambda: list(_draws(spec, states, half, total)),
         )
-        documents += _documents(spec, states, half, total, _unpacked(reply), with_text)
+        documents += _documents(spec, half, reply, with_text)
     return Corpus(documents=tuple(documents)), truth
 
 

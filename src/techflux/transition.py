@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .community import Partition
-from .config import MEASURE_OVERLAP_TARGET, check_setting
+from .config import MEASURE_OVERLAP_TARGET, PipelineConfig, check_setting
 from .errors import TransitionError
 from .fileio import atomic_write_text, json_text, write_csv
 
@@ -68,7 +68,7 @@ class TransitionReport:
 def similarity_matrix(
     part_t: Partition,
     part_t1: Partition,
-    measure: str = MEASURE_OVERLAP_TARGET,
+    measure: str = PipelineConfig.measure,
 ) -> SimilarityMatrix:
     """Node-name overlap between every cluster at t and every cluster at t+1."""
     check_setting("measure", measure, TransitionError)
@@ -166,8 +166,8 @@ def classify_events(matrix: SimilarityMatrix, tau: float) -> list[TransitionEven
 def transition_report(
     part_t: Partition,
     part_t1: Partition,
-    tau: float = 0.1,
-    measure: str = MEASURE_OVERLAP_TARGET,
+    tau: float = PipelineConfig.tau,
+    measure: str = PipelineConfig.measure,
 ) -> TransitionReport:
     """Full comparison of two clustered windows."""
     matrix = similarity_matrix(part_t, part_t1, measure)

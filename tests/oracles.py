@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import settings
 
-from techflux.cograph import KIND_TAG, KIND_TECHNOLOGY, CoGraph, GraphNode, document_items
+from techflux.cograph import KIND_TAG, KIND_TECHNOLOGY, CoGraph, GraphNode
 from techflux.community import _Level, _aggregate, modularity
 from techflux.corpus import Corpus, Document
 from techflux.errors import GraphError, SynthError
@@ -83,13 +83,18 @@ def adjacency(graph: CoGraph) -> dict[str, dict[str, int]]:
 def build_cooccurrence_reference(corpus, lexicon, field="both", pairs="all", top_n=None) -> CoGraph:
     """The co-occurrence network counted on name pairs; reference for ``build_cooccurrence``.
 
-    Every document's items (``document_items``) add 1 to each of their
+    A document's items are its terms by ``extract_terms_reference`` (field
+    text or both) and its tags (field tags or both), so no extraction code
+    of the package is shared. Every document's items add 1 to each of their
     sorted name pairs, tech-tag pairs only under ``pairs="tech-tag"``. With
     ``top_n`` the top_n names by document frequency (ties: lower name) are
     kept and pairs are counted among them alone.
     """
     canonical = lexicon.canonical_terms
-    item_sets = [document_items(doc, lexicon, field) for doc in corpus.documents]
+    item_sets = []
+    for doc in corpus.documents:
+        terms = extract_terms_reference(doc, lexicon) if field in ("text", "both") else set()
+        item_sets.append(terms | (set(doc.tags) if field in ("tags", "both") else set()))
     frequency = {}
     for items in item_sets:
         for name in items:

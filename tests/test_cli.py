@@ -1,5 +1,7 @@
+import codecs
 import collections
 import csv
+import inspect
 import json
 import math
 import os
@@ -16,10 +18,10 @@ from techflux.cli import main
 from techflux.cograph import build_cooccurrence, top_n_filter
 from techflux.community import louvain
 from techflux.config import PipelineConfig, build_config
-from techflux.corpus import load_corpus, load_windows, window_filter
+from techflux.corpus import load_corpus, load_windows, save_corpus, window_filter
 from techflux.errors import CommunityError, ConfigError, GraphError, StatsError, TransitionError
 from techflux.lexicon import compile_lexicon
-from techflux.transition import classify_events, similarity_matrix
+from techflux.transition import classify_events, similarity_matrix, transition_report
 
 from conftest import package_env
 
@@ -452,6 +454,43 @@ def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, kind, failur
         where = f"{name} line 1" if name.endswith(".jsonl") else name
         assert err.endswith(f"{where}: invalid JSON (nested too deeply)\n"), err
     assert not list(out.glob("*"))
+
+
+# input -> (a command that reads it, the flag that names it)
+_BOM_INPUTS = {
+    "jsonl_corpus": ("cluster", "--corpus"),
+    "csv_corpus": ("cluster", "--corpus"),
+    "lexicon": ("cluster", "--lexicon"),
+    "windows": ("series", "--windows"),
+    "plant_spec": ("synth", "--plant-spec"),
+    "config": ("cluster", "--config"),
+    "terms": ("trend", "--terms"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BOM_INPUTS))
+def test_a_byte_order_mark_changes_no_input(tmp_path, capsys, kind):
+    command, flag = _BOM_INPUTS[kind]
+    argv = _cli_argv(tmp_path, command)[:-2]  # without --out
+    if kind == "csv_corpus":
+        at = argv.index(flag) + 1
+        save_corpus(load_corpus(argv[at]), tmp_path / "corpus.csv")
+        argv[at] = str(tmp_path / "corpus.csv")
+    elif kind == "config":
+        argv += [flag, write_json(tmp_path / "config.json", {"top_n": 5})]
+    plain = Path(argv[argv.index(flag) + 1])
+    marked = plain.with_name(f"bom-{plain.name}")
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    capsys.readouterr()  # what making the fixtures printed
+    results = []
+    for path in (plain, marked):
+        out = tmp_path / f"out-{path.name}"
+        code = main([str(path) if arg == str(plain) else arg for arg in argv] + ["--out", str(out)])
+        captured = capsys.readouterr()
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        results.append((code, captured.out.replace(str(out), "OUT"), captured.err, files))
+    assert results[0][0] == 0, results[0][2]
+    assert results[1] == results[0]
 
 
 # imports every package module, runs the CLI with the given arguments, then
@@ -1084,6 +1123,20 @@ def test_setting_flag_errors_exit_2_with_their_message(tmp_path, capsys, flag, m
     assert main([*_COMPARE_ARGS, *flag, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"techflux config: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("function,settings", [
+    (build_cooccurrence, ("field", "pairs")),
+    (term_trend, ("field",)),
+    (transition_report, ("tau", "measure")),
+    (similarity_matrix, ("measure",)),
+    (louvain, ("resolution",)),
+], ids=lambda v: v.__name__ if callable(v) else ",".join(v))
+def test_library_defaults_are_the_config_defaults(function, settings):
+    parameters = inspect.signature(function).parameters
+    assert {name: parameters[name].default for name in settings} == {
+        name: getattr(PipelineConfig(), name) for name in settings
+    }
 
 
 def test_config_checks_a_library_caller_meets():

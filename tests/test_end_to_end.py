@@ -1,6 +1,7 @@
-"""End-to-end oracles: ``series`` and ``trend`` run through ``cli.main`` on small
-generated corpora, and every file they write is rebuilt from the stage
-references in ``oracles.py`` (and ``statistics.correlation``) alone.
+"""End-to-end oracles: ``compare``, ``cluster``, ``series`` and ``trend`` run
+through ``cli.main`` on small generated corpora, and every file they write is
+rebuilt from the stage references in ``oracles.py`` (and
+``statistics.correlation``) alone.
 """
 
 import contextlib
@@ -26,9 +27,13 @@ from techflux.lexicon import lexicon_from_records
 from oracles import (
     build_cooccurrence_reference,
     chow_reference,
+    classify_events_reference,
+    export_graphml_reference,
     inheritance_indices_reference,
     louvain_reference,
+    named_edges,
     ols_ssr_reference,
+    read_graph_json,
     similarity_matrix_reference,
     term_trend_reference,
 )
@@ -165,6 +170,148 @@ def test_series_files_match_the_composed_references(case):
             assert abs(float(row[3]) - want_ni) <= 5e-7 + 1e-12
         for name, values in (("ci", ci), ("ni", ni)):
             _check_break(json.loads((tmp / "out" / f"break_{name}.json").read_text()), values, case["breakpoint"])
+
+
+def _clustered_reference(docs, window, field, pairs, top_n):
+    """(graph, Louvain assignment, Louvain modularity) of the documents in window, or None for the whole corpus."""
+    if window is not None:
+        docs = [doc for doc in docs if window[0] <= doc[0] < window[1]]
+    graph = build_cooccurrence_reference(_corpus(docs), lexicon_from_records(LEXICON_RECORDS), field, pairs, top_n)
+    if not graph.edges:
+        return graph, None, None
+    return (graph, *louvain_reference(graph))
+
+
+def _check_clustered_files(out: Path, suffix: str, graph, assignment, quality) -> None:
+    """graph<suffix>.graphml, graph<suffix>.json and partition<suffix>.json against the references."""
+    assert (out / f"graph{suffix}.graphml").read_bytes() == export_graphml_reference(graph, assignment)
+    written = read_graph_json(out / f"graph{suffix}.json")
+    assert written.nodes == graph.nodes
+    assert named_edges(written) == named_edges(graph)
+    partition = json.loads((out / f"partition{suffix}.json").read_text(encoding="utf-8"))
+    assert partition["assignment"] == assignment
+    assert partition["cluster_count"] == max(assignment.values()) + 1
+    assert abs(partition["modularity"] - quality) <= 1e-12
+
+
+def _cluster_labels_reference(graph, assignment) -> list[str]:
+    """Per cluster, its id, a colon and its member of largest intra-cluster weighted degree (ties: lower name)."""
+    intra = dict.fromkeys(assignment, 0)
+    for (u, v), w in named_edges(graph).items():
+        if assignment[u] == assignment[v]:
+            intra[u] += w
+            intra[v] += w
+    clusters = max(assignment.values()) + 1
+    return [
+        f"{cid}:{min((name for name in assignment if assignment[name] == cid), key=lambda name: (-intra[name], name))}"
+        for cid in range(clusters)
+    ]
+
+
+def _settings(draw, *names):
+    """A drawn value for each named setting, from a few that change the outputs."""
+    choices = {
+        "field": ["both", "tags"],
+        "pairs": ["all", "tech-tag"],
+        "top_n": [100, 6],
+        "measure": ["overlap_target", "jaccard"],
+        "tau": [0.05, 0.1, 0.25, 0.5, 0.75],
+    }
+    return {name: draw(st.sampled_from(choices[name])) for name in names}
+
+
+@st.composite
+def compare_cases(draw):
+    windows = [(dt.date(2020, 1, 1), dt.date(2020, 2, 1)), (dt.date(2020, 2, 1), dt.date(2020, 3, 1))]
+    docs = []
+    for start, end in windows:
+        docs += draw(st.lists(_doc(start, (end - start).days), min_size=2, max_size=8))
+    return {"windows": windows, "docs": docs, **_settings(draw, "field", "pairs", "top_n", "measure", "tau")}
+
+
+@settings(max_examples=E2E_EXAMPLES, deadline=None)
+@given(compare_cases())
+def test_compare_files_match_the_composed_references(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "lex.json").write_text(json.dumps(LEXICON_RECORDS))
+        window_t, window_t1 = [f"{s.isoformat()}:{e.isoformat()}" for s, e in case["windows"]]
+        out = tmp / "out"
+        code, _, err = _run([
+            "compare", "--corpus", _write_corpus(tmp / "c.jsonl", case["docs"]), "--lexicon", str(tmp / "lex.json"),
+            "--window-t", window_t, "--window-t1", window_t1, "--field", case["field"], "--pairs", case["pairs"],
+            "--top-n", str(case["top_n"]), "--measure", case["measure"], "--tau", repr(case["tau"]), "--out", str(out),
+        ])
+        sides = [_clustered_reference(case["docs"], w, case["field"], case["pairs"], case["top_n"]) for w in case["windows"]]
+        if any(assignment is None for _, assignment, _ in sides):
+            assert code == 2 and "produced an edgeless graph" in err, err
+            assert not any(out.iterdir())
+            return
+        assert code == 0, err
+        for suffix, (graph, assignment, quality) in zip(("_t", "_t1"), sides):
+            _check_clustered_files(out, suffix, graph, assignment, quality)
+        (graph_t, part_t, _), (graph_t1, part_t1, _) = sides
+        labels_t = _cluster_labels_reference(graph_t, part_t)
+        labels_t1 = _cluster_labels_reference(graph_t1, part_t1)
+        inter, values, row_sizes, col_sizes = similarity_matrix_reference(
+            *(SimpleNamespace(assignment=a, cluster_count=max(a.values()) + 1) for a in (part_t, part_t1)), case["measure"]
+        )
+        assert _read_csv(out / "similarity.csv") == [["", *labels_t1]] + [
+            [label, *(f"{v:.6f}" for v in row)] for label, row in zip(labels_t, values, strict=True)
+        ]
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        convergence = novelty = {}
+        if case["measure"] == "overlap_target":
+            convergence, novelty = inheritance_indices_reference(values)
+        for key, want in (("convergence_index", convergence), ("novelty_index", novelty)):
+            written = report.pop(key)
+            assert written.keys() == {str(j) for j in want}
+            assert all(abs(written[str(j)] - value) <= 1e-12 for j, value in want.items())
+        events = [
+            {"kind": e.kind, "sources": list(e.sources), "targets": list(e.targets), "supports": list(e.supports)}
+            for e in classify_events_reference(values, case["tau"])
+        ]
+        assert report == {
+            "measure": case["measure"], "tau": case["tau"],
+            "clusters_t": list(range(len(labels_t))), "clusters_t1": list(range(len(labels_t1))),
+            "cluster_labels_t": labels_t, "cluster_labels_t1": labels_t1,
+            "cluster_sizes_t": row_sizes.tolist(), "cluster_sizes_t1": col_sizes.tolist(),
+            "similarity": values.tolist(), "intersections": inter.tolist(), "events": events,
+        }
+        flows = sorted(
+            (-row_sizes[i], -inter[i, j], i, j) for i in range(len(labels_t)) for j in range(len(labels_t1)) if inter[i, j]
+        )
+        assert _read_csv(out / "alluvial.csv") == [
+            ["source_cluster", "target_cluster", "flow_weight", "source_label", "target_label"]
+        ] + [[str(i), str(j), str(-flow), labels_t[i], labels_t1[j]] for _, flow, i, j in flows]
+
+
+@st.composite
+def cluster_cases(draw):
+    docs = draw(st.lists(_doc(dt.date(2020, 1, 1), 60), min_size=2, max_size=10))
+    window = draw(st.sampled_from([None, (dt.date(2020, 1, 1), dt.date(2020, 2, 1))]))
+    return {"docs": docs, "window": window, **_settings(draw, "field", "pairs", "top_n")}
+
+
+@settings(max_examples=E2E_EXAMPLES, deadline=None)
+@given(cluster_cases())
+def test_cluster_files_match_the_composed_references(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "lex.json").write_text(json.dumps(LEXICON_RECORDS))
+        window = [] if case["window"] is None else ["--window", ":".join(d.isoformat() for d in case["window"])]
+        out = tmp / "out"
+        code, _, err = _run([
+            "cluster", "--corpus", _write_corpus(tmp / "c.jsonl", case["docs"]), "--lexicon", str(tmp / "lex.json"),
+            *window, "--field", case["field"], "--pairs", case["pairs"], "--top-n", str(case["top_n"]), "--out", str(out),
+        ])
+        graph, assignment, quality = _clustered_reference(case["docs"], case["window"], case["field"], case["pairs"], case["top_n"])
+        if assignment is None:
+            assert code == 2 and "produced an edgeless graph" in err, err
+            assert not any(out.iterdir())
+            return
+        assert code == 0, err
+        _check_clustered_files(out, "", graph, assignment, quality)
 
 
 def _slug(term: str) -> str:
