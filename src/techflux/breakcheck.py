@@ -25,16 +25,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .cograph import build_cooccurrence, document_items
 from .community import louvain
-from .config import MEASURE_OVERLAP_TARGET, PipelineConfig, check_setting
+from .config import MEASURE_OVERLAP_TARGET, SETTINGS, PipelineConfig, check_setting
 from .corpus import Corpus, TimeWindow, window_filter
 from .errors import StatsError
 from .fileio import atomic_write_text, json_text, write_csv
 from .lexicon import TermLexicon
+from .records import Checked
 from .transition import TransitionReport, transition_report
 
 _CF_MAX_ITER = 300
@@ -116,11 +117,8 @@ def f_survival(f: float, d1: float, d2: float) -> float:
     return regularized_incomplete_beta(d2 / 2.0, d1 / 2.0, x)
 
 
-@dataclass(frozen=True)
-class OlsFit:
-    intercept: float
-    slope: float
-    ssr: float
+# a least-squares line: intercept, slope and ssr, its residual sum of squares
+OlsFit = namedtuple("OlsFit", "intercept slope ssr")
 
 
 def ols_fit(x: list[float], y: list[float]) -> OlsFit:
@@ -144,14 +142,9 @@ def ols_fit(x: list[float], y: list[float]) -> OlsFit:
     return OlsFit(intercept=intercept, slope=slope, ssr=ssr)
 
 
-@dataclass(frozen=True)
-class BreakTestResult:
-    f_statistic: float
-    p_value: float
-    breakpoint_index: int
-    k: int
-    n1: int
-    n2: int
+# the F statistic and its p-value, the breakpoint, the k fitted parameters
+# per segment and the segment sizes n1 and n2
+BreakTestResult = namedtuple("BreakTestResult", "f_statistic p_value breakpoint_index k n1 n2")
 
 
 def segment_sizes(n: int, breakpoint_index: int, k: int = 2) -> tuple[int, int]:
@@ -228,24 +221,21 @@ def export_break_json(result: BreakTestResult, path: str | Path) -> None:
     atomic_write_text(path, break_result_to_json(result))
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
-    window: TimeWindow
-    mean_ci: float
-    mean_ni: float
+# a later window (TimeWindow) and its mean convergence and novelty indices
+SeriesPoint = namedtuple("SeriesPoint", "window mean_ci mean_ni")
 
 
-@dataclass(frozen=True)
-class IndexSeries:
-    points: tuple[SeriesPoint, ...]
+class IndexSeries(Checked, namedtuple("IndexSeries", "points")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for prev, cur in zip(self.points, self.points[1:]):
+    def __new__(cls, points: tuple[SeriesPoint, ...]) -> IndexSeries:
+        for prev, cur in zip(points, points[1:]):
             if not cur.window.start > prev.window.start:
                 raise StatsError("series points must be strictly increasing by window start")
-        for point in self.points:
+        for point in points:
             if not (0.0 <= point.mean_ci <= 1.0 and 0.0 <= point.mean_ni <= 1.0):
                 raise StatsError(f"mean indices out of [0, 1] at {point.window.describe()}")
+        return tuple.__new__(cls, (points,))
 
     def ci_values(self) -> list[float]:
         return [p.mean_ci for p in self.points]
@@ -342,7 +332,7 @@ def term_trend(
     lexicon: TermLexicon,
     terms: list[str],
     period: str,
-    field: str = PipelineConfig.field,
+    field: str = SETTINGS["field"].default,
 ) -> dict[str, dict[str, dict[str, int]]]:
     """Documents holding each term as {term: {label: {period: count}}}, terms in the order given.
 

@@ -13,7 +13,6 @@ error, 2 usage, input or I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -30,19 +29,19 @@ from .transition import alluvial_export, export_report_json, export_similarity_c
 
 
 def _add_setting_flag(sub: argparse.ArgumentParser, name: str) -> None:
-    """Register a setting's flag as its PipelineConfig field declares it.
+    """Register a setting's flag as its SETTINGS entry declares it.
 
     A flag left out is None, so it does not override the config file.
     """
     setting = SETTINGS[name]
     flag = "--" + name.replace("_", "-")
-    text = setting.metadata["help"]
+    text = setting.help
     if setting.default is False:
         sub.add_argument(flag, dest=name, action="store_true", default=None, help=text)
         return
     if setting.default is not None:
         text += f" (default {setting.default})"
-    sub.add_argument(flag, dest=name, type=setting_type(setting), choices=setting.metadata["choices"], help=text)
+    sub.add_argument(flag, dest=name, type=setting_type(setting), choices=setting.choices, help=text)
 
 
 def _add_setting_flags(sub: argparse.ArgumentParser, *settings: str) -> None:
@@ -189,7 +188,7 @@ def run_synth(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     spec = synth.load_plant_spec(args.plant_spec)
     if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+        spec = spec._replace(seed=args.seed)
     corpus, truth = synth.generate_corpus(spec, with_text=args.with_text)
     # the generated lexicon is checked before anything is written
     records = synth.lexicon_records(truth)
@@ -256,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth_cmd.add_argument("--with-text", action="store_true", dest="with_text",
                            help="emit terms inside sentences instead of tags")
     _add_setting_flag(synth_cmd, "out")
-    synth_cmd.set_defaults(func=run_synth, out=PipelineConfig.out)
+    synth_cmd.set_defaults(func=run_synth, out=SETTINGS["out"].default)
 
     cluster = sub.add_parser("cluster", help="build and cluster a single window")
     cluster.add_argument("--corpus", required=True, help="corpus file (JSONL or CSV)")

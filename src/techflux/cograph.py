@@ -11,7 +11,7 @@ A node's document frequency is known before any pair is counted, so the
 build can keep only the top-n nodes (highest frequency, ties to the lower
 name) and count pairs among those alone; the graph equals the full build
 passed through ``top_n_filter``. ``field``, ``pairs`` and ``top_n`` meet the
-rules of their `PipelineConfig` fields, or raise GraphError.
+rules of their `config.SETTINGS` entries, or raise GraphError.
 
 The GraphML and JSON exports are written directly from string pieces, in one
 pass over the nodes and edges. They hold the bytes that ElementTree (with
@@ -26,37 +26,32 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from pathlib import Path
 
-from .config import PipelineConfig, check_setting
+from .config import SETTINGS, check_setting
 from .corpus import Corpus
 from .errors import GraphError
 from .fileio import atomic_write_bytes, atomic_write_text
 from .lexicon import TermLexicon, extract_terms
+from .records import Checked
 
 KIND_TECHNOLOGY = "technology"
 KIND_TAG = "tag"
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    name: str
-    kind: str
-    doc_frequency: int
+# name (str), kind (KIND_TECHNOLOGY or KIND_TAG) and doc_frequency (int)
+GraphNode = namedtuple("GraphNode", "name kind doc_frequency")
 
 
-@dataclass(frozen=True)
-class CoGraph:
+class CoGraph(Checked, namedtuple("CoGraph", "nodes edges")):
     """Immutable weighted undirected graph; nodes sorted by name, (u, v, weight) index triples sorted by (u, v)."""
 
-    nodes: tuple[GraphNode, ...] = ()
-    edges: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, nodes: tuple[GraphNode, ...] = (), edges: tuple[tuple[int, int, int], ...] = ()) -> CoGraph:
         names = []
-        for node in self.nodes:
+        for node in nodes:
             name = node.name
             if not isinstance(name, str):
                 raise GraphError(f"node name {name!r}: must be a string")
@@ -71,7 +66,7 @@ class CoGraph:
                 raise GraphError(f"node {name!r}: negative doc_frequency")
         n = len(names)
         last = (-1, -1)
-        for edge in self.edges:
+        for edge in edges:
             u, v, weight = edge if type(edge) is tuple and len(edge) == 3 else (None, None, None)
             # type() rather than isinstance(): a bool is no node index or weight
             if type(u) is not int or type(v) is not int or type(weight) is not int:
@@ -83,6 +78,7 @@ class CoGraph:
             last = (u, v)
             if weight < 1:
                 raise GraphError(f"edge ({names[u]!r}, {names[v]!r}): weight must be >= 1")
+        return tuple.__new__(cls, (nodes, edges))
 
     def node_names(self) -> tuple[str, ...]:
         return tuple(n.name for n in self.nodes)
@@ -104,8 +100,8 @@ def document_items(doc, lexicon: TermLexicon, field: str) -> set[str]:
 def build_cooccurrence(
     corpus: Corpus,
     lexicon: TermLexicon,
-    field: str = PipelineConfig.field,
-    pairs: str = PipelineConfig.pairs,
+    field: str = SETTINGS["field"].default,
+    pairs: str = SETTINGS["pairs"].default,
     top_n: int | None = None,
 ) -> CoGraph:
     """Accumulate the co-occurrence network over a corpus.

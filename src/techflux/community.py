@@ -43,39 +43,38 @@ is the same either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cograph import CoGraph
-from .config import PipelineConfig, check_setting
+from .config import SETTINGS, check_setting
 from .errors import CommunityError
 from .fileio import atomic_write_text, json_text
 from .forked import beside
+from .records import Checked
 
 EDGELESS_MSG = "modularity undefined on edgeless graph"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Checked, namedtuple("Partition", "assignment modularity cluster_count")):
     """Disjoint assignment of node names to dense 0-based cluster ids."""
 
-    assignment: dict[str, int]
-    modularity: float
-    cluster_count: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.assignment:
+    def __new__(cls, assignment: dict[str, int], modularity: float, cluster_count: int) -> Partition:
+        if not assignment:
             raise CommunityError("partition must assign at least one node")
-        if self.cluster_count < 1:
+        if cluster_count < 1:
             raise CommunityError("cluster_count must be >= 1")
-        for node, cid in self.assignment.items():
+        for node, cid in assignment.items():
             if isinstance(cid, bool) or not isinstance(cid, int):
                 raise CommunityError(f"node {node!r}: cluster id {cid!r} is not an integer")
-            if cid < 0 or cid >= self.cluster_count:
-                raise CommunityError(f"node {node!r}: cluster id {cid!r} outside 0..{self.cluster_count - 1}")
-        used = set(self.assignment.values())
-        if len(used) < self.cluster_count:
-            unused = min(set(range(self.cluster_count)) - used)
-            raise CommunityError(f"cluster {unused} has no nodes (ids must be dense 0..{self.cluster_count - 1})")
+            if cid < 0 or cid >= cluster_count:
+                raise CommunityError(f"node {node!r}: cluster id {cid!r} outside 0..{cluster_count - 1}")
+        used = set(assignment.values())
+        if len(used) < cluster_count:
+            unused = min(set(range(cluster_count)) - used)
+            raise CommunityError(f"cluster {unused} has no nodes (ids must be dense 0..{cluster_count - 1})")
+        return tuple.__new__(cls, (assignment, modularity, cluster_count))
 
     def members(self, cluster_id: int) -> tuple[str, ...]:
         return tuple(sorted(name for name, cid in self.assignment.items() if cid == cluster_id))
@@ -88,11 +87,8 @@ class Partition:
         return [tuple(block) for block in blocks]
 
 
-@dataclass(frozen=True)
-class ClusterLabel:
-    cluster_id: int
-    suggested_label: str
-    top_tags: tuple[str, ...]
+# cluster_id (int), suggested_label (str) and top_tags (tuple of up to 5 member names)
+ClusterLabel = namedtuple("ClusterLabel", "cluster_id suggested_label top_tags")
 
 
 def modularity(graph: CoGraph, partition: Partition | dict[str, int], resolution: float = 1.0) -> float:
@@ -454,7 +450,7 @@ def _descents(level: _Level, resolution: float) -> list[list[int]]:
     return [lex, degree]
 
 
-def louvain(graph: CoGraph, resolution: float = PipelineConfig.resolution) -> Partition:
+def louvain(graph: CoGraph, resolution: float = SETTINGS["resolution"].default) -> Partition:
     """Multilevel modularity maximization with refinement, fully deterministic.
 
     Greedy local moving is sensitive to traversal order, so the full descent

@@ -4,21 +4,24 @@ A configuration can come from three layers: built-in defaults, a flat JSON
 config file, and command-line flags. Flags win over the file, the file wins
 over defaults.
 
-Each setting is declared once, as a `PipelineConfig` field that carries its
+Each setting is declared once, as a `Setting` in the `SETTINGS` table: its
 default, its help text, its choices where the value is one of a fixed set,
-and any other rule its value must meet. The config-file key and the flag
-(with ``-`` for ``_``) take the field's name, and both take the field's
-type from `setting_type`. A library function that takes a setting checks it
-with `check_setting` under its own error class, in the same words.
+and any other rule its value must meet. The `PipelineConfig` fields and
+their defaults are the table's, in its order. The config-file key and the
+flag (with ``-`` for ``_``) take the setting's name, and both take the
+setting's type from `setting_type`. A library function that takes a setting
+defaults to ``SETTINGS[name].default`` and checks it with `check_setting`
+under its own error class, in the same words.
 """
 
 from __future__ import annotations
 
-from dataclasses import Field, dataclass, field, fields
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import ConfigError, TechfluxError
 from .fileio import read_json
+from .records import Checked
 
 FIELD_CHOICES = ("text", "tags", "both")
 PAIR_CHOICES = ("all", "tech-tag")
@@ -26,41 +29,46 @@ MEASURE_OVERLAP_TARGET = "overlap_target"
 MEASURE_JACCARD = "jaccard"
 MEASURES = (MEASURE_OVERLAP_TARGET, MEASURE_JACCARD)
 
+# One setting's declaration. rule is None or (requirement, test): a value of
+# the setting's type must pass test, and one that fails either check is
+# reported as "<name> must <requirement>, got <value>".
+Setting = namedtuple("Setting", "default help choices rule")
 
-def _setting(default: object, help: str, choices: tuple[str, ...] | None = None, rule=None):
-    """A setting's field; rule is (requirement, test), and choices make the rule.
 
-    A value of the setting's type must pass test; one that fails either
-    check is reported as "<name> must <requirement>, got <value>".
-    """
+def _setting(default: object, help: str, choices: tuple[str, ...] | None = None, rule=None) -> Setting:
+    """A setting's declaration; choices make the rule."""
     if choices is not None:
         rule = (f"be one of {choices}", choices.__contains__)
-    return field(default=default, metadata={"help": help, "choices": choices, "rule": rule})
+    return Setting(default, help, choices, rule)
 
 
 # by type: the requirement of a setting without a rule, and of a config-file value
 _TYPE_REQUIREMENTS = {bool: "be a boolean", int: "be an integer", float: "be a number", str: "be a string"}
 
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    lexicon: str | None = _setting(None, "term lexicon JSON file")
-    field: str = _setting("both", "where terms come from", FIELD_CHOICES)
-    pairs: str = _setting("all", "which co-occurring pairs become edges", PAIR_CHOICES)
-    top_n: int = _setting(100, "keep the N most frequent nodes", rule=("be an integer >= 1", lambda n: n >= 1))
-    measure: str = _setting(MEASURE_OVERLAP_TARGET, "cluster similarity measure", MEASURES)
-    tau: float = _setting(0.1, "event threshold in (0,1)", rule=("lie in (0, 1)", lambda t: 0.0 < t < 1.0))
-    resolution: float = _setting(1.0, "clustering resolution", rule=("be positive", lambda r: r > 0.0))
-    weighted_mean: bool = _setting(False, "weight cluster indices by cluster size")
-    out: str = _setting(".", "output directory")
-
-    def __post_init__(self) -> None:
-        for name in SETTINGS:
-            check_setting(name, getattr(self, name))
+# setting name (= config-file key = PipelineConfig field) -> its declaration
+SETTINGS: dict[str, Setting] = {
+    "lexicon": _setting(None, "term lexicon JSON file"),
+    "field": _setting("both", "where terms come from", FIELD_CHOICES),
+    "pairs": _setting("all", "which co-occurring pairs become edges", PAIR_CHOICES),
+    "top_n": _setting(100, "keep the N most frequent nodes", rule=("be an integer >= 1", lambda n: n >= 1)),
+    "measure": _setting(MEASURE_OVERLAP_TARGET, "cluster similarity measure", MEASURES),
+    "tau": _setting(0.1, "event threshold in (0,1)", rule=("lie in (0, 1)", lambda t: 0.0 < t < 1.0)),
+    "resolution": _setting(1.0, "clustering resolution", rule=("be positive", lambda r: r > 0.0)),
+    "weighted_mean": _setting(False, "weight cluster indices by cluster size"),
+    "out": _setting(".", "output directory"),
+}
 
 
-# setting name (= config-file key) -> its PipelineConfig field
-SETTINGS: dict[str, Field] = {setting.name: setting for setting in fields(PipelineConfig)}
+class PipelineConfig(Checked, namedtuple("PipelineConfig", SETTINGS, defaults=[s.default for s in SETTINGS.values()])):
+    """A value for every setting, each meeting its setting's type and rule."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> PipelineConfig:
+        config = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(SETTINGS, config):
+            check_setting(name, value)
+        return config
 
 
 def check_setting(name: str, value: object, error: type[TechfluxError] = ConfigError) -> None:
@@ -69,12 +77,12 @@ def check_setting(name: str, value: object, error: type[TechfluxError] = ConfigE
     if value is None and setting.default is None:
         return
     expected = setting_type(setting)
-    requirement, test = setting.metadata["rule"] or (_TYPE_REQUIREMENTS[expected], None)
+    requirement, test = setting.rule or (_TYPE_REQUIREMENTS[expected], None)
     if not _has_type(value, expected) or (test is not None and not test(value)):
         raise error(f"{name} must {requirement}, got {value!r}")
 
 
-def setting_type(setting: Field) -> type:
+def setting_type(setting: Setting) -> type:
     """The type a setting takes in a config file and on its flag: its default's, or str for lexicon."""
     return str if setting.default is None else type(setting.default)
 
@@ -89,7 +97,7 @@ def _has_type(value: object, expected: type) -> bool:
 
 
 def read_config_file(path: str | Path) -> dict[str, object]:
-    """Load a flat JSON object of config keys, which are the dataclass field names."""
+    """Load a flat JSON object of config keys, which are the setting names."""
     raw = read_json(path, ConfigError, "config file")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a flat JSON object")

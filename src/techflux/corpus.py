@@ -21,11 +21,12 @@ import csv
 import datetime as dt
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import CorpusError
 from .fileio import atomic_write_text, has_lone_surrogate, open_text, read_json, write_csv
+from .records import Checked
 
 
 def normalize_tag(raw: str) -> str:
@@ -85,33 +86,29 @@ def parse_date(raw: str) -> dt.date:
     raise CorpusError(f"invalid ISO-8601 date: {raw!r}")
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Checked, namedtuple("Document", "id date text tags")):
     """One dated article with free text and author-assigned tags."""
 
-    id: str
-    date: dt.date
-    text: str = ""
-    tags: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __new__(cls, id: str, date: dt.date, text: str = "", tags: tuple[str, ...] = ()) -> Document:
+        if not id:
             raise CorpusError("document id must be nonempty")
-        if not isinstance(self.date, dt.date):
-            raise CorpusError(f"document {self.id!r}: date must be a date, got {type(self.date).__name__}")
+        if not isinstance(date, dt.date):
+            raise CorpusError(f"document {id!r}: date must be a date, got {type(date).__name__}")
+        return tuple.__new__(cls, (id, date, text, tags))
 
 
-@dataclass(frozen=True)
-class TimeWindow:
+class TimeWindow(Checked, namedtuple("TimeWindow", "start end label")):
     """Half-open date interval [start, end)."""
 
-    start: dt.date
-    end: dt.date
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start >= self.end:
-            raise CorpusError(f"window {self.describe()}: start must precede end")
+    def __new__(cls, start: dt.date, end: dt.date, label: str = "") -> TimeWindow:
+        window = tuple.__new__(cls, (start, end, label))
+        if start >= end:
+            raise CorpusError(f"window {window.describe()}: start must precede end")
+        return window
 
     def describe(self) -> str:
         return self.label or f"[{self.start.isoformat()},{self.end.isoformat()})"
@@ -137,20 +134,21 @@ class TimeWindow:
         return windows[0]
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Checked, namedtuple("Corpus", "documents")):
     """Immutable ordered document collection."""
 
-    documents: tuple[Document, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, documents: tuple[Document, ...] = ()) -> Corpus:
         seen: set[str] = set()
-        for doc in self.documents:
+        for doc in documents:
             if doc.id in seen:
                 raise CorpusError(f"duplicate document id: {doc.id!r}")
             seen.add(doc.id)
+        return tuple.__new__(cls, (documents,))
 
     def __len__(self) -> int:
+        """The number of documents; tuple indexing and iteration still see the one field."""
         return len(self.documents)
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import groupby
 from pathlib import Path
@@ -53,14 +53,10 @@ from pathlib import Path
 from .corpus import Document, normalize_tag
 from .errors import LexiconError
 from .fileio import read_json
+from .records import Checked
 
-
-@dataclass(frozen=True)
-class TermPattern:
-    """One canonical term plus the patterns that detect it."""
-
-    canonical: str
-    patterns: tuple[str, ...]
+# one canonical term (str) plus the patterns (tuple of str) that detect it
+TermPattern = namedtuple("TermPattern", "canonical patterns")
 
 
 _FLAGS = re.IGNORECASE | re.UNICODE
@@ -156,17 +152,17 @@ def _trie_regex(strings: list[str], depth: int = 0) -> str:
     return f"(?:{body})" if len(branches) > 1 else body
 
 
-@dataclass(frozen=True)
-class TermLexicon:
-    entries: tuple[TermPattern, ...]
-
-    def __post_init__(self) -> None:
+# no __slots__: the cached_property tables live in the instance __dict__
+class TermLexicon(Checked, namedtuple("TermLexicon", "entries")):
+    def __new__(cls, entries: tuple[TermPattern, ...]) -> TermLexicon:
         seen: set[str] = set()
-        for entry in self.entries:
+        for entry in entries:
             if entry.canonical in seen:
                 raise LexiconError(f"duplicate canonical term: {entry.canonical!r}")
             seen.add(entry.canonical)
-        self._patterns  # a pattern that does not compile fails here, not at the first extraction
+        lexicon = tuple.__new__(cls, (entries,))
+        lexicon._patterns  # a pattern that does not compile fails here, not at the first extraction
+        return lexicon
 
     # per pattern: (canonical, pattern, literal prefix, compiled search or None if all literal)
     @cached_property
@@ -228,6 +224,7 @@ class TermLexicon:
         return frozenset(entry.canonical for entry in self.entries)
 
     def __len__(self) -> int:
+        """The number of entries; tuple indexing and iteration still see the one field."""
         return len(self.entries)
 
 

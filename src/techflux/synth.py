@@ -40,11 +40,11 @@ import datetime as dt
 import itertools
 import math
 import re
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, Document, TimeWindow, normalize_tag, window_from_record
+from .corpus import Corpus, Document, normalize_tag, window_from_record
 from .errors import SynthError
 from .fileio import atomic_write_text, json_text, read_json
 from .forked import beside
@@ -140,49 +140,31 @@ def lane_limits(runs: Sequence[tuple[float, int]]) -> int:
     return int.from_bytes(b"".join(lanes), "little")
 
 
-@dataclass(frozen=True)
-class PlantCommunity:
-    name: str
-    members: tuple[str, ...]
-    rate: float
+# a community (name) of member terms, each drawn into its documents at rate
+PlantCommunity = namedtuple("PlantCommunity", "name members rate")
+
+# an event between windows pair and pair + 1: kind (one of EVENT_KINDS), the
+# source and target community names, the mixing share each target inherits,
+# a birth's size, and a rate for the targets or None for the default
+PlantEvent = namedtuple("PlantEvent", "kind pair sources targets mixing size rate")
+
+# windows (TimeWindows), the first window's communities (PlantCommunity),
+# events (PlantEvent), docs_per_window, noise_rate and seed
+PlantSpec = namedtuple("PlantSpec", "windows communities events docs_per_window noise_rate seed")
+
+# an event as planted, between community names
+PlantedEvent = namedtuple("PlantedEvent", "kind sources targets")
 
 
-@dataclass(frozen=True)
-class PlantEvent:
-    kind: str
-    pair: int
-    sources: tuple[str, ...]
-    targets: tuple[str, ...]
-    mixing: float
-    size: int | None
-    rate: float | None
+class GroundTruth(namedtuple("GroundTruth", "assignments pair_events convergence novelty")):
+    """Exact planted structure: assignments per window, events and indices per pair.
 
+    assignments holds a {term: community} dict per window; pair_events (of
+    PlantedEvent), convergence and novelty ({community: index}) one entry
+    per window pair.
+    """
 
-@dataclass(frozen=True)
-class PlantSpec:
-    windows: tuple[TimeWindow, ...]
-    communities: tuple[PlantCommunity, ...]
-    events: tuple[PlantEvent, ...]
-    docs_per_window: int
-    noise_rate: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class PlantedEvent:
-    kind: str
-    sources: tuple[str, ...]
-    targets: tuple[str, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class GroundTruth:
-    """Exact planted structure: assignments per window, events and indices per pair."""
-
-    assignments: tuple[dict[str, str], ...]
-    pair_events: tuple[tuple[PlantedEvent, ...], ...]
-    convergence: tuple[dict[str, float], ...]
-    novelty: tuple[dict[str, float], ...]
+    __slots__ = ()
 
     def terms(self) -> set[str]:
         out: set[str] = set()

@@ -15,16 +15,16 @@ later (t+1) cluster; a column sum then equals the fraction of that
 cluster's nodes already present anywhere in the earlier window, which is
 exactly the convergence index. Jaccard similarity is available for
 exploration but the indices are undefined for it. ``measure`` and ``tau``
-meet the rules of their `PipelineConfig` fields, or raise TransitionError.
+meet the rules of their `config.SETTINGS` entries, or raise TransitionError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .community import Partition
-from .config import MEASURE_OVERLAP_TARGET, PipelineConfig, check_setting
+from .config import MEASURE_OVERLAP_TARGET, SETTINGS, check_setting
 from .errors import TransitionError
 from .fileio import atomic_write_text, json_text, write_csv
 
@@ -37,38 +37,24 @@ EVENT_PERSIST = "persist"
 _CLAMP_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """M x K cluster-overlap matrix: row i is cluster i at t, column j is cluster j at t+1."""
+# M x K cluster-overlap matrix: row i is cluster i at t, column j is cluster j
+# at t+1. values (floats) and intersections (ints) are tuples of rows,
+# row_sizes and col_sizes the cluster sizes, measure the similarity measure.
+SimilarityMatrix = namedtuple("SimilarityMatrix", "values intersections row_sizes col_sizes measure")
 
-    values: tuple[tuple[float, ...], ...]
-    intersections: tuple[tuple[int, ...], ...]
-    row_sizes: tuple[int, ...]
-    col_sizes: tuple[int, ...]
-    measure: str
+# kind (one of the EVENT_* names), sources and targets (cluster ids), supports
+# (the similarity values that made the event)
+TransitionEvent = namedtuple("TransitionEvent", "kind sources targets supports")
 
-
-@dataclass(frozen=True)
-class TransitionEvent:
-    kind: str
-    sources: tuple[int, ...]
-    targets: tuple[int, ...]
-    supports: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class TransitionReport:
-    similarity: SimilarityMatrix
-    convergence: dict[int, float]
-    novelty: dict[int, float]
-    events: tuple[TransitionEvent, ...]
-    tau: float
+# similarity (a SimilarityMatrix), convergence and novelty ({t+1 cluster id:
+# index}), events (TransitionEvents) and the tau they were read with
+TransitionReport = namedtuple("TransitionReport", "similarity convergence novelty events tau")
 
 
 def similarity_matrix(
     part_t: Partition,
     part_t1: Partition,
-    measure: str = PipelineConfig.measure,
+    measure: str = SETTINGS["measure"].default,
 ) -> SimilarityMatrix:
     """Node-name overlap between every cluster at t and every cluster at t+1."""
     check_setting("measure", measure, TransitionError)
@@ -166,8 +152,8 @@ def classify_events(matrix: SimilarityMatrix, tau: float) -> list[TransitionEven
 def transition_report(
     part_t: Partition,
     part_t1: Partition,
-    tau: float = PipelineConfig.tau,
-    measure: str = PipelineConfig.measure,
+    tau: float = SETTINGS["tau"].default,
+    measure: str = SETTINGS["measure"].default,
 ) -> TransitionReport:
     """Full comparison of two clustered windows."""
     matrix = similarity_matrix(part_t, part_t1, measure)

@@ -457,6 +457,22 @@ def aggregate_reference(names, level: _Level, com):
     return [name_of[c] for c in ordered], adj, self_w, new_index
 
 
+def suggest_labels_reference(graph: CoGraph, assignment: dict[str, int]) -> list[tuple[str, ...]]:
+    """Per cluster id, its up to 5 members of largest intra-cluster weighted degree, ties to the lower name.
+
+    One ranking of every node, filtered per cluster; reference for the
+    ``top_tags`` of ``techflux.community.suggest_labels``, whose label is the first.
+    """
+    intra = dict.fromkeys(assignment, 0)
+    for (u, v), w in named_edges(graph).items():
+        if assignment[u] == assignment[v]:
+            intra[u] += w
+            intra[v] += w
+    ranked = sorted(assignment, key=lambda name: (-intra[name], name))
+    clusters = max(assignment.values()) + 1
+    return [tuple([name for name in ranked if assignment[name] == cid][:5]) for cid in range(clusters)]
+
+
 def similarity_matrix_reference(part_t, part_t1, measure: str):
     """(intersections, values, row sizes, column sizes) as numpy arrays, by array broadcasting."""
     def members(partition):

@@ -493,15 +493,29 @@ def test_a_byte_order_mark_changes_no_input(tmp_path, capsys, kind):
     assert results[1] == results[0]
 
 
-# imports every package module, runs the CLI with the given arguments, then
-# prints whether numpy got loaded
-_NUMPY_PROBE = (
+# Modules no start-up path may load: the runtime has no numpy, writes its XML
+# from strings, and its records are named tuples, so neither dataclasses nor
+# the inspect module it imports is loaded.
+_HEAVY_MODULES = ("numpy", "xml.etree.ElementTree", "pyexpat", "dataclasses", "inspect")
+
+# runs one start-up path, then prints which of _HEAVY_MODULES got loaded: "import"
+# imports the CLI, "setup" loads the inputs as perfbench/setup_probe.py does,
+# and any other path runs the CLI with the arguments that follow
+_START_UP_PROBE = (
     "import sys, techflux\n"
-    "from techflux.cli import main\n"
-    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-    "print('numpy loaded:', 'numpy' in sys.modules)\n"
+    "path, argv = sys.argv[1], sys.argv[2:]\n"
+    "code = 0\n"
+    "if path == 'setup':\n"
+    "    techflux.compile_lexicon(argv[0])\n"
+    "    techflux.load_corpus(argv[1])\n"
+    "else:\n"
+    "    from techflux.cli import main\n"
+    "    code = main(argv) if argv else 0\n"
+    f"print('loaded:', *sorted(set({_HEAVY_MODULES!r}) & set(sys.modules)))\n"
     "sys.exit(code)\n"
 )
+
+START_UP_PATHS = ["import", "setup", "trend", "cluster", "compare", "series", "synth"]
 
 
 def _cli_argv(tmp_path, command):
@@ -533,35 +547,45 @@ def _cli_argv(tmp_path, command):
     return ["compare", *inputs, "--window-t", "2021-01-01:2021-02-01", "--window-t1", "2021-02-01:2021-03-01", *out]
 
 
-@pytest.mark.parametrize("command", ["import", "trend", "cluster", "compare", "series", "synth"])
-def test_numpy_stays_off_the_start_up_path(tmp_path, command):
-    argv = [] if command == "import" else _cli_argv(tmp_path, command)
-    result = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *argv],
-        env=package_env(), capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "numpy loaded: False"
+@pytest.fixture(scope="module")
+def start_up_loads(tmp_path_factory):
+    """A start-up path -> the set of _HEAVY_MODULES it loads; each path runs once, in a fresh interpreter."""
+    loaded = {}
+
+    def probe(path):
+        if path not in loaded:
+            tmp_path = tmp_path_factory.mktemp(path)
+            if path == "setup":
+                data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
+                argv = [str(data / "lexicon.json"), str(data / "corpus.jsonl")]
+            else:
+                argv = [] if path == "import" else _cli_argv(tmp_path, path)
+            result = subprocess.run(
+                [sys.executable, "-c", _START_UP_PROBE, path, *argv],
+                env=package_env(), capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            last = result.stdout.splitlines()[-1].split()
+            assert last[0] == "loaded:", result.stdout
+            loaded[path] = set(last[1:])
+        return loaded[path]
+
+    return probe
 
 
-_XML_PROBE = (
-    "import sys\n"
-    "from techflux.cli import main\n"
-    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-    "print('xml loaded:', sorted({'xml.etree.ElementTree', 'pyexpat'} & set(sys.modules)))\n"
-    "sys.exit(code)\n"
-)
+@pytest.mark.parametrize("command", START_UP_PATHS)
+def test_numpy_stays_off_the_start_up_path(start_up_loads, command):
+    assert "numpy" not in start_up_loads(command)
 
 
-@pytest.mark.parametrize("command", ["import", "trend", "series", "compare", "cluster", "synth"])
-def test_xml_stays_off_the_start_up_path(tmp_path, command):
-    argv = [] if command == "import" else _cli_argv(tmp_path, command)
-    result = subprocess.run(
-        [sys.executable, "-c", _XML_PROBE, *argv],
-        env=package_env(), capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "xml loaded: []"
+@pytest.mark.parametrize("command", START_UP_PATHS)
+def test_xml_stays_off_the_start_up_path(start_up_loads, command):
+    assert not start_up_loads(command) & {"xml.etree.ElementTree", "pyexpat"}
+
+
+@pytest.mark.parametrize("command", START_UP_PATHS)
+def test_dataclasses_stay_off_the_start_up_path(start_up_loads, command):
+    assert not start_up_loads(command) & {"dataclasses", "inspect"}
 
 
 _SCAN_PROBE = (

@@ -45,6 +45,7 @@ from oracles import (
     make_graph,
     modularity_pairsum,
     random_connected_graph,
+    suggest_labels_reference,
 )
 
 TRIANGLES = [("a", "b", 1), ("a", "c", 1), ("b", "c", 1),
@@ -352,6 +353,19 @@ def test_louvain_matches_stage_reference_descent(case):
     part = louvain(graph, resolution=resolution)
     assignment, quality = louvain_reference(graph, resolution)
     assert repr((part.assignment, part.modularity)) == repr((assignment, quality))
+
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+@given(louvain_cases(), st.data())
+def test_suggest_labels_matches_the_reference(case, data):
+    graph = case[0]
+    names = graph.node_names()
+    # any partition: up to 4 clusters of up to 20 nodes, so more than 5 members and tied degrees occur
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names)))
+    dense = {label: cid for cid, label in enumerate(sorted(set(labels)))}
+    part = Partition({name: dense[label] for name, label in zip(names, labels)}, 0.0, len(dense))
+    got = [(label.cluster_id, label.suggested_label, label.top_tags) for label in suggest_labels(graph, part)]
+    assert got == [(cid, top[0], top) for cid, top in enumerate(suggest_labels_reference(graph, part.assignment))]
 
 
 def test_descent_runs_no_escape_round_twice_on_one_assignment(monkeypatch):

@@ -31,15 +31,20 @@ from oracles import (
     export_graphml_reference,
     inheritance_indices_reference,
     louvain_reference,
+    modularity_pairsum,
     named_edges,
     ols_ssr_reference,
     read_graph_json,
     similarity_matrix_reference,
+    suggest_labels_reference,
     term_trend_reference,
 )
 
 # a tenth of the profile's examples: 10 by default, 100 under HYPOTHESIS_PROFILE=ci
 E2E_EXAMPLES = max(10, settings.default.max_examples // 10)
+
+# --resolution values: below, at and above the standard measure's 1
+RESOLUTIONS = [0.5, 1.0, 2.0]
 
 LEXICON_RECORDS = [
     {"canonical": "ai", "patterns": ["ai", r"a\.?i"]},
@@ -101,6 +106,7 @@ def series_cases(draw):
         "breakpoint": draw(st.integers(3, points - 3)),
         "field": draw(st.sampled_from(["both", "tags"])),
         "top_n": draw(st.sampled_from([100, 8])),
+        "resolution": draw(st.sampled_from(RESOLUTIONS)),
         "weighted": draw(st.booleans()),
     }
 
@@ -112,7 +118,7 @@ def _series_reference(case) -> tuple[list[float], list[float]]:
     for start, end in case["windows"]:
         sub = _corpus([doc for doc in case["docs"] if start <= doc[0] < end])
         graph = build_cooccurrence_reference(sub, lexicon, case["field"], "all", case["top_n"])
-        assignment, _ = louvain_reference(graph)
+        assignment, _ = louvain_reference(graph, case["resolution"])
         partitions.append(SimpleNamespace(assignment=assignment, cluster_count=max(assignment.values()) + 1))
     ci, ni = [], []
     for part_t, part_t1 in zip(partitions, partitions[1:]):
@@ -155,7 +161,7 @@ def test_series_files_match_the_composed_references(case):
         argv = [
             "series", "--corpus", _write_corpus(tmp / "c.jsonl", case["docs"]), "--windows", str(windows),
             "--lexicon", str(lexicon), "--breakpoint", str(case["breakpoint"]), "--field", case["field"],
-            "--top-n", str(case["top_n"]), "--out", str(tmp / "out"),
+            "--top-n", str(case["top_n"]), "--resolution", repr(case["resolution"]), "--out", str(tmp / "out"),
         ] + (["--weighted-mean"] if case["weighted"] else [])
         code, _, err = _run(argv)
         assert code == 0, err
@@ -172,14 +178,17 @@ def test_series_files_match_the_composed_references(case):
             _check_break(json.loads((tmp / "out" / f"break_{name}.json").read_text()), values, case["breakpoint"])
 
 
-def _clustered_reference(docs, window, field, pairs, top_n):
-    """(graph, Louvain assignment, Louvain modularity) of the documents in window, or None for the whole corpus."""
+def _clustered_reference(docs, window, field, pairs, top_n, resolution):
+    """(graph, Louvain assignment, modularity) of the documents in window, or None for the whole corpus.
+
+    The modularity is the standard measure whatever resolution steered Louvain.
+    """
     if window is not None:
         docs = [doc for doc in docs if window[0] <= doc[0] < window[1]]
     graph = build_cooccurrence_reference(_corpus(docs), lexicon_from_records(LEXICON_RECORDS), field, pairs, top_n)
     if not graph.edges:
         return graph, None, None
-    return (graph, *louvain_reference(graph))
+    return (graph, *louvain_reference(graph, resolution))
 
 
 def _check_clustered_files(out: Path, suffix: str, graph, assignment, quality) -> None:
@@ -192,20 +201,13 @@ def _check_clustered_files(out: Path, suffix: str, graph, assignment, quality) -
     assert partition["assignment"] == assignment
     assert partition["cluster_count"] == max(assignment.values()) + 1
     assert abs(partition["modularity"] - quality) <= 1e-12
+    # the standard measure at every resolution, by the ordered-pair formula
+    assert abs(partition["modularity"] - modularity_pairsum(graph, assignment)) <= 1e-12
 
 
 def _cluster_labels_reference(graph, assignment) -> list[str]:
-    """Per cluster, its id, a colon and its member of largest intra-cluster weighted degree (ties: lower name)."""
-    intra = dict.fromkeys(assignment, 0)
-    for (u, v), w in named_edges(graph).items():
-        if assignment[u] == assignment[v]:
-            intra[u] += w
-            intra[v] += w
-    clusters = max(assignment.values()) + 1
-    return [
-        f"{cid}:{min((name for name in assignment if assignment[name] == cid), key=lambda name: (-intra[name], name))}"
-        for cid in range(clusters)
-    ]
+    """Per cluster, its id, a colon and its suggested label."""
+    return [f"{cid}:{top[0]}" for cid, top in enumerate(suggest_labels_reference(graph, assignment))]
 
 
 def _settings(draw, *names):
@@ -216,6 +218,7 @@ def _settings(draw, *names):
         "top_n": [100, 6],
         "measure": ["overlap_target", "jaccard"],
         "tau": [0.05, 0.1, 0.25, 0.5, 0.75],
+        "resolution": RESOLUTIONS,
     }
     return {name: draw(st.sampled_from(choices[name])) for name in names}
 
@@ -226,7 +229,7 @@ def compare_cases(draw):
     docs = []
     for start, end in windows:
         docs += draw(st.lists(_doc(start, (end - start).days), min_size=2, max_size=8))
-    return {"windows": windows, "docs": docs, **_settings(draw, "field", "pairs", "top_n", "measure", "tau")}
+    return {"windows": windows, "docs": docs, **_settings(draw, "field", "pairs", "top_n", "measure", "tau", "resolution")}
 
 
 @settings(max_examples=E2E_EXAMPLES, deadline=None)
@@ -240,9 +243,13 @@ def test_compare_files_match_the_composed_references(case):
         code, _, err = _run([
             "compare", "--corpus", _write_corpus(tmp / "c.jsonl", case["docs"]), "--lexicon", str(tmp / "lex.json"),
             "--window-t", window_t, "--window-t1", window_t1, "--field", case["field"], "--pairs", case["pairs"],
-            "--top-n", str(case["top_n"]), "--measure", case["measure"], "--tau", repr(case["tau"]), "--out", str(out),
+            "--top-n", str(case["top_n"]), "--measure", case["measure"], "--tau", repr(case["tau"]),
+            "--resolution", repr(case["resolution"]), "--out", str(out),
         ])
-        sides = [_clustered_reference(case["docs"], w, case["field"], case["pairs"], case["top_n"]) for w in case["windows"]]
+        sides = [
+            _clustered_reference(case["docs"], w, case["field"], case["pairs"], case["top_n"], case["resolution"])
+            for w in case["windows"]
+        ]
         if any(assignment is None for _, assignment, _ in sides):
             assert code == 2 and "produced an edgeless graph" in err, err
             assert not any(out.iterdir())
@@ -290,7 +297,7 @@ def test_compare_files_match_the_composed_references(case):
 def cluster_cases(draw):
     docs = draw(st.lists(_doc(dt.date(2020, 1, 1), 60), min_size=2, max_size=10))
     window = draw(st.sampled_from([None, (dt.date(2020, 1, 1), dt.date(2020, 2, 1))]))
-    return {"docs": docs, "window": window, **_settings(draw, "field", "pairs", "top_n")}
+    return {"docs": docs, "window": window, **_settings(draw, "field", "pairs", "top_n", "resolution")}
 
 
 @settings(max_examples=E2E_EXAMPLES, deadline=None)
@@ -301,17 +308,26 @@ def test_cluster_files_match_the_composed_references(case):
         (tmp / "lex.json").write_text(json.dumps(LEXICON_RECORDS))
         window = [] if case["window"] is None else ["--window", ":".join(d.isoformat() for d in case["window"])]
         out = tmp / "out"
-        code, _, err = _run([
+        code, stdout, err = _run([
             "cluster", "--corpus", _write_corpus(tmp / "c.jsonl", case["docs"]), "--lexicon", str(tmp / "lex.json"),
-            *window, "--field", case["field"], "--pairs", case["pairs"], "--top-n", str(case["top_n"]), "--out", str(out),
+            *window, "--field", case["field"], "--pairs", case["pairs"], "--top-n", str(case["top_n"]),
+            "--resolution", repr(case["resolution"]), "--out", str(out),
         ])
-        graph, assignment, quality = _clustered_reference(case["docs"], case["window"], case["field"], case["pairs"], case["top_n"])
+        graph, assignment, quality = _clustered_reference(
+            case["docs"], case["window"], case["field"], case["pairs"], case["top_n"], case["resolution"]
+        )
         if assignment is None:
             assert code == 2 and "produced an edgeless graph" in err, err
             assert not any(out.iterdir())
             return
         assert code == 0, err
         _check_clustered_files(out, "", graph, assignment, quality)
+        # one line per cluster between the summary and the closing line, with every suggested tag
+        sizes = [list(assignment.values()).count(cid) for cid in range(max(assignment.values()) + 1)]
+        assert stdout.splitlines()[1:-1] == [
+            f"  cluster {cid} ({size} nodes): {', '.join(top)}"
+            for cid, (size, top) in enumerate(zip(sizes, suggest_labels_reference(graph, assignment), strict=True))
+        ]
 
 
 def _slug(term: str) -> str:
