@@ -29,11 +29,12 @@ from collections import namedtuple
 from pathlib import Path
 
 from .cograph import build_cooccurrence, document_items
-from .community import louvain
+from .community import Partition, louvain
 from .config import MEASURE_OVERLAP_TARGET, SETTINGS, PipelineConfig, check_setting
 from .corpus import Corpus, TimeWindow, window_filter
 from .errors import StatsError
 from .fileio import atomic_write_text, json_text, write_csv
+from .forked import beside
 from .lexicon import TermLexicon
 from .records import Checked
 from .transition import TransitionReport, transition_report
@@ -279,15 +280,49 @@ def check_windows(windows: list[TimeWindow]) -> None:
             )
 
 
+# Below this many documents dated within the windows' span, index_series
+# clusters its windows in this process. Per index_series call on the
+# benchmark's series spec cut to fewer documents per window (8 windows, tags,
+# top-n 120; 2-core 2.1 GHz Xeon VM, median of 48 alternating calls, window
+# fork forced against refused), the fork lost at 8 documents (9.7 against 8.9
+# ms) and won from 16 on with noise 0.01 (14.0 against 16.5 ms); with noise 0
+# it lost at 24 (10.3 against 9.0 ms), broke even at 32 and won from 40 on
+# (18.1 against 22.7 ms at 48; 36.1 against 68.5 ms at 96). Counting the span
+# costs about 0.1 us per document, less than one window filter.
+_FORK_MIN_DOCS = 48
+
+
+def _cluster_windows(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig) -> list[tuple]:
+    """(assignment, modularity, cluster_count) of each window's partition, as marshal carries them."""
+    return [tuple(cluster_window(corpus, lexicon, w, config)[1]) for w in windows]
+
+
 def index_series(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig) -> IndexSeries:
     """Mean convergence/novelty per consecutive window pair.
 
     Each point is labeled with the later window of its pair, so a list of W
     windows yields W - 1 points. Indices always use the overlap measure
     regardless of the configured exploratory measure.
+
+    From _FORK_MIN_DOCS documents dated within the windows' span on, the
+    windows are clustered in two halves by window count: this process
+    clusters the first W // 2 windows while a forked child (forked.beside)
+    clusters the rest and sends back each partition, so the Louvain calls
+    take no descent fork of their own. An error in the first half raises
+    first, as in window order; an error in the second half raises when this
+    process reruns that half after the child has failed.
     """
     check_windows(windows)
-    partitions = [cluster_window(corpus, lexicon, w, config)[1] for w in windows]
+    start, end = windows[0].start, max(w.end for w in windows)
+    if sum(start <= doc.date < end for doc in corpus.documents) < _FORK_MIN_DOCS:
+        partitions = [cluster_window(corpus, lexicon, w, config)[1] for w in windows]
+    else:
+        half = len(windows) // 2
+        halves = beside(
+            lambda: _cluster_windows(corpus, lexicon, windows[:half], config),
+            lambda: _cluster_windows(corpus, lexicon, windows[half:], config),
+        )
+        partitions = [Partition(*fields) for fields_list in halves for fields in fields_list]
     points = []
     for part_t, part_t1, w_t1 in zip(partitions, partitions[1:], windows[1:]):
         report = transition_report(part_t, part_t1, tau=config.tau, measure=MEASURE_OVERLAP_TARGET)

@@ -37,7 +37,9 @@ On a graph of at least _FORK_MIN_NODES nodes the two descents run at the
 same time through forked.beside: in a single-threaded process on Linux the
 degree-order descent runs in a forked child and sends its labels back. Each
 descent is a pure function of the level and the resolution, so the result
-is the same either way.
+is the same either way. This descent fork serves compare and cluster; inside
+another beside, such as the window halves of breakcheck.index_series, both
+descents run in this process, since forked takes no nested fork.
 """
 
 from __future__ import annotations

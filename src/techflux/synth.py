@@ -414,11 +414,14 @@ def _split_runs(members: tuple[str, ...], parts: int, where: str, source: str) -
 
 
 # Below this many expected per-term draws the corpus is drawn in-process.
-# Per generate_corpus call on the benchmark's series spec cut to fewer
-# documents (2-core 2.1 GHz Xeon VM, median of 30 alternating calls), the
-# fork broke even at about 15,000 draws with noise 0.01 (20.7 against 20.8
-# ms) and 18,000 with noise 0 (26.6 against 26.9 ms), and won from 23,000
-# and 24,600 on (21.8 against 28.1 ms; 30.9 against 33.5 ms).
+# Per generate_corpus call on the benchmark's series spec cut to 7,680-30,720
+# expected draws (2-core 2.1 GHz Xeon VM, median of 30 alternating calls per
+# cell, three sessions): with noise 0 the fork lost at 7,680 draws and won
+# from 23,040 on in every session (24.5-26.7 against 26.7-30.1 ms), with the
+# sessions split in between; with noise 0.01 two sessions had it win at every
+# size and one had it lose at 15,360, 19,200 and 30,720 (17.4 against 16.7 ms
+# there). The in-process median of one cell moved by up to 7.5 ms between
+# sessions, more than the fork's margin where the sessions disagree.
 _FORK_MIN_DRAWS = 24_000
 
 

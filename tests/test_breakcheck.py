@@ -3,8 +3,10 @@ import datetime as dt
 import json
 import math
 import random
+import os
 import subprocess
 import sys
+import time
 
 import mpmath
 import pytest
@@ -12,6 +14,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from techflux import breakcheck
 from techflux.breakcheck import (
     TREND_PERIODS,
     BreakTestResult,
@@ -30,12 +33,17 @@ from techflux.breakcheck import (
     term_trend,
     trend_correlations,
 )
+from techflux.cli import main
+from techflux.community import _FORK_MIN_NODES
 from techflux.config import PipelineConfig
-from techflux.corpus import Corpus, Document, TimeWindow
+from techflux.corpus import Corpus, Document, TimeWindow, save_corpus, window_filter
 from techflux.errors import StatsError
+from techflux.cograph import build_cooccurrence
 from techflux.lexicon import lexicon_from_records
+from techflux.synth import generate_corpus, plant_spec_from_records
 
 from conftest import package_env
+from forkchecks import FORK_WARNING, ForkFallbacks, force_fork
 from oracles import chow_reference, ols_ssr_reference, term_trend_reference
 
 EMPTY_LEX = lexicon_from_records([])
@@ -311,6 +319,156 @@ def test_export_series_csv(tmp_path):
     assert rows[0] == ["window_start", "window_end", "mean_ci", "mean_ni"]
     assert rows[1] == ["2020-01-01", "2020-02-01", "0.500000", "0.500000"]
     assert rows[2] == ["2020-02-01", "2020-03-01", "0.125000", "0.875000"]
+
+
+# ---------------------------------------------------------------- the window fork
+
+
+def _fork_series_input():
+    """A planted tags corpus over 8 monthly windows, each tag graph large enough for a descent fork."""
+    spec = plant_spec_from_records({
+        "seed": 11, "docs_per_window": 40, "noise_rate": 0.02,
+        "windows": [{"start": f"2021-{m:02d}-01", "end": f"2021-{m + 1:02d}-01"} for m in range(1, 9)],
+        "communities": [{"name": f"c{i}", "size": 9, "rate": 0.5} for i in range(8)],
+        "events": [{"kind": "merge", "pair": 3, "sources": ["c0", "c1"], "targets": ["m"], "mixing": 1.0, "rate": 0.5}],
+    })
+    return generate_corpus(spec)[0], list(spec.windows)
+
+
+FORK_CORPUS, FORK_WINDOWS = _fork_series_input()
+TAGS = PipelineConfig(field="tags")
+
+
+def _series_argv(tmp_path, corpus, windows, out):
+    """`techflux series` over tags on corpus and windows written to tmp_path, with an empty lexicon."""
+    save_corpus(corpus, tmp_path / "corpus.jsonl")
+    (tmp_path / "windows.json").write_text(json.dumps([{"start": w.start.isoformat(), "end": w.end.isoformat()} for w in windows]))
+    (tmp_path / "lexicon.json").write_text("[]")
+    return [
+        "series", "--corpus", str(tmp_path / "corpus.jsonl"), "--windows", str(tmp_path / "windows.json"),
+        "--lexicon", str(tmp_path / "lexicon.json"), "--field", "tags", "--breakpoint", "3", "--out", str(out),
+    ]
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_the_window_fork_starts_at_fork_min_docs_within_the_windows_span(monkeypatch, below):
+    calls = []
+
+    def counting_beside(here, there):
+        calls.append(there)
+        return here(), there()
+
+    monkeypatch.setattr(breakcheck, "beside", counting_beside)
+    windows = [W1, W2, W3]
+    inside = [tag_doc(f"in-{i}", windows[i % 3].start, "a", "b") for i in range(breakcheck._FORK_MIN_DOCS - below)]
+    # documents before the first window or after the last one do not count
+    outside = [tag_doc(f"out-{i}", date, "a", "b") for i, date in enumerate([dt.date(2019, 12, 31), W3.end] * 5)]
+    series = index_series(Corpus(tuple(inside + outside)), EMPTY_LEX, windows, PipelineConfig())
+    assert len(calls) == (0 if below else 1)
+    assert series.ci_values() == [1.0, 1.0]
+
+
+class TestForkFallbacks(ForkFallbacks):
+    """index_series over _FORK_MIN_DOCS documents: the windows in two forked halves."""
+
+    def run(self):
+        assert len(FORK_CORPUS.documents) >= breakcheck._FORK_MIN_DOCS
+        return repr(index_series(FORK_CORPUS, EMPTY_LEX, FORK_WINDOWS, TAGS))
+
+    def in_process(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(breakcheck, "_FORK_MIN_DOCS", sys.maxsize)
+            return repr(index_series(FORK_CORPUS, EMPTY_LEX, FORK_WINDOWS, TAGS))
+
+    def hang_child_and_interrupt_parent(self, monkeypatch):
+        def interrupted_cluster_window(corpus, lexicon, window, config):
+            if window in FORK_WINDOWS[len(FORK_WINDOWS) // 2:]:
+                time.sleep(60)  # the child: only a kill ends it in time
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(breakcheck, "cluster_window", interrupted_cluster_window)
+
+
+# Runs `techflux series` (argv from the second argument on) in a fresh
+# interpreter, where numpy is not loaded, with the window fork as configured
+# or refused (first argument), and prints the number of forks made, the repr
+# of the index series and that of every partition pair the series compares.
+_SERIES_PROBE = """
+import json, os, sys
+from techflux import breakcheck
+from techflux.cli import main
+
+forks = 0
+real_fork = os.fork
+
+def counting_fork():
+    global forks
+    forks += 1
+    return real_fork()
+
+os.fork = counting_fork
+series, partitions = [], []
+real_series, real_report = breakcheck.index_series, breakcheck.transition_report
+
+def recording_series(*args):
+    result = real_series(*args)
+    series.append(repr(result))
+    return result
+
+def recording_report(part_t, part_t1, **options):
+    partitions.append([repr(part_t), repr(part_t1)])
+    return real_report(part_t, part_t1, **options)
+
+breakcheck.index_series, breakcheck.transition_report = recording_series, recording_report
+if sys.argv[1] == "refused":
+    breakcheck._FORK_MIN_DOCS = sys.maxsize
+code = main(sys.argv[2:])
+print(json.dumps({"code": code, "forks": forks, "numpy": "numpy" in sys.modules, "series": series, "partitions": partitions}))
+"""
+
+
+def test_forked_windows_match_the_refused_path_in_a_fresh_process(tmp_path):
+    graphs = [build_cooccurrence(window_filter(FORK_CORPUS, w), EMPTY_LEX, field="tags") for w in FORK_WINDOWS]
+    assert all(len(graph.nodes) >= _FORK_MIN_NODES for graph in graphs)
+    reports, outputs = {}, {}
+    for mode in ("forked", "refused"):
+        argv = _series_argv(tmp_path, FORK_CORPUS, FORK_WINDOWS, tmp_path / mode)
+        result = subprocess.run([sys.executable, "-c", _SERIES_PROBE, mode, *argv],
+                                env=package_env(), capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        reports[mode] = json.loads(result.stdout.splitlines()[-1])
+        outputs[mode] = {path.name: path.read_bytes() for path in (tmp_path / mode).iterdir()}
+    forked, refused = reports["forked"], reports["refused"]
+    assert forked["code"] == refused["code"] == 0
+    assert not forked["numpy"]
+    # one window fork, which takes the place of every descent fork
+    assert forked["forks"] == 1
+    assert refused["forks"] == len(FORK_WINDOWS)
+    assert len(forked["series"]) == 1 and len(forked["partitions"]) == len(FORK_WINDOWS) - 1
+    assert forked["series"] == refused["series"]
+    assert forked["partitions"] == refused["partitions"]
+    assert forked["series"][0] == repr(index_series(FORK_CORPUS, EMPTY_LEX, FORK_WINDOWS, TAGS))
+    assert sorted(outputs["forked"]) == ["break_ci.json", "break_ni.json", "series.csv"]
+    assert outputs["forked"] == outputs["refused"]
+
+
+def _with_edgeless_windows(lonely):
+    """10 documents per window of FORK_WINDOWS; in the windows numbered in lonely each holds one tag."""
+    docs = [tag_doc(f"w{i}-{j}", w.start, *(("solo",) if i in lonely else ("a", "b", f"c{j}")))
+            for i, w in enumerate(FORK_WINDOWS) for j in range(10)]
+    return Corpus(tuple(docs))
+
+
+@pytest.mark.filterwarnings(FORK_WARNING)
+@pytest.mark.parametrize("lonely", [(6,), (1,), (1, 6)], ids=["child-half", "parent-half", "both-halves"])
+def test_an_edgeless_window_in_either_half_exits_2_naming_the_first(tmp_path, capsys, monkeypatch, lonely):
+    argv = _series_argv(tmp_path, _with_edgeless_windows(lonely), FORK_WINDOWS, tmp_path / "out")
+    forks = force_fork(monkeypatch)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"techflux breakcheck: window {FORK_WINDOWS[lonely[0]].describe()} produced an edgeless graph\n"
+    assert forks == [os.getpid()]
+    assert not list((tmp_path / "out").glob("*"))
 
 
 # ---------------------------------------------------------------- trends

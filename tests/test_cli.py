@@ -24,6 +24,7 @@ from techflux.lexicon import compile_lexicon
 from techflux.transition import classify_events, similarity_matrix, transition_report
 
 from conftest import package_env
+from forkchecks import FORK_WARNING, force_fork
 
 COMPARE_FILES = (
     "graph_t.graphml", "graph_t1.graphml", "graph_t.json", "graph_t1.json",
@@ -215,6 +216,7 @@ def _no_full_build(*args, **kwargs):
     raise AssertionError("a full graph was built and then cut to the top n")
 
 
+@pytest.mark.filterwarnings(FORK_WARNING)
 @pytest.mark.parametrize("command", ["compare", "series"])
 def test_windows_build_only_the_kept_nodes_and_extract_once_per_doc(tmp_path, monkeypatch, command):
     if command == "compare":
@@ -234,19 +236,26 @@ def test_windows_build_only_the_kept_nodes_and_extract_once_per_doc(tmp_path, mo
     for module in [m for name, m in sorted(sys.modules.items()) if name.startswith("techflux")]:
         if hasattr(module, "top_n_filter"):
             monkeypatch.setattr(module, "top_n_filter", _no_full_build)
-    extracted = collections.Counter()
     original = techflux.cograph.extract_terms
+    # series clusters half its windows in a forked child, which exits without
+    # flushing, so both processes append each extraction to one file unbuffered
+    log = os.open(tmp_path / "extracted.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def counting_extract(doc, lexicon):
-        extracted[doc.id] += 1
+        os.write(log, f"{doc.id}\n".encode())
         return original(doc, lexicon)
 
     monkeypatch.setattr(techflux.cograph, "extract_terms", counting_extract)
-    code = main([
-        command, "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
-        "--field", "text", "--top-n", "6", *window_args, "--out", str(tmp_path / "out"),
-    ])
+    force_fork(monkeypatch)
+    try:
+        code = main([
+            command, "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
+            "--field", "text", "--top-n", "6", *window_args, "--out", str(tmp_path / "out"),
+        ])
+    finally:
+        os.close(log)
     assert code == 0
+    extracted = collections.Counter((tmp_path / "extracted.log").read_text().split())
     corpus = load_corpus(data / "corpus.jsonl")
     expected = collections.Counter(
         doc.id for window in load_windows(windows_path) for doc in window_filter(corpus, window).documents
