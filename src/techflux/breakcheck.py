@@ -28,7 +28,7 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
-from .cograph import build_cooccurrence, document_items
+from .cograph import CoGraph, GraphNode, build_cooccurrence, document_items
 from .community import Partition, louvain
 from .config import MEASURE_OVERLAP_TARGET, SETTINGS, PipelineConfig, check_setting
 from .corpus import Corpus, TimeWindow, window_filter
@@ -280,21 +280,59 @@ def check_windows(windows: list[TimeWindow]) -> None:
             )
 
 
-# Below this many documents dated within the windows' span, index_series
-# clusters its windows in this process. Per index_series call on the
-# benchmark's series spec cut to fewer documents per window (8 windows, tags,
-# top-n 120; 2-core 2.1 GHz Xeon VM, median of 48 alternating calls, window
-# fork forced against refused), the fork lost at 8 documents (9.7 against 8.9
-# ms) and won from 16 on with noise 0.01 (14.0 against 16.5 ms); with noise 0
-# it lost at 24 (10.3 against 9.0 ms), broke even at 32 and won from 40 on
-# (18.1 against 22.7 ms at 48; 36.1 against 68.5 ms at 96). Counting the span
-# costs about 0.1 us per document, less than one window filter.
+# Below this many documents dated within the windows' span, cluster_windows
+# clusters every window in this process. Per call on the benchmark's specs cut
+# to fewer documents per window (2-core 2.1 GHz Xeon VM, window fork forced
+# against refused, in alternating calls):
+# - series (8 windows, tags, top-n 120; median of 48 calls): the fork lost at
+#   8 documents (9.7 against 8.9 ms) and won from 16 on with noise 0.01 (14.0
+#   against 16.5 ms); with noise 0 it lost at 24 (10.3 against 9.0 ms), broke
+#   even at 32 and won from 40 on (18.1 against 22.7 ms at 48; 36.1 against
+#   68.5 ms at 96).
+# - compare (2 windows split 1|1, text, top-n 100; median of 40 calls): with
+#   noise 0.01 the fork lost at 8 documents (11.5 against 10.2 ms) and won
+#   from 16 on (23.8 against 31.6 ms; 28.0 against 39.2 ms at 48); with noise
+#   0 it lost up to 24 (11.6 against 10.8 ms) and won from 32 on (16.9 against
+#   20.6 ms at 48).
+# Counting the span costs about 0.1 us per document, less than one window filter.
 _FORK_MIN_DOCS = 48
 
 
-def _cluster_windows(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig) -> list[tuple]:
-    """(assignment, modularity, cluster_count) of each window's partition, as marshal carries them."""
-    return [tuple(cluster_window(corpus, lexicon, w, config)[1]) for w in windows]
+def _window_replies(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig) -> list[tuple]:
+    """(node tuples, edge triples, partition fields) of each window, as marshal carries them."""
+    replies = []
+    for window in windows:
+        graph, partition = cluster_window(corpus, lexicon, window, config)
+        replies.append((tuple(map(tuple, graph.nodes)), graph.edges, tuple(partition)))
+    return replies
+
+
+def cluster_windows(
+    corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig
+) -> list[tuple[CoGraph, Partition]]:
+    """(graph, partition) of each window in order, as cluster_window gives them.
+
+    From _FORK_MIN_DOCS documents dated within [earliest start, latest end)
+    of the windows on, the windows are clustered in two halves by window
+    count: this process clusters the first W // 2 windows while a forked
+    child (forked.beside) clusters the rest and sends back each graph and
+    partition, which this process rebuilds through their checks. An error in
+    the first half raises first, as in window order; an error in the second
+    half raises when this process reruns that half after the child has failed.
+    """
+    start, end = min(w.start for w in windows), max(w.end for w in windows)
+    if sum(start <= doc.date < end for doc in corpus.documents) < _FORK_MIN_DOCS:
+        return [cluster_window(corpus, lexicon, w, config) for w in windows]
+    if config.field != "tags":
+        lexicon._tables  # built here once, so that the child inherits the scan and does not build it again
+    half = len(windows) // 2
+    mine, replies = beside(
+        lambda: [cluster_window(corpus, lexicon, w, config) for w in windows[:half]],
+        lambda: _window_replies(corpus, lexicon, windows[half:], config),
+    )
+    rebuilt = [(CoGraph(tuple(GraphNode(*node) for node in nodes), edges), Partition(*fields))
+               for nodes, edges, fields in replies]
+    return mine + rebuilt
 
 
 def index_series(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig) -> IndexSeries:
@@ -302,27 +340,11 @@ def index_series(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow]
 
     Each point is labeled with the later window of its pair, so a list of W
     windows yields W - 1 points. Indices always use the overlap measure
-    regardless of the configured exploratory measure.
-
-    From _FORK_MIN_DOCS documents dated within the windows' span on, the
-    windows are clustered in two halves by window count: this process
-    clusters the first W // 2 windows while a forked child (forked.beside)
-    clusters the rest and sends back each partition, so the Louvain calls
-    take no descent fork of their own. An error in the first half raises
-    first, as in window order; an error in the second half raises when this
-    process reruns that half after the child has failed.
+    regardless of the configured exploratory measure. The windows are
+    clustered by cluster_windows, in two forked halves on a large span.
     """
     check_windows(windows)
-    start, end = windows[0].start, max(w.end for w in windows)
-    if sum(start <= doc.date < end for doc in corpus.documents) < _FORK_MIN_DOCS:
-        partitions = [cluster_window(corpus, lexicon, w, config)[1] for w in windows]
-    else:
-        half = len(windows) // 2
-        halves = beside(
-            lambda: _cluster_windows(corpus, lexicon, windows[:half], config),
-            lambda: _cluster_windows(corpus, lexicon, windows[half:], config),
-        )
-        partitions = [Partition(*fields) for fields_list in halves for fields in fields_list]
+    partitions = [partition for _, partition in cluster_windows(corpus, lexicon, windows, config)]
     points = []
     for part_t, part_t1, w_t1 in zip(partitions, partitions[1:], windows[1:]):
         report = transition_report(part_t, part_t1, tau=config.tau, measure=MEASURE_OVERLAP_TARGET)

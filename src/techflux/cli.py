@@ -76,8 +76,7 @@ def run_compare(args: argparse.Namespace) -> int:
     window_t = TimeWindow.parse(args.window_t, label="t")
     window_t1 = TimeWindow.parse(args.window_t1, label="t+1")
     corpus = load_corpus(args.corpus)
-    graph_t, part_t = breakcheck.cluster_window(corpus, lexicon, window_t, config)
-    graph_t1, part_t1 = breakcheck.cluster_window(corpus, lexicon, window_t1, config)
+    (graph_t, part_t), (graph_t1, part_t1) = breakcheck.cluster_windows(corpus, lexicon, [window_t, window_t1], config)
     report = transition_report(part_t, part_t1, tau=config.tau, measure=config.measure)
     labels_t = _cluster_header(suggest_labels(graph_t, part_t))
     labels_t1 = _cluster_header(suggest_labels(graph_t1, part_t1))

@@ -32,14 +32,6 @@ descent runs once per traversal order and the higher-quality result wins,
 with ties going to the lexicographic sweep. Every stage uses fixed orders
 and tie-breaks, so repeated runs on the same graph yield identical
 partitions.
-
-On a graph of at least _FORK_MIN_NODES nodes the two descents run at the
-same time through forked.beside: in a single-threaded process on Linux the
-degree-order descent runs in a forked child and sends its labels back. Each
-descent is a pure function of the level and the resolution, so the result
-is the same either way. This descent fork serves compare and cluster; inside
-another beside, such as the window halves of breakcheck.index_series, both
-descents run in this process, since forked takes no nested fork.
 """
 
 from __future__ import annotations
@@ -51,7 +43,6 @@ from .cograph import CoGraph
 from .config import SETTINGS, check_setting
 from .errors import CommunityError
 from .fileio import atomic_write_text, json_text
-from .forked import beside
 from .records import Checked
 
 EDGELESS_MSG = "modularity undefined on edgeless graph"
@@ -429,37 +420,13 @@ def _dense_assignment(names: tuple[str, ...], node_com: list[int]) -> dict[str, 
     return {name: final_id[c] for name, c in zip(names, node_com)}
 
 
-# Below this many level-0 nodes the degree-order descent stays in-process.
-# Per louvain call on seeded graphs of loose 12-node groups (2-core 2.1 GHz
-# Xeon VM, median of 48 alternating calls), the fork lost at 48 nodes (22.6
-# against 18.0 ms), broke even at 56 and won from 64 on (32.8 against 37.3
-# ms; 72.9 against 97.0 ms at 100 nodes).
-_FORK_MIN_NODES = 64
-
-
-def _descents(level: _Level, resolution: float) -> list[list[int]]:
-    """The index-order and the degree-order descent, the second one beside the first on a large level.
-
-    Both are pure functions of the level and the resolution, so labels a
-    forked child sends back equal the ones the parent would compute.
-    """
-    if level.size < _FORK_MIN_NODES:
-        return [_descend(level, resolution, order_fn) for order_fn in (_lex_order, _degree_order)]
-    lex, degree = beside(
-        lambda: _descend(level, resolution, _lex_order),
-        lambda: _descend(level, resolution, _degree_order),
-    )
-    return [lex, degree]
-
-
 def louvain(graph: CoGraph, resolution: float = SETTINGS["resolution"].default) -> Partition:
     """Multilevel modularity maximization with refinement, fully deterministic.
 
     Greedy local moving is sensitive to traversal order, so the full descent
     (multilevel passes alternating with refinement) runs twice, once in
     lexicographic node order and once in descending-degree order, and the
-    higher-quality result wins (ties go to the lexicographic sweep). The two
-    descents run at the same time when a fork is taken (see _descents).
+    higher-quality result wins (ties go to the lexicographic sweep).
     Isolated nodes end up in singleton clusters and contribute 0 to
     modularity. The reported modularity is always the standard measure, even
     when a different resolution steered the optimization. Level 0 is the
@@ -472,7 +439,8 @@ def louvain(graph: CoGraph, resolution: float = SETTINGS["resolution"].default) 
     for u, v, weight in graph.edges:
         adj[u][v] = adj[v][u] = float(weight)
     level = _Level(adj, [0.0] * len(adj))
-    ranked = [(_quality(graph, labels, resolution), labels) for labels in _descents(level, resolution)]
+    descents = [_descend(level, resolution, order_fn) for order_fn in (_lex_order, _degree_order)]
+    ranked = [(_quality(graph, labels, resolution), labels) for labels in descents]
     # max keeps the first of equals: ties go to the index-order sweep
     quality, labels = max(ranked, key=lambda pair: pair[0])
     assignment = _dense_assignment(graph.node_names(), labels)

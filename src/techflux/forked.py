@@ -16,12 +16,9 @@ caller. The child is always reaped; on an exception in the parent,
 KeyboardInterrupt included, it is killed first. Under an ignored SIGCHLD the
 kernel reaps the child, and only the reply tells whether it succeeded.
 
-One fork at a time: while a ``beside`` call runs, in the parent and in its
-child alike, a nested ``beside`` runs both of its calls in this process. So a
-windowed ``series`` run forks once for its windows and its Louvain calls take
-no descent fork of their own, while a lone Louvain call still takes one.
-
-Each caller decides when its work is large enough to pay for a fork.
+Two callers fork, each at most once per run and neither inside the other:
+``synth.generate_corpus`` and ``breakcheck.cluster_windows``. Each decides
+when its work is large enough to pay for a fork.
 """
 
 from __future__ import annotations
@@ -75,23 +72,8 @@ def _fork(there: Callable[[], object]):
     return pid, read_fd
 
 
-# whether a beside call is running in this process; a forked child inherits it
-_live = False
-
-
 def beside(here: Callable[[], object], there: Callable[[], object]) -> tuple[object, object]:
-    """(here(), there()), with there() in a forked child when one is taken; never inside another beside."""
-    global _live
-    if _live:
-        return here(), there()
-    _live = True
-    try:
-        return _beside(here, there)
-    finally:
-        _live = False
-
-
-def _beside(here: Callable[[], object], there: Callable[[], object]) -> tuple[object, object]:
+    """(here(), there()), with there() in a forked child when one is taken."""
     child = _fork(there)
     if child is None:
         return here(), there()

@@ -223,10 +223,6 @@ class TermLexicon(Checked, namedtuple("TermLexicon", "entries")):
     def canonical_terms(self) -> frozenset[str]:
         return frozenset(entry.canonical for entry in self.entries)
 
-    def __len__(self) -> int:
-        """The number of entries; tuple indexing and iteration still see the one field."""
-        return len(self.entries)
-
 
 def compile_pattern(pattern: str) -> re.Pattern:
     """A lexicon pattern wrapped in word boundaries, compiled case-insensitively."""

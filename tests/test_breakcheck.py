@@ -34,13 +34,12 @@ from techflux.breakcheck import (
     trend_correlations,
 )
 from techflux.cli import main
-from techflux.community import _FORK_MIN_NODES
 from techflux.config import PipelineConfig
 from techflux.corpus import Corpus, Document, TimeWindow, save_corpus, window_filter
 from techflux.errors import StatsError
 from techflux.cograph import build_cooccurrence
 from techflux.lexicon import lexicon_from_records
-from techflux.synth import generate_corpus, plant_spec_from_records
+from techflux.synth import generate_corpus, lexicon_records, plant_spec_from_records
 
 from conftest import package_env
 from forkchecks import FORK_WARNING, ForkFallbacks, force_fork
@@ -324,34 +323,48 @@ def test_export_series_csv(tmp_path):
 # ---------------------------------------------------------------- the window fork
 
 
-def _fork_series_input():
-    """A planted tags corpus over 8 monthly windows, each tag graph large enough for a descent fork."""
+def _fork_input(with_text=False):
+    """A planted corpus over 8 monthly windows, each tag graph of 72 nodes, its windows and its lexicon records."""
     spec = plant_spec_from_records({
         "seed": 11, "docs_per_window": 40, "noise_rate": 0.02,
         "windows": [{"start": f"2021-{m:02d}-01", "end": f"2021-{m + 1:02d}-01"} for m in range(1, 9)],
         "communities": [{"name": f"c{i}", "size": 9, "rate": 0.5} for i in range(8)],
         "events": [{"kind": "merge", "pair": 3, "sources": ["c0", "c1"], "targets": ["m"], "mixing": 1.0, "rate": 0.5}],
     })
-    return generate_corpus(spec)[0], list(spec.windows)
+    corpus, truth = generate_corpus(spec, with_text=with_text)
+    return corpus, list(spec.windows), lexicon_records(truth)
 
 
-FORK_CORPUS, FORK_WINDOWS = _fork_series_input()
+FORK_CORPUS, FORK_WINDOWS, _ = _fork_input()
 TAGS = PipelineConfig(field="tags")
+
+
+def _window_arg(window):
+    return f"{window.start.isoformat()}:{window.end.isoformat()}"
+
+
+def _inputs_argv(tmp_path, corpus, windows=(), lexicon=()):
+    """--corpus and --lexicon of corpus and lexicon written to tmp_path, with windows written to windows.json."""
+    save_corpus(corpus, tmp_path / "corpus.jsonl")
+    (tmp_path / "windows.json").write_text(json.dumps([{"start": w.start.isoformat(), "end": w.end.isoformat()} for w in windows]))
+    (tmp_path / "lexicon.json").write_text(json.dumps(list(lexicon)))
+    return ["--corpus", str(tmp_path / "corpus.jsonl"), "--lexicon", str(tmp_path / "lexicon.json")]
 
 
 def _series_argv(tmp_path, corpus, windows, out):
     """`techflux series` over tags on corpus and windows written to tmp_path, with an empty lexicon."""
-    save_corpus(corpus, tmp_path / "corpus.jsonl")
-    (tmp_path / "windows.json").write_text(json.dumps([{"start": w.start.isoformat(), "end": w.end.isoformat()} for w in windows]))
-    (tmp_path / "lexicon.json").write_text("[]")
-    return [
-        "series", "--corpus", str(tmp_path / "corpus.jsonl"), "--windows", str(tmp_path / "windows.json"),
-        "--lexicon", str(tmp_path / "lexicon.json"), "--field", "tags", "--breakpoint", "3", "--out", str(out),
-    ]
+    return ["series", *_inputs_argv(tmp_path, corpus, windows), "--windows", str(tmp_path / "windows.json"),
+            "--field", "tags", "--breakpoint", "3", "--out", str(out)]
 
 
-@pytest.mark.parametrize("below", [True, False])
-def test_the_window_fork_starts_at_fork_min_docs_within_the_windows_span(monkeypatch, below):
+def _compare_argv(tmp_path, corpus, window_t, window_t1, out, field="tags", lexicon=()):
+    """`techflux compare` of two windows of corpus written to tmp_path."""
+    return ["compare", *_inputs_argv(tmp_path, corpus, lexicon=lexicon), "--window-t", _window_arg(window_t),
+            "--window-t1", _window_arg(window_t1), "--field", field, "--out", str(out)]
+
+
+def _counting_beside(monkeypatch):
+    """Run beside's two calls in this process; return the list of its calls."""
     calls = []
 
     def counting_beside(here, there):
@@ -359,6 +372,12 @@ def test_the_window_fork_starts_at_fork_min_docs_within_the_windows_span(monkeyp
         return here(), there()
 
     monkeypatch.setattr(breakcheck, "beside", counting_beside)
+    return calls
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_the_window_fork_starts_at_fork_min_docs_within_the_windows_span(monkeypatch, below):
+    calls = _counting_beside(monkeypatch)
     windows = [W1, W2, W3]
     inside = [tag_doc(f"in-{i}", windows[i % 3].start, "a", "b") for i in range(breakcheck._FORK_MIN_DOCS - below)]
     # documents before the first window or after the last one do not count
@@ -366,6 +385,18 @@ def test_the_window_fork_starts_at_fork_min_docs_within_the_windows_span(monkeyp
     series = index_series(Corpus(tuple(inside + outside)), EMPTY_LEX, windows, PipelineConfig())
     assert len(calls) == (0 if below else 1)
     assert series.ci_values() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_the_window_fork_counts_from_the_earliest_start_in_any_window_order(monkeypatch, below):
+    calls = _counting_beside(monkeypatch)
+    # compare's windows may come in any order and overlap: the span is [W1 start, W3 end)
+    windows = [TimeWindow(W2.start, W3.end), W1]
+    docs = [tag_doc(f"d-{i}", (W1.start, W3.start)[i % 2], "a", "b") for i in range(breakcheck._FORK_MIN_DOCS - below)]
+    corpus = Corpus(tuple(docs))
+    clustered = breakcheck.cluster_windows(corpus, EMPTY_LEX, windows, PipelineConfig())
+    assert len(calls) == (0 if below else 1)
+    assert repr(clustered) == repr([breakcheck.cluster_window(corpus, EMPTY_LEX, w, PipelineConfig()) for w in windows])
 
 
 class TestForkFallbacks(ForkFallbacks):
@@ -389,14 +420,38 @@ class TestForkFallbacks(ForkFallbacks):
         monkeypatch.setattr(breakcheck, "cluster_window", interrupted_cluster_window)
 
 
-# Runs `techflux series` (argv from the second argument on) in a fresh
-# interpreter, where numpy is not loaded, with the window fork as configured
-# or refused (first argument), and prints the number of forks made, the repr
-# of the index series and that of every partition pair the series compares.
-_SERIES_PROBE = """
-import json, os, sys
-from techflux import breakcheck
-from techflux.cli import main
+class TestCompareForkFallbacks(ForkFallbacks):
+    """cluster_windows over compare's two windows: window t here, window t+1 in the child."""
+
+    windows = FORK_WINDOWS[:2]
+
+    def run(self):
+        return repr(breakcheck.cluster_windows(FORK_CORPUS, EMPTY_LEX, self.windows, TAGS))
+
+    def in_process(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(breakcheck, "_FORK_MIN_DOCS", sys.maxsize)
+            return self.run()
+
+    def hang_child_and_interrupt_parent(self, monkeypatch):
+        def interrupted_cluster_window(corpus, lexicon, window, config):
+            if window == self.windows[1]:
+                time.sleep(60)  # the child: only a kill ends it in time
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(breakcheck, "cluster_window", interrupted_cluster_window)
+
+
+# Runs the techflux CLI (argv from the second argument on) in a fresh
+# interpreter, where numpy is not loaded, and prints the number of forks made,
+# the repr of every index series and of every partition pair compared, and
+# this process's pid; each lexicon scan built writes the pid that built it to
+# stderr, and each CPU affinity a child sets goes there too. The first argument sets the window fork: "forked" as configured,
+# "forced" from 0 documents on, "refused" never, or "threaded" as configured
+# with a second thread alive.
+_CLI_PROBE = """
+import json, os, sys, threading
+from techflux import breakcheck, cli, lexicon
 
 forks = 0
 real_fork = os.fork
@@ -408,7 +463,7 @@ def counting_fork():
 
 os.fork = counting_fork
 series, partitions = [], []
-real_series, real_report = breakcheck.index_series, breakcheck.transition_report
+real_series, real_report, real_trie = breakcheck.index_series, breakcheck.transition_report, lexicon._trie_regex
 
 def recording_series(*args):
     result = real_series(*args)
@@ -419,31 +474,72 @@ def recording_report(part_t, part_t1, **options):
     partitions.append([repr(part_t), repr(part_t1)])
     return real_report(part_t, part_t1, **options)
 
-breakcheck.index_series, breakcheck.transition_report = recording_series, recording_report
-if sys.argv[1] == "refused":
+def reporting_trie(strings, depth=0):
+    if depth == 0:
+        # a forked child exits without flushing, so write unbuffered
+        os.write(2, b"scan %d\\n" % os.getpid())
+    return real_trie(strings, depth)
+
+real_setaffinity = os.sched_setaffinity
+
+def reporting_setaffinity(pid, cpus):
+    os.write(2, ("affinity %s\\n" % json.dumps(sorted(cpus))).encode())
+    real_setaffinity(pid, cpus)
+
+os.sched_setaffinity = reporting_setaffinity
+
+breakcheck.index_series, lexicon._trie_regex = recording_series, reporting_trie
+breakcheck.transition_report = cli.transition_report = recording_report
+mode = sys.argv[1]
+if mode == "refused":
     breakcheck._FORK_MIN_DOCS = sys.maxsize
-code = main(sys.argv[2:])
-print(json.dumps({"code": code, "forks": forks, "numpy": "numpy" in sys.modules, "series": series, "partitions": partitions}))
+elif mode == "forced":
+    breakcheck._FORK_MIN_DOCS = 0
+release = threading.Event()
+if mode == "threaded":
+    threading.Thread(target=release.wait).start()
+code = cli.main(sys.argv[2:])
+release.set()
+print(json.dumps({"code": code, "forks": forks, "numpy": "numpy" in sys.modules, "pid": os.getpid(),
+                  "series": series, "partitions": partitions}))
 """
 
 
-def test_forked_windows_match_the_refused_path_in_a_fresh_process(tmp_path):
-    graphs = [build_cooccurrence(window_filter(FORK_CORPUS, w), EMPTY_LEX, field="tags") for w in FORK_WINDOWS]
-    assert all(len(graph.nodes) >= _FORK_MIN_NODES for graph in graphs)
+def _probe(tmp_path, modes, argv):
+    """Per mode: the probe's report, with the pids that built a lexicon scan and the CPU sets children
+    moved to, and the files argv(out) wrote."""
     reports, outputs = {}, {}
-    for mode in ("forked", "refused"):
-        argv = _series_argv(tmp_path, FORK_CORPUS, FORK_WINDOWS, tmp_path / mode)
-        result = subprocess.run([sys.executable, "-c", _SERIES_PROBE, mode, *argv],
+    for mode in modes:
+        result = subprocess.run([sys.executable, "-c", _CLI_PROBE, mode, *argv(tmp_path / mode)],
                                 env=package_env(), capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
-        reports[mode] = json.loads(result.stdout.splitlines()[-1])
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["code"] == 0, result.stderr
+        assert not report["numpy"]
+        report["scans"] = [int(line.split()[1]) for line in result.stderr.splitlines() if line.startswith("scan ")]
+        report["affinities"] = [set(json.loads(line[len("affinity "):])) for line in result.stderr.splitlines()
+                                if line.startswith("affinity ")]
+        reports[mode] = report
         outputs[mode] = {path.name: path.read_bytes() for path in (tmp_path / mode).iterdir()}
+    return reports, outputs
+
+
+def _graphs(windows):
+    return [build_cooccurrence(window_filter(FORK_CORPUS, w), EMPTY_LEX, field="tags") for w in windows]
+
+
+def test_forked_windows_match_the_refused_path_in_a_fresh_process(tmp_path):
+    assert all(len(graph.nodes) >= 64 for graph in _graphs(FORK_WINDOWS))
+    reports, outputs = _probe(tmp_path, ("forked", "refused"),
+                              lambda out: _series_argv(tmp_path, FORK_CORPUS, FORK_WINDOWS, out))
     forked, refused = reports["forked"], reports["refused"]
-    assert forked["code"] == refused["code"] == 0
-    assert not forked["numpy"]
-    # one window fork, which takes the place of every descent fork
+    # one fork for the windows, and none inside Louvain, whatever the size of its graph
     assert forked["forks"] == 1
-    assert refused["forks"] == len(FORK_WINDOWS)
+    assert refused["forks"] == 0
+    # the child leaves its parent's CPU when it may run elsewhere
+    allowed = os.sched_getaffinity(0)
+    assert len(forked["affinities"]) == (1 if len(allowed) > 1 else 0)
+    assert all(cpus < allowed and len(cpus) == len(allowed) - 1 for cpus in forked["affinities"])
     assert len(forked["series"]) == 1 and len(forked["partitions"]) == len(FORK_WINDOWS) - 1
     assert forked["series"] == refused["series"]
     assert forked["partitions"] == refused["partitions"]
@@ -452,10 +548,54 @@ def test_forked_windows_match_the_refused_path_in_a_fresh_process(tmp_path):
     assert outputs["forked"] == outputs["refused"]
 
 
-def _with_edgeless_windows(lonely):
-    """10 documents per window of FORK_WINDOWS; in the windows numbered in lonely each holds one tag."""
+def test_forked_compare_matches_the_refused_path_in_a_fresh_process(tmp_path):
+    windows = FORK_WINDOWS[:2]
+    reports, outputs = _probe(tmp_path, ("forked", "refused"),
+                              lambda out: _compare_argv(tmp_path, FORK_CORPUS, *windows, out))
+    forked, refused = reports["forked"], reports["refused"]
+    assert forked["forks"] == 1
+    assert refused["forks"] == 0
+    assert forked["partitions"] == refused["partitions"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(breakcheck, "_FORK_MIN_DOCS", sys.maxsize)
+        here = breakcheck.cluster_windows(FORK_CORPUS, EMPTY_LEX, windows, TAGS)
+    assert forked["partitions"] == [[repr(part) for _, part in here]]
+    assert len(outputs["forked"]) == 9
+    assert outputs["forked"] == outputs["refused"]
+
+
+def test_cluster_forks_none_in_a_fresh_process(tmp_path):
+    window = FORK_WINDOWS[0]
+    assert len(_graphs([window])[0].nodes) >= 64
+    argv = ["cluster", *_inputs_argv(tmp_path, FORK_CORPUS), "--window", _window_arg(window), "--field", "tags"]
+    reports, outputs = _probe(tmp_path, ("forked",), lambda out: [*argv, "--out", str(out)])
+    assert reports["forked"]["forks"] == 0
+    assert sorted(outputs["forked"]) == ["graph.graphml", "graph.json", "partition.json"]
+
+
+def test_a_second_thread_keeps_every_window_in_process(tmp_path):
+    reports, outputs = _probe(tmp_path, ("threaded", "refused"),
+                              lambda out: _series_argv(tmp_path, FORK_CORPUS, FORK_WINDOWS, out))
+    assert reports["threaded"]["forks"] == 0
+    assert reports["threaded"]["series"] == reports["refused"]["series"]
+    assert outputs["threaded"] == outputs["refused"]
+
+
+def test_compare_text_builds_the_lexicon_scan_once_before_the_window_fork(tmp_path):
+    corpus, windows, lexicon = _fork_input(with_text=True)
+    reports, outputs = _probe(tmp_path, ("forced", "refused"),
+                              lambda out: _compare_argv(tmp_path, corpus, *windows[:2], out, field="text", lexicon=lexicon))
+    forced = reports["forced"]
+    assert forced["forks"] == 1
+    # built by this process before the fork; the child inherits it
+    assert forced["scans"] == [forced["pid"]]
+    assert outputs["forced"] == outputs["refused"]
+
+
+def _with_edgeless_windows(lonely, per_window=10):
+    """per_window documents per window of FORK_WINDOWS; in the windows numbered in lonely each holds one tag."""
     docs = [tag_doc(f"w{i}-{j}", w.start, *(("solo",) if i in lonely else ("a", "b", f"c{j}")))
-            for i, w in enumerate(FORK_WINDOWS) for j in range(10)]
+            for i, w in enumerate(FORK_WINDOWS) for j in range(per_window)]
     return Corpus(tuple(docs))
 
 
@@ -467,6 +607,19 @@ def test_an_edgeless_window_in_either_half_exits_2_naming_the_first(tmp_path, ca
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"techflux breakcheck: window {FORK_WINDOWS[lonely[0]].describe()} produced an edgeless graph\n"
+    assert forks == [os.getpid()]
+    assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.filterwarnings(FORK_WARNING)
+@pytest.mark.parametrize("lonely", [(1,), (0,), (0, 1)], ids=["t1", "t", "both"])
+def test_compare_names_an_edgeless_window_t_before_window_t1(tmp_path, capsys, monkeypatch, lonely):
+    corpus = _with_edgeless_windows(lonely, per_window=30)
+    argv = _compare_argv(tmp_path, corpus, *FORK_WINDOWS[:2], tmp_path / "out")
+    forks = force_fork(monkeypatch)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"techflux breakcheck: window {('t', 't+1')[lonely[0]]} produced an edgeless graph\n"
     assert forks == [os.getpid()]
     assert not list((tmp_path / "out").glob("*"))
 

@@ -1,16 +1,12 @@
 import json
-import os
 import random
 import re
-import subprocess
-import sys
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from techflux import community, forked
+from techflux import community
 from techflux.community import (
     EDGELESS_MSG,
     Partition,
@@ -33,8 +29,6 @@ from techflux.errors import CommunityError
 from techflux.lexicon import lexicon_from_records
 from techflux.synth import generate_corpus, plant_spec_from_records
 
-from conftest import package_env
-from forkchecks import ForkFallbacks
 from oracles import (
     ORACLE_EXAMPLES,
     aggregate_reference,
@@ -431,114 +425,9 @@ def _random_graph(seed, n):
     return make_graph(edges, extra_nodes=names)
 
 
-def _fork_cases():
-    """(graph, resolution) pairs, each graph large enough for a fork."""
+def test_louvain_matches_the_reference_on_large_graphs():
     cases = [(graph, 1.0) for graph in _planted_graphs()]
     cases += [(_random_graph(1, 64), 1.0), (_random_graph(2, 90), 1.0), (_random_graph(3, 72), 1.5)]
-    assert all(len(graph.nodes) >= community._FORK_MIN_NODES for graph, _ in cases)
-    return cases
-
-
-# Clusters the (nodes, edges, resolution) triples read from stdin in a fresh
-# interpreter, where numpy is not loaded, optionally with a second thread
-# alive, and prints the number of forks made and every partition; each CPU
-# affinity a child sets goes to stderr.
-_FORK_PROBE = """
-import json, os, sys, threading
-from techflux.cograph import CoGraph, GraphNode
-from techflux.community import louvain
-
-forks = 0
-real_fork = os.fork
-
-def counting_fork():
-    global forks
-    forks += 1
-    return real_fork()
-
-os.fork = counting_fork
-real_setaffinity = os.sched_setaffinity
-
-def reporting_setaffinity(pid, cpus):
-    # a forked child exits without flushing, so write unbuffered
-    os.write(2, ("affinity %s\\n" % json.dumps(sorted(cpus))).encode())
-    real_setaffinity(pid, cpus)
-
-os.sched_setaffinity = reporting_setaffinity
-request = json.load(sys.stdin)
-release = threading.Event()
-if request["thread"]:
-    threading.Thread(target=release.wait).start()
-partitions = []
-for nodes, edges, resolution in request["graphs"]:
-    graph = CoGraph(nodes=tuple(GraphNode(*n) for n in nodes), edges=tuple(map(tuple, edges)))
-    part = louvain(graph, resolution)
-    partitions.append([part.assignment, part.cluster_count, repr(part.modularity)])
-release.set()
-print(json.dumps({"forks": forks, "numpy": "numpy" in sys.modules, "partitions": partitions}))
-"""
-
-
-def _run_fork_probe(cases, thread):
-    graphs = [[[(n.name, n.kind, n.doc_frequency) for n in graph.nodes], graph.edges, resolution]
-              for graph, resolution in cases]
-    result = subprocess.run([sys.executable, "-c", _FORK_PROBE], input=json.dumps({"thread": thread, "graphs": graphs}),
-                            env=package_env(), capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
-    report["affinities"] = [set(json.loads(line[len("affinity "):])) for line in result.stderr.splitlines()
-                            if line.startswith("affinity ")]
-    return report
-
-
-def test_forked_descent_matches_the_reference_in_a_fresh_process():
-    cases = _fork_cases()
-    report = _run_fork_probe(cases, thread=False)
-    assert not report["numpy"]
-    assert report["forks"] == len(cases)
-    # each child leaves its parent's CPU when it may run elsewhere
-    allowed = os.sched_getaffinity(0)
-    assert len(report["affinities"]) == (len(cases) if len(allowed) > 1 else 0)
-    assert all(cpus < allowed and len(cpus) == len(allowed) - 1 for cpus in report["affinities"])
-    for (graph, resolution), got in zip(cases, report["partitions"]):
-        assignment, quality = louvain_reference(graph, resolution)
-        assert got == [assignment, max(assignment.values()) + 1, repr(quality)]
-        here = louvain(graph, resolution)
-        assert got == [here.assignment, here.cluster_count, repr(here.modularity)]
-
-
-def test_a_second_thread_keeps_both_descents_in_process():
-    cases = _fork_cases()[:2]
-    report = _run_fork_probe(cases, thread=True)
-    assert report["forks"] == 0
-    for (graph, resolution), got in zip(cases, report["partitions"]):
-        here = louvain(graph, resolution)
-        assert got == [here.assignment, here.cluster_count, repr(here.modularity)]
-
-
-def test_current_cpu_is_one_the_process_may_run_on():
-    if not os.path.exists("/proc/self/stat"):
-        pytest.skip("needs /proc")
-    assert forked._current_cpu() in os.sched_getaffinity(0)
-
-
-class TestForkFallbacks(ForkFallbacks):
-    """louvain's two descents on a graph over _FORK_MIN_NODES."""
-
-    graph = _random_graph(3, 72)
-
-    def run(self):
-        return repr(louvain(self.graph))
-
-    def in_process(self):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(community, "_FORK_MIN_NODES", sys.maxsize)
-            return self.run()
-
-    def hang_child_and_interrupt_parent(self, monkeypatch):
-        def interrupted_descend(level, resolution, order_fn):
-            if order_fn is _degree_order:
-                time.sleep(60)  # the child: only a kill ends it in time
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(community, "_descend", interrupted_descend)
+    for graph, resolution in cases:
+        part = louvain(graph, resolution)
+        assert repr((part.assignment, part.modularity)) == repr(louvain_reference(graph, resolution))

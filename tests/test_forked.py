@@ -1,49 +1,24 @@
-"""One fork at a time: a beside inside a live beside runs both calls in its own process."""
+"""forked.beside runs its second call in a forked child, moved off its parent's CPU."""
 
 import os
 
 import pytest
 
 from techflux import forked
-from techflux.community import louvain
 
 from forkchecks import FORK_WARNING, force_fork
-from test_community import _random_graph
-
-pytestmark = [
-    pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork"),
-    pytest.mark.filterwarnings(FORK_WARNING),
-]
 
 
-def _pids():
-    """A beside's (here pid, there pid)."""
-    return forked.beside(os.getpid, os.getpid)
-
-
-def test_a_beside_in_the_parent_half_runs_in_process(monkeypatch):
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.filterwarnings(FORK_WARNING)
+def test_beside_runs_its_second_call_in_a_child(monkeypatch):
     forks = force_fork(monkeypatch)
-    inner, child = forked.beside(_pids, os.getpid)
-    assert inner == (os.getpid(), os.getpid())
-    assert child != os.getpid()
+    here, there = forked.beside(os.getpid, os.getpid)
+    assert here == os.getpid() != there
     assert forks == [os.getpid()]
 
 
-def test_a_beside_in_the_child_runs_in_process(monkeypatch):
-    forks = force_fork(monkeypatch)
-    # the child counts its own forks in its copy of the list
-    mine, (inner, child_forks) = forked.beside(os.getpid, lambda: (_pids(), len(forks)))
-    assert mine == os.getpid()
-    assert inner[0] == inner[1] != os.getpid()
-    assert child_forks == 1
-    assert forks == [os.getpid()]
-
-
-def test_louvain_after_a_beside_takes_its_descent_fork(monkeypatch):
-    graph = _random_graph(3, 72)
-    forks = force_fork(monkeypatch)
-    forked.beside(os.getpid, os.getpid)
-    with pytest.raises(KeyError):
-        forked.beside(lambda: {}["missing"], os.getpid)
-    louvain(graph)
-    assert forks == [os.getpid()] * 3
+def test_current_cpu_is_one_the_process_may_run_on():
+    if not os.path.exists("/proc/self/stat"):
+        pytest.skip("needs /proc")
+    assert forked._current_cpu() in os.sched_getaffinity(0)

@@ -72,7 +72,7 @@ def test_empty_text_gives_empty_set():
 
 def test_empty_lexicon_is_valid():
     lexicon = lexicon_from_records([])
-    assert len(lexicon) == 0
+    assert len(lexicon.entries) == 0
     assert extract_terms(doc("anything ai here"), lexicon) == set()
 
 
@@ -261,7 +261,7 @@ def test_synth_lexicon_is_fully_indexed():
     _, implied, always = lexicon._tables
     assert always == ()
     assert all(called == () for terms_called in implied.values() for _, called in terms_called)
-    assert len(implied) == len(lexicon)
+    assert len(implied) == len(lexicon.entries)
 
 
 # the four letters that IGNORECASE matches to ASCII ones, two combining
