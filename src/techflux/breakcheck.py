@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
+from bisect import bisect_left
+from collections import Counter, namedtuple
 from pathlib import Path
 
 from .cograph import CoGraph, GraphNode, build_cooccurrence, document_items
@@ -254,12 +255,18 @@ def mean_indices(report: TransitionReport, weighted: bool) -> tuple[float, float
     )
 
 
+def _empty_window(window: TimeWindow) -> StatsError:
+    return StatsError(f"window {window.describe()} holds no documents")
+
+
 def cluster_window(corpus: Corpus, lexicon: TermLexicon, window: TimeWindow | None, config: PipelineConfig):
     """Build, filter, and cluster one window, or the whole corpus when window is None.
 
-    Raises if the graph has no edges.
+    Raises if the window holds no documents, or else if the graph has no edges.
     """
     sub = corpus if window is None else window_filter(corpus, window)
+    if window is not None and not sub.documents:
+        raise _empty_window(window)
     graph = build_cooccurrence(sub, lexicon, field=config.field, pairs=config.pairs, top_n=config.top_n)
     if not graph.edges:
         scope = "the corpus" if window is None else f"window {window.describe()}"
@@ -294,8 +301,17 @@ def check_windows(windows: list[TimeWindow]) -> None:
 #   from 16 on (23.8 against 31.6 ms; 28.0 against 39.2 ms at 48); with noise
 #   0 it lost up to 24 (11.6 against 10.8 ms) and won from 32 on (16.9 against
 #   20.6 ms at 48).
-# Counting the span costs about 0.1 us per document, less than one window filter.
+# Counting the documents of the windows and their span (_documents_held) takes
+# about 0.1 us per document, 0.4-0.6 ms on 4,800, under 0.2% of a series run.
 _FORK_MIN_DOCS = 48
+
+
+def _documents_held(corpus: Corpus):
+    """A function (start, end) -> the number of documents dated in [start, end), from one count per day."""
+    days = sorted(Counter(doc.date for doc in corpus.documents).items())
+    firsts = [day for day, _ in days]
+    before = list(itertools.accumulate((n for _, n in days), initial=0))  # documents dated before each day
+    return lambda start, end: before[bisect_left(firsts, end)] - before[bisect_left(firsts, start)]
 
 
 def _window_replies(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig) -> list[tuple]:
@@ -319,9 +335,14 @@ def cluster_windows(
     partition, which this process rebuilds through their checks. An error in
     the first half raises first, as in window order; an error in the second
     half raises when this process reruns that half after the child has failed.
+    Before anything is built, the first window in order that holds no
+    documents raises.
     """
-    start, end = min(w.start for w in windows), max(w.end for w in windows)
-    if sum(start <= doc.date < end for doc in corpus.documents) < _FORK_MIN_DOCS:
+    held = _documents_held(corpus)
+    for window in windows:
+        if not held(window.start, window.end):
+            raise _empty_window(window)
+    if held(min(w.start for w in windows), max(w.end for w in windows)) < _FORK_MIN_DOCS:
         return [cluster_window(corpus, lexicon, w, config) for w in windows]
     if config.field != "tags":
         lexicon._tables  # built here once, so that the child inherits the scan and does not build it again

@@ -69,11 +69,8 @@ class Partition(Checked, namedtuple("Partition", "assignment modularity cluster_
             raise CommunityError(f"cluster {unused} has no nodes (ids must be dense 0..{cluster_count - 1})")
         return tuple.__new__(cls, (assignment, modularity, cluster_count))
 
-    def members(self, cluster_id: int) -> tuple[str, ...]:
-        return tuple(sorted(name for name, cid in self.assignment.items() if cid == cluster_id))
-
     def clusters(self) -> list[tuple[str, ...]]:
-        """Every cluster's members(), in one pass over the assignment."""
+        """Every cluster's member names, sorted, in one pass over the assignment."""
         blocks: list[list[str]] = [[] for _ in range(self.cluster_count)]
         for name in sorted(self.assignment):
             blocks[self.assignment[name]].append(name)

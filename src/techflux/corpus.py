@@ -9,6 +9,13 @@ formats are supported:
 * CSV: header ``id,date,text,tags`` with ``;``-separated tags, UTF-8,
   RFC-4180 quoting.
 
+A JSONL load holds the file's whole text in memory and walks its lines
+once. A regular line (one object with a nonempty string id, a valid string
+date, a string text and a list of string tags, and no surrogate escape) is
+built in that walk; any other line (blank, padded, mistyped, unparsable)
+is read by the checked per-line path, which raises the error a
+line-by-line read raises, in line order. CSV is read row by row.
+
 Tags are normalized on load: Unicode case-fold, trim, internal whitespace
 collapsed to single spaces, duplicates dropped (first occurrence wins).
 Dates are ``YYYY-MM-DD``, optionally with a time of day (see ``parse_date``),
@@ -25,7 +32,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from .errors import CorpusError
-from .fileio import atomic_write_text, has_lone_surrogate, open_text, read_json, write_csv
+from .fileio import _SURROGATE_ESCAPE, atomic_write_text, has_lone_surrogate, open_text, read_json, read_text, write_csv
 from .records import Checked
 
 
@@ -140,11 +147,12 @@ class Corpus(Checked, namedtuple("Corpus", "documents")):
     __slots__ = ()
 
     def __new__(cls, documents: tuple[Document, ...] = ()) -> Corpus:
-        seen: set[str] = set()
-        for doc in documents:
-            if doc.id in seen:
-                raise CorpusError(f"duplicate document id: {doc.id!r}")
-            seen.add(doc.id)
+        if len({doc.id for doc in documents}) < len(documents):
+            seen: set[str] = set()
+            for doc in documents:  # name the first id met again
+                if doc.id in seen:
+                    raise CorpusError(f"duplicate document id: {doc.id!r}")
+                seen.add(doc.id)
         return tuple.__new__(cls, (documents,))
 
     def __len__(self) -> int:
@@ -190,25 +198,82 @@ def _make_document(record: dict, where: str, names: dict[str, str], dates: dict[
     )
 
 
+def _split_lines(text: str) -> tuple[list[str], list[str]]:
+    """The lines of text, each without its end, and their ends, as file iteration with newline="" cuts them.
+
+    Unlike str.splitlines, this cuts at none of U+2028, U+0085 or \x0c,
+    which JSON keeps raw inside strings.
+    """
+    if "\r" in text:
+        pieces = re.split(r"(\r\n?|\n)", text)
+        lines, ends = pieces[::2], pieces[1::2]
+    else:
+        lines = text.split("\n")
+        ends = ["\n"] * (len(lines) - 1)
+    if lines[-1]:
+        ends.append("")  # the last line has no end
+    else:
+        lines.pop()
+    return lines, ends
+
+
+def _line_document(line: str, where: str, names: dict[str, str], dates: dict[str, dt.date]) -> Document | None:
+    """The document of one JSONL line, read with its end, or None for a blank line; raises on anything else."""
+    if not line.strip():
+        return None
+    try:
+        record = json.loads(line)
+        lone = has_lone_surrogate(line, record)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise CorpusError(f"{where}: invalid JSON (nested too deeply)") from None
+    if not isinstance(record, dict):
+        raise CorpusError(f"{where}: record must be a JSON object")
+    if lone:
+        raise CorpusError(f"{where}: lone surrogate escape, not valid text")
+    return _make_document(record, where, names, dates)
+
+
 def _load_jsonl(path: Path) -> list[Document]:
+    content = read_text(path, CorpusError, "corpus file")
+    screened = _SURROGATE_ESCAPE.search(content) is None
+    lines, ends = _split_lines(content)
+    del content  # the lines hold the text now, so it is not held twice while documents are built
     docs, names, dates = [], {}, {}
-    with open_text(path, CorpusError, "corpus file") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path.name} line {lineno}"
+    scan_once = json.JSONDecoder().scan_once
+    for lineno, line in enumerate(lines, start=1):
+        # A regular line is one object from its first character to its end,
+        # with no surrogate escape, a nonempty string id, a valid string date,
+        # a string text and a list of string tags: what _make_document gives
+        # for it is built here, through the same shared names and dates. Any
+        # other line fails a test below, or raises in the try, and is read by
+        # _line_document, which raises its error in line order.
+        if line[:1] == "{" and (screened or _SURROGATE_ESCAPE.search(line) is None):
             try:
-                record = json.loads(line)
-                lone = has_lone_surrogate(line, record)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from None
-            except RecursionError:
-                raise CorpusError(f"{where}: invalid JSON (nested too deeply)") from None
-            if not isinstance(record, dict):
-                raise CorpusError(f"{where}: record must be a JSON object")
-            if lone:
-                raise CorpusError(f"{where}: lone surrogate escape, not valid text")
-            docs.append(_make_document(record, where, names, dates))
+                record, end = scan_once(line, 0)
+                doc_id, raw_date, text, raw_tags = record.get("id"), record.get("date"), record.get("text"), record.get("tags")
+                if (end == len(line) and type(doc_id) is str and doc_id and type(raw_date) is str
+                        and type(text) is str and type(raw_tags) is list):
+                    date = dates.get(raw_date)
+                    if date is None:
+                        date = dates[raw_date] = parse_date(raw_date)
+                    tags = {}
+                    for raw in raw_tags:
+                        tag = names.get(raw)
+                        if tag is None:
+                            tag = names[raw] = normalize_tag(raw)
+                        if tag:
+                            tags[tag] = None
+                    # every check of Document.__new__ has passed above
+                    docs.append(tuple.__new__(Document, (doc_id, date, text, tuple(tags))))
+                    continue
+            # a parse failure, a bad date (CorpusError), a tag that is not a string (no casefold, or no hash)
+            except (StopIteration, ValueError, RecursionError, AttributeError, TypeError):
+                pass
+        doc = _line_document(line + ends[lineno - 1], f"{path.name} line {lineno}", names, dates)
+        if doc is not None:
+            docs.append(doc)
     return docs
 
 

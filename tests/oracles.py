@@ -21,9 +21,9 @@ from hypothesis import settings
 
 from techflux.cograph import KIND_TAG, KIND_TECHNOLOGY, CoGraph, GraphNode
 from techflux.community import _Level, _aggregate, modularity
-from techflux.corpus import Corpus, Document
-from techflux.errors import GraphError, SynthError
-from techflux.fileio import json_text
+from techflux.corpus import Corpus, Document, _make_document
+from techflux.errors import CorpusError, GraphError, SynthError
+from techflux.fileio import has_lone_surrogate, json_text, open_text
 from techflux.lexicon import TermLexicon
 from techflux.synth import (
     _DEFAULT_BIRTH_RATE,
@@ -78,6 +78,35 @@ def adjacency(graph: CoGraph) -> dict[str, dict[str, int]]:
         adj[u][v] = w
         adj[v][u] = w
     return adj
+
+
+def load_jsonl_reference(path) -> Corpus:
+    """load_corpus of a JSONL file as a loop over the lines of the open file, each read with json.loads.
+
+    This is the loader as it stood before the one-pass read: every line,
+    regular or not, takes the checked path, with the same messages, in line
+    order.
+    """
+    path = Path(path)
+    docs, names, dates = [], {}, {}
+    with open_text(path, CorpusError, "corpus file") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path.name} line {lineno}"
+            try:
+                record = json.loads(line)
+                lone = has_lone_surrogate(line, record)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from None
+            except RecursionError:
+                raise CorpusError(f"{where}: invalid JSON (nested too deeply)") from None
+            if not isinstance(record, dict):
+                raise CorpusError(f"{where}: record must be a JSON object")
+            if lone:
+                raise CorpusError(f"{where}: lone surrogate escape, not valid text")
+            docs.append(_make_document(record, where, names, dates))
+    return Corpus(documents=tuple(docs))
 
 
 def build_cooccurrence_reference(corpus, lexicon, field="both", pairs="all", top_n=None) -> CoGraph:

@@ -259,8 +259,8 @@ def _cluster_windows(corpus, truth, spec):
         part = louvain(graph)
         groups = _planted_groups(truth, w_index)
         mapping = {}
-        for cid in range(part.cluster_count):
-            members = set(part.members(cid))
+        for cid, block in enumerate(part.clusters()):
+            members = set(block)
             hits = [name for name, g in groups.items() if g == members]
             if len(hits) != 1:
                 return None
@@ -318,8 +318,8 @@ def _measured_novelty_gap(mixing, seed):
     groups = _planted_groups(truth, 1)
     part_t1 = partitions[1]
     renewed_clusters = []
-    for cid in range(part_t1.cluster_count):
-        members = set(part_t1.members(cid))
+    for cid, block in enumerate(part_t1.clusters()):
+        members = set(block)
         owner = max(groups, key=lambda name: len(groups[name] & members))
         if owner == "renew":
             renewed_clusters.append(cid)

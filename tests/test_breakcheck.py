@@ -624,6 +624,47 @@ def test_compare_names_an_edgeless_window_t_before_window_t1(tmp_path, capsys, m
     assert not list((tmp_path / "out").glob("*"))
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of breakcheck's name, which still runs; return the list of their arguments."""
+    calls, real = [], getattr(breakcheck, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(breakcheck, name, counting)
+    return calls
+
+
+EMPTY_2030 = TimeWindow(dt.date(2030, 1, 1), dt.date(2030, 2, 1))
+
+
+@pytest.mark.filterwarnings(FORK_WARNING)
+@pytest.mark.parametrize("corpus", [FORK_CORPUS, _with_edgeless_windows((1,))], ids=["planted", "edgeless-window-1"])
+def test_an_empty_last_window_exits_2_before_any_graph_is_built(tmp_path, capsys, monkeypatch, corpus):
+    # an empty window is refused before an earlier window that holds documents but gives an edgeless graph
+    argv = _series_argv(tmp_path, corpus, FORK_WINDOWS[:-1] + [EMPTY_2030], tmp_path / "out")
+    builds, louvains = _counting(monkeypatch, "build_cooccurrence"), _counting(monkeypatch, "louvain")
+    forks = force_fork(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "techflux breakcheck: window [2030-01-01,2030-02-01) holds no documents\n"
+    assert (builds, louvains, forks) == ([], [], [])
+    assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.filterwarnings(FORK_WARNING)
+@pytest.mark.parametrize("empty", [(1,), (0,), (0, 1)], ids=["t1", "t", "both"])
+def test_compare_names_an_empty_window_t_before_window_t1(tmp_path, capsys, monkeypatch, empty):
+    windows = [TimeWindow(dt.date(1999, 1 + i, 1), dt.date(1999, 2 + i, 1)) if i in empty else w
+               for i, w in enumerate(FORK_WINDOWS[:2])]
+    argv = _compare_argv(tmp_path, FORK_CORPUS, *windows, tmp_path / "out")
+    builds, forks = _counting(monkeypatch, "build_cooccurrence"), force_fork(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"techflux breakcheck: window {('t', 't+1')[empty[0]]} holds no documents\n"
+    assert (builds, forks) == ([], [])
+    assert not list((tmp_path / "out").glob("*"))
+
+
 # ---------------------------------------------------------------- trends
 
 

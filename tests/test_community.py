@@ -184,7 +184,6 @@ def test_partition_validation():
         with pytest.raises(CommunityError, match=f"^node 'b': cluster id {re.escape(repr(cid))} is not an integer$"):
             Partition(assignment={"a": 0, "b": cid}, modularity=0.0, cluster_count=2)
     part = Partition(assignment={"a": 0, "b": 1, "c": 0}, modularity=0.0, cluster_count=2)
-    assert part.members(0) == ("a", "c")
     assert part.clusters() == [("a", "c"), ("b",)]
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from techflux import corpus as corpus_module
 from techflux.corpus import (
     Corpus,
     Document,
@@ -22,6 +23,8 @@ from techflux.corpus import (
     window_filter,
 )
 from techflux.errors import CorpusError
+
+from oracles import load_jsonl_reference
 
 
 def test_normalize_tag_casefolds_and_collapses_whitespace():
@@ -363,6 +366,18 @@ def test_load_reports_the_line_of_bytes_that_are_not_utf8(tmp_path, suffix):
         load_corpus(path)
 
 
+def test_jsonl_bytes_that_are_not_utf8_are_reported_before_any_record(tmp_path):
+    # the whole file is decoded before its first line is read, so a bad record
+    # on line 2 does not hide bad bytes far past the first read buffer
+    lines = [json.dumps({"id": f"d{i}", "date": "2020-01-01", "text": "x" * 40}).encode() for i in range(3000)]
+    lines[1] = b"not json"
+    lines[2500] = lines[2500].replace(b"x" * 40, "caf\u00e9".encode("latin-1"))
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CorpusError, match=r"^c\.jsonl line 2501: not valid UTF-8$"):
+        load_corpus(path)
+
+
 def test_load_rejects_a_lone_surrogate_and_keeps_a_pair(tmp_path):
     path = tmp_path / "c.jsonl"
     good = r'{"id": "d1", "date": "2020-01-01", "tags": ["\ud83d\ude80 launch", "\\ud800"]}'
@@ -380,6 +395,114 @@ def test_load_reads_crlf_line_ends(tmp_path):
         load_corpus(path)
     path.write_bytes(path.read_bytes().replace(b'"2020-01-02"}', b'"2020-01-02", "text": "x"}'))
     assert [doc.id for doc in load_corpus(path).documents] == ["d1", "d2"]
+
+
+# The one-pass loader against the per-line reference. Each line is a record
+# in one of these shapes, regular or not; ids from a small set repeat.
+_RECORD_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+_RAW_TAG = st.one_of(_RAW_TAGS, _RECORD_TEXT)
+
+
+def _dumped(record, ensure_ascii=False, **raw):
+    """record as one JSON line, with each placeholder string value of raw put in unescaped."""
+    line = json.dumps(record, ensure_ascii=ensure_ascii)
+    for placeholder, value in raw.items():
+        line = line.replace(placeholder, value)
+    return line
+
+
+_SHAPES = {
+    "regular": lambda r: _dumped(r),
+    "ascii-escaped": lambda r: _dumped(r, ensure_ascii=True),
+    "surrogate pair": lambda r: _dumped({**r, "text": r["text"] + "\U0001f680"}, ensure_ascii=True),
+    "raw separators in text": lambda r: _dumped({**r, "text": "a\u2028b\x85c"}),
+    "raw control in text": lambda r: _dumped({**r, "text": "CTRL"}, CTRL="a\x0cb\x1cc"),
+    "lone surrogate": lambda r: _dumped({**r, "text": "LONE"}, LONE="\\ud800"),
+    "leading spaces": lambda r: "  " + _dumped(r),
+    "trailing spaces": lambda r: _dumped(r) + " \t",
+    "integer id": lambda r: _dumped({**r, "id": len(r["id"])}),
+    "null text and tags": lambda r: _dumped({**r, "text": None, "tags": None}),
+    "no text or tags": lambda r: _dumped({"id": r["id"], "date": r["date"]}),
+    "tag not a string": lambda r: _dumped({**r, "tags": r["tags"] + [7]}),
+    "bad date": lambda r: _dumped({**r, "date": "2021-02-30"}),
+    "empty date": lambda r: _dumped({**r, "date": ""}),
+    "truncated": lambda r: _dumped(r)[:-1],
+    "two objects": lambda r: _dumped(r) + _dumped(r),
+    "not an object": lambda r: _dumped([r]),
+    "blank": lambda r: "",
+    "whitespace": lambda r: " \t\x0c\u2028",
+}
+
+
+@st.composite
+def jsonl_files(draw):
+    """The bytes of a JSONL file mixing regular lines with every shape the one-pass loader leaves to the per-line path."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        record = {
+            "id": draw(st.sampled_from(["a", "b", "c", "d", "e", "f", "é", "g h"])),
+            "date": draw(st.sampled_from(_DATE_FORMS)),
+            "text": draw(_RECORD_TEXT),
+            "tags": draw(st.lists(_RAW_TAG, max_size=4)),
+        }
+        # regular lines are drawn as often as all the other shapes together
+        shape = draw(st.sampled_from(["regular"] * len(_SHAPES) + list(_SHAPES)))
+        lines.append(_SHAPES[shape](record) + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except CorpusError as exc:
+        return f"CorpusError: {exc}"
+
+
+@settings(deadline=None)
+@given(jsonl_files())
+def test_load_corpus_matches_the_per_line_reference(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_bytes(data)
+        loaded = _outcome(load_corpus, path)
+        assert loaded == _outcome(load_jsonl_reference, path)
+    if isinstance(loaded, Corpus):
+        assert all(type(doc) is Document for doc in loaded.documents)
+
+
+def _count_line_reads(monkeypatch):
+    calls, real = [], corpus_module._line_document
+
+    def counting(line, where, names, dates):
+        calls.append(where)
+        return real(line, where, names, dates)
+
+    monkeypatch.setattr(corpus_module, "_line_document", counting)
+    return calls
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+def test_a_regular_corpus_sends_no_line_to_the_per_line_path(tmp_path, monkeypatch, line_end):
+    # non-ASCII and line separators in text, raw tags that normalize alike or to nothing, repeated dates
+    corpus = Corpus(tuple(
+        Document(id=f"d{i}", date=dt.date(2021, 1, 1 + i % 7), text=f"caf\u00e9 {i}\u2028\x85\U0001f680",
+                 tags=normalize_tags(["AI", " ai ", "Big  Data", "  ", f"t{i % 5}"][: 1 + i % 5]))
+        for i in range(60)
+    ))
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", line_end.encode()))
+    calls = _count_line_reads(monkeypatch)
+    assert load_corpus(path) == corpus == load_jsonl_reference(path)
+    assert calls == []
+    # a blank line in the middle is the one line the per-line path reads
+    lines = path.read_bytes().split(line_end.encode())
+    path.write_bytes(line_end.encode().join(lines[:30] + [b""] + lines[30:]))
+    assert load_corpus(path) == corpus
+    assert calls == ["c.jsonl line 31"]
 
 
 def test_load_missing_file():

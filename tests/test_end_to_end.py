@@ -70,6 +70,15 @@ def _corpus(docs) -> Corpus:
     return Corpus(tuple(Document(id=f"d{i}", date=date, text=text, tags=tags) for i, (date, text, tags) in enumerate(docs)))
 
 
+def _refusal(docs, windows, labels=None) -> str:
+    """What a run on docs must refuse: the first of the (start, end) windows that holds none of them, else an edgeless graph."""
+    for i, (start, end) in enumerate(windows):
+        if not any(start <= date < end for date, _, _ in docs):
+            name = labels[i] if labels else f"[{start.isoformat()},{end.isoformat()})"
+            return f"window {name} holds no documents"
+    return "produced an edgeless graph"
+
+
 def _run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -251,7 +260,7 @@ def test_compare_files_match_the_composed_references(case):
             for w in case["windows"]
         ]
         if any(assignment is None for _, assignment, _ in sides):
-            assert code == 2 and "produced an edgeless graph" in err, err
+            assert code == 2 and _refusal(case["docs"], case["windows"], ("t", "t+1")) in err, err
             assert not any(out.iterdir())
             return
         assert code == 0, err
@@ -317,7 +326,7 @@ def test_cluster_files_match_the_composed_references(case):
             case["docs"], case["window"], case["field"], case["pairs"], case["top_n"], case["resolution"]
         )
         if assignment is None:
-            assert code == 2 and "produced an edgeless graph" in err, err
+            assert code == 2 and _refusal(case["docs"], [case["window"]] if case["window"] else []) in err, err
             assert not any(out.iterdir())
             return
         assert code == 0, err

@@ -710,7 +710,7 @@ def test_noiseless_corpus_recovers_planted_structure():
         partitions.append(partition)
 
     report = transition_report(partitions[0], partitions[1], tau=0.1)
-    members_t1 = {cid: set(partitions[1].members(cid)) for cid in range(partitions[1].cluster_count)}
+    members_t1 = {cid: set(block) for cid, block in enumerate(partitions[1].clusters())}
     planted_t1 = {}
     for term, community in truth.assignments[1].items():
         planted_t1.setdefault(community, set()).add(term)
