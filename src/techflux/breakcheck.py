@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections import Counter, namedtuple
+from collections import namedtuple
 from pathlib import Path
 
 from .cograph import CoGraph, GraphNode, build_cooccurrence, document_items
@@ -287,33 +287,6 @@ def check_windows(windows: list[TimeWindow]) -> None:
             )
 
 
-# Below this many documents dated within the windows' span, cluster_windows
-# clusters every window in this process. Per call on the benchmark's specs cut
-# to fewer documents per window (2-core 2.1 GHz Xeon VM, window fork forced
-# against refused, in alternating calls):
-# - series (8 windows, tags, top-n 120; median of 48 calls): the fork lost at
-#   8 documents (9.7 against 8.9 ms) and won from 16 on with noise 0.01 (14.0
-#   against 16.5 ms); with noise 0 it lost at 24 (10.3 against 9.0 ms), broke
-#   even at 32 and won from 40 on (18.1 against 22.7 ms at 48; 36.1 against
-#   68.5 ms at 96).
-# - compare (2 windows split 1|1, text, top-n 100; median of 40 calls): with
-#   noise 0.01 the fork lost at 8 documents (11.5 against 10.2 ms) and won
-#   from 16 on (23.8 against 31.6 ms; 28.0 against 39.2 ms at 48); with noise
-#   0 it lost up to 24 (11.6 against 10.8 ms) and won from 32 on (16.9 against
-#   20.6 ms at 48).
-# Counting the documents of the windows and their span (_documents_held) takes
-# about 0.1 us per document, 0.4-0.6 ms on 4,800, under 0.2% of a series run.
-_FORK_MIN_DOCS = 48
-
-
-def _documents_held(corpus: Corpus):
-    """A function (start, end) -> the number of documents dated in [start, end), from one count per day."""
-    days = sorted(Counter(doc.date for doc in corpus.documents).items())
-    firsts = [day for day, _ in days]
-    before = list(itertools.accumulate((n for _, n in days), initial=0))  # documents dated before each day
-    return lambda start, end: before[bisect_left(firsts, end)] - before[bisect_left(firsts, start)]
-
-
 def _window_replies(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig) -> list[tuple]:
     """(node tuples, edge triples, partition fields) of each window, as marshal carries them."""
     replies = []
@@ -328,22 +301,19 @@ def cluster_windows(
 ) -> list[tuple[CoGraph, Partition]]:
     """(graph, partition) of each window in order, as cluster_window gives them.
 
-    From _FORK_MIN_DOCS documents dated within [earliest start, latest end)
-    of the windows on, the windows are clustered in two halves by window
-    count: this process clusters the first W // 2 windows while a forked
-    child (forked.beside) clusters the rest and sends back each graph and
-    partition, which this process rebuilds through their checks. An error in
-    the first half raises first, as in window order; an error in the second
-    half raises when this process reruns that half after the child has failed.
-    Before anything is built, the first window in order that holds no
-    documents raises.
+    The windows are clustered in two halves by window count: this process
+    clusters the first W // 2 windows while a forked child (forked.beside)
+    clusters the rest and sends back each graph and partition, which this
+    process rebuilds through their checks. An error in the first half raises
+    first, as in window order; an error in the second half raises when this
+    process reruns that half after the child has failed. Before anything is
+    built, the first window in order that holds no documents raises.
     """
-    held = _documents_held(corpus)
+    days = sorted({doc.date for doc in corpus.documents})
     for window in windows:
-        if not held(window.start, window.end):
+        first = bisect_left(days, window.start)  # the first day on or after the window's start
+        if first == len(days) or days[first] >= window.end:
             raise _empty_window(window)
-    if held(min(w.start for w in windows), max(w.end for w in windows)) < _FORK_MIN_DOCS:
-        return [cluster_window(corpus, lexicon, w, config) for w in windows]
     if config.field != "tags":
         lexicon._tables  # built here once, so that the child inherits the scan and does not build it again
     half = len(windows) // 2
@@ -362,7 +332,7 @@ def index_series(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow]
     Each point is labeled with the later window of its pair, so a list of W
     windows yields W - 1 points. Indices always use the overlap measure
     regardless of the configured exploratory measure. The windows are
-    clustered by cluster_windows, in two forked halves on a large span.
+    clustered by cluster_windows, in two forked halves.
     """
     check_windows(windows)
     partitions = [partition for _, partition in cluster_windows(corpus, lexicon, windows, config)]

@@ -16,6 +16,7 @@ under its own error class, in the same words.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from pathlib import Path
 
@@ -53,7 +54,7 @@ SETTINGS: dict[str, Setting] = {
     "top_n": _setting(100, "keep the N most frequent nodes", rule=("be an integer >= 1", lambda n: n >= 1)),
     "measure": _setting(MEASURE_OVERLAP_TARGET, "cluster similarity measure", MEASURES),
     "tau": _setting(0.1, "event threshold in (0,1)", rule=("lie in (0, 1)", lambda t: 0.0 < t < 1.0)),
-    "resolution": _setting(1.0, "clustering resolution", rule=("be positive", lambda r: r > 0.0)),
+    "resolution": _setting(1.0, "clustering resolution", rule=("be positive and finite", lambda r: 0.0 < r <= sys.float_info.max)),
     "weighted_mean": _setting(False, "weight cluster indices by cluster size"),
     "out": _setting(".", "output directory"),
 }
@@ -108,7 +109,10 @@ def read_config_file(path: str | Path) -> dict[str, object]:
         expected = setting_type(SETTINGS[key])
         if not _has_type(value, expected):
             raise ConfigError(f"{path}: key {key!r} must {_TYPE_REQUIREMENTS[expected]}, got {value!r}")
-        values[key] = float(value) if expected is float else value
+        try:
+            values[key] = float(value) if expected is float else value
+        except OverflowError:
+            raise ConfigError(f"{path}: key {key!r} must be a number in float range") from None
     return values
 
 

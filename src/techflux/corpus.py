@@ -226,6 +226,8 @@ def _line_document(line: str, where: str, names: dict[str, str], dates: dict[str
         lone = has_lone_surrogate(line, record)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from None
+    except ValueError:  # an integer over Python's digit limit for int(str)
+        raise CorpusError(f"{where}: invalid JSON (integer too long)") from None
     except RecursionError:
         raise CorpusError(f"{where}: invalid JSON (nested too deeply)") from None
     if not isinstance(record, dict):

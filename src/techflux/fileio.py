@@ -63,6 +63,8 @@ def read_json(path: str | Path, error: type[Exception], what: str) -> object:
         lone = has_lone_surrogate(text, payload)
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
+    except ValueError:  # an integer over Python's digit limit for int(str)
+        raise error(f"{what} {path}: invalid JSON (integer too long)") from None
     except RecursionError:  # of the parse, or, just below its limit, of the dump that checks surrogates
         raise error(f"{what} {path}: invalid JSON (nested too deeply)") from None
     if lone:

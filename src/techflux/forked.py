@@ -16,9 +16,9 @@ caller. The child is always reaped; on an exception in the parent,
 KeyboardInterrupt included, it is killed first. Under an ignored SIGCHLD the
 kernel reaps the child, and only the reply tells whether it succeeded.
 
-Two callers fork, each at most once per run and neither inside the other:
-``synth.generate_corpus`` and ``breakcheck.cluster_windows``. Each decides
-when its work is large enough to pay for a fork.
+Two callers fork, each once per run and neither inside the other:
+``synth.generate_corpus`` and ``breakcheck.cluster_windows``. Neither asks
+how large its work is; this module alone decides between one process and two.
 """
 
 from __future__ import annotations

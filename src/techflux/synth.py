@@ -25,13 +25,12 @@ one Python int. The block gives exactly the keep decisions, and leaves
 exactly the state, of the same number of scalar draws, with no array
 library: the stream is the same splitmix64 sequence.
 
-The same property lets a second process start at any document. Above
-_FORK_MIN_DRAWS expected per-term draws, a forked child (forked.beside)
-draws the second half of the documents while this process draws the first.
-The child walks the first half drawing only each document's community and
-day through below(), whose rejections can take extra draws, and skips each
-flag block; it sends back each document's day and sorted tags. The
-documents are the same as in one process.
+The same property lets a second process start at any document. A forked
+child (forked.beside) draws the second half of the documents while this
+process draws the first. The child walks the first half drawing only each
+document's community and day through below(), whose rejections can take
+extra draws, and skips each flag block; it sends back each document's day
+and sorted tags. The documents are the same as in one process.
 """
 
 from __future__ import annotations
@@ -203,7 +202,7 @@ def _community_from_record(raw: object, where: str) -> PlantCommunity:
     if not isinstance(name, str) or not name:
         raise SynthError(f"{where}: community needs a nonempty string name")
     rate = raw.get("rate")
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 < float(rate) <= 1.0:
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 < rate <= 1.0:
         raise SynthError(f"{where}: community {name!r} needs a rate in (0, 1]")
     members_raw = raw.get("members")
     size = raw.get("size")
@@ -245,14 +244,14 @@ def _event_from_record(raw: object, where: str) -> PlantEvent:
     if len(set(sources)) != len(sources):
         raise SynthError(f"{where}: sources must be distinct, got {list(sources)!r}")
     mixing = raw.get("mixing", 1.0)
-    if isinstance(mixing, bool) or not isinstance(mixing, (int, float)) or not 0.0 <= float(mixing) <= 1.0:
+    if isinstance(mixing, bool) or not isinstance(mixing, (int, float)) or not 0.0 <= mixing <= 1.0:
         raise SynthError(f"{where}: mixing must lie in [0, 1], got {mixing!r}")
     mixing = float(mixing)
     size = raw.get("size")
     if size is not None and (isinstance(size, bool) or not isinstance(size, int) or size < 1):
         raise SynthError(f"{where}: event size must be a positive integer")
     rate = raw.get("rate")
-    if rate is not None and (isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 < float(rate) <= 1.0):
+    if rate is not None and (isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 < rate <= 1.0):
         raise SynthError(f"{where}: event rate must lie in (0, 1]")
     if kind == "birth":
         if len(sources) != 0 or len(targets) != 1:
@@ -293,7 +292,7 @@ def plant_spec_from_records(raw: object, where: str = "plant spec") -> PlantSpec
     if isinstance(docs, bool) or not isinstance(docs, int) or docs < 1:
         raise SynthError(f"{where}: docs_per_window must be a positive integer")
     noise = raw.get("noise_rate", 0.0)
-    if isinstance(noise, bool) or not isinstance(noise, (int, float)) or not 0.0 <= float(noise) < 1.0:
+    if isinstance(noise, bool) or not isinstance(noise, (int, float)) or not 0.0 <= noise < 1.0:
         raise SynthError(f"{where}: noise_rate must lie in [0, 1)")
     windows_raw = raw.get("windows")
     if not isinstance(windows_raw, list) or not windows_raw:
@@ -413,26 +412,6 @@ def _split_runs(members: tuple[str, ...], parts: int, where: str, source: str) -
     return runs
 
 
-# Below this many expected per-term draws the corpus is drawn in-process.
-# Per generate_corpus call on the benchmark's series spec cut to 7,680-30,720
-# expected draws (2-core 2.1 GHz Xeon VM, median of 30 alternating calls per
-# cell, three sessions): with noise 0 the fork lost at 7,680 draws and won
-# from 23,040 on in every session (24.5-26.7 against 26.7-30.1 ms), with the
-# sessions split in between; with noise 0.01 two sessions had it win at every
-# size and one had it lose at 15,360, 19,200 and 30,720 (17.4 against 16.7 ms
-# there). The in-process median of one cell moved by up to 7.5 ms between
-# sessions, more than the fork's margin where the sessions disagree.
-_FORK_MIN_DRAWS = 24_000
-
-
-def _expected_draws(spec: PlantSpec, states: list[list[PlantCommunity]]) -> float:
-    """The per-term draws of the whole corpus on average; a document picks its community uniformly."""
-    sizes = [[len(c.members) for c in state] for state in states]
-    if spec.noise_rate > 0.0:
-        return spec.docs_per_window * sum(sum(size) for size in sizes)
-    return spec.docs_per_window * sum(sum(size) / len(size) for size in sizes)
-
-
 def _draws(spec: PlantSpec, states: list[list[PlantCommunity]], first: int, stop: int):
     """(day, sorted tags) for documents first to stop - 1, numbered across windows.
 
@@ -496,21 +475,18 @@ def generate_corpus(spec: PlantSpec, with_text: bool = False) -> tuple[Corpus, G
     Each document draws its community, then one uniform per member in
     member order (kept below the community's rate), then, when noise is
     on, one per non-member in vocabulary order (kept below noise_rate),
-    then its day. The per-term draws are one flags_below() call. From
-    _FORK_MIN_DRAWS expected draws on, a forked child draws the second half
-    of the documents (forked.beside) while this process draws the first.
+    then its day. The per-term draws are one flags_below() call. A forked
+    child draws the second half of the documents (forked.beside) while this
+    process draws the first.
     """
     states, truth = _plant(spec)
     total = len(spec.windows) * spec.docs_per_window
-    if _expected_draws(spec, states) < _FORK_MIN_DRAWS:
-        documents = list(_documents(spec, 0, _draws(spec, states, 0, total), with_text))
-    else:
-        half = total // 2
-        documents, reply = beside(
-            lambda: list(_documents(spec, 0, _draws(spec, states, 0, half), with_text)),
-            lambda: list(_draws(spec, states, half, total)),
-        )
-        documents += _documents(spec, half, reply, with_text)
+    half = total // 2
+    documents, reply = beside(
+        lambda: list(_documents(spec, 0, _draws(spec, states, 0, half), with_text)),
+        lambda: list(_draws(spec, states, half, total)),
+    )
+    documents += _documents(spec, half, reply, with_text)
     return Corpus(documents=tuple(documents)), truth
 
 

@@ -32,6 +32,11 @@ def force_fork(monkeypatch, fork=os.fork):
     return forks
 
 
+def refuse_fork(monkeypatch):
+    """Keep forked.beside in this process, as a second thread does."""
+    monkeypatch.setattr(forked, "_single_threaded", lambda: False)
+
+
 def _assert_nothing_left(fds):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -43,7 +48,7 @@ class ForkFallbacks:
     """Every path through forked.beside gives the in-process result and leaves no child or descriptor."""
 
     def run(self):
-        """repr of the caller's result, on work large enough to ask for a fork."""
+        """repr of the caller's result, with a fork asked for."""
         raise NotImplementedError
 
     def in_process(self):

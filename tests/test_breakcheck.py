@@ -42,7 +42,7 @@ from techflux.lexicon import lexicon_from_records
 from techflux.synth import generate_corpus, lexicon_records, plant_spec_from_records
 
 from conftest import package_env
-from forkchecks import FORK_WARNING, ForkFallbacks, force_fork
+from forkchecks import FORK_WARNING, ForkFallbacks, force_fork, refuse_fork
 from oracles import chow_reference, ols_ssr_reference, term_trend_reference
 
 EMPTY_LEX = lexicon_from_records([])
@@ -375,41 +375,27 @@ def _counting_beside(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("below", [True, False])
-def test_the_window_fork_starts_at_fork_min_docs_within_the_windows_span(monkeypatch, below):
+def test_the_window_fork_matches_cluster_window_in_any_window_order(monkeypatch):
     calls = _counting_beside(monkeypatch)
-    windows = [W1, W2, W3]
-    inside = [tag_doc(f"in-{i}", windows[i % 3].start, "a", "b") for i in range(breakcheck._FORK_MIN_DOCS - below)]
-    # documents before the first window or after the last one do not count
-    outside = [tag_doc(f"out-{i}", date, "a", "b") for i, date in enumerate([dt.date(2019, 12, 31), W3.end] * 5)]
-    series = index_series(Corpus(tuple(inside + outside)), EMPTY_LEX, windows, PipelineConfig())
-    assert len(calls) == (0 if below else 1)
-    assert series.ci_values() == [1.0, 1.0]
-
-
-@pytest.mark.parametrize("below", [True, False])
-def test_the_window_fork_counts_from_the_earliest_start_in_any_window_order(monkeypatch, below):
-    calls = _counting_beside(monkeypatch)
-    # compare's windows may come in any order and overlap: the span is [W1 start, W3 end)
+    # compare's windows may come in any order and overlap
     windows = [TimeWindow(W2.start, W3.end), W1]
-    docs = [tag_doc(f"d-{i}", (W1.start, W3.start)[i % 2], "a", "b") for i in range(breakcheck._FORK_MIN_DOCS - below)]
+    docs = [tag_doc(f"d-{i}", (W1.start, W3.start)[i % 2], "a", "b") for i in range(4)]
     corpus = Corpus(tuple(docs))
     clustered = breakcheck.cluster_windows(corpus, EMPTY_LEX, windows, PipelineConfig())
-    assert len(calls) == (0 if below else 1)
+    assert len(calls) == 1
     assert repr(clustered) == repr([breakcheck.cluster_window(corpus, EMPTY_LEX, w, PipelineConfig()) for w in windows])
 
 
 class TestForkFallbacks(ForkFallbacks):
-    """index_series over _FORK_MIN_DOCS documents: the windows in two forked halves."""
+    """index_series: the windows in two forked halves."""
 
     def run(self):
-        assert len(FORK_CORPUS.documents) >= breakcheck._FORK_MIN_DOCS
         return repr(index_series(FORK_CORPUS, EMPTY_LEX, FORK_WINDOWS, TAGS))
 
     def in_process(self):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(breakcheck, "_FORK_MIN_DOCS", sys.maxsize)
-            return repr(index_series(FORK_CORPUS, EMPTY_LEX, FORK_WINDOWS, TAGS))
+            refuse_fork(patch)
+            return self.run()
 
     def hang_child_and_interrupt_parent(self, monkeypatch):
         def interrupted_cluster_window(corpus, lexicon, window, config):
@@ -430,7 +416,7 @@ class TestCompareForkFallbacks(ForkFallbacks):
 
     def in_process(self):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(breakcheck, "_FORK_MIN_DOCS", sys.maxsize)
+            refuse_fork(patch)
             return self.run()
 
     def hang_child_and_interrupt_parent(self, monkeypatch):
@@ -446,12 +432,12 @@ class TestCompareForkFallbacks(ForkFallbacks):
 # interpreter, where numpy is not loaded, and prints the number of forks made,
 # the repr of every index series and of every partition pair compared, and
 # this process's pid; each lexicon scan built writes the pid that built it to
-# stderr, and each CPU affinity a child sets goes there too. The first argument sets the window fork: "forked" as configured,
-# "forced" from 0 documents on, "refused" never, or "threaded" as configured
-# with a second thread alive.
+# stderr, and each CPU affinity a child sets goes there too. The first
+# argument sets the fork: "forked" as forked.beside decides, "refused" never,
+# or "threaded" with a second thread alive.
 _CLI_PROBE = """
 import json, os, sys, threading
-from techflux import breakcheck, cli, lexicon
+from techflux import breakcheck, cli, forked, lexicon
 
 forks = 0
 real_fork = os.fork
@@ -492,9 +478,7 @@ breakcheck.index_series, lexicon._trie_regex = recording_series, reporting_trie
 breakcheck.transition_report = cli.transition_report = recording_report
 mode = sys.argv[1]
 if mode == "refused":
-    breakcheck._FORK_MIN_DOCS = sys.maxsize
-elif mode == "forced":
-    breakcheck._FORK_MIN_DOCS = 0
+    forked._single_threaded = lambda: False
 release = threading.Event()
 if mode == "threaded":
     threading.Thread(target=release.wait).start()
@@ -557,7 +541,7 @@ def test_forked_compare_matches_the_refused_path_in_a_fresh_process(tmp_path):
     assert refused["forks"] == 0
     assert forked["partitions"] == refused["partitions"]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(breakcheck, "_FORK_MIN_DOCS", sys.maxsize)
+        refuse_fork(patch)
         here = breakcheck.cluster_windows(FORK_CORPUS, EMPTY_LEX, windows, TAGS)
     assert forked["partitions"] == [[repr(part) for _, part in here]]
     assert len(outputs["forked"]) == 9
@@ -573,6 +557,50 @@ def test_cluster_forks_none_in_a_fresh_process(tmp_path):
     assert sorted(outputs["forked"]) == ["graph.graphml", "graph.json", "partition.json"]
 
 
+# one document per window, and a plant spec of one document
+ONE_PER_WINDOW = Corpus(tuple(tag_doc(f"w{i}", w.start, "a", "b", f"c{i % 3}") for i, w in enumerate(FORK_WINDOWS)))
+ONE_DOCUMENT_SPEC = {"seed": 5, "docs_per_window": 1, "noise_rate": 0.0,
+                     "windows": [{"start": "2021-01-01", "end": "2021-02-01"}],
+                     "communities": [{"name": "c", "size": 3, "rate": 0.5}], "events": []}
+
+
+def _smallest_argv(tmp_path, command):
+    """argv(out) of command on the smallest input it takes."""
+    if command == "series":
+        return lambda out: _series_argv(tmp_path, ONE_PER_WINDOW, FORK_WINDOWS, out)
+    if command == "compare":
+        return lambda out: _compare_argv(tmp_path, ONE_PER_WINDOW, *FORK_WINDOWS[:2], out)
+    if command == "synth":
+        (tmp_path / "plant.json").write_text(json.dumps(ONE_DOCUMENT_SPEC))
+        return lambda out: ["synth", "--plant-spec", str(tmp_path / "plant.json"), "--out", str(out)]
+    one = Corpus(ONE_PER_WINDOW.documents[:1])
+    if command == "cluster":
+        return lambda out: ["cluster", *_inputs_argv(tmp_path, one), "--window", _window_arg(FORK_WINDOWS[0]),
+                            "--field", "tags", "--out", str(out)]
+    (tmp_path / "terms.txt").write_text("a\n")
+    (tmp_path / "lexicon.json").write_text(json.dumps([{"canonical": "a", "patterns": ["a"]}]))
+    save_corpus(one, tmp_path / "corpus.jsonl")
+    return lambda out: ["trend", "--corpus", f"x={tmp_path / 'corpus.jsonl'}", "--corpus", f"y={tmp_path / 'corpus.jsonl'}",
+                        "--terms", str(tmp_path / "terms.txt"), "--lexicon", str(tmp_path / "lexicon.json"), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["series", "compare", "synth"])
+def test_the_smallest_input_forks_once_and_writes_the_refused_bytes(tmp_path, command):
+    reports, outputs = _probe(tmp_path, ("forked", "refused"), _smallest_argv(tmp_path, command))
+    assert reports["forked"]["forks"] == 1
+    assert reports["refused"]["forks"] == 0
+    assert reports["forked"]["series"] == reports["refused"]["series"]
+    assert reports["forked"]["partitions"] == reports["refused"]["partitions"]
+    assert outputs["forked"] and outputs["forked"] == outputs["refused"]
+
+
+@pytest.mark.parametrize("command", ["cluster", "trend"])
+def test_the_smallest_input_forks_none(tmp_path, command):
+    reports, outputs = _probe(tmp_path, ("forked",), _smallest_argv(tmp_path, command))
+    assert reports["forked"]["forks"] == 0
+    assert outputs["forked"]
+
+
 def test_a_second_thread_keeps_every_window_in_process(tmp_path):
     reports, outputs = _probe(tmp_path, ("threaded", "refused"),
                               lambda out: _series_argv(tmp_path, FORK_CORPUS, FORK_WINDOWS, out))
@@ -583,13 +611,13 @@ def test_a_second_thread_keeps_every_window_in_process(tmp_path):
 
 def test_compare_text_builds_the_lexicon_scan_once_before_the_window_fork(tmp_path):
     corpus, windows, lexicon = _fork_input(with_text=True)
-    reports, outputs = _probe(tmp_path, ("forced", "refused"),
+    reports, outputs = _probe(tmp_path, ("forked", "refused"),
                               lambda out: _compare_argv(tmp_path, corpus, *windows[:2], out, field="text", lexicon=lexicon))
-    forced = reports["forced"]
-    assert forced["forks"] == 1
+    forked = reports["forked"]
+    assert forked["forks"] == 1
     # built by this process before the fork; the child inherits it
-    assert forced["scans"] == [forced["pid"]]
-    assert outputs["forced"] == outputs["refused"]
+    assert forked["scans"] == [forked["pid"]]
+    assert outputs["forked"] == outputs["refused"]
 
 
 def _with_edgeless_windows(lonely, per_window=10):

@@ -1113,8 +1113,9 @@ _CONFIG_FILE_ERRORS = [
     ({"top_n": 0}, "top_n must be an integer >= 1, got 0"),
     ({"tau": 1}, "tau must lie in (0, 1), got 1.0"),
     ({"tau": 0.0}, "tau must lie in (0, 1), got 0.0"),
-    ({"resolution": 0}, "resolution must be positive, got 0.0"),
-    ({"resolution": -1.5}, "resolution must be positive, got -1.5"),
+    ({"resolution": 0}, "resolution must be positive and finite, got 0.0"),
+    ({"resolution": -1.5}, "resolution must be positive and finite, got -1.5"),
+    ({"resolution": math.inf}, "resolution must be positive and finite, got inf"),
     (["tau", 0.5], "CONFIG: config must be a flat JSON object"),
     ({"tau": "0.5"}, "CONFIG: key 'tau' must be a number, got '0.5'"),
     ({"resolution": True}, "CONFIG: key 'resolution' must be a number, got True"),
@@ -1142,10 +1143,59 @@ def test_config_file_errors_exit_2_with_their_message(tmp_path, capsys, payload,
     assert not out.exists()
 
 
+_HUGE = "9" * 5000  # more digits than Python reads into an int by default (4,300)
+_OVER_FLOAT = "1" + "0" * 400  # an integer no float holds
+_PLANT = json.dumps({"seed": 1, "docs_per_window": 2, "noise_rate": 0.0,
+                     "windows": [{"start": "2021-01-01", "end": "2021-02-01"}, {"start": "2021-02-01", "end": "2021-03-01"}],
+                     "communities": [{"name": "c", "size": 3, "rate": 0.5}],
+                     "events": [{"kind": "persist", "pair": 0, "sources": ["c"], "mixing": 0.5}]})
+
+# (the file written, its text, the message naming the file as FILE)
+_HUGE_NUMBERS = {
+    "config": ("config.json", f'{{"top_n": {_HUGE}}}', "config: config file FILE: invalid JSON (integer too long)"),
+    "config-float": ("config.json", f'{{"resolution": {_OVER_FLOAT}}}',
+                     "config: FILE: key 'resolution' must be a number in float range"),
+    "lexicon": ("lexicon.json", f'[{{"canonical": "a", "patterns": ["a"], "n": {_HUGE}}}]',
+                "lexicon: lexicon file FILE: invalid JSON (integer too long)"),
+    "windows": ("windows.json", f'[{{"start": "2021-01-01", "end": "2021-02-01", "n": {_HUGE}}}]',
+                "corpus: windows file FILE: invalid JSON (integer too long)"),
+    "corpus": ("corpus.jsonl", f'{{"id": "a", "date": "2021-01-05", "tags": ["a", "b"]}}\n{{"id": "b", "n": {_HUGE}}}\n',
+               "corpus: corpus.jsonl line 2: invalid JSON (integer too long)"),
+    "plant-spec": ("plant.json", _PLANT.replace('"seed": 1', f'"seed": {_HUGE}'),
+                   "synth: plant spec FILE: invalid JSON (integer too long)"),
+    "rate": ("plant.json", _PLANT.replace('"rate": 0.5', f'"rate": {_OVER_FLOAT}'),
+             "synth: FILE: community 'c' needs a rate in (0, 1]"),
+    "mixing": ("plant.json", _PLANT.replace('"mixing": 0.5', f'"mixing": {_OVER_FLOAT}'),
+               f"synth: FILE event 0: mixing must lie in [0, 1], got {_OVER_FLOAT}"),
+    "noise_rate": ("plant.json", _PLANT.replace('"noise_rate": 0.0', f'"noise_rate": {_OVER_FLOAT}'),
+                   "synth: FILE: noise_rate must lie in [0, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", _HUGE_NUMBERS)
+def test_a_number_too_large_to_read_exits_2_naming_its_file(tmp_path, capsys, case):
+    name, text, message = _HUGE_NUMBERS[case]
+    files = {"config.json": "{}", "lexicon.json": '[{"canonical": "a", "patterns": ["a"]}]',
+             "windows.json": json.dumps([{"start": f"2021-0{m}-01", "end": f"2021-0{m + 1}-01"} for m in range(1, 8)]),
+             "corpus.jsonl": '{"id": "a", "date": "2021-01-05", "tags": ["a", "b"]}\n', "plant.json": _PLANT, name: text}
+    for file, content in files.items():
+        (tmp_path / file).write_text(content)
+    out = tmp_path / "out"
+    if name == "plant.json":
+        argv = ["synth", "--plant-spec", str(tmp_path / name), "--out", str(out)]
+    else:
+        argv = ["series", "--corpus", str(tmp_path / "corpus.jsonl"), "--windows", str(tmp_path / "windows.json"),
+                "--lexicon", str(tmp_path / "lexicon.json"), "--config", str(tmp_path / "config.json"),
+                "--breakpoint", "3", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"techflux {message.replace('FILE', str(tmp_path / name))}\n"
+
+
 @pytest.mark.parametrize("flag,message", [
     (["--top-n", "0"], "top_n must be an integer >= 1, got 0"),
     (["--tau", "1"], "tau must lie in (0, 1), got 1.0"),
-    (["--resolution", "0"], "resolution must be positive, got 0.0"),
+    (["--resolution", "0"], "resolution must be positive and finite, got 0.0"),
+    (["--resolution", "1e999"], "resolution must be positive and finite, got inf"),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_setting_flag_errors_exit_2_with_their_message(tmp_path, capsys, flag, message):
     out = tmp_path / "out"
@@ -1182,8 +1232,8 @@ def test_config_checks_a_library_caller_meets():
 
 @pytest.mark.parametrize("values,message", [
     ({"tau": "0.5"}, "tau must lie in (0, 1), got '0.5'"),
-    ({"resolution": None}, "resolution must be positive, got None"),
-    ({"resolution": True}, "resolution must be positive, got True"),
+    ({"resolution": None}, "resolution must be positive and finite, got None"),
+    ({"resolution": True}, "resolution must be positive and finite, got True"),
     ({"lexicon": 5}, "lexicon must be a string, got 5"),
     ({"out": 5}, "out must be a string, got 5"),
     ({"field": 5}, "field must be one of ('text', 'tags', 'both'), got 5"),
@@ -1221,7 +1271,7 @@ _BAD_SETTING_VALUES = {
     "top_n": [0, -3, 2.0, True, "5"],
     "measure": ["cosine", 5, None],
     "tau": [0.0, 1, "0.5", None, math.nan],
-    "resolution": [0, -1.5, True, None, "1"],
+    "resolution": [0, -1.5, True, None, "1", math.inf],
 }
 
 

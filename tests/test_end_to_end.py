@@ -237,7 +237,7 @@ def compare_cases(draw):
     windows = [(dt.date(2020, 1, 1), dt.date(2020, 2, 1)), (dt.date(2020, 2, 1), dt.date(2020, 3, 1))]
     docs = []
     for start, end in windows:
-        docs += draw(st.lists(_doc(start, (end - start).days), min_size=2, max_size=8))
+        docs += draw(st.lists(_doc(start, (end - start).days), max_size=8))
     return {"windows": windows, "docs": docs, **_settings(draw, "field", "pairs", "top_n", "measure", "tau", "resolution")}
 
 

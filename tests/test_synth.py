@@ -38,7 +38,7 @@ from techflux.synth import (
 from techflux.transition import transition_report
 
 from conftest import package_env
-from forkchecks import FORK_WARNING, ForkFallbacks, force_fork
+from forkchecks import FORK_WARNING, ForkFallbacks, force_fork, refuse_fork
 from oracles import ORACLE_EXAMPLES, chance, generate_corpus_reference, plant_reference
 
 EMPTY_LEX = lexicon_from_records([])
@@ -490,7 +490,6 @@ def test_generate_corpus_matches_scalar_oracle_with_a_forced_fork(spec, with_tex
     # every spec forks, down to one document: then the child draws it alone
     with pytest.MonkeyPatch.context() as patch:
         forks = force_fork(patch)
-        patch.setattr(synth, "_FORK_MIN_DRAWS", 0)
         corpus, truth = generate_corpus(spec, with_text=with_text)
     assert forks == [os.getpid()]
     expected_corpus, expected_truth = generate_corpus_reference(spec, with_text=with_text)
@@ -514,18 +513,17 @@ def _fork_spec_records(docs_per_window, windows):
 
 
 class TestForkFallbacks(ForkFallbacks):
-    """generate_corpus on a spec over _FORK_MIN_DRAWS expected draws."""
+    """generate_corpus: the second half of the documents drawn in a forked child."""
 
     spec = plant_spec_from_records(_fork_spec_records(docs_per_window=40, windows=2))
 
     def run(self):
-        assert synth._expected_draws(self.spec, synth._plant(self.spec)[0]) >= synth._FORK_MIN_DRAWS
         return repr(generate_corpus(self.spec)[0])
 
     def in_process(self):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(synth, "_FORK_MIN_DRAWS", math.inf)
-            return repr(generate_corpus(self.spec)[0])
+            refuse_fork(patch)
+            return self.run()
 
     def hang_child_and_interrupt_parent(self, monkeypatch):
         def interrupted_draws(spec, states, first, stop):
