@@ -375,10 +375,12 @@ def _counting_beside(monkeypatch):
     return calls
 
 
-def test_the_window_fork_matches_cluster_window_in_any_window_order(monkeypatch):
+@pytest.mark.parametrize("reverse", [True, False])
+def test_the_window_fork_counts_from_the_earliest_start_in_any_window_order(monkeypatch, reverse):
     calls = _counting_beside(monkeypatch)
-    # compare's windows may come in any order and overlap
-    windows = [TimeWindow(W2.start, W3.end), W1]
+    # compare's windows may come in any order and overlap; the documents on
+    # the earliest start, W1's, are held whether W1 comes first or last
+    windows = [TimeWindow(W2.start, W3.end), W1][::-1 if reverse else 1]
     docs = [tag_doc(f"d-{i}", (W1.start, W3.start)[i % 2], "a", "b") for i in range(4)]
     corpus = Corpus(tuple(docs))
     clustered = breakcheck.cluster_windows(corpus, EMPTY_LEX, windows, PipelineConfig())
