@@ -34,7 +34,7 @@ from .community import Partition, louvain
 from .config import MEASURE_OVERLAP_TARGET, SETTINGS, PipelineConfig, check_setting
 from .corpus import Corpus, TimeWindow, window_filter
 from .errors import StatsError
-from .fileio import atomic_write_text, json_text, write_csv
+from .fileio import write_csv, write_json
 from .forked import beside
 from .lexicon import TermLexicon
 from .records import Checked
@@ -206,21 +206,15 @@ def format_p_value(p: float) -> str:
     return f"{p:.4g}"
 
 
-def break_result_to_json(result: BreakTestResult) -> str:
-    f_value: object = result.f_statistic if math.isfinite(result.f_statistic) else "inf"
-    payload = {
-        "f_statistic": f_value,
+def export_break_json(result: BreakTestResult, path: str | Path) -> None:
+    write_json(path, {
+        "f_statistic": result.f_statistic if math.isfinite(result.f_statistic) else "inf",
         "p_value": result.p_value,
         "breakpoint_index": result.breakpoint_index,
         "k": result.k,
         "n1": result.n1,
         "n2": result.n2,
-    }
-    return json_text(payload)
-
-
-def export_break_json(result: BreakTestResult, path: str | Path) -> None:
-    atomic_write_text(path, break_result_to_json(result))
+    })
 
 
 # a later window (TimeWindow) and its mean convergence and novelty indices

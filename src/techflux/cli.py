@@ -6,13 +6,15 @@ correlations), so anything the CLI does can be reproduced programmatically.
 Outputs land in the directory given by --out (default: current directory)
 under fixed file names; all writes go through a temp-file rename so partial
 files never appear. The output directory is created before any input is
-read, so an unusable --out fails at once. Exit codes: 0 success, 1 internal
-error, 2 usage, input or I/O error.
+read, so an unusable --out fails at once; a run that fails then removes the
+directories that creation made, as far as they are still empty. Exit codes:
+0 success, 1 internal error, 2 usage, input or I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -55,14 +57,16 @@ def _read_settings(args: argparse.Namespace) -> tuple[PipelineConfig, Path, Term
     """Merge the config, create --out, then compile the lexicon, in that order."""
     file_values = read_config_file(args.config) if args.config else None
     config = build_config(file_values, {name: getattr(args, name, None) for name in SETTINGS})
-    out = _out_dir(config.out)
+    out = _out_dir(args, config.out)
     if not config.lexicon:
         raise ConfigError("a lexicon is required: pass --lexicon or set 'lexicon' in the config file")
     return config, out, compile_lexicon(config.lexicon)
 
 
-def _out_dir(path: str) -> Path:
+def _out_dir(args: argparse.Namespace, path: str) -> Path:
+    """Create the output directory; args.made lists the directories missing before, deepest first."""
     out = Path(path)
+    args.made = [p for p in (out, *out.parents) if not os.path.exists(p)]
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -184,7 +188,7 @@ def run_trend(args: argparse.Namespace) -> int:
 
 
 def run_synth(args: argparse.Namespace) -> int:
-    out = _out_dir(args.out)
+    out = _out_dir(args, args.out)
     spec = synth.load_plant_spec(args.plant_spec)
     if args.seed is not None:
         spec = spec._replace(seed=args.seed)
@@ -268,17 +272,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.made = []
     try:
         return args.func(args)
     except TechfluxError as exc:
-        print(f"techflux {exc.prefix}: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"techflux {exc.prefix}: {exc}", 2
     except OSError as exc:
-        print(f"techflux io: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"techflux io: {exc}", 2
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"techflux internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"techflux internal error: {type(exc).__name__}: {exc}", 1
+    print(message, file=sys.stderr)
+    # rmdir removes only an empty directory, so one that holds a file stays, and its parents with it
+    for directory in args.made:
+        try:
+            directory.rmdir()
+        except OSError:
+            pass
+    return code
 
 
 if __name__ == "__main__":

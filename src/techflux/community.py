@@ -42,7 +42,7 @@ from collections import namedtuple
 from .cograph import CoGraph
 from .config import SETTINGS, check_setting
 from .errors import CommunityError
-from .fileio import atomic_write_text, json_text
+from .fileio import write_json
 from .records import Checked
 
 EDGELESS_MSG = "modularity undefined on edgeless graph"
@@ -463,14 +463,9 @@ def suggest_labels(graph: CoGraph, partition: Partition) -> list[ClusterLabel]:
     return [ClusterLabel(cluster_id=cid, suggested_label=top[0], top_tags=top) for cid, top in enumerate(tops)]
 
 
-def partition_to_json(partition: Partition) -> str:
-    payload = {
+def export_partition_json(partition: Partition, path) -> None:
+    write_json(path, {
         "assignment": dict(sorted(partition.assignment.items())),
         "modularity": partition.modularity,
         "cluster_count": partition.cluster_count,
-    }
-    return json_text(payload)
-
-
-def export_partition_json(partition: Partition, path) -> None:
-    atomic_write_text(path, partition_to_json(partition))
+    })

@@ -9,9 +9,11 @@ default, its help text, its choices where the value is one of a fixed set,
 and any other rule its value must meet. The `PipelineConfig` fields and
 their defaults are the table's, in its order. The config-file key and the
 flag (with ``-`` for ``_``) take the setting's name, and both take the
-setting's type from `setting_type`. A library function that takes a setting
-defaults to ``SETTINGS[name].default`` and checks it with `check_setting`
-under its own error class, in the same words.
+setting's type from `setting_type`. Every value is checked by the one
+`check_setting`, in the same words wherever it comes from: a config-file
+value as it is read, with the file's name in front; a flag's after the
+merge; and a library function that takes a setting defaults to
+``SETTINGS[name].default`` and checks it under its own error class.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def _setting(default: object, help: str, choices: tuple[str, ...] | None = None,
     return Setting(default, help, choices, rule)
 
 
-# by type: the requirement of a setting without a rule, and of a config-file value
+# by type: the requirement of a setting without a rule
 _TYPE_REQUIREMENTS = {bool: "be a boolean", int: "be an integer", float: "be a number", str: "be a string"}
 
 # setting name (= config-file key = PipelineConfig field) -> its declaration
@@ -98,21 +100,17 @@ def _has_type(value: object, expected: type) -> bool:
 
 
 def read_config_file(path: str | Path) -> dict[str, object]:
-    """Load a flat JSON object of config keys, which are the setting names."""
-    raw = read_json(path, ConfigError, "config file")
-    if not isinstance(raw, dict):
+    """Load a flat JSON object of setting names, each value meeting its setting's rule (a null lexicon is none)."""
+    values = read_json(path, ConfigError, "config file")
+    if not isinstance(values, dict):
         raise ConfigError(f"{path}: config must be a flat JSON object")
-    values: dict[str, object] = {}
-    for key, value in raw.items():
+    for key, value in values.items():
         if key not in SETTINGS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
-        expected = setting_type(SETTINGS[key])
-        if not _has_type(value, expected):
-            raise ConfigError(f"{path}: key {key!r} must {_TYPE_REQUIREMENTS[expected]}, got {value!r}")
         try:
-            values[key] = float(value) if expected is float else value
-        except OverflowError:
-            raise ConfigError(f"{path}: key {key!r} must be a number in float range") from None
+            check_setting(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return values
 
 

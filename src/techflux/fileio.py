@@ -5,7 +5,9 @@ unreadable file, bytes that are not UTF-8, malformed JSON or a lone
 surrogate escape raise the caller's error class, naming the file. Outputs
 are indented UTF-8 JSON or RFC-4180 CSV, written to an exclusive randomly
 named temp file in the target directory, fsynced and renamed, so a crash
-leaves no half-written file.
+leaves no half-written file. Each JSON artefact but the graph (which
+``cograph`` lays out in the same text itself) is one exporter that builds
+its payload and passes it to `write_json`.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ def json_text(payload: object) -> str:
 
 
 def write_json(path: str | Path, payload: object) -> None:
+    """Write ``payload`` as ``json_text`` lays it out."""
     atomic_write_text(path, json_text(payload))
 
 

@@ -45,7 +45,7 @@ from pathlib import Path
 
 from .corpus import Corpus, Document, normalize_tag, window_from_record
 from .errors import SynthError
-from .fileio import atomic_write_text, json_text, read_json
+from .fileio import read_json, write_json
 from .forked import beside
 
 _MASK64 = (1 << 64) - 1
@@ -498,8 +498,8 @@ def lexicon_records(truth: GroundTruth) -> list[dict]:
     ]
 
 
-def ground_truth_to_json(truth: GroundTruth) -> str:
-    payload = {
+def export_ground_truth(truth: GroundTruth, path: str | Path) -> None:
+    write_json(path, {
         "assignments": [dict(sorted(a.items())) for a in truth.assignments],
         "pairs": [
             {
@@ -512,9 +512,4 @@ def ground_truth_to_json(truth: GroundTruth) -> str:
             }
             for i in range(len(truth.pair_events))
         ],
-    }
-    return json_text(payload)
-
-
-def export_ground_truth(truth: GroundTruth, path: str | Path) -> None:
-    atomic_write_text(path, ground_truth_to_json(truth))
+    })

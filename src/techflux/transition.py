@@ -26,7 +26,7 @@ from pathlib import Path
 from .community import Partition
 from .config import MEASURE_OVERLAP_TARGET, SETTINGS, check_setting
 from .errors import TransitionError
-from .fileio import atomic_write_text, json_text, write_csv
+from .fileio import write_csv, write_json
 
 EVENT_BIRTH = "birth"
 EVENT_DEATH = "death"
@@ -185,11 +185,11 @@ def export_similarity_csv(
     write_csv(path, rows)
 
 
-def report_to_json(report: TransitionReport, row_labels: list[str] | None = None, col_labels: list[str] | None = None) -> str:
+def export_report_json(report: TransitionReport, path: str | Path, row_labels=None, col_labels=None) -> None:
     matrix = report.similarity
     clusters_t = list(range(len(matrix.row_sizes)))
     clusters_t1 = list(range(len(matrix.col_sizes)))
-    payload = {
+    write_json(path, {
         "measure": matrix.measure,
         "tau": report.tau,
         "clusters_t": clusters_t,
@@ -206,12 +206,7 @@ def report_to_json(report: TransitionReport, row_labels: list[str] | None = None
             {"kind": e.kind, "sources": list(e.sources), "targets": list(e.targets), "supports": list(e.supports)}
             for e in report.events
         ],
-    }
-    return json_text(payload)
-
-
-def export_report_json(report: TransitionReport, path: str | Path, row_labels=None, col_labels=None) -> None:
-    atomic_write_text(path, report_to_json(report, row_labels, col_labels))
+    })
 
 
 def alluvial_export(

@@ -20,8 +20,8 @@ from techflux.breakcheck import (
     BreakTestResult,
     IndexSeries,
     SeriesPoint,
-    break_result_to_json,
     chow_test,
+    export_break_json,
     export_series_csv,
     export_trend_csv,
     f_survival,
@@ -215,13 +215,16 @@ def test_format_p_value():
     assert format_p_value(0.0) == "<1e-12"
 
 
-def test_break_json_representation():
+def test_break_json_representation(tmp_path):
+    path = tmp_path / "break.json"
     step = chow_test([float(i) for i in range(10)], [0.0] * 5 + [5.0] * 5, 5)
-    payload = json.loads(break_result_to_json(step))
+    export_break_json(step, path)
+    payload = json.loads(path.read_text())
     assert payload["f_statistic"] == "inf"
     assert payload["p_value"] == 0.0
     finite = BreakTestResult(3.5, 0.0625, 4, 2, 4, 6)
-    payload = json.loads(break_result_to_json(finite))
+    export_break_json(finite, path)
+    payload = json.loads(path.read_text())
     assert payload == {
         "f_statistic": 3.5,
         "p_value": 0.0625,

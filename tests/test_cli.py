@@ -209,7 +209,7 @@ def test_series_with_fewer_than_3_windows_exits_2_before_reading_the_corpus(tmp_
                  "--breakpoint", "3", "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == f"techflux breakcheck: need at least 3 windows, got {count}\n"
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def _no_full_build(*args, **kwargs):
@@ -290,6 +290,19 @@ def test_empty_window_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert capsys.readouterr().err == "techflux breakcheck: window t holds no documents\n"
+
+
+def test_a_refused_run_removes_only_the_out_directories_it_made(tmp_path, capsys):
+    data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
+    argv = ["compare", "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
+            "--window-t", "1999-01-01:1999-02-01", "--window-t1", "2021-02-01:2021-03-01"]
+    assert main(argv + ["--out", str(tmp_path / "a" / "b")]) == 2
+    assert not (tmp_path / "a").exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert main(argv + ["--out", str(existing)]) == 2
+    assert existing.is_dir() and not any(existing.iterdir())
+    assert capsys.readouterr().err == "techflux breakcheck: window t holds no documents\n" * 2
 
 
 def test_cluster_empty_window_exits_2(tmp_path, capsys):
@@ -935,7 +948,7 @@ def test_graphml_refusal_exits_2_before_any_file_is_written(tmp_path, capsys, co
     assert capsys.readouterr().err == (
         "techflux cograph: node 'bad\\x01tag': U+0001 is no XML 1.0 character, so GraphML cannot hold it\n"
     )
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_synth_refusal_of_its_generated_lexicon_writes_nothing(tmp_path, capsys):
@@ -947,7 +960,7 @@ def test_synth_refusal_of_its_generated_lexicon_writes_nothing(tmp_path, capsys)
     assert capsys.readouterr().err == (
         "techflux lexicon: generated lexicon: entry 'c++': pattern 'c\\\\+\\\\+' fails self-test (does not match the canonical form)\n"
     )
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_bad_date_in_plant_spec_reports_under_synth_with_its_window(tmp_path, capsys):
@@ -973,7 +986,7 @@ def test_malformed_plant_spec_event_lists_exit_2_naming_the_event(tmp_path, caps
     out = tmp_path / "x"
     assert main(["synth", "--plant-spec", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"techflux synth: {path} event {event}: {message}\n"
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_bad_date_in_windows_file_names_the_file_and_window(tmp_path, capsys):
@@ -1105,26 +1118,29 @@ def test_synth_seed_override_and_text_mode(tmp_path):
 
 
 # Each config error, by the full message it prints; CONFIG stands for the
-# config file's path. The config is merged before --out is created.
+# config file's path. A file value is checked as it is read, by its setting's
+# rule, so its message is a flag's with the file in front. A null lexicon is
+# that setting's default, no lexicon, so that row ends like a run without
+# --lexicon, after --out is created; the refused run removes it again.
 _CONFIG_FILE_ERRORS = [
-    ({"field": "title"}, "field must be one of ('text', 'tags', 'both'), got 'title'"),
-    ({"pairs": "tag-tag"}, "pairs must be one of ('all', 'tech-tag'), got 'tag-tag'"),
-    ({"measure": "cosine"}, "measure must be one of ('overlap_target', 'jaccard'), got 'cosine'"),
-    ({"top_n": 0}, "top_n must be an integer >= 1, got 0"),
-    ({"tau": 1}, "tau must lie in (0, 1), got 1.0"),
-    ({"tau": 0.0}, "tau must lie in (0, 1), got 0.0"),
-    ({"resolution": 0}, "resolution must be positive and finite, got 0.0"),
-    ({"resolution": -1.5}, "resolution must be positive and finite, got -1.5"),
-    ({"resolution": math.inf}, "resolution must be positive and finite, got inf"),
+    ({"field": "title"}, "CONFIG: field must be one of ('text', 'tags', 'both'), got 'title'"),
+    ({"pairs": "tag-tag"}, "CONFIG: pairs must be one of ('all', 'tech-tag'), got 'tag-tag'"),
+    ({"measure": "cosine"}, "CONFIG: measure must be one of ('overlap_target', 'jaccard'), got 'cosine'"),
+    ({"top_n": 0}, "CONFIG: top_n must be an integer >= 1, got 0"),
+    ({"tau": 1}, "CONFIG: tau must lie in (0, 1), got 1"),
+    ({"tau": 0.0}, "CONFIG: tau must lie in (0, 1), got 0.0"),
+    ({"resolution": 0}, "CONFIG: resolution must be positive and finite, got 0"),
+    ({"resolution": -1.5}, "CONFIG: resolution must be positive and finite, got -1.5"),
+    ({"resolution": math.inf}, "CONFIG: resolution must be positive and finite, got inf"),
     (["tau", 0.5], "CONFIG: config must be a flat JSON object"),
-    ({"tau": "0.5"}, "CONFIG: key 'tau' must be a number, got '0.5'"),
-    ({"resolution": True}, "CONFIG: key 'resolution' must be a number, got True"),
-    ({"top_n": 2.5}, "CONFIG: key 'top_n' must be an integer, got 2.5"),
-    ({"top_n": False}, "CONFIG: key 'top_n' must be an integer, got False"),
-    ({"field": 1}, "CONFIG: key 'field' must be a string, got 1"),
-    ({"lexicon": None}, "CONFIG: key 'lexicon' must be a string, got None"),
-    ({"out": ["o"]}, "CONFIG: key 'out' must be a string, got ['o']"),
-    ({"weighted_mean": 1}, "CONFIG: key 'weighted_mean' must be a boolean, got 1"),
+    ({"tau": "0.5"}, "CONFIG: tau must lie in (0, 1), got '0.5'"),
+    ({"resolution": True}, "CONFIG: resolution must be positive and finite, got True"),
+    ({"top_n": 2.5}, "CONFIG: top_n must be an integer >= 1, got 2.5"),
+    ({"top_n": False}, "CONFIG: top_n must be an integer >= 1, got False"),
+    ({"field": 1}, "CONFIG: field must be one of ('text', 'tags', 'both'), got 1"),
+    ({"lexicon": None}, "a lexicon is required: pass --lexicon or set 'lexicon' in the config file"),
+    ({"out": ["o"]}, "CONFIG: out must be a string, got ['o']"),
+    ({"weighted_mean": 1}, "CONFIG: weighted_mean must be a boolean, got 1"),
     ({"bogus": 1}, "CONFIG: unknown config key 'bogus'"),
 ]
 
@@ -1143,6 +1159,30 @@ def test_config_file_errors_exit_2_with_their_message(tmp_path, capsys, payload,
     assert not out.exists()
 
 
+def _synth_compare_argv(tmp_path):
+    """compare over a two-window synth corpus with its lexicon, without --out."""
+    data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
+    return ["compare", "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
+            "--window-t", "2021-01-01:2021-02-01", "--window-t1", "2021-02-01:2021-03-01"]
+
+
+def test_a_null_lexicon_in_a_config_file_leaves_it_to_the_flag(tmp_path):
+    config = write_json(tmp_path / "config.json", {"lexicon": None})
+    out = tmp_path / "out"
+    assert main(_synth_compare_argv(tmp_path) + ["--config", config, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["events"]
+
+
+@pytest.mark.parametrize("number,flag", [(1, "1.0"), (2, "2.0")])
+def test_an_integer_resolution_in_a_config_file_writes_what_its_flag_writes(tmp_path, number, flag):
+    config = write_json(tmp_path / "config.json", {"resolution": number})
+    argv = _synth_compare_argv(tmp_path)
+    assert main(argv + ["--config", config, "--out", str(tmp_path / "file")]) == 0
+    assert main(argv + ["--resolution", flag, "--out", str(tmp_path / "flag")]) == 0
+    written = [{p.name: p.read_bytes() for p in (tmp_path / run).iterdir()} for run in ("file", "flag")]
+    assert len(written[0]) == 9 and written[0] == written[1]
+
+
 _HUGE = "9" * 5000  # more digits than Python reads into an int by default (4,300)
 _OVER_FLOAT = "1" + "0" * 400  # an integer no float holds
 _PLANT = json.dumps({"seed": 1, "docs_per_window": 2, "noise_rate": 0.0,
@@ -1154,7 +1194,7 @@ _PLANT = json.dumps({"seed": 1, "docs_per_window": 2, "noise_rate": 0.0,
 _HUGE_NUMBERS = {
     "config": ("config.json", f'{{"top_n": {_HUGE}}}', "config: config file FILE: invalid JSON (integer too long)"),
     "config-float": ("config.json", f'{{"resolution": {_OVER_FLOAT}}}',
-                     "config: FILE: key 'resolution' must be a number in float range"),
+                     f"config: FILE: resolution must be positive and finite, got {_OVER_FLOAT}"),
     "lexicon": ("lexicon.json", f'[{{"canonical": "a", "patterns": ["a"], "n": {_HUGE}}}]',
                 "lexicon: lexicon file FILE: invalid JSON (integer too long)"),
     "windows": ("windows.json", f'[{{"start": "2021-01-01", "end": "2021-02-01", "n": {_HUGE}}}]',
@@ -1189,6 +1229,7 @@ def test_a_number_too_large_to_read_exits_2_naming_its_file(tmp_path, capsys, ca
                 "--breakpoint", "3", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"techflux {message.replace('FILE', str(tmp_path / name))}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,message", [

@@ -29,7 +29,6 @@ from techflux.synth import (
     _plant,
     export_ground_truth,
     generate_corpus,
-    ground_truth_to_json,
     lane_limits,
     lexicon_records,
     load_plant_spec,
@@ -382,7 +381,7 @@ def test_generation_is_deterministic():
     corpus_a, truth_a = generate_corpus(spec)
     corpus_b, truth_b = generate_corpus(spec)
     assert corpus_a.documents == corpus_b.documents
-    assert ground_truth_to_json(truth_a) == ground_truth_to_json(truth_b)
+    assert truth_a == truth_b
 
 
 def test_seed_changes_documents():
@@ -479,7 +478,7 @@ def test_generate_corpus_matches_scalar_oracle(spec, with_text):
     expected_corpus, expected_truth = generate_corpus_reference(spec, with_text=with_text)
     assert corpus == expected_corpus
     assert truth.assignments == expected_truth.assignments
-    assert ground_truth_to_json(truth) == ground_truth_to_json(expected_truth)
+    assert truth == expected_truth
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -494,7 +493,7 @@ def test_generate_corpus_matches_scalar_oracle_with_a_forced_fork(spec, with_tex
     assert forks == [os.getpid()]
     expected_corpus, expected_truth = generate_corpus_reference(spec, with_text=with_text)
     assert corpus == expected_corpus
-    assert ground_truth_to_json(truth) == ground_truth_to_json(expected_truth)
+    assert truth == expected_truth
 
 
 def _fork_spec_records(docs_per_window, windows):
@@ -667,7 +666,7 @@ def test_plant_matches_two_pass_reference(spec):
     assert truth.pair_events == expected_truth.pair_events
     assert truth.convergence == expected_truth.convergence
     assert truth.novelty == expected_truth.novelty
-    assert ground_truth_to_json(truth) == ground_truth_to_json(expected_truth)
+    assert truth == expected_truth
 
 
 # ---------------------------------------------------------------- recovery

@@ -19,8 +19,8 @@ from techflux.transition import (
     EVENT_SPLIT,
     alluvial_export,
     classify_events,
+    export_report_json,
     inheritance_indices,
-    report_to_json,
     similarity_matrix,
     transition_report,
     export_similarity_csv,
@@ -234,9 +234,11 @@ def test_similarity_csv_format(tmp_path):
     assert rows[2] == ["beta", "0.333333"]
 
 
-def test_report_json_payload():
+def test_report_json_payload(tmp_path):
     report = transition_report(partition({"a", "b"}), partition({"a", "c"}))
-    payload = json.loads(report_to_json(report, ["old"], ["new"]))
+    path = tmp_path / "report.json"
+    export_report_json(report, path, ["old"], ["new"])
+    payload = json.loads(path.read_text())
     assert payload["measure"] == "overlap_target"
     assert payload["cluster_labels_t"] == ["old"]
     assert payload["cluster_labels_t1"] == ["new"]
