@@ -148,13 +148,16 @@ def ols_fit(x: list[float], y: list[float]) -> OlsFit:
 # per segment and the segment sizes n1 and n2
 BreakTestResult = namedtuple("BreakTestResult", "f_statistic p_value breakpoint_index k n1 n2")
 
+# k in the F statistic: the regressors of each line, intercept and time index
+_REGRESSORS = 2
 
-def segment_sizes(n: int, breakpoint_index: int, k: int = 2) -> tuple[int, int]:
-    """Sizes of [0, breakpoint) and [breakpoint, n); each must exceed the k fitted parameters."""
+
+def segment_sizes(n: int, breakpoint_index: int) -> tuple[int, int]:
+    """Sizes of [0, breakpoint) and [breakpoint, n); each must hold more points than a line has regressors."""
     n1, n2 = breakpoint_index, n - breakpoint_index
-    if n1 <= k or n2 <= k:
+    if n1 <= _REGRESSORS or n2 <= _REGRESSORS:
         raise StatsError(
-            f"each segment needs more than {k} points; "
+            f"each segment needs more than {_REGRESSORS} points; "
             f"breakpoint {breakpoint_index} gives segments of {n1} and {n2}"
         )
     return n1, n2
@@ -171,8 +174,7 @@ def chow_test(x: list[float], y: list[float], breakpoint_index: int) -> BreakTes
     """
     if len(x) != len(y):
         raise StatsError(f"x and y lengths differ: {len(x)} vs {len(y)}")
-    k = 2
-    n1, n2 = segment_sizes(len(x), breakpoint_index, k)
+    n1, n2 = segment_sizes(len(x), breakpoint_index)
     pooled = ols_fit(x, y)
     left = ols_fit(x[:breakpoint_index], y[:breakpoint_index])
     right = ols_fit(x[breakpoint_index:], y[breakpoint_index:])
@@ -184,16 +186,16 @@ def chow_test(x: list[float], y: list[float], breakpoint_index: int) -> BreakTes
         else:
             f_stat, p = math.inf, 0.0
     else:
-        df2 = n1 + n2 - 2 * k
-        f_stat = ((pooled.ssr - segmented) / k) / (segmented / df2)
+        df2 = n1 + n2 - 2 * _REGRESSORS
+        f_stat = ((pooled.ssr - segmented) / _REGRESSORS) / (segmented / df2)
         if f_stat < 0.0:
             f_stat = 0.0
-        p = f_survival(f_stat, float(k), float(df2))
+        p = f_survival(f_stat, float(_REGRESSORS), float(df2))
     return BreakTestResult(
         f_statistic=f_stat,
         p_value=p,
         breakpoint_index=breakpoint_index,
-        k=k,
+        k=_REGRESSORS,
         n1=n1,
         n2=n2,
     )

@@ -23,7 +23,7 @@ from . import breakcheck, synth
 from .cograph import check_graphml_names, export_graph_json, export_graphml
 from .community import export_partition_json, suggest_labels
 from .config import SETTINGS, PipelineConfig, build_config, read_config_file, setting_type
-from .corpus import TimeWindow, load_corpus, load_windows, save_corpus
+from .corpus import TimeWindow, load_corpus, load_windows, normalize_tag, save_corpus
 from .errors import ConfigError, TechfluxError
 from .fileio import read_text, write_csv, write_json
 from .lexicon import TermLexicon, compile_lexicon, lexicon_from_records
@@ -96,8 +96,10 @@ def run_compare(args: argparse.Namespace) -> int:
     export_similarity_csv(report.similarity, out / "similarity.csv", labels_t, labels_t1)
     export_report_json(report, out / "report.json", labels_t, labels_t1)
     alluvial_export(report, labels_t, labels_t1, out / "alluvial.csv")
-    print(f"window t    {window_t.describe()}: {part_t.cluster_count} clusters, modularity {part_t.modularity:.4f}")
-    print(f"window t+1  {window_t1.describe()}: {part_t1.cluster_count} clusters, modularity {part_t1.modularity:.4f}")
+    for window, part in ((window_t, part_t), (window_t1, part_t1)):
+        # the label names the window in errors; its line shows its dates
+        print(f"window {window.label:<5}[{window.start},{window.end}): "
+              f"{part.cluster_count} clusters, modularity {part.modularity:.4f}")
     print(f"events (tau = {config.tau:g}):")
     for event in report.events:
         sources = ",".join(str(c) for c in event.sources) or "-"
@@ -142,7 +144,8 @@ def _parse_source(raw: str) -> tuple[str, str]:
 
 
 def _load_terms_file(path: str) -> list[str]:
-    lines = (line.strip() for line in read_text(path, ConfigError, "terms file").splitlines())
+    # a term is spelled as the lexicon's canonicals are, normalized like a tag
+    lines = (normalize_tag(line) for line in read_text(path, ConfigError, "terms file").splitlines())
     # a term listed twice is run once
     terms = list(dict.fromkeys(t for t in lines if t and not t.startswith("#")))
     if not terms:

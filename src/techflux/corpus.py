@@ -10,11 +10,13 @@ formats are supported:
   RFC-4180 quoting.
 
 A JSONL load holds the file's whole text in memory and walks its lines
-once. A regular line (one object with a nonempty string id, a valid string
-date, a string text and a list of string tags, and no surrogate escape) is
-built in that walk; any other line (blank, padded, mistyped, unparsable)
-is read by the checked per-line path, which raises the error a
-line-by-line read raises, in line order. CSV is read row by row.
+once. A line that is one object and no more, with no surrogate escape, is
+parsed in that walk; any other line (blank, padded, unparsable) is read by
+the per-line path, which raises the error a line-by-line read raises, in
+line order. CSV is read row by row. One builder turns every record, JSONL
+or CSV, into a Document: a regular record (a nonempty string id and date,
+a string text and a list of tags) skips the field checks that any other
+record goes through.
 
 Tags are normalized on load: Unicode case-fold, trim, internal whitespace
 collapsed to single spaces, duplicates dropped (first occurrence wins).
@@ -39,27 +41,6 @@ from .records import Checked
 def normalize_tag(raw: str) -> str:
     """Case-fold, trim, and collapse internal whitespace to single spaces."""
     return " ".join(raw.casefold().split())
-
-
-def normalize_tags(raw_tags: list[str] | tuple[str, ...]) -> tuple[str, ...]:
-    """Normalize and deduplicate tags, preserving first-occurrence order."""
-    return _normalize_tags(raw_tags, {})
-
-
-def _normalize_tags(raw_tags: list[str] | tuple[str, ...], names: dict[str, str]) -> tuple[str, ...]:
-    """normalize_tags, normalizing each raw tag not yet in names and adding it there.
-
-    A corpus load passes one dict for all its documents, which repeat a few
-    hundred distinct tags many times over.
-    """
-    seen: dict[str, None] = {}
-    for raw in raw_tags:
-        tag = names.get(raw)
-        if tag is None:
-            tag = names[raw] = normalize_tag(raw)
-        if tag:
-            seen[tag] = None
-    return tuple(seen)
 
 
 # What may follow the date: "T" or a space, HH:MM[:SS[.ffffff]], then an
@@ -161,41 +142,49 @@ class Corpus(Checked, namedtuple("Corpus", "documents")):
 
 
 def _make_document(record: dict, where: str, names: dict[str, str], dates: dict[str, dt.date]) -> Document:
-    for field_name in ("id", "date"):
-        if record.get(field_name) in (None, ""):
-            raise CorpusError(f"{where}: missing field {field_name!r}")
-    if "text" not in record and "tags" not in record:
-        raise CorpusError(f"{where}: record needs at least one of 'text'/'tags'")
-    doc_id, text = record["id"], record.get("text")
-    if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
-        raise CorpusError(f"{where}: field 'id' must be a nonempty string or an integer, got {doc_id!r}")
-    if text is not None and not isinstance(text, str):
-        raise CorpusError(f"{where}: field 'text' must be a string or null, got {text!r}")
-    tags = record.get("tags")
-    if tags is None:
-        tags = []
-    elif not isinstance(tags, (list, tuple)):
-        raise CorpusError(f"{where}: field 'tags' must be a list")
+    """The Document of one parsed corpus record; raises CorpusError, naming where, for a record that is not one.
+
+    A load passes one names dict (raw tag -> normalized tag) and one dates
+    dict (raw date -> day) for all its records, which repeat a few hundred
+    distinct tags and dates many times over; a bad tag or date is never
+    stored, so its error names its own record.
+    """
+    doc_id, raw_date, text, tags = record.get("id"), record.get("date"), record.get("text"), record.get("tags")
+    # a regular record (nonempty string id and date, string text, list of tags) needs none of the field checks
+    if not (type(doc_id) is str and doc_id and type(raw_date) is str and raw_date
+            and type(text) is str and type(tags) is list):
+        for field_name in ("id", "date"):
+            if record.get(field_name) in (None, ""):
+                raise CorpusError(f"{where}: missing field {field_name!r}")
+        if "text" not in record and "tags" not in record:
+            raise CorpusError(f"{where}: record needs at least one of 'text'/'tags'")
+        if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+            raise CorpusError(f"{where}: field 'id' must be a nonempty string or an integer, got {doc_id!r}")
+        if text is not None and not isinstance(text, str):
+            raise CorpusError(f"{where}: field 'text' must be a string or null, got {text!r}")
+        if tags is None:
+            tags = []
+        elif not isinstance(tags, (list, tuple)):
+            raise CorpusError(f"{where}: field 'tags' must be a list")
+        doc_id, raw_date, text = str(doc_id), str(raw_date), text or ""
+    normalized = {}  # dict keys: duplicates dropped, first occurrence wins
     try:
-        normalized = _normalize_tags(tags, names)
+        for raw in tags:
+            tag = names.get(raw)
+            if tag is None:
+                tag = names[raw] = normalize_tag(raw)
+            if tag:
+                normalized[tag] = None
     except (AttributeError, TypeError):  # a JSON value other than a string has no casefold, or no hash
-        bad = next(tag for tag in tags if not isinstance(tag, str))
-        raise CorpusError(f"{where}: field 'tags' must hold only strings, got {bad!r}") from None
-    # a load passes one dict of the dates parsed so far, as it does for tags;
-    # a bad date is never stored, so its error names its own record
-    raw_date = str(record["date"])
+        raise CorpusError(f"{where}: field 'tags' must hold only strings, got {raw!r}") from None
     date = dates.get(raw_date)
     if date is None:
         try:
             date = dates[raw_date] = parse_date(raw_date)
         except CorpusError as exc:
             raise CorpusError(f"{where}: field 'date': {exc}") from None
-    return Document(
-        id=str(doc_id),
-        date=date,
-        text=text or "",
-        tags=normalized,
-    )
+    # every check of Document.__new__ has passed above
+    return tuple.__new__(Document, (doc_id, date, text, tuple(normalized)))
 
 
 def _split_lines(text: str) -> tuple[list[str], list[str]]:
@@ -244,36 +233,24 @@ def _load_jsonl(path: Path) -> list[Document]:
     del content  # the lines hold the text now, so it is not held twice while documents are built
     docs, names, dates = [], {}, {}
     scan_once = json.JSONDecoder().scan_once
+    name = path.name
     for lineno, line in enumerate(lines, start=1):
-        # A regular line is one object from its first character to its end,
-        # with no surrogate escape, a nonempty string id, a valid string date,
-        # a string text and a list of string tags: what _make_document gives
-        # for it is built here, through the same shared names and dates. Any
-        # other line fails a test below, or raises in the try, and is read by
-        # _line_document, which raises its error in line order.
+        # A line that is one object from its first character to its end, with
+        # no surrogate escape, goes to _make_document as parsed here. Any other
+        # line (blank, padded, unparsable, not one object), and any record
+        # refused here, is read again by _line_document, which raises the
+        # error naming its line, in line order: a line's location is only
+        # formatted when an error needs it.
         if line[:1] == "{" and (screened or _SURROGATE_ESCAPE.search(line) is None):
             try:
                 record, end = scan_once(line, 0)
-                doc_id, raw_date, text, raw_tags = record.get("id"), record.get("date"), record.get("text"), record.get("tags")
-                if (end == len(line) and type(doc_id) is str and doc_id and type(raw_date) is str
-                        and type(text) is str and type(raw_tags) is list):
-                    date = dates.get(raw_date)
-                    if date is None:
-                        date = dates[raw_date] = parse_date(raw_date)
-                    tags = {}
-                    for raw in raw_tags:
-                        tag = names.get(raw)
-                        if tag is None:
-                            tag = names[raw] = normalize_tag(raw)
-                        if tag:
-                            tags[tag] = None
-                    # every check of Document.__new__ has passed above
-                    docs.append(tuple.__new__(Document, (doc_id, date, text, tuple(tags))))
+                if end == len(line):
+                    docs.append(_make_document(record, name, names, dates))
                     continue
-            # a parse failure, a bad date (CorpusError), a tag that is not a string (no casefold, or no hash)
-            except (StopIteration, ValueError, RecursionError, AttributeError, TypeError):
+            # a parse failure, or a record refused (CorpusError is a ValueError)
+            except (StopIteration, ValueError, RecursionError):
                 pass
-        doc = _line_document(line + ends[lineno - 1], f"{path.name} line {lineno}", names, dates)
+        doc = _line_document(line + ends[lineno - 1], f"{name} line {lineno}", names, dates)
         if doc is not None:
             docs.append(doc)
     return docs
@@ -301,11 +278,9 @@ def _load_csv(path: Path) -> list[Document]:
             missing = [c for c in _CSV_COLUMNS if c not in header]
             if missing:
                 raise CorpusError(f"{path.name}: header missing column(s) {', '.join(missing)}")
-            for record in reader:
-                where = f"{path.name} line {reader.line_num}"
-                raw_tags = record.get("tags") or ""
-                tags = [t for t in raw_tags.split(";") if t.strip()]
-                docs.append(_make_document({**record, "tags": tags}, where, names, dates))
+            for record in reader:  # a new dict per row, so its tags are split in place
+                record["tags"] = [t for t in (record["tags"] or "").split(";") if t.strip()]
+                docs.append(_make_document(record, f"{path.name} line {reader.line_num}", names, dates))
     except csv.Error as exc:
         # only reading raises it, so reader exists; DictReader.line_num lags
         # on a failed row, its inner reader's does not

@@ -8,6 +8,7 @@ package itself does not use for these quantities.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import itertools
 import json
@@ -21,7 +22,7 @@ from hypothesis import settings
 
 from techflux.cograph import KIND_TAG, KIND_TECHNOLOGY, CoGraph, GraphNode
 from techflux.community import _Level, _aggregate, modularity
-from techflux.corpus import Corpus, Document, _make_document
+from techflux.corpus import _CSV_COLUMNS, _CSV_FIELD_LIMIT, Corpus, Document, normalize_tag, parse_date
 from techflux.errors import CorpusError, GraphError, SynthError
 from techflux.fileio import has_lone_surrogate, json_text, open_text
 from techflux.lexicon import TermLexicon
@@ -80,6 +81,45 @@ def adjacency(graph: CoGraph) -> dict[str, dict[str, int]]:
     return adj
 
 
+def normalize_tags_reference(raw_tags) -> tuple[str, ...]:
+    """Each raw tag normalized, empty ones and repeats dropped, first occurrence first."""
+    return tuple(dict.fromkeys(tag for tag in map(normalize_tag, raw_tags) if tag))
+
+
+def make_document_reference(record: dict, where: str) -> Document:
+    """The Document of one parsed record, every record through every field check, in the package's words.
+
+    This is the record builder as it stood before regular records skipped
+    the field checks, without its caches: every tag is normalized and every
+    date parsed anew.
+    """
+    for field_name in ("id", "date"):
+        if record.get(field_name) in (None, ""):
+            raise CorpusError(f"{where}: missing field {field_name!r}")
+    if "text" not in record and "tags" not in record:
+        raise CorpusError(f"{where}: record needs at least one of 'text'/'tags'")
+    doc_id, text = record["id"], record.get("text")
+    if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+        raise CorpusError(f"{where}: field 'id' must be a nonempty string or an integer, got {doc_id!r}")
+    if text is not None and not isinstance(text, str):
+        raise CorpusError(f"{where}: field 'text' must be a string or null, got {text!r}")
+    tags = record.get("tags")
+    if tags is None:
+        tags = []
+    elif not isinstance(tags, (list, tuple)):
+        raise CorpusError(f"{where}: field 'tags' must be a list")
+    try:
+        normalized = normalize_tags_reference(tags)
+    except (AttributeError, TypeError):
+        bad = next(tag for tag in tags if not isinstance(tag, str))
+        raise CorpusError(f"{where}: field 'tags' must hold only strings, got {bad!r}") from None
+    try:
+        date = parse_date(str(record["date"]))
+    except CorpusError as exc:
+        raise CorpusError(f"{where}: field 'date': {exc}") from None
+    return Document(id=str(doc_id), date=date, text=text or "", tags=normalized)
+
+
 def load_jsonl_reference(path) -> Corpus:
     """load_corpus of a JSONL file as a loop over the lines of the open file, each read with json.loads.
 
@@ -88,7 +128,7 @@ def load_jsonl_reference(path) -> Corpus:
     order.
     """
     path = Path(path)
-    docs, names, dates = [], {}, {}
+    docs = []
     with open_text(path, CorpusError, "corpus file") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -105,7 +145,28 @@ def load_jsonl_reference(path) -> Corpus:
                 raise CorpusError(f"{where}: record must be a JSON object")
             if lone:
                 raise CorpusError(f"{where}: lone surrogate escape, not valid text")
-            docs.append(_make_document(record, where, names, dates))
+            docs.append(make_document_reference(record, where))
+    return Corpus(documents=tuple(docs))
+
+
+def load_csv_reference(path) -> Corpus:
+    """load_corpus of a CSV file, every row through make_document_reference."""
+    path = Path(path)
+    docs = []
+    old_limit = csv.field_size_limit(_CSV_FIELD_LIMIT)
+    try:
+        with open_text(path, CorpusError, "corpus file") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or [])]
+            if missing:
+                raise CorpusError(f"{path.name}: header missing column(s) {', '.join(missing)}")
+            for record in reader:
+                tags = [t for t in (record.get("tags") or "").split(";") if t.strip()]
+                docs.append(make_document_reference({**record, "tags": tags}, f"{path.name} line {reader.line_num}"))
+    except csv.Error as exc:
+        raise CorpusError(f"{path.name} line {reader.reader.line_num}: malformed CSV ({exc})") from None
+    finally:
+        csv.field_size_limit(old_limit)
     return Corpus(documents=tuple(docs))
 
 

@@ -292,6 +292,21 @@ def test_empty_window_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "techflux breakcheck: window t holds no documents\n"
 
 
+def test_compare_prints_each_window_s_dates_and_names_an_empty_one_by_its_label(tmp_path, capsys):
+    data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
+    argv = ["compare", "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
+            "--window-t1", "2021-02-01:2021-03-01", "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv + ["--window-t", "2021-01-01:2021-02-01"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for line, (label, dates, suffix) in zip(lines, [("t   ", "[2021-01-01,2021-02-01)", "t"),
+                                                      ("t+1 ", "[2021-02-01,2021-03-01)", "t1")]):
+        part = json.loads((tmp_path / "out" / f"partition_{suffix}.json").read_text(encoding="utf-8"))
+        assert line == f"window {label} {dates}: {part['cluster_count']} clusters, modularity {part['modularity']:.4f}"
+    assert main(argv + ["--window-t", "1999-01-01:1999-02-01"]) == 2
+    assert capsys.readouterr().err == "techflux breakcheck: window t holds no documents\n"
+
+
 def test_a_refused_run_removes_only_the_out_directories_it_made(tmp_path, capsys):
     data = synth_into(tmp_path, two_window_spec(tmp_path), "data")
     argv = ["compare", "--corpus", str(data / "corpus.jsonl"), "--lexicon", str(data / "lexicon.json"),
@@ -848,6 +863,26 @@ def test_trend_runs_a_repeated_term_once(tmp_path, capsys):
         "term,source_a,source_b,pearson_r",
         "ai,news,patents,1.000000",
     ]
+
+
+def test_trend_takes_a_term_spelled_as_the_lexicon_file_spells_it(tmp_path, capsys):
+    trend_fixture(tmp_path)  # for its two corpora
+    # the lexicon normalizes each canonical like a tag, and the terms file is read the same way,
+    # so the third line is the first one again
+    lexicon = write_json(tmp_path / "lex_spelled.json", [
+        {"canonical": "Machine  Learning", "patterns": ["machine learning"]},
+        {"canonical": "C00-000", "patterns": ["c00-000"]},
+    ])
+    terms = tmp_path / "terms_spelled.txt"
+    terms.write_text("Machine  Learning\n  C00-000\nmachine learning\n", encoding="utf-8")
+    out = tmp_path / "trend_out"
+    code = main(["trend", "--corpus", f"news={tmp_path / 'news.jsonl'}", "--corpus", f"patents={tmp_path / 'patents.jsonl'}",
+                 "--terms", str(terms), "--lexicon", lexicon, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == f"wrote 2 trend files and correlations.csv to {out}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["correlations.csv", "trend_c00_000.csv", "trend_machine_learning.csv"]
+    assert "'machine learning' between news and patents" in captured.err
 
 
 def test_trend_counts_under_field(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import io
 import json
 import re
 import tempfile
@@ -17,14 +18,13 @@ from techflux.corpus import (
     load_corpus,
     load_windows,
     normalize_tag,
-    normalize_tags,
     parse_date,
     save_corpus,
     window_filter,
 )
 from techflux.errors import CorpusError
 
-from oracles import load_jsonl_reference
+from oracles import load_csv_reference, load_jsonl_reference, normalize_tags_reference
 
 
 def test_normalize_tag_casefolds_and_collapses_whitespace():
@@ -33,8 +33,17 @@ def test_normalize_tag_casefolds_and_collapses_whitespace():
     assert normalize_tag("straße") == "strasse"
 
 
-def test_normalize_tags_dedups_keeping_first_occurrence():
-    assert normalize_tags(["AI", "ai", "Big Data", "AI "]) == ("ai", "big data")
+def test_normalize_tags_dedups_keeping_first_occurrence(tmp_path):
+    # a load keeps each normalized tag where its first raw form stands, in both formats
+    raw_tags = [["AI", "ai", "Big Data", "AI "], ["big  DATA", "ml", "AI", "Ml"]]
+    for path in (tmp_path / "c.jsonl", tmp_path / "c.csv"):
+        if path.suffix == ".csv":
+            path.write_text("id,date,text,tags\n" + "".join(f"d{i},2020-01-01,,{';'.join(tags)}\n" for i, tags in enumerate(raw_tags)),
+                            encoding="utf-8")
+        else:
+            path.write_text("".join(json.dumps({"id": f"d{i}", "date": "2020-01-01", "tags": tags}) + "\n"
+                                    for i, tags in enumerate(raw_tags)), encoding="utf-8")
+        assert [doc.tags for doc in load_corpus(path).documents] == [("ai", "big data"), ("big data", "ml", "ai")]
 
 
 def test_parse_date_accepts_iso_and_truncates_time():
@@ -175,7 +184,7 @@ def saved_corpora(draw):
             id=doc_id,
             date=draw(st.dates()),
             text=draw(_TEXT),
-            tags=normalize_tags(draw(st.lists(_TEXT, max_size=3))),
+            tags=normalize_tags_reference(draw(st.lists(_TEXT, max_size=3))),
         )
         for doc_id in ids
     ))
@@ -214,7 +223,7 @@ def json_corpora(draw):
     ids = draw(st.lists(_JSON_TEXT.filter(bool), max_size=4, unique=True))
     return Corpus(tuple(
         Document(id=doc_id, date=draw(st.dates()), text=draw(_JSON_TEXT),
-                 tags=normalize_tags(draw(st.lists(_JSON_TEXT, max_size=3))))
+                 tags=normalize_tags_reference(draw(st.lists(_JSON_TEXT, max_size=3))))
         for doc_id in ids
     ))
 
@@ -302,8 +311,7 @@ def test_load_normalizes_repeated_raw_tags_one_by_one(raw_tag_lists):
             json.dumps({"id": f"d{i}", "date": "2021-01-01", "tags": tags}) + "\n" for i, tags in enumerate(raw_tag_lists)
         ), encoding="utf-8")
         loaded = load_corpus(path)
-    expected = [tuple(dict.fromkeys(tag for tag in map(normalize_tag, tags) if tag)) for tags in raw_tag_lists]
-    assert [doc.tags for doc in loaded.documents] == expected
+    assert [doc.tags for doc in loaded.documents] == [normalize_tags_reference(tags) for tags in raw_tag_lists]
 
 
 # plain, with a time of day, with an offset, with surrounding spaces
@@ -434,24 +442,65 @@ _SHAPES = {
 }
 
 
-@st.composite
-def jsonl_files(draw):
-    """The bytes of a JSONL file mixing regular lines with every shape the one-pass loader leaves to the per-line path."""
-    lines = []
+def _csv_row(record, **changes):
+    """record as one CSV row without its end, each field in changes replaced; a field changed to None is left out."""
+    fields = {**record, "tags": ";".join(record["tags"]), **changes}
+    out = io.StringIO()
+    csv.writer(out).writerow([fields[c] for c in ("id", "date", "text", "tags") if fields[c] is not None])
+    return out.getvalue()[:-2]  # without the writer's "\r\n"
+
+
+# the shapes of _SHAPES that a CSV row can carry: every CSV field is a string
+# or missing, and UTF-8 holds no lone surrogate
+_CSV_SHAPES = {
+    "regular": lambda r: _csv_row(r),
+    "surrogate pair": lambda r: _csv_row(r, text=r["text"] + "\U0001f680"),
+    "raw separators in text": lambda r: _csv_row(r, text="a\u2028b\x85c"),
+    "raw control in text": lambda r: _csv_row(r, text="a\x0cb\x1cc"),
+    "leading spaces": lambda r: "  " + _csv_row(r),
+    "trailing spaces": lambda r: _csv_row(r) + " \t",
+    "integer id": lambda r: _csv_row(r, id=len(r["id"])),
+    "null text and tags": lambda r: _csv_row(r, text="", tags=""),
+    "no text or tags": lambda r: _csv_row(r, text=None, tags=None),
+    "bad date": lambda r: _csv_row(r, date="2021-02-30"),
+    "empty date": lambda r: _csv_row(r, date=""),
+    "truncated": lambda r: _csv_row(r)[:-1],
+    "two objects": lambda r: _csv_row(r) * 2,
+    "blank": lambda r: "",
+    "whitespace": lambda r: " \t\x0c\u2028",
+}
+
+_RECORDS = st.fixed_dictionaries({
+    "id": st.sampled_from(["a", "b", "c", "d", "e", "f", "é", "g h"]),
+    "date": st.sampled_from(_DATE_FORMS),
+    "text": _RECORD_TEXT,
+    "tags": st.lists(_RAW_TAG, max_size=4),
+})
+
+
+def _drawn_file(draw, shapes, header=""):
+    """The bytes of a file of header and lines, each a drawn record in a drawn shape of shapes, with a drawn line end."""
+    lines = [header] if header else []
     for _ in range(draw(st.integers(0, 8))):
-        record = {
-            "id": draw(st.sampled_from(["a", "b", "c", "d", "e", "f", "é", "g h"])),
-            "date": draw(st.sampled_from(_DATE_FORMS)),
-            "text": draw(_RECORD_TEXT),
-            "tags": draw(st.lists(_RAW_TAG, max_size=4)),
-        }
         # regular lines are drawn as often as all the other shapes together
-        shape = draw(st.sampled_from(["regular"] * len(_SHAPES) + list(_SHAPES)))
-        lines.append(_SHAPES[shape](record) + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+        shape = draw(st.sampled_from(["regular"] * len(shapes) + list(shapes)))
+        lines.append(shapes[shape](draw(_RECORDS)) + draw(st.sampled_from(["\n", "\r\n", "\r"])))
     text = "".join(lines)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final line end
     return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+
+
+@st.composite
+def jsonl_files(draw):
+    """The bytes of a JSONL file mixing regular lines with every shape the one-pass loader leaves to the per-line path."""
+    return _drawn_file(draw, _SHAPES)
+
+
+@st.composite
+def csv_files(draw):
+    """The bytes of a CSV file mixing regular rows with every shape of _CSV_SHAPES."""
+    return _drawn_file(draw, _CSV_SHAPES, header="id,date,text,tags\n")
 
 
 def _outcome(load, path):
@@ -473,6 +522,18 @@ def test_load_corpus_matches_the_per_line_reference(data):
         assert all(type(doc) is Document for doc in loaded.documents)
 
 
+@settings(deadline=None)
+@given(csv_files())
+def test_load_corpus_matches_the_csv_reference(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        path.write_bytes(data)
+        loaded = _outcome(load_corpus, path)
+        assert loaded == _outcome(load_csv_reference, path)
+    if isinstance(loaded, Corpus):
+        assert all(type(doc) is Document for doc in loaded.documents)
+
+
 def _count_line_reads(monkeypatch):
     calls, real = [], corpus_module._line_document
 
@@ -489,7 +550,7 @@ def test_a_regular_corpus_sends_no_line_to_the_per_line_path(tmp_path, monkeypat
     # non-ASCII and line separators in text, raw tags that normalize alike or to nothing, repeated dates
     corpus = Corpus(tuple(
         Document(id=f"d{i}", date=dt.date(2021, 1, 1 + i % 7), text=f"caf\u00e9 {i}\u2028\x85\U0001f680",
-                 tags=normalize_tags(["AI", " ai ", "Big  Data", "  ", f"t{i % 5}"][: 1 + i % 5]))
+                 tags=normalize_tags_reference(["AI", " ai ", "Big  Data", "  ", f"t{i % 5}"][: 1 + i % 5]))
         for i in range(60)
     ))
     path = tmp_path / "c.jsonl"
