@@ -60,25 +60,17 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        step = d * c
-        h *= step
+        # the even and then the odd term of step m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _CF_TINY:
+                d = _CF_TINY
+            c = 1.0 + aa / c
+            if abs(c) < _CF_TINY:
+                c = _CF_TINY
+            d = 1.0 / d
+            step = d * c
+            h *= step
         if abs(step - 1.0) < _CF_EPS:
             return h
     raise StatsError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
@@ -361,11 +353,20 @@ def _period_key(date, period: str) -> str:
     return f"{date.year}Q{(date.month - 1) // 3 + 1}"
 
 
-def check_trend(lexicon: TermLexicon, terms: list[str], period: str, field: str) -> None:
-    """Raise StatsError for a period, a field or a term that term_trend cannot count, before any corpus is read."""
+def check_trend(sources: list[tuple[str, object]], lexicon: TermLexicon, terms: list[str], period: str, field: str) -> None:
+    """Raise StatsError for a period, a field, a repeated corpus label or a term that term_trend cannot count.
+
+    sources holds (label, corpus) pairs, or (label, path) pairs before any
+    corpus is loaded; only the labels are read, after the period and the field.
+    """
     if period not in TREND_PERIODS:
         raise StatsError(f"period must be one of {TREND_PERIODS}, got {period!r}")
     check_setting("field", field, StatsError)
+    seen: set[str] = set()
+    for label, _ in sources:
+        if label in seen:
+            raise StatsError(f"duplicate corpus label {label!r}")
+        seen.add(label)
     for term in terms:
         if term not in lexicon.canonical_terms:
             raise StatsError(f"unknown term {term!r}: not in the lexicon")
@@ -383,8 +384,9 @@ def term_trend(
     A document holds a term when the term is among its ``document_items``
     under ``field``, the items the network builder uses. Every document is
     read once, whatever the number of terms; a repeated term is counted once.
+    Each corpus needs a label of its own.
     """
-    check_trend(lexicon, terms, period, field)
+    check_trend(corpora, lexicon, terms, period, field)
     wanted = set(terms)
     counts: dict[str, dict[str, dict[str, int]]] = {term: {} for term in terms}
     for label, corpus in corpora:

@@ -170,13 +170,8 @@ def run_trend(args: argparse.Namespace) -> int:
     if len(args.corpus) < 2:
         raise ConfigError(f"trend needs at least 2 corpus sources, got {len(args.corpus)}")
     sources = [_parse_source(raw) for raw in args.corpus]
-    seen_labels = set()
-    for label, _ in sources:
-        if label in seen_labels:
-            raise ConfigError(f"duplicate corpus label {label!r}")
-        seen_labels.add(label)
     terms = _load_terms_file(args.terms)
-    breakcheck.check_trend(lexicon, terms, args.period, config.field)
+    breakcheck.check_trend(sources, lexicon, terms, args.period, config.field)
     corpora = [(label, load_corpus(path)) for label, path in sources]
     trends = breakcheck.term_trend(corpora, lexicon, terms, args.period, config.field)
     for term, counts in trends.items():

@@ -401,7 +401,8 @@ def _descend(level: _Level, resolution: float, order_fn) -> list[int]:
     guarantee in the final assignment.
     """
     order = order_fn(level)
-    com = list(range(level.size))
+    # aggregating the singletons would copy level 0, so the first greedy phase runs on level 0 itself
+    com, _ = _local_phase(level, resolution, order)
     certified = None
     while True:
         com = _multilevel_from(level, resolution, order_fn, com)

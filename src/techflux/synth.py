@@ -179,6 +179,9 @@ def _check_term(term: str, where: str) -> str:
         raise SynthError(f"{where}: term {term!r} is not in normalized form")
     if term.startswith(FRESH_PREFIX):
         raise SynthError(f"{where}: term {term!r} uses the reserved prefix {FRESH_PREFIX!r}")
+    # lexicon_records escapes the term into a pattern that only matches between word boundaries
+    if not (re.match(r"\w", term[0]) and re.match(r"\w", term[-1])):
+        raise SynthError(f"{where}: term {term!r} must start and end with a word character for its lexicon pattern to match it")
     return term
 
 

@@ -171,31 +171,30 @@ def transition_report(
     )
 
 
-def export_similarity_csv(
-    matrix: SimilarityMatrix,
-    path: str | Path,
-    row_labels: list[str] | None = None,
-    col_labels: list[str] | None = None,
-) -> None:
+def _check_labels(matrix: SimilarityMatrix, labels_t: list[str], labels_t1: list[str]) -> None:
+    """Raise TransitionError unless there is one label per cluster at t and one per cluster at t+1."""
+    if len(labels_t) != len(matrix.row_sizes) or len(labels_t1) != len(matrix.col_sizes):
+        raise TransitionError("label lists must match the cluster counts")
+
+
+def export_similarity_csv(matrix: SimilarityMatrix, path: str | Path, row_labels: list[str], col_labels: list[str]) -> None:
     """CSV: header = t+1 cluster labels, first column = t cluster labels, 6 decimals."""
-    row_labels = row_labels or [str(i) for i in range(len(matrix.row_sizes))]
-    col_labels = col_labels or [str(j) for j in range(len(matrix.col_sizes))]
+    _check_labels(matrix, row_labels, col_labels)
     rows = [[""] + list(col_labels)]
-    rows += [[label] + [f"{v:.6f}" for v in matrix.values[i]] for i, label in enumerate(row_labels)]
+    rows += [[label] + [f"{v:.6f}" for v in row] for label, row in zip(row_labels, matrix.values)]
     write_csv(path, rows)
 
 
-def export_report_json(report: TransitionReport, path: str | Path, row_labels=None, col_labels=None) -> None:
+def export_report_json(report: TransitionReport, path: str | Path, row_labels: list[str], col_labels: list[str]) -> None:
     matrix = report.similarity
-    clusters_t = list(range(len(matrix.row_sizes)))
-    clusters_t1 = list(range(len(matrix.col_sizes)))
+    _check_labels(matrix, row_labels, col_labels)
     write_json(path, {
         "measure": matrix.measure,
         "tau": report.tau,
-        "clusters_t": clusters_t,
-        "clusters_t1": clusters_t1,
-        "cluster_labels_t": row_labels or [str(c) for c in clusters_t],
-        "cluster_labels_t1": col_labels or [str(c) for c in clusters_t1],
+        "clusters_t": list(range(len(matrix.row_sizes))),
+        "clusters_t1": list(range(len(matrix.col_sizes))),
+        "cluster_labels_t": row_labels,
+        "cluster_labels_t1": col_labels,
         "cluster_sizes_t": list(matrix.row_sizes),
         "cluster_sizes_t1": list(matrix.col_sizes),
         "similarity": [list(row) for row in matrix.values],
@@ -221,8 +220,7 @@ def alluvial_export(
     sorted by source cluster size descending, then flow descending.
     """
     matrix = report.similarity
-    if len(labels_t) != len(matrix.row_sizes) or len(labels_t1) != len(matrix.col_sizes):
-        raise TransitionError("label lists must match the cluster counts")
+    _check_labels(matrix, labels_t, labels_t1)
     rows = []
     for i, row in enumerate(matrix.intersections):
         for j, flow in enumerate(row):

@@ -428,7 +428,7 @@ def test_criterion_6_byte_identical_outputs(tmp_path):
              "targets": ["ab", ], "mixing": 1.0, "rate": 1.0},
             {"kind": "persist", "pair": 0, "sources": ["c"], "mixing": 0.6},
         ],
-    }))
+    }), encoding="utf-8")
     data = tmp_path / "data"
     assert main(["synth", "--plant-spec", str(spec_path), "--out", str(data)]) == 0
     # a second corpus for trend, which correlates sources over the two quarters
@@ -437,9 +437,9 @@ def test_criterion_6_byte_identical_outputs(tmp_path):
     days = ("2021-06-01", "2021-06-10", "2021-06-19", "2021-06-28", "2021-07-07", "2021-07-16", "2021-07-25",
             "2021-08-01")
     windows = tmp_path / "windows.json"
-    windows.write_text(json.dumps([{"start": s, "end": e} for s, e in zip(days, days[1:])]))
+    windows.write_text(json.dumps([{"start": s, "end": e} for s, e in zip(days, days[1:])]), encoding="utf-8")
     terms = tmp_path / "terms.txt"
-    terms.write_text("".join(entry["canonical"] + "\n" for entry in json.loads(Path(lexicon).read_text())))
+    terms.write_text("".join(entry["canonical"] + "\n" for entry in json.loads(Path(lexicon).read_text(encoding="utf-8"))), encoding="utf-8")
     commands = {
         "compare": ["compare", "--corpus", corpus, "--lexicon", lexicon,
                     "--window-t", "2021-06-01:2021-07-01", "--window-t1", "2021-07-01:2021-08-01"],

@@ -219,12 +219,12 @@ def test_break_json_representation(tmp_path):
     path = tmp_path / "break.json"
     step = chow_test([float(i) for i in range(10)], [0.0] * 5 + [5.0] * 5, 5)
     export_break_json(step, path)
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["f_statistic"] == "inf"
     assert payload["p_value"] == 0.0
     finite = BreakTestResult(3.5, 0.0625, 4, 2, 4, 6)
     export_break_json(finite, path)
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload == {
         "f_statistic": 3.5,
         "p_value": 0.0625,
@@ -317,7 +317,7 @@ def test_export_series_csv(tmp_path):
     series = IndexSeries(points=(SeriesPoint(W1, 0.5, 0.5), SeriesPoint(W2, 0.125, 0.875)))
     path = tmp_path / "series.csv"
     export_series_csv(series, path)
-    rows = list(csv.reader(path.read_text().splitlines()))
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
     assert rows[0] == ["window_start", "window_end", "mean_ci", "mean_ni"]
     assert rows[1] == ["2020-01-01", "2020-02-01", "0.500000", "0.500000"]
     assert rows[2] == ["2020-02-01", "2020-03-01", "0.125000", "0.875000"]
@@ -349,8 +349,8 @@ def _window_arg(window):
 def _inputs_argv(tmp_path, corpus, windows=(), lexicon=()):
     """--corpus and --lexicon of corpus and lexicon written to tmp_path, with windows written to windows.json."""
     save_corpus(corpus, tmp_path / "corpus.jsonl")
-    (tmp_path / "windows.json").write_text(json.dumps([{"start": w.start.isoformat(), "end": w.end.isoformat()} for w in windows]))
-    (tmp_path / "lexicon.json").write_text(json.dumps(list(lexicon)))
+    (tmp_path / "windows.json").write_text(json.dumps([{"start": w.start.isoformat(), "end": w.end.isoformat()} for w in windows]), encoding="utf-8")
+    (tmp_path / "lexicon.json").write_text(json.dumps(list(lexicon)), encoding="utf-8")
     return ["--corpus", str(tmp_path / "corpus.jsonl"), "--lexicon", str(tmp_path / "lexicon.json")]
 
 
@@ -500,7 +500,7 @@ def _probe(tmp_path, modes, argv):
     reports, outputs = {}, {}
     for mode in modes:
         result = subprocess.run([sys.executable, "-c", _CLI_PROBE, mode, *argv(tmp_path / mode)],
-                                env=package_env(), capture_output=True, text=True, timeout=300)
+                                env=package_env(), capture_output=True, encoding="utf-8", timeout=300)
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout.splitlines()[-1])
         assert report["code"] == 0, result.stderr
@@ -576,14 +576,14 @@ def _smallest_argv(tmp_path, command):
     if command == "compare":
         return lambda out: _compare_argv(tmp_path, ONE_PER_WINDOW, *FORK_WINDOWS[:2], out)
     if command == "synth":
-        (tmp_path / "plant.json").write_text(json.dumps(ONE_DOCUMENT_SPEC))
+        (tmp_path / "plant.json").write_text(json.dumps(ONE_DOCUMENT_SPEC), encoding="utf-8")
         return lambda out: ["synth", "--plant-spec", str(tmp_path / "plant.json"), "--out", str(out)]
     one = Corpus(ONE_PER_WINDOW.documents[:1])
     if command == "cluster":
         return lambda out: ["cluster", *_inputs_argv(tmp_path, one), "--window", _window_arg(FORK_WINDOWS[0]),
                             "--field", "tags", "--out", str(out)]
-    (tmp_path / "terms.txt").write_text("a\n")
-    (tmp_path / "lexicon.json").write_text(json.dumps([{"canonical": "a", "patterns": ["a"]}]))
+    (tmp_path / "terms.txt").write_text("a\n", encoding="utf-8")
+    (tmp_path / "lexicon.json").write_text(json.dumps([{"canonical": "a", "patterns": ["a"]}]), encoding="utf-8")
     save_corpus(one, tmp_path / "corpus.jsonl")
     return lambda out: ["trend", "--corpus", f"x={tmp_path / 'corpus.jsonl'}", "--corpus", f"y={tmp_path / 'corpus.jsonl'}",
                         "--terms", str(tmp_path / "terms.txt"), "--lexicon", str(tmp_path / "lexicon.json"), "--out", str(out)]
@@ -746,6 +746,8 @@ def test_term_trend_errors():
         term_trend(corpora, TREND_LEX, ["quantum computing"], "decade")
     with pytest.raises(StatsError, match="field must be one of"):
         term_trend(corpora, TREND_LEX, ["quantum computing"], "year", field="title")
+    with pytest.raises(StatsError, match="^duplicate corpus label 'x'$"):
+        term_trend(corpora + [("y", _UnreadableCorpus())] + corpora, TREND_LEX, ["quantum computing"], "year")
 
 
 TREND_ENTRIES = {
@@ -813,7 +815,7 @@ def test_term_trend_keeps_the_order_of_its_terms_under_any_hash_seed(hash_seed):
     terms = ["quantum dot", "laser", "edge", "ai"]
     result = subprocess.run(
         [sys.executable, "-c", _ORDER_PROBE, *terms],
-        env=dict(package_env(), PYTHONHASHSEED=hash_seed), capture_output=True, text=True, timeout=120,
+        env=dict(package_env(), PYTHONHASHSEED=hash_seed), capture_output=True, encoding="utf-8", timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == terms
@@ -836,7 +838,7 @@ def test_export_trend_csv_fills_missing_periods(tmp_path):
     counts = {"news": {"2019": 2, "2020": 1}, "patents": {"2020": 4}}
     path = tmp_path / "trend.csv"
     export_trend_csv(counts, path)
-    rows = list(csv.reader(path.read_text().splitlines()))
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
     assert rows == [
         ["period", "source", "count"],
         ["2019", "news", "2"],

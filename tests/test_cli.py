@@ -34,7 +34,7 @@ COMPARE_FILES = (
 
 
 def write_json(path, payload):
-    path.write_text(json.dumps(payload, indent=2))
+    path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return str(path)
 
 
@@ -107,7 +107,7 @@ def test_synth_and_compare_end_to_end(tmp_path, capsys):
     assert "merge" in captured.out
     assert "birth" in captured.out
     assert "mean convergence" in captured.out
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     kinds = sorted(e["kind"] for e in report["events"])
     assert kinds == ["birth", "merge", "persist"]
     # compare prints the plain mean index that the series uses
@@ -115,7 +115,7 @@ def test_synth_and_compare_end_to_end(tmp_path, capsys):
         math.fsum(report[key].values()) / len(report[key]) for key in ("convergence_index", "novelty_index")
     )
     assert f"mean convergence {mean_ci:.4f}, mean novelty {mean_ni:.4f}\n" in captured.out
-    truth = json.loads((data / "ground_truth.json").read_text())
+    truth = json.loads((data / "ground_truth.json").read_text(encoding="utf-8"))
     measured = sorted(report["convergence_index"].values())
     planted = sorted(truth["pairs"][0]["convergence"].values())
     assert measured == pytest.approx(planted, abs=1e-12)
@@ -156,13 +156,13 @@ def test_series_with_break_report(tmp_path, capsys):
     assert code == 0
     assert "CI series: F = " in captured.out
     assert "NI series: F = " in captured.out
-    lines = (out / "series.csv").read_text().splitlines()
+    lines = (out / "series.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "window_start,window_end,mean_ci,mean_ni"
     assert len(lines) == 8  # 8 windows -> 7 pair points
     # a fully stable corpus has convergence pinned at 1: no break anywhere
     assert all(line.endswith(",1.000000,0.000000") for line in lines[1:])
     for name in ("break_ci.json", "break_ni.json"):
-        payload = json.loads((out / name).read_text())
+        payload = json.loads((out / name).read_text(encoding="utf-8"))
         assert payload["breakpoint_index"] == 3
         assert payload["f_statistic"] == 0.0
         assert payload["p_value"] == 1.0
@@ -255,7 +255,7 @@ def test_windows_build_only_the_kept_nodes_and_extract_once_per_doc(tmp_path, mo
     finally:
         os.close(log)
     assert code == 0
-    extracted = collections.Counter((tmp_path / "extracted.log").read_text().split())
+    extracted = collections.Counter((tmp_path / "extracted.log").read_text(encoding="utf-8").split())
     corpus = load_corpus(data / "corpus.jsonl")
     expected = collections.Counter(
         doc.id for window in load_windows(windows_path) for doc in window_filter(corpus, window).documents
@@ -366,9 +366,9 @@ def test_a_pattern_that_re_fails_on_exits_2(tmp_path, capsys, pattern):
 def test_a_pattern_that_closes_its_wrapper_exits_2(tmp_path, capsys):
     # wrapped as \b(?:ai)|(?:chip)\b, this pattern would find ai in "microchip"
     for name in ("news", "patents"):
-        (tmp_path / f"{name}.jsonl").write_text('{"id": "d1", "date": "2020-01-05", "text": "a microchip story"}\n')
+        (tmp_path / f"{name}.jsonl").write_text('{"id": "d1", "date": "2020-01-05", "text": "a microchip story"}\n', encoding="utf-8")
     lexicon = write_json(tmp_path / "lex.json", [{"canonical": "ai", "patterns": ["ai)|(?:chip"]}])
-    (tmp_path / "terms.txt").write_text("ai\n")
+    (tmp_path / "terms.txt").write_text("ai\n", encoding="utf-8")
     out = tmp_path / "out"
     code = main(["trend", "--corpus", f"news={tmp_path / 'news.jsonl'}", "--corpus", f"patents={tmp_path / 'patents.jsonl'}",
                  "--terms", str(tmp_path / "terms.txt"), "--lexicon", lexicon, "--out", str(out)])
@@ -400,7 +400,7 @@ def test_unusable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv)
     ):
         monkeypatch.setattr(target, _forbidden)
     blocker = tmp_path / "a_file"
-    blocker.write_text("")
+    blocker.write_text("", encoding="utf-8")
     code = main(argv + ["--out", str(blocker / "x")])
     captured = capsys.readouterr()
     assert code == 2
@@ -412,7 +412,7 @@ def test_malformed_csv_exits_2(tmp_path, capsys, monkeypatch):
     # no CSV text breaks the raised field limit, so a small one stands in
     monkeypatch.setattr("techflux.corpus._CSV_FIELD_LIMIT", 100)
     corpus = tmp_path / "wide.csv"
-    corpus.write_text("id,date,text,tags\nd1,2021-01-05,short,ai\nd2,2021-01-06," + "x" * 101 + ",ai\n")
+    corpus.write_text("id,date,text,tags\nd1,2021-01-05,short,ai\nd2,2021-01-06," + "x" * 101 + ",ai\n", encoding="utf-8")
     lexicon = write_json(tmp_path / "lex.json", [{"canonical": "ai", "patterns": ["ai"]}])
     code = main(["cluster", "--corpus", str(corpus), "--lexicon", lexicon, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -595,7 +595,7 @@ def start_up_loads(tmp_path_factory):
                 argv = [] if path == "import" else _cli_argv(tmp_path, path)
             result = subprocess.run(
                 [sys.executable, "-c", _START_UP_PROBE, path, *argv],
-                env=package_env(), capture_output=True, text=True, timeout=120,
+                env=package_env(), capture_output=True, encoding="utf-8", timeout=120,
             )
             assert result.returncode == 0, result.stderr
             last = result.stdout.splitlines()[-1].split()
@@ -643,7 +643,7 @@ def test_only_an_extraction_builds_the_lexicon_scan(tmp_path, command, field, bu
         assert main(["synth", "--plant-spec", eight_window_spec(tmp_path), "--with-text", "--out", str(tmp_path / "data8")]) == 0
     result = subprocess.run(
         [sys.executable, "-c", _SCAN_PROBE, *argv],
-        env=package_env(), capture_output=True, text=True, timeout=120,
+        env=package_env(), capture_output=True, encoding="utf-8", timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"scan built: {built}"
@@ -670,7 +670,7 @@ def test_a_text_run_reads_each_lexicon_pattern_once(tmp_path):
     # the same corpus with its terms in the text instead of the tags
     assert main(["synth", "--plant-spec", two_window_spec(tmp_path), "--with-text", "--out", str(tmp_path / "data")]) == 0
     # beside each literal pattern, a regex with the same literal prefix or with none
-    entries = json.loads((tmp_path / "data" / "lexicon.json").read_text())
+    entries = json.loads((tmp_path / "data" / "lexicon.json").read_text(encoding="utf-8"))
     for i, entry in enumerate(entries):
         literal = entry["patterns"][0]
         entry["patterns"].append(f"{literal}s?" if i % 2 else f"(?:{literal}|x{i})")
@@ -678,7 +678,7 @@ def test_a_text_run_reads_each_lexicon_pattern_once(tmp_path):
     argv[argv.index("--lexicon") + 1] = lexicon
     result = subprocess.run(
         [sys.executable, "-c", _PATTERN_PROBE, *argv, "--field", "text"],
-        env=package_env(), capture_output=True, text=True, timeout=120,
+        env=package_env(), capture_output=True, encoding="utf-8", timeout=120,
     )
     assert result.returncode == 0, result.stderr
     calls = json.loads(result.stdout.splitlines()[-1])
@@ -692,7 +692,7 @@ def test_every_file_is_opened_with_an_encoding(tmp_path, command):
     result = subprocess.run(
         [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
          "-m", "techflux", *_cli_argv(tmp_path, command)],
-        env=package_env(), capture_output=True, text=True, timeout=120,
+        env=package_env(), capture_output=True, encoding="utf-8", timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert "EncodingWarning" not in result.stderr
@@ -713,13 +713,13 @@ def trend_fixture(tmp_path):
     ]
     for name in ("news", "patents"):
         lines = [json.dumps(dict(doc, id=f"{name}-{doc['id']}")) for doc in docs]
-        (tmp_path / f"{name}.jsonl").write_text("\n".join(lines) + "\n")
+        (tmp_path / f"{name}.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     lexicon = write_json(tmp_path / "lex.json", [
         {"canonical": "ai", "patterns": ["ai"]},
         {"canonical": "ghost", "patterns": ["ghost"]},
     ])
     terms = tmp_path / "terms.txt"
-    terms.write_text("# tracked terms\nai\nghost\n")
+    terms.write_text("# tracked terms\nai\nghost\n", encoding="utf-8")
     return lexicon, str(terms)
 
 
@@ -737,7 +737,7 @@ def test_trend_counts_and_correlations(tmp_path, capsys):
     ])
     captured = capsys.readouterr()
     assert code == 0
-    rows = (out / "trend_ai.csv").read_text().splitlines()
+    rows = (out / "trend_ai.csv").read_text(encoding="utf-8").splitlines()
     assert rows == [
         "period,source,count",
         "2019,news,1",
@@ -746,9 +746,9 @@ def test_trend_counts_and_correlations(tmp_path, capsys):
         "2020,patents,2",
     ]
     # the unmatched term still gets its file, but no correlation row
-    assert (out / "trend_ghost.csv").read_text().splitlines() == ["period,source,count"]
+    assert (out / "trend_ghost.csv").read_text(encoding="utf-8").splitlines() == ["period,source,count"]
     assert "'ghost'" in captured.err and "at least 2 points" in captured.err
-    assert (out / "correlations.csv").read_text().splitlines() == [
+    assert (out / "correlations.csv").read_text(encoding="utf-8").splitlines() == [
         "term,source_a,source_b,pearson_r",
         "ai,news,patents,1.000000",
     ]
@@ -778,7 +778,7 @@ def test_trend_source_errors(tmp_path, capsys):
     assert main(base + ["--corpus", news]) == 2
     assert "at least 2 corpus sources" in capsys.readouterr().err
     assert main(base + ["--corpus", news, "--corpus", news]) == 2
-    assert "duplicate corpus label 'news'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "techflux breakcheck: duplicate corpus label 'news'\n"
     assert main(base + ["--corpus", news, "--corpus", "nolabel"]) == 2
     assert "LABEL=PATH" in capsys.readouterr().err
 
@@ -790,7 +790,7 @@ def test_trend_rejects_terms_that_share_a_file_before_reading_a_corpus(tmp_path,
     ])
     terms = tmp_path / "terms.txt"
     # a term listed twice is not a clash; a second term with the same file is
-    terms.write_text("machine learning\nmachine learning\nmachine-learning\n")
+    terms.write_text("machine learning\nmachine learning\nmachine-learning\n", encoding="utf-8")
     out = tmp_path / "o"
     # neither corpus exists, so only a check made before reading them can pass
     code = main([
@@ -815,7 +815,7 @@ def test_trend_rejects_bad_input_before_writing(tmp_path, capsys, case):
     else:
         sources = ["--corpus", news, "--corpus", f"patents={tmp_path / 'patents.jsonl'}"]
         terms = tmp_path / "terms_unknown.txt"
-        terms.write_text("ai\nlaser\n")
+        terms.write_text("ai\nlaser\n", encoding="utf-8")
         message = "unknown term 'laser'"
     out = tmp_path / "o"
     code = main(["trend", *sources, "--terms", str(terms), "--lexicon", lexicon, "--out", str(out)])
@@ -825,10 +825,22 @@ def test_trend_rejects_bad_input_before_writing(tmp_path, capsys, case):
     assert not (out / "correlations.csv").exists()
 
 
+def test_trend_reports_a_bad_terms_file_before_a_repeated_label(tmp_path, capsys):
+    lexicon, _ = trend_fixture(tmp_path)
+    terms = tmp_path / "empty_terms.txt"
+    terms.write_text("# none yet\n", encoding="utf-8")
+    news = f"news={tmp_path / 'news.jsonl'}"
+    out = tmp_path / "o"
+    code = main(["trend", "--corpus", news, "--corpus", news, "--terms", str(terms), "--lexicon", lexicon, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"techflux config: terms file {terms} lists no terms\n"
+    assert not out.exists()
+
+
 def test_trend_checks_its_terms_before_reading_a_corpus(tmp_path, capsys, monkeypatch):
     lexicon, _ = trend_fixture(tmp_path)
     terms = tmp_path / "terms_unknown.txt"
-    terms.write_text("no such term\n")
+    terms.write_text("no such term\n", encoding="utf-8")
     out = tmp_path / "o"
     # the second corpus cannot be read, so only a check made before reading either can name the term
     code = main(["trend", "--corpus", f"news={tmp_path / 'news.jsonl'}", "--corpus", f"gone={tmp_path / 'missing.jsonl'}",
@@ -847,7 +859,7 @@ def test_trend_checks_its_terms_before_reading_a_corpus(tmp_path, capsys, monkey
 def test_trend_runs_a_repeated_term_once(tmp_path, capsys):
     lexicon, _ = trend_fixture(tmp_path)
     terms = tmp_path / "terms_twice.txt"
-    terms.write_text("ai\nai\n")
+    terms.write_text("ai\nai\n", encoding="utf-8")
     out = tmp_path / "trend_out"
     code = main([
         "trend",
@@ -859,7 +871,7 @@ def test_trend_runs_a_repeated_term_once(tmp_path, capsys):
     assert code == 0
     assert captured.out == f"wrote 1 trend files and correlations.csv to {out}\n"
     assert sorted(p.name for p in out.iterdir()) == ["correlations.csv", "trend_ai.csv"]
-    assert (out / "correlations.csv").read_text().splitlines() == [
+    assert (out / "correlations.csv").read_text(encoding="utf-8").splitlines() == [
         "term,source_a,source_b,pearson_r",
         "ai,news,patents,1.000000",
     ]
@@ -900,8 +912,8 @@ def test_trend_counts_under_field(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     # the fixture's documents carry "ai" only as a tag
-    assert (out / "trend_ai.csv").read_text().splitlines() == ["period,source,count"]
-    assert (out / "correlations.csv").read_text().splitlines() == ["term,source_a,source_b,pearson_r"]
+    assert (out / "trend_ai.csv").read_text(encoding="utf-8").splitlines() == ["period,source,count"]
+    assert (out / "correlations.csv").read_text(encoding="utf-8").splitlines() == ["term,source_a,source_b,pearson_r"]
 
 
 def test_cluster_subcommand(tmp_path, capsys):
@@ -919,7 +931,7 @@ def test_cluster_subcommand(tmp_path, capsys):
     for name in ("graph.graphml", "graph.json", "partition.json"):
         assert (out / name).exists()
     assert "3 clusters" in captured.out
-    partition = json.loads((out / "partition.json").read_text())
+    partition = json.loads((out / "partition.json").read_text(encoding="utf-8"))
     assert partition["cluster_count"] == 3
 
 
@@ -975,7 +987,7 @@ def test_graphml_refusal_exits_2_before_any_file_is_written(tmp_path, capsys, co
         {"id": f"d{i}", "date": f"2021-0{1 + i % 2}-01", "tags": ["ai", f"t{i % 3}"] + (["bad\u0001tag"] if i % 2 else [])}
         for i in range(8)
     ]
-    corpus.write_text("".join(json.dumps(record) + "\n" for record in records))
+    corpus.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
     lexicon = write_json(tmp_path / "lexicon.json", [{"canonical": "ai", "patterns": ["ai"]}])
     out = tmp_path / "out"
     code = main([*command, "--corpus", str(corpus), "--lexicon", lexicon, "--field", "tags", "--out", str(out)])
@@ -987,19 +999,20 @@ def test_graphml_refusal_exits_2_before_any_file_is_written(tmp_path, capsys, co
 
 
 def test_synth_refusal_of_its_generated_lexicon_writes_nothing(tmp_path, capsys):
-    spec = json.loads(Path(two_window_spec(tmp_path)).read_text())
+    spec = json.loads(Path(two_window_spec(tmp_path)).read_text(encoding="utf-8"))
     spec["communities"][0] = {"name": "red", "members": ["c++", "java"], "rate": 1.0}
     path = write_json(tmp_path / "cpp_plant.json", spec)
     out = tmp_path / "out"
     assert main(["synth", "--plant-spec", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "techflux lexicon: generated lexicon: entry 'c++': pattern 'c\\\\+\\\\+' fails self-test (does not match the canonical form)\n"
+        f"techflux synth: {path} community 'red': term 'c++' must start and end with a word character"
+        " for its lexicon pattern to match it\n"
     )
     assert not out.exists()
 
 
 def test_bad_date_in_plant_spec_reports_under_synth_with_its_window(tmp_path, capsys):
-    spec = json.loads(Path(two_window_spec(tmp_path)).read_text())
+    spec = json.loads(Path(two_window_spec(tmp_path)).read_text(encoding="utf-8"))
     spec["windows"][1]["start"] = "2021-13-01"
     path = write_json(tmp_path / "bad_plant.json", spec)
     assert main(["synth", "--plant-spec", path, "--out", str(tmp_path / "x")]) == 2
@@ -1015,7 +1028,7 @@ def test_bad_date_in_plant_spec_reports_under_synth_with_its_window(tmp_path, ca
     (0, "sources", ["red", "red"], "sources must be distinct, got ['red', 'red']"),
 ], ids=["number", "number-targets", "object", "string", "non-string-name", "repeated-source"])
 def test_malformed_plant_spec_event_lists_exit_2_naming_the_event(tmp_path, capsys, event, key, value, message):
-    spec = json.loads(Path(two_window_spec(tmp_path)).read_text())
+    spec = json.loads(Path(two_window_spec(tmp_path)).read_text(encoding="utf-8"))
     spec["events"][event][key] = value
     path = write_json(tmp_path / "bad_plant.json", spec)
     out = tmp_path / "x"
@@ -1052,7 +1065,7 @@ def test_config_file_with_flag_override(tmp_path):
         "--tau", "0.2",
     ])
     assert code == 0
-    report = json.loads((cfg_out / "report.json").read_text())
+    report = json.loads((cfg_out / "report.json").read_text(encoding="utf-8"))
     assert report["tau"] == 0.2
 
 
@@ -1065,7 +1078,7 @@ def test_config_file_weighted_mean_without_flag(tmp_path):
         for month in range(1, 7)
         for i, tags in enumerate(later)
     ]
-    (tmp_path / "corpus.jsonl").write_text("\n".join(docs) + "\n")
+    (tmp_path / "corpus.jsonl").write_text("\n".join(docs) + "\n", encoding="utf-8")
     windows = write_json(tmp_path / "windows.json", [{"start": MONTHS[i], "end": MONTHS[i + 1]} for i in range(7)])
     lexicon = write_json(tmp_path / "lex.json", [])
     base = ["series", "--corpus", str(tmp_path / "corpus.jsonl"), "--windows", windows,
@@ -1073,7 +1086,7 @@ def test_config_file_weighted_mean_without_flag(tmp_path):
 
     def first_mean_ci(extra, name):
         assert main(base + extra + ["--out", str(tmp_path / name)]) == 0
-        return (tmp_path / name / "series.csv").read_text().splitlines()[1].split(",")[2]
+        return (tmp_path / name / "series.csv").read_text(encoding="utf-8").splitlines()[1].split(",")[2]
 
     config = write_json(tmp_path / "config.json", {"weighted_mean": True})
     assert first_mean_ci([], "plain") == "0.500000"
@@ -1143,11 +1156,11 @@ def test_synth_seed_override_and_text_mode(tmp_path):
     base = synth_into(tmp_path, spec, "base")
     reseeded = tmp_path / "reseeded"
     assert main(["synth", "--plant-spec", spec, "--seed", "99", "--out", str(reseeded)]) == 0
-    assert (reseeded / "corpus.jsonl").read_text() != (base / "corpus.jsonl").read_text()
+    assert (reseeded / "corpus.jsonl").read_text(encoding="utf-8") != (base / "corpus.jsonl").read_text(encoding="utf-8")
 
     texted = tmp_path / "texted"
     assert main(["synth", "--plant-spec", spec, "--with-text", "--out", str(texted)]) == 0
-    first = json.loads((texted / "corpus.jsonl").read_text().splitlines()[0])
+    first = json.loads((texted / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
     assert first["tags"] == []
     assert first["text"].startswith("This note covers ")
 
@@ -1205,7 +1218,7 @@ def test_a_null_lexicon_in_a_config_file_leaves_it_to_the_flag(tmp_path):
     config = write_json(tmp_path / "config.json", {"lexicon": None})
     out = tmp_path / "out"
     assert main(_synth_compare_argv(tmp_path) + ["--config", config, "--out", str(out)]) == 0
-    assert json.loads((out / "report.json").read_text())["events"]
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["events"]
 
 
 @pytest.mark.parametrize("number,flag", [(1, "1.0"), (2, "2.0")])
@@ -1254,7 +1267,7 @@ def test_a_number_too_large_to_read_exits_2_naming_its_file(tmp_path, capsys, ca
              "windows.json": json.dumps([{"start": f"2021-0{m}-01", "end": f"2021-0{m + 1}-01"} for m in range(1, 8)]),
              "corpus.jsonl": '{"id": "a", "date": "2021-01-05", "tags": ["a", "b"]}\n', "plant.json": _PLANT, name: text}
     for file, content in files.items():
-        (tmp_path / file).write_text(content)
+        (tmp_path / file).write_text(content, encoding="utf-8")
     out = tmp_path / "out"
     if name == "plant.json":
         argv = ["synth", "--plant-spec", str(tmp_path / name), "--out", str(out)]

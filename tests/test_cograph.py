@@ -353,7 +353,7 @@ def test_graphml_triangle_element_counts(tmp_path):
     graph = make_graph([("a", "b", 1), ("a", "c", 1), ("b", "c", 1)])
     path = tmp_path / "tri.graphml"
     export_graphml(graph, path)
-    content = path.read_text()
+    content = path.read_text(encoding="utf-8")
     assert content.count("<node ") == 3
     assert content.count("<edge ") == 3
 

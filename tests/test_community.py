@@ -218,11 +218,11 @@ def test_partition_json_roundtrip(tmp_path):
     part = louvain(graph)
     path = tmp_path / "p.json"
     export_partition_json(part, path)
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["assignment"] == part.assignment
     assert payload["cluster_count"] == 2
     assert abs(payload["modularity"] - 0.5) < 1e-15
-    assert path.read_text() == json_text(
+    assert path.read_text(encoding="utf-8") == json_text(
         {"assignment": dict(sorted(part.assignment.items())), "modularity": part.modularity, "cluster_count": 2}
     )
 

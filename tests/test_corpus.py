@@ -256,7 +256,7 @@ def test_text_longer_than_the_csv_default_field_limit_roundtrips(tmp_path, fmt):
 def test_csv_error_names_file_and_line_and_restores_the_limit(tmp_path, monkeypatch):
     monkeypatch.setattr("techflux.corpus._CSV_FIELD_LIMIT", 100)
     path = tmp_path / "wide.csv"
-    path.write_text("id,date,text,tags\nd1,2020-01-01,short,ai\nd2,2020-01-02," + "x" * 101 + ",ai\n")
+    path.write_text("id,date,text,tags\nd1,2020-01-01,short,ai\nd2,2020-01-02," + "x" * 101 + ",ai\n", encoding="utf-8")
     default_limit = csv.field_size_limit()
     with pytest.raises(CorpusError, match=r"^wide\.csv line 3: malformed CSV \(field larger than field limit \(100\)\)$"):
         load_corpus(path)
@@ -265,14 +265,14 @@ def test_csv_error_names_file_and_line_and_restores_the_limit(tmp_path, monkeypa
 
 def test_load_normalizes_tags(tmp_path):
     path = tmp_path / "c.jsonl"
-    path.write_text(json.dumps({"id": "d1", "date": "2020-01-01", "tags": ["Big  Data", "BIG DATA", "ml"]}) + "\n")
+    path.write_text(json.dumps({"id": "d1", "date": "2020-01-01", "tags": ["Big  Data", "BIG DATA", "ml"]}) + "\n", encoding="utf-8")
     corpus = load_corpus(path)
     assert corpus.documents[0].tags == ("big data", "ml")
 
 
 def test_load_reports_missing_field_with_location(tmp_path):
     path = tmp_path / "c.jsonl"
-    path.write_text('{"id": "d1", "date": "2020-01-01", "tags": []}\n{"date": "2020-01-02", "tags": []}\n')
+    path.write_text('{"id": "d1", "date": "2020-01-01", "tags": []}\n{"date": "2020-01-02", "tags": []}\n', encoding="utf-8")
     with pytest.raises(CorpusError, match=r"c\.jsonl line 2: missing field 'id'"):
         load_corpus(path)
 
@@ -293,7 +293,7 @@ def test_load_reports_missing_field_with_location(tmp_path):
 def test_load_type_checks_each_jsonl_field(tmp_path, field, value, message):
     good = {"id": "d1", "date": "2021-01-01", "text": "ai", "tags": ["ai"]}
     path = tmp_path / "c.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "d2", field: value}) + "\n")
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "d2", field: value}) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=f"^{re.escape('c.jsonl line 2: ' + message)}$"):
         load_corpus(path)
 
@@ -348,13 +348,13 @@ def test_a_bad_date_after_repeated_ones_names_its_own_line(tmp_path, suffix):
 
 def test_load_takes_an_integer_id_and_null_text_and_tags(tmp_path):
     path = tmp_path / "c.jsonl"
-    path.write_text(json.dumps({"id": 7, "date": "2021-01-01", "text": None, "tags": None}) + "\n")
+    path.write_text(json.dumps({"id": 7, "date": "2021-01-01", "text": None, "tags": None}) + "\n", encoding="utf-8")
     assert load_corpus(path).documents == (Document(id="7", date=dt.date(2021, 1, 1), text="", tags=()),)
 
 
 def test_load_reports_bad_json_line(tmp_path):
     path = tmp_path / "c.jsonl"
-    path.write_text('{"id": "d1", "date": "2020-01-01", "tags": []}\nnot json\n')
+    path.write_text('{"id": "d1", "date": "2020-01-01", "tags": []}\nnot json\n', encoding="utf-8")
     with pytest.raises(CorpusError, match="line 2"):
         load_corpus(path)
 
@@ -391,7 +391,7 @@ def test_load_rejects_a_lone_surrogate_and_keeps_a_pair(tmp_path):
     good = r'{"id": "d1", "date": "2020-01-01", "tags": ["\ud83d\ude80 launch", "\\ud800"]}'
     path.write_text(good + "\n", encoding="utf-8")
     assert load_corpus(path).documents[0].tags == ("\U0001f680 launch", "\\ud800")
-    path.write_text(good + "\n" + r'{"id": "d2", "date": "2020-01-01", "tags": ["bad\ud800tag"]}' + "\n")
+    path.write_text(good + "\n" + r'{"id": "d2", "date": "2020-01-01", "tags": ["bad\ud800tag"]}' + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=r"^c\.jsonl line 2: lone surrogate escape, not valid text$"):
         load_corpus(path)
 
@@ -573,7 +573,7 @@ def test_load_missing_file():
 
 def test_load_csv_requires_columns(tmp_path):
     path = tmp_path / "c.csv"
-    path.write_text("id,date\nd1,2020-01-01\n")
+    path.write_text("id,date\nd1,2020-01-01\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="missing column"):
         load_corpus(path)
 
@@ -601,7 +601,7 @@ def test_load_windows(tmp_path):
     path.write_text(json.dumps([
         {"start": "2019-01-01", "end": "2019-04-01", "label": "q1"},
         {"start": "2019-04-01", "end": "2019-07-01"},
-    ]))
+    ]), encoding="utf-8")
     windows = load_windows(path)
     assert len(windows) == 2
     assert windows[0].label == "q1"
@@ -610,7 +610,7 @@ def test_load_windows(tmp_path):
 
 def test_load_windows_rejects_bad_record(tmp_path):
     path = tmp_path / "w.json"
-    path.write_text(json.dumps([{"start": "2019-01-01"}]))
+    path.write_text(json.dumps([{"start": "2019-01-01"}]), encoding="utf-8")
     with pytest.raises(CorpusError, match="window 0"):
         load_windows(path)
 
@@ -618,7 +618,7 @@ def test_load_windows_rejects_bad_record(tmp_path):
 @pytest.mark.parametrize("field, value", [("start", 20190101), ("end", None), ("label", None), ("label", 7)])
 def test_load_windows_requires_string_fields(tmp_path, field, value):
     path = tmp_path / "w.json"
-    path.write_text(json.dumps([{"start": "2019-01-01", "end": "2019-04-01", field: value}]))
+    path.write_text(json.dumps([{"start": "2019-01-01", "end": "2019-04-01", field: value}]), encoding="utf-8")
     message = f"w.json: window 0: {field!r} must be a string, got {value!r}"
     with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
         load_windows(path)
@@ -626,5 +626,5 @@ def test_load_windows_requires_string_fields(tmp_path, field, value):
 
 def test_window_records_truncate_datetimes_to_the_day(tmp_path):
     path = tmp_path / "w.json"
-    path.write_text(json.dumps([{"start": "2021-01-01T00:00:00", "end": "2021-02-01T12:30:00", "label": "jan"}]))
+    path.write_text(json.dumps([{"start": "2021-01-01T00:00:00", "end": "2021-02-01T12:30:00", "label": "jan"}]), encoding="utf-8")
     assert load_windows(path) == [TimeWindow(dt.date(2021, 1, 1), dt.date(2021, 2, 1), "jan")]

@@ -164,9 +164,9 @@ def test_series_files_match_the_composed_references(case):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         windows = tmp / "windows.json"
-        windows.write_text(json.dumps([{"start": s.isoformat(), "end": e.isoformat()} for s, e in case["windows"]]))
+        windows.write_text(json.dumps([{"start": s.isoformat(), "end": e.isoformat()} for s, e in case["windows"]]), encoding="utf-8")
         lexicon = tmp / "lex.json"
-        lexicon.write_text(json.dumps(LEXICON_RECORDS))
+        lexicon.write_text(json.dumps(LEXICON_RECORDS), encoding="utf-8")
         argv = [
             "series", "--corpus", _write_corpus(tmp / "c.jsonl", case["docs"]), "--windows", str(windows),
             "--lexicon", str(lexicon), "--breakpoint", str(case["breakpoint"]), "--field", case["field"],
@@ -184,7 +184,7 @@ def test_series_files_match_the_composed_references(case):
             assert abs(float(row[2]) - want_ci) <= 5e-7 + 1e-12
             assert abs(float(row[3]) - want_ni) <= 5e-7 + 1e-12
         for name, values in (("ci", ci), ("ni", ni)):
-            _check_break(json.loads((tmp / "out" / f"break_{name}.json").read_text()), values, case["breakpoint"])
+            _check_break(json.loads((tmp / "out" / f"break_{name}.json").read_text(encoding="utf-8")), values, case["breakpoint"])
 
 
 def _clustered_reference(docs, window, field, pairs, top_n, resolution):
@@ -246,7 +246,7 @@ def compare_cases(draw):
 def test_compare_files_match_the_composed_references(case):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "lex.json").write_text(json.dumps(LEXICON_RECORDS))
+        (tmp / "lex.json").write_text(json.dumps(LEXICON_RECORDS), encoding="utf-8")
         window_t, window_t1 = [f"{s.isoformat()}:{e.isoformat()}" for s, e in case["windows"]]
         out = tmp / "out"
         code, _, err = _run([
@@ -314,7 +314,7 @@ def cluster_cases(draw):
 def test_cluster_files_match_the_composed_references(case):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "lex.json").write_text(json.dumps(LEXICON_RECORDS))
+        (tmp / "lex.json").write_text(json.dumps(LEXICON_RECORDS), encoding="utf-8")
         window = [] if case["window"] is None else ["--window", ":".join(d.isoformat() for d in case["window"])]
         out = tmp / "out"
         code, stdout, err = _run([
@@ -359,8 +359,8 @@ def test_trend_files_match_the_per_term_reference(case):
     lexicon = lexicon_from_records(LEXICON_RECORDS)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "lex.json").write_text(json.dumps(LEXICON_RECORDS))
-        (tmp / "terms.txt").write_text("".join(term + "\n" for term in terms))
+        (tmp / "lex.json").write_text(json.dumps(LEXICON_RECORDS), encoding="utf-8")
+        (tmp / "terms.txt").write_text("".join(term + "\n" for term in terms), encoding="utf-8")
         sources = [a for label, docs in corpora.items() for a in ("--corpus", f"{label}={_write_corpus(tmp / f'{label}.jsonl', docs)}")]
         code, out, err = _run([
             "trend", *sources, "--terms", str(tmp / "terms.txt"), "--lexicon", str(tmp / "lex.json"),

@@ -54,7 +54,7 @@ def test_writes_to_one_path_use_distinct_temp_files(tmp_path, monkeypatch):
     atomic_write_text(tmp_path / "same.csv", "b\n")
     assert len(sources) == 2 and sources[0] != sources[1]
     assert all(os.path.dirname(src) == str(tmp_path) for src in sources)
-    assert (tmp_path / "same.csv").read_text() == "b\n"
+    assert (tmp_path / "same.csv").read_text(encoding="utf-8") == "b\n"
 
 
 class InputError(ValueError):

@@ -115,7 +115,7 @@ def test_pattern_matching_the_empty_string_rejected(pattern):
 
 def test_bad_pattern_in_a_lexicon_file_names_the_file(tmp_path):
     path = tmp_path / "terms.json"
-    path.write_text(json.dumps([{"canonical": "ai", "patterns": ["deep nets"]}]))
+    path.write_text(json.dumps([{"canonical": "ai", "patterns": ["deep nets"]}]), encoding="utf-8")
     message = "terms.json: entry 'ai': pattern 'deep nets' fails self-test (does not match the canonical form)"
     with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
         compile_lexicon(path)
@@ -128,7 +128,7 @@ def test_duplicate_canonical_rejected():
 
 def test_duplicate_canonical_in_a_lexicon_file_names_the_file(tmp_path):
     path = tmp_path / "terms.json"
-    path.write_text(json.dumps([{"canonical": "ai", "patterns": ["ai"]}, {"canonical": "AI", "patterns": ["a[i]"]}]))
+    path.write_text(json.dumps([{"canonical": "ai", "patterns": ["ai"]}, {"canonical": "AI", "patterns": ["a[i]"]}]), encoding="utf-8")
     with pytest.raises(LexiconError, match=r"^terms\.json: duplicate canonical term: 'ai'$"):
         compile_lexicon(path)
 
@@ -167,7 +167,7 @@ def test_canonical_normalized_to_lowercase():
 
 def test_compile_lexicon_from_file(tmp_path):
     path = tmp_path / "lex.json"
-    path.write_text(json.dumps([{"canonical": "5g", "patterns": ["5[- ]?g"]}]))
+    path.write_text(json.dumps([{"canonical": "5g", "patterns": ["5[- ]?g"]}]), encoding="utf-8")
     lexicon = compile_lexicon(path)
     assert extract_terms(doc("the 5G rollout"), lexicon) == {"5g"}
 
@@ -179,7 +179,7 @@ def test_compile_lexicon_missing_file():
 
 def test_compile_lexicon_bad_json(tmp_path):
     path = tmp_path / "lex.json"
-    path.write_text("{not json")
+    path.write_text("{not json", encoding="utf-8")
     with pytest.raises(LexiconError, match="invalid JSON"):
         compile_lexicon(path)
 

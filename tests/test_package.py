@@ -39,7 +39,7 @@ print(len(techflux.__all__), techflux.__version__)
 
 def test_public_names_load_their_module_on_first_use():
     result = subprocess.run(
-        [sys.executable, "-c", _LAZY_PROBE], env=package_env(), capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", _LAZY_PROBE], env=package_env(), capture_output=True, encoding="utf-8", timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "61 0.1.0\n"
@@ -54,6 +54,6 @@ def test_each_submodule_is_an_attribute_after_a_bare_import():
         "    assert getattr(techflux, name) is sys.modules['techflux.' + name], name\n"
         "assert 'techflux.cli' not in sys.modules\n"
     )
-    result = subprocess.run([sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-c", probe], env=package_env(), capture_output=True, encoding="utf-8",
                             timeout=120)
     assert result.returncode == 0, result.stderr

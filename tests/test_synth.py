@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from techflux import synth
 from techflux.cograph import build_cooccurrence
 from techflux.community import louvain
-from techflux.corpus import Document, window_filter
+from techflux.corpus import Document, normalize_tag, window_filter
 from techflux.errors import SynthError
 from techflux.lexicon import extract_terms, lexicon_from_records
 from techflux.synth import (
@@ -296,12 +296,12 @@ def test_spec_windows_truncate_datetimes_to_the_day():
 
 def test_load_plant_spec_file(tmp_path):
     path = tmp_path / "plant.json"
-    path.write_text(json.dumps(base_records()))
+    path.write_text(json.dumps(base_records()), encoding="utf-8")
     spec = load_plant_spec(path)
     assert spec.seed == 11
     assert len(spec.windows) == 2
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
+    bad.write_text("{nope", encoding="utf-8")
     with pytest.raises(SynthError, match="invalid JSON"):
         load_plant_spec(bad)
     with pytest.raises(SynthError, match="cannot read plant spec"):
@@ -424,7 +424,7 @@ def test_ground_truth_export(tmp_path):
     _, truth = generate_corpus(spec)
     path = tmp_path / "truth.json"
     export_ground_truth(truth, path)
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["assignments"][0]["alpha-000"] == "alpha"
     assert payload["pairs"][0]["convergence"]["delta"] == 0.4
     kinds = {e["kind"] for e in payload["pairs"][0]["events"]}
@@ -479,6 +479,46 @@ def test_generate_corpus_matches_scalar_oracle(spec, with_text):
     assert corpus == expected_corpus
     assert truth.assignments == expected_truth.assignments
     assert truth == expected_truth
+
+
+# any text, tag-like words that may start or end with punctuation, and known names of both kinds
+_ANY_TERM = st.one_of(
+    st.text(min_size=1, max_size=8),
+    st.from_regex(r"[a-z0-9 .+#_-]{1,6}", fullmatch=True),
+    st.sampled_from(["c++", "c#", ".net", "node.js", "ai", "big data", "ı", "straße"]),
+)
+
+
+@st.composite
+def any_term_plant_records(draw):
+    """Plant-spec records whose member terms and community names are any text, normalized or not."""
+    communities = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.one_of(st.text(min_size=1, max_size=6), st.from_regex(r"[a-z+.]{1,3}", fullmatch=True)))
+        if draw(st.booleans()):
+            terms = st.one_of(_ANY_TERM, _ANY_TERM.map(normalize_tag))
+            communities.append({"name": name, "members": draw(st.lists(terms, min_size=1, max_size=3)), "rate": 1.0})
+        else:
+            communities.append({"name": name, "size": draw(st.integers(1, 3)), "rate": 1.0})
+    return {
+        "seed": 0,
+        "docs_per_window": 1,
+        "windows": [{"start": "2020-01-01", "end": "2020-02-01"}, {"start": "2020-02-01", "end": "2020-03-01"}],
+        "communities": communities,
+        # renews half of the first community's terms with fresh names
+        "events": [{"kind": "persist", "sources": [communities[0]["name"]], "mixing": 0.5}],
+    }
+
+
+@settings(deadline=None)
+@given(any_term_plant_records())
+def test_every_accepted_plant_spec_gives_a_lexicon_that_passes_its_self_test(records):
+    try:
+        spec = plant_spec_from_records(records)
+    except SynthError:
+        return
+    _, truth = _plant(spec)
+    lexicon_from_records(lexicon_records(truth))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -561,13 +601,13 @@ print(json.dumps({"forks": forks, "code": code}))
 @pytest.mark.parametrize("text", [False, True], ids=["tags", "text"])
 def test_full_size_synth_forks_once_and_writes_the_in_process_bytes(tmp_path, text):
     spec = tmp_path / "plant.json"
-    spec.write_text(json.dumps(_fork_spec_records(docs_per_window=600, windows=8)))
+    spec.write_text(json.dumps(_fork_spec_records(docs_per_window=600, windows=8)), encoding="utf-8")
     files = {}
     for mode in ("plain", "thread"):
         out = tmp_path / mode
         result = subprocess.run([sys.executable, "-c", _SYNTH_PROBE, mode, str(spec), str(out)]
                                 + (["--with-text"] if text else []),
-                                env=package_env(), capture_output=True, text=True, timeout=300)
+                                env=package_env(), capture_output=True, encoding="utf-8", timeout=300)
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout.splitlines()[-1])
         # a second thread makes a fork unsafe, so generation stays in one process

@@ -228,7 +228,7 @@ def test_similarity_csv_format(tmp_path):
     matrix = similarity_matrix(partition({"a", "b", "c"}, {"d"}), partition({"a", "d", "e"}))
     path = tmp_path / "sim.csv"
     export_similarity_csv(matrix, path, row_labels=["alpha", "beta"], col_labels=["gamma"])
-    rows = list(csv.reader(path.read_text().splitlines()))
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
     assert rows[0] == ["", "gamma"]
     assert rows[1] == ["alpha", "0.333333"]
     assert rows[2] == ["beta", "0.333333"]
@@ -238,7 +238,7 @@ def test_report_json_payload(tmp_path):
     report = transition_report(partition({"a", "b"}), partition({"a", "c"}))
     path = tmp_path / "report.json"
     export_report_json(report, path, ["old"], ["new"])
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["measure"] == "overlap_target"
     assert payload["cluster_labels_t"] == ["old"]
     assert payload["cluster_labels_t1"] == ["new"]
@@ -258,7 +258,7 @@ def test_alluvial_rows_and_ordering(tmp_path):
     report = transition_report(t, t1)
     path = tmp_path / "flows.csv"
     alluvial_export(report, ["big", "small"], ["left", "right"], path)
-    rows = list(csv.reader(path.read_text().splitlines()))
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
     assert rows[0] == ["source_cluster", "target_cluster", "flow_weight", "source_label", "target_label"]
     assert rows[1] == ["0", "0", "3", "big", "left"]
     assert rows[2] == ["0", "1", "2", "big", "right"]
@@ -271,10 +271,37 @@ def test_alluvial_header_only_when_disjoint(tmp_path):
     report = transition_report(partition({"a"}), partition({"b"}))
     path = tmp_path / "flows.csv"
     alluvial_export(report, ["a"], ["b"], path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == ["source_cluster,target_cluster,flow_weight,source_label,target_label"]
     with pytest.raises(TransitionError, match="label lists"):
         alluvial_export(report, ["a", "extra"], ["b"], path)
+    with pytest.raises(TransitionError, match="label lists"):
+        alluvial_export(report, ["a"], [], path)
+
+
+def _export_similarity(report, labels_t, labels_t1, path):
+    export_similarity_csv(report.similarity, path, labels_t, labels_t1)
+
+
+def _export_report(report, labels_t, labels_t1, path):
+    export_report_json(report, path, labels_t, labels_t1)
+
+
+# alluvial_export's refusal is in test_alluvial_header_only_when_disjoint
+@pytest.mark.parametrize("export", [_export_similarity, _export_report], ids=["similarity_csv", "report_json"])
+@pytest.mark.parametrize("labels_t,labels_t1", [
+    (["a"], ["x", "y"]),
+    (["a", "b", "c"], ["x", "y"]),
+    (["a", "b"], ["x"]),
+    (["a", "b"], ["x", "y", "z"]),
+    (["a", "b"] * 25, ["x", "y"]),
+], ids=["short-t", "long-t", "short-t1", "long-t1", "50-at-t"])
+def test_similarity_and_report_exports_refuse_a_label_list_of_the_wrong_length(tmp_path, export, labels_t, labels_t1):
+    report = transition_report(partition({"a", "b"}, {"c"}), partition({"a"}, {"b", "c"}))
+    path = tmp_path / "out"
+    with pytest.raises(TransitionError, match="^label lists must match the cluster counts$"):
+        export(report, labels_t, labels_t1, path)
+    assert not path.exists()
 
 
 @st.composite
