@@ -93,9 +93,9 @@ def run_compare(args: argparse.Namespace) -> int:
     export_graph_json(graph_t1, out / "graph_t1.json")
     export_partition_json(part_t, out / "partition_t.json")
     export_partition_json(part_t1, out / "partition_t1.json")
-    export_similarity_csv(report.similarity, out / "similarity.csv", labels_t, labels_t1)
+    export_similarity_csv(report, out / "similarity.csv", labels_t, labels_t1)
     export_report_json(report, out / "report.json", labels_t, labels_t1)
-    alluvial_export(report, labels_t, labels_t1, out / "alluvial.csv")
+    alluvial_export(report, out / "alluvial.csv", labels_t, labels_t1)
     for window, part in ((window_t, part_t), (window_t1, part_t1)):
         # the label names the window in errors; its line shows its dates
         print(f"window {window.label:<5}[{window.start},{window.end}): "

@@ -19,19 +19,20 @@ this implementation pins every source of nondeterminism:
 Greedy local moving is order-sensitive and can stall in poor local optima
 on small graphs, so each multilevel descent alternates with a refinement
 stage: a greedy fixpoint over single-node moves plus an escape search that
-chains forced relocations and keeps the best-scoring prefix. After each
-forced move the escape search re-scores only the gains toward the two
-communities that move touched, which is exact on integer edge weights.
-The escape search is a pure function of the level, the resolution, the
-traversal order and the assignment, and the first three are fixed within
-one descent; so a descent remembers the last assignment a search found no
-improvement for and does not search it again, which returns what the
-search would. The memo matches the exact label list, not the partition:
-relabelling the same partition moves the smallest-label tie-breaks. The
-descent runs once per traversal order and the higher-quality result wins,
-with ties going to the lexicographic sweep. Every stage uses fixed orders
-and tie-breaks, so repeated runs on the same graph yield identical
-partitions.
+chains forced relocations and keeps the best-scoring prefix. Both stages
+keep one link table per node (community -> link weight) and each move
+updates only the mover's neighbours, exact at every level on integer edge
+weights; the escape search then re-scores only the gains toward the two
+communities a move touched. The escape search is a pure function of the
+level, the resolution, the traversal order and the assignment, and the
+first three are fixed within one descent; so a descent remembers the last
+assignment a search found no improvement for and does not search it again,
+which returns what the search would. The memo matches the exact label list,
+not the partition: relabelling the same partition moves the smallest-label
+tie-breaks. The descent runs once per traversal order and the
+higher-quality result wins, with ties going to the lexicographic sweep.
+Every stage uses fixed orders and tie-breaks, so repeated runs on the same
+graph yield identical partitions.
 """
 
 from __future__ import annotations
@@ -141,9 +142,47 @@ def _degree_order(level: _Level) -> list[int]:
     return sorted(range(level.size), key=lambda i: (-level.degree[i], i))
 
 
-def _local_phase(
-    level: _Level, resolution: float, order: list[int], com: list[int] | None = None
-) -> tuple[list[int], int]:
+def _link_tables(level: _Level, com: list[int]) -> tuple[dict[int, float], list[dict[int, float]]]:
+    """Total degree per community, and per node its link weight into each neighbouring community."""
+    tot: dict[int, float] = {}
+    for i, k_i in enumerate(level.degree):
+        tot[com[i]] = tot.get(com[i], 0.0) + k_i
+    links: list[dict[int, float]] = []
+    for nbrs in level.adj:
+        table: dict[int, float] = {}
+        for j, w in nbrs.items():
+            table[com[j]] = table.get(com[j], 0.0) + w
+        links.append(table)
+    return tot, links
+
+
+def _move(level: _Level, com: list[int], tot: dict[int, float], links: list[dict[int, float]], i: int, target: int) -> None:
+    """Move node i into community target, updating the tables of _link_tables in place.
+
+    A move from A to B changes only tot[A], tot[B] and the neighbours' link
+    weights toward A and B. The updates are exact at every level: CoGraph
+    weights are integers, aggregation sums them, and self-loops sit in
+    self_w, outside the tables. So every link weight and total is an integer
+    held exactly in a double in any update order, an emptied link reaches
+    exactly 0.0 and is deleted, and the tables equal a fresh _link_tables
+    (an emptied community keeps its total, 0.0).
+    """
+    source = com[i]
+    k_i = level.degree[i]
+    tot[source] -= k_i
+    com[i] = target
+    tot[target] = tot.get(target, 0.0) + k_i
+    for j, w in level.adj[i].items():
+        table = links[j]
+        left = table[source] - w
+        if left == 0.0:
+            del table[source]
+        else:
+            table[source] = left
+        table[target] = table.get(target, 0.0) + w
+
+
+def _local_phase(level: _Level, resolution: float, order: list[int], com: list[int] | None = None) -> tuple[list[int], int]:
     """Greedy node moves until no strictly positive gain remains.
 
     A detached node of degree k_i gains w/m - resolution * tot_c * k_i /
@@ -151,18 +190,15 @@ def _local_phase(
     tot_c the total degree of c without it; terms constant in the target
     are dropped. The node moves to the best community other than its home
     (smallest label on ties) only when that gains strictly more than
-    rejoining home, so ties keep it home. Returns (community label per
-    node, number of moves made). Starts from singletons unless an
-    assignment is given; singleton labels are the initial node indices, so
-    "smallest community id" is well defined and deterministic.
+    rejoining home, so ties keep it home. The link tables are built once;
+    _move keeps them current. Returns (community label per node, number of
+    moves made). Starts from singletons unless an assignment is given;
+    singleton labels are the initial node indices, so "smallest community
+    id" is well defined and deterministic.
     """
-    n = level.size
-    com = list(range(n)) if com is None else list(com)
-    adj = level.adj
+    com = list(range(level.size)) if com is None else list(com)
     degree = level.degree
-    tot: dict[int, float] = {}
-    for i in range(n):
-        tot[com[i]] = tot.get(com[i], 0.0) + degree[i]
+    tot, links = _link_tables(level, com)
     m = level.m
     two_m2 = 2.0 * m * m
     total_moves = 0
@@ -171,28 +207,19 @@ def _local_phase(
         for i in order:
             k_i = degree[i]
             home = com[i]
-            # Link weight from i to each neighboring community.
-            links: dict[int, float] = {}
-            for j, w in adj[i].items():
-                c = com[j]
-                if c in links:
-                    links[c] += w
-                else:
-                    links[c] = w
+            table = links[i]
             # Detach i, then compare reinsertion gains, starting from home's.
-            tot[home] -= k_i
             best_c = home
-            best_gain = links.pop(home, 0.0) / m - resolution * tot[home] * k_i / two_m2
-            for c, w in links.items():
+            best_gain = table.get(home, 0.0) / m - resolution * (tot[home] - k_i) * k_i / two_m2
+            for c, w in table.items():
+                if c == home:
+                    continue
                 gain = w / m - resolution * tot[c] * k_i / two_m2
                 if gain > best_gain or (gain == best_gain and c < best_c and best_c != home):
                     best_c, best_gain = c, gain
             if best_c != home:
-                com[i] = best_c
-                tot[best_c] += k_i
+                _move(level, com, tot, links, i, best_c)
                 moves += 1
-            else:
-                tot[home] += k_i
         total_moves += moves
         if moves == 0:
             return com, total_moves
@@ -201,9 +228,7 @@ def _local_phase(
 _ESCAPE_MAX_NODES = 512
 
 
-def _escape_round(
-    level: _Level, resolution: float, order: list[int], com: list[int]
-) -> tuple[list[int], bool]:
+def _escape_round(level: _Level, resolution: float, order: list[int], com: list[int]) -> tuple[list[int], bool]:
     """One escape round: chained forced moves with best-prefix acceptance.
 
     Repeatedly applies the single best relocation over all not-yet-moved
@@ -216,21 +241,15 @@ def _escape_round(
     coordinated move sequences, which the one-node-at-a-time greedy phase
     cannot reach.
 
-    Moving a node from community A to B changes only tot[A], tot[B] and the
-    neighbours' link weights toward A and B, so every other candidate gain
-    stays valid. Each node therefore keeps a link table (community -> link
-    weight, updated for the mover's neighbours only) and a cached best
-    target. After a move, a node whose cached target is A, B or None
-    rescans its link table; any other node only weighs A and B against its
-    cached target; both evaluate the gain inline in one candidate loop,
-    over the link table or over A and B. A step costs O(n) plus the
-    rescans, instead of re-scoring every link of every unlocked node. The
-    updates are exact:
-    this stage runs on level 0, where every edge weight is an integer, so
-    every link weight and total is an integer held exactly in a double and
-    an emptied link reaches exactly 0.0. The round thus builds the same
-    chain as re-scoring from scratch. Levels above _ESCAPE_MAX_NODES nodes
-    are skipped, since the round stays quadratic in node count.
+    A move from community A to B changes only the gains toward A and B
+    (_move), so each node keeps a cached best target beside its link table.
+    After a move, a node whose cached target is A, B or None rescans its
+    link table; any other node only weighs A and B against its cached
+    target, in the same inline candidate loop. A step costs O(n) plus the
+    rescans, not a re-score of every link of every unlocked node, and builds
+    the chain that re-scoring from scratch would, as _move is exact. Levels
+    above _ESCAPE_MAX_NODES nodes are skipped: the round stays quadratic in
+    node count.
 
     The round depends on nothing but its arguments, so an assignment it
     returned unimproved stays certified while level, resolution and order
@@ -244,15 +263,7 @@ def _escape_round(
     two_m2 = 2.0 * m * m
     degree = level.degree
     work = list(com)
-    tot: dict[int, float] = {}
-    for i in range(n):
-        tot[work[i]] = tot.get(work[i], 0.0) + degree[i]
-    links: list[dict[int, float]] = []
-    for i in range(n):
-        table: dict[int, float] = {}
-        for j, w in level.adj[i].items():
-            table[work[j]] = table.get(work[j], 0.0) + w
-        links.append(table)
+    tot, links = _link_tables(level, work)
     target: list[int | None] = [None] * n
     target_gain = [0.0] * n
     next_fresh = max(work) + 1
@@ -303,18 +314,7 @@ def _escape_round(
         source = work[pick]
         if pick_target == next_fresh:
             next_fresh += 1
-        tot[source] -= degree[pick]
-        work[pick] = pick_target
-        tot[pick_target] = tot.get(pick_target, 0.0) + degree[pick]
-        for j, w in level.adj[pick].items():
-            table = links[j]
-            left = table[source] - w
-            # Exact on integer weights: a link with no neighbour left is exactly 0.0.
-            if left == 0.0:
-                del table[source]
-            else:
-                table[source] = left
-            table[pick_target] = table.get(pick_target, 0.0) + w
+        _move(level, work, tot, links, pick, pick_target)
         moved = (source, pick_target)
         unlocked.remove(pick)
         cum += pick_delta

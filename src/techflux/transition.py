@@ -177,24 +177,25 @@ def _check_labels(matrix: SimilarityMatrix, labels_t: list[str], labels_t1: list
         raise TransitionError("label lists must match the cluster counts")
 
 
-def export_similarity_csv(matrix: SimilarityMatrix, path: str | Path, row_labels: list[str], col_labels: list[str]) -> None:
+def export_similarity_csv(report: TransitionReport, path: str | Path, labels_t: list[str], labels_t1: list[str]) -> None:
     """CSV: header = t+1 cluster labels, first column = t cluster labels, 6 decimals."""
-    _check_labels(matrix, row_labels, col_labels)
-    rows = [[""] + list(col_labels)]
-    rows += [[label] + [f"{v:.6f}" for v in row] for label, row in zip(row_labels, matrix.values)]
+    matrix = report.similarity
+    _check_labels(matrix, labels_t, labels_t1)
+    rows = [[""] + list(labels_t1)]
+    rows += [[label] + [f"{v:.6f}" for v in row] for label, row in zip(labels_t, matrix.values)]
     write_csv(path, rows)
 
 
-def export_report_json(report: TransitionReport, path: str | Path, row_labels: list[str], col_labels: list[str]) -> None:
+def export_report_json(report: TransitionReport, path: str | Path, labels_t: list[str], labels_t1: list[str]) -> None:
     matrix = report.similarity
-    _check_labels(matrix, row_labels, col_labels)
+    _check_labels(matrix, labels_t, labels_t1)
     write_json(path, {
         "measure": matrix.measure,
         "tau": report.tau,
         "clusters_t": list(range(len(matrix.row_sizes))),
         "clusters_t1": list(range(len(matrix.col_sizes))),
-        "cluster_labels_t": row_labels,
-        "cluster_labels_t1": col_labels,
+        "cluster_labels_t": labels_t,
+        "cluster_labels_t1": labels_t1,
         "cluster_sizes_t": list(matrix.row_sizes),
         "cluster_sizes_t1": list(matrix.col_sizes),
         "similarity": [list(row) for row in matrix.values],
@@ -208,12 +209,7 @@ def export_report_json(report: TransitionReport, path: str | Path, row_labels: l
     })
 
 
-def alluvial_export(
-    report: TransitionReport,
-    labels_t: list[str],
-    labels_t1: list[str],
-    path: str | Path,
-) -> None:
+def alluvial_export(report: TransitionReport, path: str | Path, labels_t: list[str], labels_t1: list[str]) -> None:
     """Flow table for alluvial/sankey plotting.
 
     One row per positive cluster overlap, flow weight = shared node count,

@@ -16,7 +16,9 @@ from techflux.community import (
     _descend,
     _escape_round,
     _lex_order,
+    _link_tables,
     _local_phase,
+    _move,
     export_partition_json,
     louvain,
     modularity,
@@ -307,6 +309,30 @@ def test_aggregate_matches_smallest_name_oracle(case, data):
         assert (new_level.adj, new_level.self_w, new_index) == (adj, self_w, ref_index)
         level = new_level
         com = data.draw(st.lists(st.integers(0, level.size - 1), min_size=level.size, max_size=level.size))
+
+
+@settings(deadline=None)
+@given(local_phase_cases(), st.booleans(), st.data())
+def test_move_keeps_the_tables_of_a_fresh_build(case, aggregated, data):
+    level, _, _, com = case
+    if aggregated:
+        # one level up: summed weights, and self-loops from the merged links
+        level, _ = _aggregate(level, com)
+        com = data.draw(st.lists(st.integers(0, level.size - 1), min_size=level.size, max_size=level.size))
+    tot, links = _link_tables(level, com)
+    fresh = max(com) + 1
+    for _ in range(data.draw(st.integers(1, 12))):
+        i = data.draw(st.integers(0, level.size - 1))
+        target = data.draw(st.sampled_from(sorted(set(com)) + [fresh]))
+        if target == fresh:
+            fresh += 1
+        _move(level, com, tot, links, i, target)
+        want_tot, want_links = _link_tables(level, com)
+        assert links == want_links
+        assert not any(0.0 in table.values() for table in links)
+        # an emptied community keeps its total, 0.0
+        assert {c: tot[c] for c in want_tot} == want_tot
+        assert all(tot[c] == 0.0 for c in tot.keys() - want_tot.keys())
 
 
 @st.composite

@@ -225,9 +225,9 @@ def test_transition_report_wiring():
 
 
 def test_similarity_csv_format(tmp_path):
-    matrix = similarity_matrix(partition({"a", "b", "c"}, {"d"}), partition({"a", "d", "e"}))
+    report = transition_report(partition({"a", "b", "c"}, {"d"}), partition({"a", "d", "e"}))
     path = tmp_path / "sim.csv"
-    export_similarity_csv(matrix, path, row_labels=["alpha", "beta"], col_labels=["gamma"])
+    export_similarity_csv(report, path, labels_t=["alpha", "beta"], labels_t1=["gamma"])
     rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
     assert rows[0] == ["", "gamma"]
     assert rows[1] == ["alpha", "0.333333"]
@@ -257,7 +257,7 @@ def test_alluvial_rows_and_ordering(tmp_path):
     t1 = partition(set(names("a", 3)) | {"x"}, set(names("b", 2)) | {"y"})
     report = transition_report(t, t1)
     path = tmp_path / "flows.csv"
-    alluvial_export(report, ["big", "small"], ["left", "right"], path)
+    alluvial_export(report, path, ["big", "small"], ["left", "right"])
     rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
     assert rows[0] == ["source_cluster", "target_cluster", "flow_weight", "source_label", "target_label"]
     assert rows[1] == ["0", "0", "3", "big", "left"]
@@ -270,25 +270,18 @@ def test_alluvial_rows_and_ordering(tmp_path):
 def test_alluvial_header_only_when_disjoint(tmp_path):
     report = transition_report(partition({"a"}), partition({"b"}))
     path = tmp_path / "flows.csv"
-    alluvial_export(report, ["a"], ["b"], path)
+    alluvial_export(report, path, ["a"], ["b"])
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == ["source_cluster,target_cluster,flow_weight,source_label,target_label"]
     with pytest.raises(TransitionError, match="label lists"):
-        alluvial_export(report, ["a", "extra"], ["b"], path)
+        alluvial_export(report, path, ["a", "extra"], ["b"])
     with pytest.raises(TransitionError, match="label lists"):
-        alluvial_export(report, ["a"], [], path)
+        alluvial_export(report, path, ["a"], [])
 
 
-def _export_similarity(report, labels_t, labels_t1, path):
-    export_similarity_csv(report.similarity, path, labels_t, labels_t1)
-
-
-def _export_report(report, labels_t, labels_t1, path):
-    export_report_json(report, path, labels_t, labels_t1)
-
-
-# alluvial_export's refusal is in test_alluvial_header_only_when_disjoint
-@pytest.mark.parametrize("export", [_export_similarity, _export_report], ids=["similarity_csv", "report_json"])
+@pytest.mark.parametrize(
+    "export", [export_similarity_csv, export_report_json, alluvial_export], ids=["similarity_csv", "report_json", "alluvial_csv"]
+)
 @pytest.mark.parametrize("labels_t,labels_t1", [
     (["a"], ["x", "y"]),
     (["a", "b", "c"], ["x", "y"]),
@@ -300,7 +293,7 @@ def test_similarity_and_report_exports_refuse_a_label_list_of_the_wrong_length(t
     report = transition_report(partition({"a", "b"}, {"c"}), partition({"a"}, {"b", "c"}))
     path = tmp_path / "out"
     with pytest.raises(TransitionError, match="^label lists must match the cluster counts$"):
-        export(report, labels_t, labels_t1, path)
+        export(report, path, labels_t, labels_t1)
     assert not path.exists()
 
 
