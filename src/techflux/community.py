@@ -156,7 +156,9 @@ def _link_tables(level: _Level, com: list[int]) -> tuple[dict[int, float], list[
     return tot, links
 
 
-def _move(level: _Level, com: list[int], tot: dict[int, float], links: list[dict[int, float]], i: int, target: int) -> None:
+def _move(
+    level: _Level, com: list[int], tot: dict[int, float], links: list[dict[int, float]], i: int, target: int
+) -> None:
     """Move node i into community target, updating the tables of _link_tables in place.
 
     A move from A to B changes only tot[A], tot[B] and the neighbours' link
@@ -182,7 +184,9 @@ def _move(level: _Level, com: list[int], tot: dict[int, float], links: list[dict
         table[target] = table.get(target, 0.0) + w
 
 
-def _local_phase(level: _Level, resolution: float, order: list[int], com: list[int] | None = None) -> tuple[list[int], int]:
+def _local_phase(
+    level: _Level, resolution: float, order: list[int], com: list[int] | None = None
+) -> tuple[list[int], int]:
     """Greedy node moves until no strictly positive gain remains.
 
     A detached node of degree k_i gains w/m - resolution * tot_c * k_i /
@@ -228,7 +232,9 @@ def _local_phase(level: _Level, resolution: float, order: list[int], com: list[i
 _ESCAPE_MAX_NODES = 512
 
 
-def _escape_round(level: _Level, resolution: float, order: list[int], com: list[int]) -> tuple[list[int], bool]:
+def _escape_round(
+    level: _Level, resolution: float, order: list[int], com: list[int]
+) -> tuple[list[int], bool]:
     """One escape round: chained forced moves with best-prefix acceptance.
 
     Repeatedly applies the single best relocation over all not-yet-moved

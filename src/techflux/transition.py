@@ -209,7 +209,12 @@ def export_report_json(report: TransitionReport, path: str | Path, labels_t: lis
     })
 
 
-def alluvial_export(report: TransitionReport, path: str | Path, labels_t: list[str], labels_t1: list[str]) -> None:
+def alluvial_export(
+    report: TransitionReport,
+    path: str | Path,
+    labels_t: list[str],
+    labels_t1: list[str],
+) -> None:
     """Flow table for alluvial/sankey plotting.
 
     One row per positive cluster overlap, flow weight = shared node count,

@@ -5,13 +5,13 @@ inputs with fixed seeds, and records the sha256 of every file the command
 writes to its --out directory and of its stdout and stderr, with the --out
 path masked. ``tests/pinned_outputs.json`` holds the reference that
 ``test_pinned_outputs.py`` checks; it needs nothing but the standard library
-and this package, so any interpreter can run it:
+and this package, so any interpreter can print the digests:
 
-    PYTHONPATH=src python tests/pinned_runs.py            # print the digests
-    PYTHONPATH=src python tests/pinned_runs.py --record   # rewrite the reference
+    PYTHONPATH=src python tests/pinned_runs.py
 
-Re-recording is a deliberate act: do it only for an output changed on
-purpose, and say why.
+Redirecting that output into tests/pinned_outputs.json re-records the
+reference. Re-recording is a deliberate act: do it only for an output
+changed on purpose, and say why.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from pathlib import Path
 
 from techflux.cli import main
 from techflux.corpus import load_corpus, save_corpus
-
-REFERENCE = Path(__file__).resolve().parent / "pinned_outputs.json"
 
 # seven quarters: six window pairs, enough for a break at 3, and two calendar years
 WINDOWS = [
@@ -159,8 +157,4 @@ def run_cases(work: Path) -> dict[str, dict[str, str]]:
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         result = run_cases(Path(tmp))
-    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
-    if sys.argv[1:] == ["--record"]:
-        REFERENCE.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps(result, indent=2, sort_keys=True) + "\n")

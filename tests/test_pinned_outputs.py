@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
-from pinned_runs import REFERENCE, run_cases
+from pinned_runs import run_cases
+
+REFERENCE = Path(__file__).resolve().parent / "pinned_outputs.json"
 
 
 def test_option_paths_write_their_pinned_bytes(tmp_path):
