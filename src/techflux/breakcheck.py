@@ -29,7 +29,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from pathlib import Path
 
-from .cograph import CoGraph, GraphNode, build_cooccurrence, document_items
+from .cograph import CoGraph, GraphNode, build_cooccurrence, check_graphml_names, document_items
 from .community import Partition, louvain
 from .config import MEASURE_OVERLAP_TARGET, SETTINGS, PipelineConfig, check_setting
 from .corpus import Corpus, TimeWindow, window_filter
@@ -247,10 +247,13 @@ def _empty_window(window: TimeWindow) -> StatsError:
     return StatsError(f"window {window.describe()} holds no documents")
 
 
-def cluster_window(corpus: Corpus, lexicon: TermLexicon, window: TimeWindow | None, config: PipelineConfig):
+def cluster_window(corpus: Corpus, lexicon: TermLexicon, window: TimeWindow | None, config: PipelineConfig,
+                   graphml: bool = False):
     """Build, filter, and cluster one window, or the whole corpus when window is None.
 
-    Raises if the window holds no documents, or else if the graph has no edges.
+    Raises if the window holds no documents, or else if the graph has no
+    edges, or else, with graphml set, if a node name is one that GraphML
+    cannot hold (check_graphml_names); all before any Louvain.
     """
     sub = corpus if window is None else window_filter(corpus, window)
     if window is not None and not sub.documents:
@@ -260,6 +263,8 @@ def cluster_window(corpus: Corpus, lexicon: TermLexicon, window: TimeWindow | No
         scope = "the corpus" if window is None else f"window {window.describe()}"
         cause = ": with pairs tech-tag, no document has both a lexicon term and a tag that is not one" if config.pairs == "tech-tag" else ""
         raise StatsError(f"{scope} produced an edgeless graph{cause}")
+    if graphml:
+        check_graphml_names(graph)
     return graph, louvain(graph, config.resolution)
 
 
@@ -275,19 +280,21 @@ def check_windows(windows: list[TimeWindow]) -> None:
             )
 
 
-def _window_replies(corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig) -> list[tuple]:
+def _window_replies(
+    corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig, graphml: bool
+) -> list[tuple]:
     """(node tuples, edge triples, partition fields) of each window, as marshal carries them."""
     replies = []
     for window in windows:
-        graph, partition = cluster_window(corpus, lexicon, window, config)
+        graph, partition = cluster_window(corpus, lexicon, window, config, graphml)
         replies.append((tuple(map(tuple, graph.nodes)), graph.edges, tuple(partition)))
     return replies
 
 
 def cluster_windows(
-    corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig
+    corpus: Corpus, lexicon: TermLexicon, windows: list[TimeWindow], config: PipelineConfig, graphml: bool = False
 ) -> list[tuple[CoGraph, Partition]]:
-    """(graph, partition) of each window in order, as cluster_window gives them.
+    """(graph, partition) of each window in order, as cluster_window gives them with graphml.
 
     The windows are clustered in two halves by window count: this process
     clusters the first W // 2 windows while a forked child (forked.beside)
@@ -306,8 +313,8 @@ def cluster_windows(
         lexicon._tables  # built here once, so that the child inherits the scan and does not build it again
     half = len(windows) // 2
     mine, replies = beside(
-        lambda: [cluster_window(corpus, lexicon, w, config) for w in windows[:half]],
-        lambda: _window_replies(corpus, lexicon, windows[half:], config),
+        lambda: [cluster_window(corpus, lexicon, w, config, graphml) for w in windows[:half]],
+        lambda: _window_replies(corpus, lexicon, windows[half:], config, graphml),
     )
     rebuilt = [(CoGraph(tuple(GraphNode(*node) for node in nodes), edges), Partition(*fields))
                for nodes, edges, fields in replies]
@@ -384,10 +391,13 @@ def term_trend(
     A document holds a term when the term is among its ``document_items``
     under ``field``, the items the network builder uses. Every document is
     read once, whatever the number of terms; a repeated term is counted once.
-    Each corpus needs a label of its own.
+    Each corpus needs a label of its own. The terms are checked against the
+    whole lexicon, and the text is scanned only for the lexicon entries of
+    the terms: whether a term is found depends on its own patterns alone.
     """
     check_trend(corpora, lexicon, terms, period, field)
     wanted = set(terms)
+    lexicon = TermLexicon(tuple(entry for entry in lexicon.entries if entry.canonical in wanted))
     counts: dict[str, dict[str, dict[str, int]]] = {term: {} for term in terms}
     for label, corpus in corpora:
         per_term: dict[str, dict[str, int]] = {term: {} for term in counts}

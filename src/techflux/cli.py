@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import breakcheck, synth
-from .cograph import check_graphml_names, export_graph_json, export_graphml
+from .cograph import export_graph_json, export_graphml
 from .community import export_partition_json, suggest_labels
 from .config import SETTINGS, PipelineConfig, build_config, read_config_file, setting_type
 from .corpus import TimeWindow, load_corpus, load_windows, normalize_tag, save_corpus
@@ -80,13 +80,13 @@ def run_compare(args: argparse.Namespace) -> int:
     window_t = TimeWindow.parse(args.window_t, label="t")
     window_t1 = TimeWindow.parse(args.window_t1, label="t+1")
     corpus = load_corpus(args.corpus)
-    (graph_t, part_t), (graph_t1, part_t1) = breakcheck.cluster_windows(corpus, lexicon, [window_t, window_t1], config)
+    # a node name that GraphML cannot hold is refused before any Louvain, and leaves --out untouched
+    (graph_t, part_t), (graph_t1, part_t1) = breakcheck.cluster_windows(
+        corpus, lexicon, [window_t, window_t1], config, graphml=True
+    )
     report = transition_report(part_t, part_t1, tau=config.tau, measure=config.measure)
     labels_t = _cluster_header(suggest_labels(graph_t, part_t))
     labels_t1 = _cluster_header(suggest_labels(graph_t1, part_t1))
-    # a refusal of either graph leaves --out untouched
-    check_graphml_names(graph_t)
-    check_graphml_names(graph_t1)
     export_graphml(graph_t, out / "graph_t.graphml", part_t.assignment)
     export_graphml(graph_t1, out / "graph_t1.graphml", part_t1.assignment)
     export_graph_json(graph_t, out / "graph_t.json")
@@ -209,7 +209,7 @@ def run_cluster(args: argparse.Namespace) -> int:
     config, out, lexicon = _read_settings(args)
     window = TimeWindow.parse(args.window) if args.window else None
     corpus = load_corpus(args.corpus)
-    graph, partition = breakcheck.cluster_window(corpus, lexicon, window, config)
+    graph, partition = breakcheck.cluster_window(corpus, lexicon, window, config, graphml=True)
     export_graphml(graph, out / "graph.graphml", partition.assignment)
     export_graph_json(graph, out / "graph.json")
     export_partition_json(partition, out / "partition.json")

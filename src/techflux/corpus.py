@@ -262,10 +262,6 @@ _CSV_COLUMNS = ("id", "date", "text", "tags")
 # (131,072 characters); this is the largest limit a C long holds everywhere
 _CSV_FIELD_LIMIT = 2**31 - 1
 
-# one JSONL record, non-ASCII kept as is; json.dumps with ensure_ascii=False
-# would build a new encoder for every record
-_json_record = json.JSONEncoder(ensure_ascii=False).encode
-
 
 def _load_csv(path: Path) -> list[Document]:
     docs, names, dates = [], {}, {}
@@ -318,8 +314,13 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             rows.append(row)
         write_csv(path, rows)
     else:
-        records = ({"id": d.id, "date": d.date.isoformat(), "text": d.text, "tags": d.tags} for d in corpus.documents)
-        atomic_write_text(path, "".join(_json_record(record) + "\n" for record in records))
+        # json.dumps(record, ensure_ascii=False) of each record, in its layout, from its string encoder
+        string = json.encoder.encode_basestring
+        atomic_write_text(path, "".join(
+            f'{{"id": {string(d.id)}, "date": "{d.date.isoformat()}", "text": {string(d.text)}, '
+            f'"tags": [{", ".join(map(string, d.tags))}]}}\n'
+            for d in corpus.documents
+        ))
 
 
 def window_filter(corpus: Corpus, window: TimeWindow) -> Corpus:

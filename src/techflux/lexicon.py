@@ -35,10 +35,12 @@ character makes one; and a pattern whose ``L`` starts ``S`` is a candidate,
 confirmed by its own compiled search. A pattern with no ``L`` (``\bai\b``,
 ``(?:x|y)``) is searched in every document. The scan and these tables are
 built by the first extraction, so a lexicon that extracts nothing (a
-tags-only run) never builds them. Case-insensitive matching lets four
-non-ASCII letters stand for ASCII ones (``ı`` and ``İ`` match ``i``, ``ſ``
-matches ``s``, the Kelvin sign matches ``k``). Case folding leaves only
-``ı``, so a scanned string with ``ı`` read as ``i`` is one of the trie's.
+tags-only run) never builds them, and ``breakcheck.term_trend`` builds them
+for a lexicon of the counted terms' entries only. Case-insensitive matching
+lets four non-ASCII letters stand for ASCII ones (``ı`` and ``İ`` match
+``i``, ``ſ`` matches ``s``, the Kelvin sign matches ``k``). Case folding
+leaves only ``ı``, so a scanned string with ``ı`` read as ``i`` is one of
+the trie's.
 """
 
 from __future__ import annotations

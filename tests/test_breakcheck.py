@@ -403,7 +403,7 @@ class TestForkFallbacks(ForkFallbacks):
             return self.run()
 
     def hang_child_and_interrupt_parent(self, monkeypatch):
-        def interrupted_cluster_window(corpus, lexicon, window, config):
+        def interrupted_cluster_window(corpus, lexicon, window, config, graphml):
             if window in FORK_WINDOWS[len(FORK_WINDOWS) // 2:]:
                 time.sleep(60)  # the child: only a kill ends it in time
             raise KeyboardInterrupt
@@ -425,7 +425,7 @@ class TestCompareForkFallbacks(ForkFallbacks):
             return self.run()
 
     def hang_child_and_interrupt_parent(self, monkeypatch):
-        def interrupted_cluster_window(corpus, lexicon, window, config):
+        def interrupted_cluster_window(corpus, lexicon, window, config, graphml):
             if window == self.windows[1]:
                 time.sleep(60)  # the child: only a kill ends it in time
             raise KeyboardInterrupt
@@ -698,6 +698,59 @@ def test_compare_names_an_empty_window_t_before_window_t1(tmp_path, capsys, monk
     assert not list((tmp_path / "out").glob("*"))
 
 
+def _with_graphml_unsafe_names(names):
+    """FORK_CORPUS plus, in each window numbered in names, 3 documents tagged with its name and one more tag."""
+    docs = [tag_doc(f"bad{i}-{j}", FORK_WINDOWS[i].start, name, "ok") for i, name in names.items() for j in range(3)]
+    return Corpus(FORK_CORPUS.documents + tuple(docs))
+
+
+def _graphml_refusal(name):
+    return f"techflux cograph: node {name!r}: U+{ord(name[3]):04X} is no XML 1.0 character, so GraphML cannot hold it\n"
+
+
+@pytest.mark.parametrize("names,louvains", [({0: "bad\x01t"}, 0), ({1: "bad\x01t"}, 1), ({0: "bad\x01t", 1: "bad\x02t"}, 0)],
+                         ids=["t", "t1", "both"])
+def test_compare_refuses_a_graphml_unsafe_name_before_the_louvain_of_its_window(
+        tmp_path, capsys, monkeypatch, names, louvains):
+    argv = _compare_argv(tmp_path, _with_graphml_unsafe_names(names), *FORK_WINDOWS[:2], tmp_path / "out")
+    calls = _counting(monkeypatch, "louvain")
+    refuse_fork(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == _graphml_refusal(names[min(names)])
+    assert len(calls) == louvains
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings(FORK_WARNING)
+@pytest.mark.parametrize("names", [{1: "bad\x01t"}, {0: "bad\x01t", 1: "bad\x02t"}], ids=["t1", "both"])
+def test_compare_names_the_graphml_unsafe_name_of_window_t_first_across_the_fork(tmp_path, capsys, monkeypatch, names):
+    argv = _compare_argv(tmp_path, _with_graphml_unsafe_names(names), *FORK_WINDOWS[:2], tmp_path / "out")
+    forks = force_fork(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == _graphml_refusal(names[min(names)])
+    assert forks == [os.getpid()]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cluster_refuses_a_graphml_unsafe_name_before_any_louvain(tmp_path, capsys, monkeypatch):
+    argv = ["cluster", *_inputs_argv(tmp_path, _with_graphml_unsafe_names({3: "bad\x08t"})),
+            "--window", _window_arg(FORK_WINDOWS[3]), "--field", "tags", "--out", str(tmp_path / "out")]
+    calls = _counting(monkeypatch, "louvain")
+    refuse_fork(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == _graphml_refusal("bad\x08t")
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_series_accepts_a_name_that_graphml_cannot_hold(tmp_path, capsys):
+    argv = _series_argv(tmp_path, _with_graphml_unsafe_names({0: "bad\x01t", 5: "bad\x02t"}), FORK_WINDOWS,
+                        tmp_path / "out")
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "series.csv").exists()
+
+
 # ---------------------------------------------------------------- trends
 
 
@@ -750,18 +803,28 @@ def test_term_trend_errors():
         term_trend(corpora + [("y", _UnreadableCorpus())] + corpora, TREND_LEX, ["quantum computing"], "year")
 
 
+# literals nested across entries (quantum in quantum dots, edge in edge
+# computing), a pattern with no literal, and words where ı, ſ and the Kelvin
+# sign stand for i, s and k
 TREND_ENTRIES = {
     "ai": ["ai", "a\\.?i"],
     "cloud computing": ["cloud[- ]?computing"],
     "edge": ["edge(?: computing)?"],
+    "edge computing": ["edge comput(?:ing|ers?)"],
+    "quantum": ["quantum"],
     "quantum dot": ["quantum dots?"],
     "laser": ["lasers?"],
+    "vr": ["(?:vr|virtual reality)"],
+    "disk": ["disks?"],
+    "kiosk": ["kiosks?"],
 }
 TREND_WORDS = (
     "ai", "AI", "A.I.", "a.i", "cloud computing", "Cloud-Computing", "cloudcomputing",
-    "edge", "edges", "quantum dots", "quantum dotty", "lasers", "laserz", "paint", "-", ".",
+    "edge", "edges", "EDGE computing", "edge computıng", "edge-computers", "quantum", "quantumdot",
+    "quantum dots", "quantum dotty", "lasers", "laserz", "vr", "virtual reality", "avr", "diſk", "DISKS",
+    "\u212aiosk", "kioſks", "ı", "paint", "-", ".",
 )
-TREND_TAGS = ("ai", "edge", "laser", "quantum dot", "cloud computing", "misc", "quantum")
+TREND_TAGS = ("ai", "edge", "laser", "quantum dot", "cloud computing", "misc", "quantum", "vr")
 
 
 _TREND_DOC = st.tuples(
@@ -794,6 +857,14 @@ def test_term_trend_matches_per_term_oracle(case):
     assert set(trends) == set(terms)
     for term in terms:
         assert trends[term] == term_trend_reference(corpora, lexicon, term, period)
+
+
+def test_term_trend_leaves_the_scan_of_the_whole_lexicon_unbuilt():
+    lexicon = lexicon_from_records([{"canonical": c, "patterns": p} for c, p in TREND_ENTRIES.items()])
+    corpus = Corpus((Document(id="d1", date=dt.date(2020, 1, 1), text="edge computing and quantum dots"),))
+    trends = term_trend([("news", corpus)], lexicon, ["edge"], "year", field="text")
+    assert trends == {"edge": {"news": {"2020": 1}}}
+    assert "_tables" not in lexicon.__dict__
 
 
 _ORDER_PROBE = (

@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from techflux import corpus as corpus_module
@@ -230,6 +230,8 @@ def json_corpora(draw):
 
 @settings(deadline=None)
 @given(json_corpora())
+# no tags, and a quote, a backslash, NUL and the line separators JSON leaves raw
+@example(Corpus((Document(id='d"\\\u2028', date=dt.date(2020, 1, 1), text="\x00\u2029é\n"),)))
 def test_jsonl_bytes_equal_json_dumps_per_record(corpus):
     expected = "".join(
         json.dumps({"id": d.id, "date": d.date.isoformat(), "text": d.text, "tags": list(d.tags)}, ensure_ascii=False) + "\n"
