@@ -22,17 +22,19 @@ stage: a greedy fixpoint over single-node moves plus an escape search that
 chains forced relocations and keeps the best-scoring prefix. Both stages
 keep one link table per node (community -> link weight) and each move
 updates only the mover's neighbours, exact at every level on integer edge
-weights; the escape search then re-scores only the gains toward the two
-communities a move touched. The escape search is a pure function of the
-level, the resolution, the traversal order and the assignment, and the
-first three are fixed within one descent; so a descent remembers the last
-assignment a search found no improvement for and does not search it again,
-which returns what the search would. The memo matches the exact label list,
-not the partition: relabelling the same partition moves the smallest-label
-tie-breaks. The descent runs once per traversal order and the
-higher-quality result wins, with ties going to the lexicographic sweep.
-Every stage uses fixed orders and tie-breaks, so repeated runs on the same
-graph yield identical partitions.
+weights; the greedy fixpoint hands its final tables to the escape search,
+which then re-scores only the gains toward the two communities a move
+touched. The escape search is a pure function of the level, the
+resolution, the traversal order and the assignment, and the first three
+are fixed within one descent; so a descent remembers the last assignment a
+search found no improvement for and does not search it again, which
+returns what the search would. The memo matches the exact label list, and
+also the same partition under other labels when that search broke no tie
+between equally good targets: only such a tie lets the labels decide.
+The descent runs once per traversal order and the higher-quality result
+wins, with ties going to the lexicographic sweep. Every stage uses fixed
+orders and tie-breaks, so repeated runs on the same graph yield identical
+partitions.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ def _move(
 
 def _local_phase(
     level: _Level, resolution: float, order: list[int], com: list[int] | None = None
-) -> tuple[list[int], int]:
+) -> tuple[list[int], int, tuple[dict[int, float], list[dict[int, float]]]]:
     """Greedy node moves until no strictly positive gain remains.
 
     A detached node of degree k_i gains w/m - resolution * tot_c * k_i /
@@ -194,15 +196,21 @@ def _local_phase(
     tot_c the total degree of c without it; terms constant in the target
     are dropped. The node moves to the best community other than its home
     (smallest label on ties) only when that gains strictly more than
-    rejoining home, so ties keep it home. The link tables are built once;
-    _move keeps them current. Returns (community label per node, number of
-    moves made). Starts from singletons unless an assignment is given;
-    singleton labels are the initial node indices, so "smallest community
-    id" is well defined and deterministic.
+    rejoining home, so ties keep it home. The link tables are built once,
+    as copies of the degrees and the adjacency on a singleton start; _move
+    keeps them current. Returns (community label per node, number of moves
+    made, the final tables (tot, links)), the tables equal to _link_tables
+    of the labels returned. Starts from singletons unless an assignment is
+    given; singleton labels are the initial node indices, so "smallest
+    community id" is well defined and deterministic.
     """
-    com = list(range(level.size)) if com is None else list(com)
     degree = level.degree
-    tot, links = _link_tables(level, com)
+    if com is None:
+        com = list(range(level.size))
+        tot, links = dict(enumerate(degree)), [dict(nbrs) for nbrs in level.adj]
+    else:
+        com = list(com)
+        tot, links = _link_tables(level, com)
     m = level.m
     two_m2 = 2.0 * m * m
     total_moves = 0
@@ -226,15 +234,19 @@ def _local_phase(
                 moves += 1
         total_moves += moves
         if moves == 0:
-            return com, total_moves
+            return com, total_moves, (tot, links)
 
 
 _ESCAPE_MAX_NODES = 512
 
 
 def _escape_round(
-    level: _Level, resolution: float, order: list[int], com: list[int]
-) -> tuple[list[int], bool]:
+    level: _Level,
+    resolution: float,
+    order: list[int],
+    com: list[int],
+    tables: tuple[dict[int, float], list[dict[int, float]]] | None = None,
+) -> tuple[list[int], bool, bool]:
     """One escape round: chained forced moves with best-prefix acceptance.
 
     Repeatedly applies the single best relocation over all not-yet-moved
@@ -253,23 +265,36 @@ def _escape_round(
     link table; any other node only weighs A and B against its cached
     target, in the same inline candidate loop. A step costs O(n) plus the
     rescans, not a re-score of every link of every unlocked node, and builds
-    the chain that re-scoring from scratch would, as _move is exact. Levels
-    above _ESCAPE_MAX_NODES nodes are skipped: the round stays quadratic in
-    node count.
+    the chain that re-scoring from scratch would, as _move is exact. tables
+    are _link_tables(level, com), as _local_phase returns them; the round
+    consumes them, and builds its own when none are given. Levels above
+    _ESCAPE_MAX_NODES nodes are skipped: the round stays quadratic in node
+    count.
+
+    Returns (assignment, improved, tie_free). tie_free is False when some
+    target choice compared two distinct candidates of equal gain, the one
+    place where a label, not a value, can decide. Without such a tie every
+    decision compares label-free quantities strictly, set tests and t ==
+    home read the same under any injective relabelling, and fresh labels
+    stay above every existing one; so the round on a relabelled assignment
+    runs the relabelled chain and returns the same partition and improved
+    flag. A level over the size cap is skipped whatever its labels, so
+    tie-free.
 
     The round depends on nothing but its arguments, so an assignment it
     returned unimproved stays certified while level, resolution and order
     stay fixed: _refine skips the round on an assignment equal, label for
-    label, to the one its descent last certified.
+    label, to the one its descent last certified, and on any labelling of
+    that partition when the certifying round was tie-free.
     """
     n = level.size
     if n > _ESCAPE_MAX_NODES:
-        return com, False
+        return com, False, True
     m = level.m
     two_m2 = 2.0 * m * m
     degree = level.degree
     work = list(com)
-    tot, links = _link_tables(level, work)
+    tot, links = _link_tables(level, work) if tables is None else tables
     target: list[int | None] = [None] * n
     target_gain = [0.0] * n
     next_fresh = max(work) + 1
@@ -279,6 +304,7 @@ def _escape_round(
     best_cum = 0.0
     best_len = 0
     trail: list[tuple[int, int]] = []
+    tie_free = True
     while unlocked:
         pick = None
         pick_target = 0
@@ -301,8 +327,12 @@ def _escape_round(
                 if t == home or t not in table:
                     continue
                 t_gain = table[t] / m - resolution * tot[t] * k_i / two_m2
-                if c is None or t_gain > gain or (t_gain == gain and t < c):
+                if c is None or t_gain > gain:
                     c, gain = t, t_gain
+                elif t_gain == gain:
+                    tie_free = False
+                    if t < c:
+                        c, gain = t, t_gain
             target[i] = c
             target_gain[i] = gain
             link_home = table.get(home, 0.0)
@@ -329,32 +359,43 @@ def _escape_round(
             best_cum = cum
             best_len = len(trail)
     if best_len == 0:
-        return com, False
+        return com, False, tie_free
     result = list(com)
     for i, c in trail[:best_len]:
         result[i] = c
-    return result, True
+    return result, True, tie_free
 
 
 def _refine(
-    level: _Level, resolution: float, order: list[int], com: list[int], certified: list[int] | None
-) -> tuple[list[int], bool]:
+    level: _Level,
+    resolution: float,
+    order: list[int],
+    com: list[int],
+    certified: tuple[list[int], bool] | None,
+) -> tuple[list[int], bool, bool]:
     """Greedy fixpoint plus escape rounds until neither improves the assignment.
 
-    certified is an assignment an earlier escape round of the same descent
-    found no improvement for; the round is not run on it again. The
-    assignment returned is always one the escape round has certified.
+    certified is (labels, tie_free) of an assignment an earlier escape round
+    of the same descent found no improvement for. The round is not run on
+    those labels again, nor, when that round was tie-free, on the same
+    partition under other labels (equal first-occurrence canonical lists):
+    either way it would return the assignment unimproved. The local phase
+    hands its final tables to the round. Returns (assignment, changed,
+    tie_free): the assignment is always certified, by a round or by the
+    memo, and tie_free says whether that certificate covers every labelling.
     """
     changed = False
     while True:
-        com, moves = _local_phase(level, resolution, order, com)
+        com, moves, tables = _local_phase(level, resolution, order, com)
         if moves:
             changed = True
-        if com == certified:
-            return com, changed
-        com, improved = _escape_round(level, resolution, order, com)
+        if certified is not None:
+            labels, tie_free = certified
+            if com == labels or (tie_free and _canonical(com) == _canonical(labels)):
+                return com, changed, tie_free
+        com, improved, tie_free = _escape_round(level, resolution, order, com, tables)
         if not improved:
-            return com, changed
+            return com, changed, tie_free
         changed = True
 
 
@@ -391,7 +432,7 @@ def _multilevel_from(level: _Level, resolution: float, order_fn, com: list[int])
     level_now, new_index = _aggregate(level, com)
     node_com = [new_index[c] for c in com]
     while True:
-        moved, moves = _local_phase(level_now, resolution, order_fn(level_now))
+        moved, moves, _ = _local_phase(level_now, resolution, order_fn(level_now))
         if moves == 0:
             return node_com
         level_now, new_index = _aggregate(level_now, moved)
@@ -408,20 +449,25 @@ def _descend(level: _Level, resolution: float, order_fn) -> list[int]:
     """
     order = order_fn(level)
     # aggregating the singletons would copy level 0, so the first greedy phase runs on level 0 itself
-    com, _ = _local_phase(level, resolution, order)
+    com, _, _ = _local_phase(level, resolution, order)
     certified = None
     while True:
         com = _multilevel_from(level, resolution, order_fn, com)
-        com, changed = _refine(level, resolution, order, com, certified)
+        com, changed, tie_free = _refine(level, resolution, order, com, certified)
         if not changed:
             return com
-        certified = com
+        certified = (com, tie_free)
+
+
+def _canonical(com: list[int]) -> list[int]:
+    """The partition's labels renumbered 0, 1, ... in order of first occurrence."""
+    first: dict[int, int] = {}
+    return [first.setdefault(c, len(first)) for c in com]
 
 
 def _dense_assignment(names: tuple[str, ...], node_com: list[int]) -> dict[str, int]:
     """Relabel communities with dense ids ordered by smallest member name, that is by first node."""
-    final_id = {c: idx for idx, c in enumerate(dict.fromkeys(node_com))}
-    return {name: final_id[c] for name, c in zip(names, node_com)}
+    return dict(zip(names, _canonical(node_com)))
 
 
 def louvain(graph: CoGraph, resolution: float = SETTINGS["resolution"].default) -> Partition:

@@ -12,6 +12,7 @@ from techflux.community import (
     Partition,
     _Level,
     _aggregate,
+    _canonical,
     _degree_order,
     _descend,
     _escape_round,
@@ -256,16 +257,40 @@ def escape_round_cases(draw):
 @given(escape_round_cases())
 def test_escape_round_matches_rescoring_oracle(case):
     level, resolution, order, com = case
-    assert _escape_round(level, resolution, order, list(com)) == \
-        escape_round_reference(level, resolution, order, list(com))
+    want = escape_round_reference(level, resolution, order, list(com))
+    assert _escape_round(level, resolution, order, list(com))[:2] == want
+    assert _escape_round(level, resolution, order, list(com), _link_tables(level, com))[:2] == want
+    # a greedy fixpoint with the tables its phase hands over, totals of emptied communities included
+    fixed, _, tables = _local_phase(level, resolution, order, com)
+    assert _escape_round(level, resolution, order, fixed, tables)[:2] == \
+        escape_round_reference(level, resolution, order, list(fixed))
+
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+@given(escape_round_cases(), st.data())
+def test_a_tie_free_escape_round_answers_alike_under_any_labels(case, data):
+    level, resolution, order, com = case
+    got, improved, tie_free = _escape_round(level, resolution, order, list(com))
+    if not tie_free:
+        return
+    labels = sorted(set(com))
+    # injective, in any order, and not dense: drawn from a range wider than n
+    fresh = data.draw(st.lists(st.integers(0, 3 * level.size), min_size=len(labels), max_size=len(labels), unique=True))
+    rename = dict(zip(labels, fresh))
+    relabelled = [rename[c] for c in com]
+    again, improved_again, _ = _escape_round(level, resolution, order, relabelled)
+    assert improved_again is improved
+    assert _canonical(again) == _canonical(got)
+    if not improved:
+        assert again is relabelled
 
 
 def test_escape_round_skips_a_level_over_its_size_cap():
     n = community._ESCAPE_MAX_NODES + 1
     level = _Level([{(i + 1) % n: 1.0, (i - 1) % n: 1.0} for i in range(n)], [0.0] * n)
     com = [i // 2 for i in range(n)]
-    got, improved = _escape_round(level, 1.0, _lex_order(level), com)
-    assert got is com and improved is False
+    got, improved, tie_free = _escape_round(level, 1.0, _lex_order(level), com)
+    assert got is com and improved is False and tie_free is True
 
 
 def test_louvain_over_the_escape_cap_finds_disjoint_cliques():
@@ -289,8 +314,23 @@ def local_phase_cases(draw):
 @given(local_phase_cases())
 def test_local_phase_matches_ascending_scan_oracle(case):
     level, resolution, order, com = case
-    assert _local_phase(level, resolution, order) == local_phase_reference(level, resolution, order)
-    assert _local_phase(level, resolution, order, com) == local_phase_reference(level, resolution, order, com)
+    assert _local_phase(level, resolution, order)[:2] == local_phase_reference(level, resolution, order)
+    assert _local_phase(level, resolution, order, com)[:2] == local_phase_reference(level, resolution, order, com)
+
+
+@settings(deadline=None)
+@given(local_phase_cases())
+def test_local_phase_returns_the_tables_of_a_fresh_build(case):
+    level, resolution, order, com = case
+    # from singletons, whose tables copy the degrees and the adjacency, and from a given start
+    for start in (None, com):
+        got, _, (tot, links) = _local_phase(level, resolution, order, start)
+        want_tot, want_links = _link_tables(level, got)
+        assert links == want_links
+        assert not any(0.0 in table.values() for table in links)
+        # an emptied community keeps its total, 0.0
+        assert {c: tot[c] for c in want_tot} == want_tot
+        assert all(tot[c] == 0.0 for c in tot.keys() - want_tot.keys())
 
 
 # short names over a small alphabet, so shared prefixes are common
@@ -394,9 +434,9 @@ def test_descent_runs_no_escape_round_twice_on_one_assignment(monkeypatch):
     level = _Level([{}, {3: 2.0, 4: 1.0, 5: 1.0}, {3: 1.0}, {1: 2.0, 2: 1.0}, {1: 1.0}, {1: 1.0}], [0.0] * 6)
     calls = []
 
-    def recording_escape_round(level, resolution, order, com):
+    def recording_escape_round(level, resolution, order, com, tables=None):
         calls.append((tuple(order), tuple(com)))
-        return _escape_round(level, resolution, order, com)
+        return _escape_round(level, resolution, order, com, tables)
 
     monkeypatch.setattr(community, "_escape_round", recording_escape_round)
     for order_fn in (_lex_order, _degree_order):
@@ -406,10 +446,45 @@ def test_descent_runs_no_escape_round_twice_on_one_assignment(monkeypatch):
         assert len(calls) == len(set(calls))
 
 
+def test_descent_runs_no_round_on_a_relabelled_tie_free_certificate(monkeypatch):
+    # both descents certify [3, 0, 0, 2, 3, 3, 0, 4] in a round that breaks no
+    # tie, and the next multilevel pass returns it as [0, 1, 1, 2, 0, 0, 1, 3]
+    level = _Level([{1: 3.0, 5: 2.0}, {0: 3.0, 2: 2.0}, {1: 2.0, 6: 1.0}, {}, {5: 1.0}, {0: 2.0, 4: 1.0}, {2: 1.0}, {}],
+                   [0.0] * 8)
+    rounds, fixpoints = [], []
+
+    def recording_escape_round(lvl, resolution, order, com, tables=None):
+        got = _escape_round(lvl, resolution, order, com, tables)
+        rounds.append((list(com), got))
+        return got
+
+    def recording_local_phase(lvl, resolution, order, com=None):
+        got = _local_phase(lvl, resolution, order, com)
+        if lvl is level and com is not None:
+            fixpoints.append(got[0])
+        return got
+
+    monkeypatch.setattr(community, "_escape_round", recording_escape_round)
+    monkeypatch.setattr(community, "_local_phase", recording_local_phase)
+    for order_fn in (_lex_order, _degree_order):
+        rounds.clear()
+        fixpoints.clear()
+        _descend(level, 1.0, order_fn)
+        certified = None  # canonical labels of the last assignment a tie-free round returned unimproved
+        relabelled = False
+        for com, (_, improved, tie_free) in rounds:
+            assert _canonical(com) != certified
+            if not improved:
+                certified = _canonical(com) if tie_free else None
+                relabelled = relabelled or any(fix != com and _canonical(fix) == certified for fix in fixpoints)
+        assert relabelled
+
+
 def test_louvain_matches_stage_reference_after_a_pass_that_only_relabels():
     # A descent that skipped the escape search whenever the multilevel pass
     # left the partition as it was, under new labels, gives another result
-    # on this seeded graph: the labels steer the smallest-label tie-breaks.
+    # on this seeded graph: the labels steer the smallest-label tie-breaks,
+    # so a round that broke a tie certifies its label list only.
     rng = random.Random(2701)
     n = rng.randint(4, 30)
     density = rng.uniform(0.05, 0.7)
